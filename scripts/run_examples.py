@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Run the four reference experiments and emit their figure data.
 
-Each preset gets a Monte-Carlo batch; per-seed CSVs (autocorrelation with
-confidence limits, cumulative profile M(m), reconstructions) land under
-<out>/<preset>/ and are directly plottable.
+Each preset gets a Monte-Carlo batch through `fredreg run`; per-seed CSVs
+(autocorrelation with confidence limits, cumulative profile M(m),
+reconstructions) land under <out>/<preset>/ and are directly plottable.
 
 Usage: python scripts/run_examples.py [--seeds 100] [--out results]
 """
@@ -11,8 +11,8 @@ Usage: python scripts/run_examples.py [--seeds 100] [--out results]
 import argparse
 from pathlib import Path
 
-from fredreg.harness import PRESETS, emit_outputs, preset, run_experiment, summarize
-from fredreg.cli import print_summary
+from fredreg.cli import main as fredreg_main
+from fredreg.harness import PRESETS
 
 
 def main() -> int:
@@ -22,13 +22,11 @@ def main() -> int:
     ap.add_argument("--out", default="results")
     args = ap.parse_args()
 
-    seeds = range(args.base_seed, args.base_seed + args.seeds)
     for name in PRESETS:
-        cfg = preset(name, seeds=seeds, output_dir=str(Path(args.out) / name))
-        records = run_experiment(cfg)
-        summary = summarize(records, true_support=cfg.signal.support())
-        emit_outputs(records, summary, cfg)
-        print_summary(name, summary)
+        fredreg_main([
+            "run", "--preset", name, "--seeds", str(args.seeds),
+            "--base-seed", str(args.base_seed), "--out", str(Path(args.out) / name),
+        ])
         print()
     return 0
 

@@ -1,79 +1,11 @@
 """Regularized solvers for first-kind Fredholm integral equations with noisy data."""
 
-from .eigensystem import (
-    EigenDecompositionError,
-    EigenSystem,
-    QuadratureGrid,
-    TabulatedKernel,
-    analytic_eigensystem,
-    apply_kernel,
-    load_kernel_csv,
-    numeric_eigensystem,
-    project,
-    project_all,
-    reconstruct,
-    sample_kernel_eval,
-    sample_kernel_matrix,
-    simpson_grid,
-)
-from .harness import (
-    ALL_METHODS,
-    ExperimentConfig,
-    RunRecord,
-    config_hash,
-    emit_outputs,
-    preset,
-    run_experiment,
-    summarize,
-)
-from .selection import (
-    AutocorrSeries,
-    DegenerateSequenceError,
-    SelectionReport,
-    autocorr_estimate,
-    bartlett_stderr,
-    build_Q,
-    build_selection,
-    default_max_lag,
-    detect_n0,
-    reconstruct_bhat,
-    select_pairs,
-)
-from .spectral import (
-    CumulativeProfile,
-    cumulative_profile,
-    detect_plateau,
-    f0_approximation,
-    k0_cutoff,
-)
-from .synthesis import (
-    NoisyDataset,
-    SignalSpec,
-    add_noise,
-    dataset_from_json,
-    dataset_to_json,
-    evaluate_signal,
-    forward_apply,
-    forward_coeffs,
-    noise_dispersion,
-    read_coeffs_csv,
-    snr_db,
-    synthesize_dataset,
-    write_coeffs_csv,
-)
-from .variational import (
-    ConstraintSpec,
-    RegularizedSolution,
-    VarianceProfile,
-    best_linear_estimate,
-    classified_solution,
-    classify_components,
-    correlation_ratio,
-    information_content,
-    tikhonov_full,
-    tikhonov_identity,
-    truncated_k_alpha,
-    truncated_k_beta,
-)
+# each module's __all__ is its public API; the package re-exports all of them
+from .eigensystem import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from .selection import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
+from .synthesis import *  # noqa: F401,F403
+from .variational import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

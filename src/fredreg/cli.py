@@ -69,35 +69,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    report_path = Path(args.dir) / "report.json"
-    payload = json.loads(report_path.read_text())
+    payload = json.loads((Path(args.dir) / "report.json").read_text())
     cfg = ExperimentConfig.from_json_dict(payload["config"])
-    records = payload["records"]
-    name = payload["config"].get("name", "experiment")
     summary_path = Path(args.dir) / "summary.json"
     if summary_path.exists():
         summary = json.loads(summary_path.read_text())
-    else:  # re-derive from raw records
-        errs: dict[str, list[float]] = {}
-        for rec in records:
-            for method, err in rec["rel_l2"].items():
-                errs.setdefault(method, []).append(err)
-        import numpy as np
-
-        summary = {
-            "n_seeds": len(records),
-            "snr_db": records[0]["snr_db"] if records else float("nan"),
-            "methods": {
-                m: {
-                    "n": len(v),
-                    "median": float(np.median(v)),
-                    "q25": float(np.percentile(v, 25)),
-                    "q75": float(np.percentile(v, 75)),
-                }
-                for m, v in errs.items()
-            },
-        }
-    print_summary(name, summary)
+    else:  # re-derive from the raw records
+        summary = summarize(payload["records"], true_support=cfg.signal.support())
+    print_summary(cfg.name, summary)
     return 0
 
 

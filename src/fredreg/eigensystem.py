@@ -103,10 +103,17 @@ def simpson_grid(n: int = DEFAULT_GRID_SIZE, a: float = 0.0, b: float = 1.0) -> 
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Ordered eigenpairs {psi_k, lam_k}, k = 1..count, of a symmetric kernel."""
+    """Ordered eigenpairs {psi_k, lam_k}, k = 1..count, of a symmetric kernel.
+
+    `evaluator(ks, x)` tabulates the eigenfunctions: for an integer array ks
+    (values in 1..count, already checked) and a 1-d array x it returns the
+    array of shape (len(ks), len(x)) whose row i is psi_{ks[i]}(x).  Every
+    evaluation goes through one call to it: `basis_matrix` for a whole table,
+    `eigenfunction` for one row, `reconstruct` for the rows it sums.
+    """
 
     eigenvalues: np.ndarray
-    evaluator: Callable[[int, np.ndarray], np.ndarray]
+    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     count: int
     kind: str  # "analytic-sample-kernel" | "numeric-tabulated"
 
@@ -126,14 +133,14 @@ class EigenSystem:
 
     def eigenfunction(self, k: int, x: np.ndarray) -> np.ndarray:
         self._check_index(k)
-        return self.evaluator(k, np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        return self.evaluator(np.array([k]), x.ravel())[0].reshape(x.shape)
 
     def basis_matrix(self, x: np.ndarray, upto: int | None = None) -> np.ndarray:
         """psi_k(x) stacked row-wise for k = 1..upto."""
         upto = self.count if upto is None else upto
         self._check_index(upto)
-        x = np.asarray(x, dtype=float)
-        return np.vstack([self.evaluator(k, x) for k in range(1, upto + 1)])
+        return self.evaluator(np.arange(1, upto + 1), np.asarray(x, dtype=float))
 
     def _check_index(self, k: int) -> None:
         if not 1 <= k <= self.count:
@@ -174,8 +181,9 @@ def sample_kernel_matrix(grid: QuadratureGrid) -> TabulatedKernel:
     return TabulatedKernel(values=vals, grid=grid)
 
 
-def _sine_evaluator(k: int, x: np.ndarray) -> np.ndarray:
-    return np.sqrt(2.0) * np.sin(k * np.pi * x)
+def _sine_evaluator(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # (k pi) x, not k (pi x): the rounding then matches sin(k * pi * x) row by row
+    return np.sqrt(2.0) * np.sin(np.outer(ks * np.pi, x))
 
 
 def analytic_eigensystem(n_max: int = DEFAULT_N_MAX) -> EigenSystem:
@@ -235,8 +243,8 @@ def numeric_eigensystem(kernel: TabulatedKernel, n_max: int) -> EigenSystem:
     pts = grid.points.copy()
     table = funcs.T.copy()
 
-    def evaluator(k: int, x: np.ndarray) -> np.ndarray:
-        return np.interp(x, pts, table[k - 1])
+    def evaluator(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return np.array([np.interp(x, pts, table[k - 1]) for k in ks]).reshape(len(ks), x.size)
 
     return EigenSystem(
         eigenvalues=vals, evaluator=evaluator, count=n_max, kind="numeric-tabulated"
@@ -259,10 +267,13 @@ def reconstruct(
     coeffs: Sequence[tuple[int, float]], es: EigenSystem, grid: QuadratureGrid
 ) -> np.ndarray:
     """Sum of coeff_k * psi_k on the grid; an empty list gives the zero function."""
+    ks = [int(k) for k, _ in coeffs]
+    for k in ks:
+        es._check_index(k)
     out = np.zeros(grid.size)
-    for k, value in coeffs:
-        es._check_index(int(k))
-        out += value * es.eigenfunction(int(k), grid.points)
+    # summed term by term in list order: a dense mat-vec would round differently
+    for (_, value), row in zip(coeffs, es.evaluator(np.array(ks, dtype=int), grid.points)):
+        out += value * row
     return out
 
 

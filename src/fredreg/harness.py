@@ -1,10 +1,11 @@
 """Experiment runner: seeded Monte-Carlo batches over signals, noise, methods.
 
 Presets example1..example4 encode the reference experiments (signal, noise
-bound, record length); each run synthesizes a dataset per seed, applies the
-requested reconstruction methods, and records relative L2 errors on the grid
-together with the cutoff indices and the selection report.  Outputs are
-plain CSV/JSON and byte-deterministic for a fixed config.
+bound, record length); each run builds its seed-invariant context once, draws
+a dataset per seed, applies the requested reconstruction methods, and records
+relative L2 errors on the grid together with the cutoff indices and the
+selection report.  Outputs are plain CSV/JSON and byte-deterministic for a
+fixed config.
 """
 
 from __future__ import annotations
@@ -12,21 +13,22 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .eigensystem import analytic_eigensystem, simpson_grid
+from .eigensystem import EigenSystem, analytic_eigensystem, simpson_grid
 from .selection import SelectionReport, build_selection, reconstruct_bhat
 from .spectral import cumulative_profile, f0_approximation
-from .synthesis import (
+from .synthesis import (  # noqa: F401  synthesize_dataset stays importable from here
     NoisyDataset,
+    SignalContext,
     SignalSpec,
-    evaluate_signal,
-    forward_coeffs,
     noise_dispersion,
+    signal_context,
     snr_db,
     synthesize_dataset,
     write_coeffs_csv,
@@ -48,13 +50,51 @@ __all__ = [
     "ALL_METHODS",
     "preset",
     "PRESETS",
+    "RunContext",
+    "run_context",
     "run_experiment",
     "summarize",
     "emit_outputs",
     "config_hash",
 ]
 
-ALL_METHODS = ("tikhonov_full", "k_alpha", "tikhonov_identity", "k_beta", "blp", "f0", "bhat")
+
+@dataclass(frozen=True)
+class RunContext:
+    """Seed-invariant half of a run, built once and shared by its records."""
+
+    data: SignalContext  # grid, record eigensystem (k <= n_coeff), psi_k table, f, g_k, g
+    es: EigenSystem  # reconstruction basis, k <= n_max: coefficients beyond it are noise-dominated
+    f_norm: float
+    E: float
+    c1: float
+    d_eps: float
+
+
+def _blp(ds, ctx, record):
+    n = min(ctx.es.count, ds.n_coeff)
+    vp = VarianceProfile(rho=np.full(n, ctx.E), nu=np.ones(n), eps=ctx.d_eps)
+    return best_linear_estimate(ds, ctx.es, vp)
+
+
+def _bhat(ds, ctx, record):
+    record.selection = build_selection(ds)
+    return reconstruct_bhat(ds, ctx.es, record.selection)
+
+
+# name -> fn(dataset, run context, record) -> RegularizedSolution; each cutoff
+# (k_alpha, k_beta, k0) is reported through sol.params
+METHODS = {
+    "tikhonov_full": lambda ds, ctx, rec: tikhonov_full(ds, ctx.es, ConstraintSpec(E=ctx.E, eps=ctx.d_eps)),
+    "k_alpha": lambda ds, ctx, rec: truncated_k_alpha(ds, ctx.es, ConstraintSpec(E=ctx.E, eps=ctx.d_eps)),
+    "tikhonov_identity": lambda ds, ctx, rec: tikhonov_identity(ds, ctx.es, ctx.E, ctx.d_eps),
+    "k_beta": lambda ds, ctx, rec: truncated_k_beta(ds, ctx.es, ctx.E, ctx.d_eps),
+    "blp": _blp,
+    "f0": lambda ds, ctx, rec: f0_approximation(ds, ctx.es, ctx.c1),
+    "bhat": _bhat,
+}
+ALL_METHODS = tuple(METHODS)
+CUTOFFS = ("k_alpha", "k_beta", "k0")
 
 
 @dataclass(frozen=True)
@@ -175,7 +215,10 @@ class RunRecord:
     k0: int | None = None
     selection: SelectionReport | None = None
     solutions: dict[str, RegularizedSolution] = field(default_factory=dict)
-    wall_time_s: float = 0.0  # not serialized: outputs stay byte-deterministic
+    # not serialized: outputs stay byte-deterministic
+    wall_time_s: float = 0.0
+    dataset: NoisyDataset | None = field(default=None, repr=False, compare=False)
+    context: RunContext | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         d = {
@@ -192,76 +235,51 @@ class RunRecord:
         return d
 
 
-def _run_one_seed(cfg, es_data, es, grid, f_vals, f_norm, seed) -> tuple[RunRecord, NoisyDataset]:
-    # es_data spans the full record for synthesis; es is the truncated
-    # reconstruction basis (coefficients beyond it are noise-dominated)
-    t0 = time.perf_counter()
-    ds, _, _ = synthesize_dataset(
-        cfg.signal, es_data, grid, cfg.epsilon, seed, cfg.n_coeff, cfg.noise_mode
+def run_context(cfg: ExperimentConfig) -> RunContext:
+    """Grid, both eigensystems, the psi_k table, f, ||f||, g_k and g: once per run."""
+    grid = simpson_grid(cfg.grid_size)
+    data = signal_context(cfg.signal, analytic_eigensystem(cfg.n_coeff), grid, cfg.n_coeff)
+    f_norm = grid.norm(data.f_vals)
+    if f_norm == 0 and cfg.E_override is None:
+        f_norm = 1.0  # zero signal: errors become absolute, bounds need overrides
+    return RunContext(
+        data=data,
+        es=analytic_eigensystem(min(cfg.n_max, cfg.n_coeff)),
+        f_norm=f_norm,
+        E=cfg.E_override if cfg.E_override is not None else f_norm,
+        # 1e-9 headroom: quadrature-level Parseval rounding must not truncate the
+        # last in-budget component of a noiseless band-limited record
+        c1=cfg.c1_override if cfg.c1_override is not None else f_norm**2 * (1.0 + 1e-9),
+        d_eps=cfg.dispersion(),
     )
-    d_eps = cfg.dispersion()
-    E = cfg.E_override if cfg.E_override is not None else f_norm
-    # 1e-9 headroom: quadrature-level Parseval rounding must not truncate the
-    # last in-budget component of a noiseless band-limited record
-    c1 = cfg.c1_override if cfg.c1_override is not None else f_norm**2 * (1.0 + 1e-9)
-    record = RunRecord(seed=seed, snr_db=float("nan"))
-
-    def errored(name: str, exc: Exception) -> None:
-        record.failures[name] = f"{type(exc).__name__}: {exc}"
-
-    for name in cfg.methods:
-        try:
-            if name == "tikhonov_full":
-                sol = tikhonov_full(ds, es, ConstraintSpec(E=E, eps=d_eps))
-            elif name == "k_alpha":
-                sol = truncated_k_alpha(ds, es, ConstraintSpec(E=E, eps=d_eps))
-                record.k_alpha = int(sol.params["k_alpha"])
-            elif name == "tikhonov_identity":
-                sol = tikhonov_identity(ds, es, E, d_eps)
-            elif name == "k_beta":
-                sol = truncated_k_beta(ds, es, E, d_eps)
-                record.k_beta = int(sol.params["k_beta"])
-            elif name == "blp":
-                n = min(es.count, ds.n_coeff)
-                vp = VarianceProfile(rho=np.full(n, E), nu=np.ones(n), eps=d_eps)
-                sol = best_linear_estimate(ds, es, vp)
-            elif name == "f0":
-                sol = f0_approximation(ds, es, c1)
-                record.k0 = int(sol.params["k0"])
-            elif name == "bhat":
-                report = build_selection(ds)
-                record.selection = report
-                sol = reconstruct_bhat(ds, es, report)
-            else:  # pragma: no cover - guarded by config validation
-                raise ValueError(name)
-        except Exception as exc:
-            errored(name, exc)
-            continue
-        record.solutions[name] = sol
-        err = grid.norm(sol.to_grid(es, grid) - f_vals) / f_norm
-        record.rel_l2[name] = float(err)
-    record.wall_time_s = time.perf_counter() - t0
-    return record, ds
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
-    """Deterministic batch: per seed, synthesize, run each method, score errors.
+    """Deterministic batch: build the run context once, then per seed draw the
+    noise, run each method and score its error on the grid.
 
     Per-method failures are recorded on the RunRecord, never fatal to the batch.
     """
-    grid = simpson_grid(cfg.grid_size)
-    es_data = analytic_eigensystem(cfg.n_coeff)
-    es = analytic_eigensystem(min(cfg.n_max, cfg.n_coeff))
-    f_vals = evaluate_signal(cfg.signal, grid)
-    f_norm = grid.norm(f_vals)
-    if f_norm == 0 and cfg.E_override is None:
-        f_norm = 1.0  # zero signal: errors become absolute, bounds need overrides
-    g_coeffs = forward_coeffs(f_vals, es_data, grid, cfg.n_coeff)
-    base_snr = snr_db(g_coeffs, cfg.epsilon) if cfg.epsilon > 0 else float("inf")
+    ctx = run_context(cfg)
+    grid, f_vals = ctx.data.grid, ctx.data.f_vals
+    base_snr = snr_db(ctx.data.g_coeffs, cfg.epsilon) if cfg.epsilon > 0 else float("inf")
     records = []
     for seed in cfg.seeds:
-        record, _ = _run_one_seed(cfg, es_data, es, grid, f_vals, f_norm, seed)
-        record.snr_db = base_snr
+        t0 = time.perf_counter()
+        ds = ctx.data.draw(cfg.epsilon, seed, cfg.noise_mode)
+        record = RunRecord(seed=seed, snr_db=base_snr, dataset=ds, context=ctx)
+        for name in cfg.methods:
+            try:
+                sol = METHODS[name](ds, ctx, record)
+            except Exception as exc:
+                record.failures[name] = f"{type(exc).__name__}: {exc}"
+                continue
+            for attr in CUTOFFS:
+                if attr in sol.params:
+                    setattr(record, attr, int(sol.params[attr]))
+            record.solutions[name] = sol
+            record.rel_l2[name] = grid.norm(sol.to_grid(ctx.es, grid) - f_vals) / ctx.f_norm
+        record.wall_time_s = time.perf_counter() - t0
         records.append(record)
     return records
 
@@ -277,38 +295,40 @@ def _median_iqr(values: list[float]) -> dict:
 
 
 def _modal(items: list[tuple]) -> tuple[tuple, float]:
-    from collections import Counter
-
-    counts = Counter(items)
-    value, hits = counts.most_common(1)[0]
+    value, hits = Counter(items).most_common(1)[0]
     return value, hits / len(items)
 
 
-def summarize(records: list[RunRecord], true_support: tuple[int, ...] | None = None) -> dict:
-    """Per-method error statistics plus selection diagnostics for "bhat"."""
+def summarize(records: list[RunRecord] | list[dict], true_support: tuple[int, ...] | None = None) -> dict:
+    """Per-method error statistics plus selection diagnostics for "bhat".
+
+    Records may be RunRecords or their serialized form (the "records" of
+    report.json); both give the same summary.
+    """
     if not records:
         raise ValueError("summarize needs at least one record")
+    rows = [r.to_json_dict() if isinstance(r, RunRecord) else r for r in records]
     methods: dict[str, list[float]] = {}
-    for rec in records:
-        for name, err in rec.rel_l2.items():
+    for row in rows:
+        for name, err in row["rel_l2"].items():
             methods.setdefault(name, []).append(err)
     out: dict = {
-        "n_seeds": len(records),
-        "snr_db": records[0].snr_db,
+        "n_seeds": len(rows),
+        "snr_db": rows[0]["snr_db"],
         "methods": {name: _median_iqr(vals) for name, vals in methods.items()},
     }
     cutoffs = {}
-    for attr in ("k_alpha", "k_beta", "k0"):
-        vals = [getattr(r, attr) for r in records if getattr(r, attr) is not None]
+    for attr in CUTOFFS:
+        vals = [row[attr] for row in rows if row[attr] is not None]
         if vals:
             cutoffs[attr] = _median_iqr([float(v) for v in vals])
     if cutoffs:
         out["cutoffs"] = cutoffs
-    selections = [r.selection for r in records if r.selection is not None]
+    selections = [row["selection"] for row in rows if "selection" in row]
     if selections:
-        modal_I, frac_I = _modal([tuple(s.I_k) for s in selections])
-        modal_Q, frac_Q = _modal([tuple(s.Q) for s in selections])
-        modal_n0, frac_n0 = _modal([(s.n0,) for s in selections])
+        modal_I, frac_I = _modal([tuple(s["I_k"]) for s in selections])
+        modal_Q, frac_Q = _modal([tuple(s["Q"]) for s in selections])
+        modal_n0, frac_n0 = _modal([(s["n0"],) for s in selections])
         sel = {
             "modal_I_k": list(modal_I),
             "modal_I_k_fraction": frac_I,
@@ -318,16 +338,17 @@ def summarize(records: list[RunRecord], true_support: tuple[int, ...] | None = N
             "modal_n0_fraction": frac_n0,
         }
         if true_support is not None:
-            hits = sum(1 for s in selections if tuple(s.I_k) == tuple(true_support))
+            hits = sum(1 for s in selections if tuple(s["I_k"]) == tuple(true_support))
             sel["exact_support_fraction"] = hits / len(selections)
             sel["true_support"] = list(true_support)
         out["selection"] = sel
     return out
 
 
-def _write_solutions_csv(path: Path, grid, f_vals, record: RunRecord, es) -> None:
+def _write_solutions_csv(path: Path, record: RunRecord, ctx: RunContext) -> None:
+    grid, f_vals = ctx.data.grid, ctx.data.f_vals
     columns = ["x", "f_true"] + sorted(record.solutions)
-    grids = {name: sol.to_grid(es, grid) for name, sol in record.solutions.items()}
+    grids = {name: sol.to_grid(ctx.es, grid) for name, sol in record.solutions.items()}
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
         for i, x in enumerate(grid.points):
@@ -341,58 +362,42 @@ def emit_outputs(records: list[RunRecord], summary: dict, cfg: ExperimentConfig)
 
     Top-level autocorr.csv / profile.csv / solutions.csv / coefficients.csv
     hold the first seed; every seed also gets copies under seeds/<seed>/.
-    Returns the list of written paths (also recorded in manifest.json).
+    The records must come from run_experiment: each carries its dataset and
+    the run context it was drawn from.  Returns the list of written paths
+    (also recorded in manifest.json).
     """
     if cfg.output_dir is None:
         raise ValueError("config has no output_dir")
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = simpson_grid(cfg.grid_size)
-    es_data = analytic_eigensystem(cfg.n_coeff)
-    es = analytic_eigensystem(min(cfg.n_max, cfg.n_coeff))
-    f_vals = evaluate_signal(cfg.signal, grid)
-
     written: list[Path] = []
 
-    def emit_seed(rec: RunRecord, ds: NoisyDataset, into: Path) -> None:
+    def target(path: Path) -> Path:
+        written.append(path)
+        return path
+
+    def emit_seed(rec: RunRecord, into: Path) -> None:
+        if rec.dataset is None or rec.context is None:
+            raise ValueError(f"record for seed {rec.seed} has no dataset; emit records from run_experiment")
         into.mkdir(parents=True, exist_ok=True)
-        write_coeffs_csv(str(into / "coefficients.csv"), ds.coeffs)
-        written.append(into / "coefficients.csv")
-        profile = cumulative_profile(ds, es_data)
-        profile.write_csv(str(into / "profile.csv"))
-        written.append(into / "profile.csv")
+        write_coeffs_csv(str(target(into / "coefficients.csv")), rec.dataset.coeffs)
+        cumulative_profile(rec.dataset, rec.context.data.es).write_csv(str(target(into / "profile.csv")))
         if rec.selection is not None:
-            rec.selection.write_autocorr_csv(str(into / "autocorr.csv"))
-            written.append(into / "autocorr.csv")
-        _write_solutions_csv(into / "solutions.csv", grid, f_vals, rec, es)
-        written.append(into / "solutions.csv")
+            rec.selection.write_autocorr_csv(str(target(into / "autocorr.csv")))
+        _write_solutions_csv(target(into / "solutions.csv"), rec, rec.context)
 
     for i, rec in enumerate(records):
-        ds, _, _ = synthesize_dataset(
-            cfg.signal, es_data, grid, cfg.epsilon, rec.seed, cfg.n_coeff, cfg.noise_mode
-        )
-        emit_seed(rec, ds, out_dir / "seeds" / str(rec.seed))
+        emit_seed(rec, out_dir / "seeds" / str(rec.seed))
         if i == 0:
-            emit_seed(rec, ds, out_dir)
+            emit_seed(rec, out_dir)
 
-    report_path = out_dir / "report.json"
-    report_path.write_text(
-        json.dumps(
-            {"config": cfg.to_json_dict(), "records": [r.to_json_dict() for r in records]},
-            indent=2,
-        )
-    )
-    written.append(report_path)
-    summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2))
-    written.append(summary_path)
-
+    report = {"config": cfg.to_json_dict(), "records": [r.to_json_dict() for r in records]}
+    target(out_dir / "report.json").write_text(json.dumps(report, indent=2))
+    target(out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
     manifest = {
         "config": cfg.to_json_dict(),
         "config_hash": config_hash(cfg),
         "files": sorted(str(p.relative_to(out_dir)) for p in written),
     }
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2))
-    written.append(manifest_path)
+    target(out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
     return written

@@ -33,6 +33,8 @@ __all__ = [
     "forward_apply",
     "forward_coeffs",
     "add_noise",
+    "SignalContext",
+    "signal_context",
     "synthesize_dataset",
     "snr_db",
     "noise_dispersion",
@@ -187,42 +189,81 @@ def add_noise(
     epsilon: float,
     seed: int,
     *,
-    es: EigenSystem,
+    g_coeffs: np.ndarray,
+    basis: np.ndarray,
     grid: QuadratureGrid,
-    n_coeff: int | None = None,
     noise_mode: str = "coefficient",
-    g_coeffs: np.ndarray | None = None,
 ) -> NoisyDataset:
-    """Corrupt g with uniform noise on [-eps, eps] and project the record.
+    """Draw one seed of uniform noise on [-eps, eps] onto a noiseless record.
 
+    The seed-invariant inputs come precomputed: g on the grid, its
+    coefficients g_coeffs (g_k for k = 1..n_coeff, n_coeff = len(g_coeffs))
+    and the basis table psi_k(x_i), row k-1, for at least k = 1..n_coeff.
     In coefficient mode the noise enters the coefficients directly and the
     grid representation is g plus the noise series reconstructed up to the
-    grid Nyquist index.  Pass g_coeffs (from forward_coeffs) to avoid
-    re-projecting g; required for n_coeff beyond the grid resolution.
+    grid Nyquist index; in pointwise mode it enters the grid values, which
+    are then projected.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
     g = np.asarray(g, dtype=float)
-    n_coeff = es.count if n_coeff is None else int(n_coeff)
-    if n_coeff > es.count:
-        raise IndexError(f"n_coeff {n_coeff} exceeds eigensystem count {es.count}")
+    g_coeffs = np.asarray(g_coeffs, dtype=float)
+    n_coeff = g_coeffs.size
+    if basis.shape[0] < n_coeff or basis.shape[1:] != (grid.size,):
+        raise ValueError(f"basis table {basis.shape} must cover {n_coeff} rows on {grid.size} points")
     rng = np.random.default_rng(seed)
     if noise_mode == "coefficient":
         u = rng.uniform(-epsilon, epsilon, n_coeff)
-        if g_coeffs is None:
-            g_coeffs = project_all(g, es, grid, n_coeff)
-        coeffs = np.asarray(g_coeffs, dtype=float)[:n_coeff] + u
+        coeffs = g_coeffs + u
         upto = min(n_coeff, grid.size - 2)  # sine modes >= grid Nyquist alias on the grid
-        g_bar = g + u[:upto] @ es.basis_matrix(grid.points, upto)
+        g_bar = g + u[:upto] @ basis[:upto]
     elif noise_mode == "pointwise":
         u = rng.uniform(-epsilon, epsilon, grid.size)
         g_bar = g + u
-        coeffs = project_all(g_bar, es, grid, n_coeff)
+        coeffs = basis[:n_coeff] @ (grid.weights * g_bar)
     else:
         raise ValueError(f"unknown noise_mode {noise_mode!r}")
     return NoisyDataset(
         g_bar=g_bar, coeffs=coeffs, epsilon=epsilon, seed=seed,
         n_coeff=n_coeff, noise_mode=noise_mode,
+    )
+
+
+@dataclass(frozen=True)
+class SignalContext:
+    """Seed-invariant half of the noise model gbar_k = g_k + u_k, g_k = lam_k f_k.
+
+    Built once per signal, eigensystem, grid and record length n_coeff:
+    `basis` is the table psi_k(x_i) (row k-1, k = 1..n_coeff), `g_coeffs` the
+    noiseless g_k and `g_vals` g on the grid, summed below the grid Nyquist
+    index.  Only the noise depends on the seed: `draw` adds it.
+    """
+
+    grid: QuadratureGrid
+    es: EigenSystem
+    basis: np.ndarray
+    f_vals: np.ndarray
+    g_coeffs: np.ndarray
+    g_vals: np.ndarray
+
+    def draw(self, epsilon: float, seed: int, noise_mode: str = "coefficient") -> NoisyDataset:
+        return add_noise(
+            self.g_vals, epsilon, seed, g_coeffs=self.g_coeffs, basis=self.basis,
+            grid=self.grid, noise_mode=noise_mode,
+        )
+
+
+def signal_context(
+    signal: SignalSpec, es: EigenSystem, grid: QuadratureGrid, n_coeff: int
+) -> SignalContext:
+    """Evaluate f, tabulate psi_k once, and apply the operator: g_k and g."""
+    basis = es.basis_matrix(grid.points, n_coeff)  # IndexError beyond es.count
+    f_vals = evaluate_signal(signal, grid)
+    g_coeffs = es.eigenvalues[:n_coeff] * (basis @ (grid.weights * f_vals))
+    upto = min(n_coeff, grid.size - 2)
+    g_vals = g_coeffs[:upto] @ basis[:upto]
+    return SignalContext(
+        grid=grid, es=es, basis=basis, f_vals=f_vals, g_coeffs=g_coeffs, g_vals=g_vals
     )
 
 
@@ -235,22 +276,14 @@ def synthesize_dataset(
     n_coeff: int,
     noise_mode: str = "coefficient",
 ) -> tuple[NoisyDataset, np.ndarray, np.ndarray]:
-    """Full pipeline: evaluate f, apply the operator, add noise.
+    """Full pipeline for one seed: build the signal context, then draw the noise.
 
     Returns (dataset, f_values, g_coeffs); g_coeffs are the noiseless
-    coefficients g_k = lam_k f_k for k = 1..n_coeff.
+    coefficients g_k = lam_k f_k for k = 1..n_coeff.  For many seeds of one
+    signal, build `signal_context` once and call its `draw` per seed.
     """
-    if n_coeff > es.count:
-        raise IndexError(f"n_coeff {n_coeff} exceeds eigensystem count {es.count}")
-    f_vals = evaluate_signal(signal, grid)
-    g_coeffs = forward_coeffs(f_vals, es, grid, n_coeff)
-    upto = min(n_coeff, grid.size - 2)
-    g_vals = g_coeffs[:upto] @ es.basis_matrix(grid.points, upto)
-    ds = add_noise(
-        g_vals, epsilon, seed, es=es, grid=grid, n_coeff=n_coeff,
-        noise_mode=noise_mode, g_coeffs=g_coeffs if noise_mode == "coefficient" else None,
-    )
-    return ds, f_vals, g_coeffs
+    ctx = signal_context(signal, es, grid, n_coeff)
+    return ctx.draw(epsilon, seed, noise_mode), ctx.f_vals, ctx.g_coeffs
 
 
 def snr_db(g: np.ndarray, epsilon: float) -> float:

@@ -90,3 +90,14 @@ class TestSummarize:
         capsys.readouterr()
         assert main(["summarize", str(out)]) == 0
         assert "bhat" in capsys.readouterr().out
+
+    def test_rederived_table_matches_summary_json(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["run", "--preset", "example2", "--seeds", "2", "--out", str(out)])
+        capsys.readouterr()
+        assert main(["summarize", str(out)]) == 0
+        with_summary = capsys.readouterr().out
+        (out / "summary.json").unlink()
+        assert main(["summarize", str(out)]) == 0
+        assert capsys.readouterr().out == with_summary
+        assert "selection:" in with_summary and "exact support match" in with_summary

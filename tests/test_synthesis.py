@@ -71,27 +71,36 @@ class TestForwardApply:
         assert g13 == pytest.approx((15 / np.sqrt(2)) / (169 * np.pi**2), abs=1e-6)
 
 
+def precomputed(g, es, grid, n_coeff):
+    """The seed-invariant inputs add_noise takes: g_k by projection and the psi_k table."""
+    return {
+        "g_coeffs": fr.project_all(g, es, grid, n_coeff),
+        "basis": es.basis_matrix(grid.points, n_coeff),
+        "grid": grid,
+    }
+
+
 class TestAddNoise:
     def test_noiseless_limit(self, es64, grid513):
         f = fr.evaluate_signal(fr.SignalSpec.named("f1"), grid513)
         g = fr.forward_apply(f, es64, grid513)
-        ds = fr.add_noise(g, 0.0, seed=3, es=es64, grid=grid513, n_coeff=40)
+        ds = fr.add_noise(g, 0.0, seed=3, **precomputed(g, es64, grid513, 40))
         npt.assert_allclose(ds.g_bar, g, atol=0)
         npt.assert_allclose(ds.coeffs, fr.forward_coeffs(f, es64, grid513, 40), atol=1e-15)
 
     def test_same_seed_identical(self, es64, grid513):
         g = fr.forward_apply(fr.evaluate_signal(fr.SignalSpec.named("f1"), grid513), es64, grid513)
-        a = fr.add_noise(g, 1e-4, seed=11, es=es64, grid=grid513, n_coeff=40)
-        b = fr.add_noise(g, 1e-4, seed=11, es=es64, grid=grid513, n_coeff=40)
+        a = fr.add_noise(g, 1e-4, seed=11, **precomputed(g, es64, grid513, 40))
+        b = fr.add_noise(g, 1e-4, seed=11, **precomputed(g, es64, grid513, 40))
         npt.assert_array_equal(a.coeffs, b.coeffs)
         npt.assert_array_equal(a.g_bar, b.g_bar)
-        c = fr.add_noise(g, 1e-4, seed=12, es=es64, grid=grid513, n_coeff=40)
+        c = fr.add_noise(g, 1e-4, seed=12, **precomputed(g, es64, grid513, 40))
         assert np.any(c.coeffs != a.coeffs)
 
     def test_pointwise_sup_bound_and_variance(self, es64, grid513):
         eps = 1e-4
         g = fr.forward_apply(fr.evaluate_signal(fr.SignalSpec.named("f1"), grid513), es64, grid513)
-        ds = fr.add_noise(g, eps, seed=5, es=es64, grid=grid513, n_coeff=40, noise_mode="pointwise")
+        ds = fr.add_noise(g, eps, seed=5, **precomputed(g, es64, grid513, 40), noise_mode="pointwise")
         noise = ds.g_bar - g
         assert np.max(np.abs(noise)) <= eps
         # uniform moments: variance within 20% of eps^2/3 at 513 samples
@@ -111,7 +120,7 @@ class TestAddNoise:
         g = fr.forward_apply(f, es512, grid513)
         g_k = fr.forward_coeffs(f, es512, grid513, 256)
         for mode in ("coefficient", "pointwise"):
-            ds = fr.add_noise(g, eps, seed=2, es=es512, grid=grid513, n_coeff=256, noise_mode=mode)
+            ds = fr.add_noise(g, eps, seed=2, **precomputed(g, es512, grid513, 256), noise_mode=mode)
             assert np.max(np.abs(ds.coeffs - g_k)) <= np.sqrt(2) * eps
 
     def test_grid_consistency_coefficient_mode(self, es512, grid513):
@@ -122,7 +131,7 @@ class TestAddNoise:
 
     def test_unknown_mode(self, es64, grid513):
         with pytest.raises(ValueError):
-            fr.add_noise(np.zeros(513), 1e-4, 0, es=es64, grid=grid513, noise_mode="spectral")
+            fr.add_noise(np.zeros(513), 1e-4, 0, **precomputed(np.zeros(513), es64, grid513, 64), noise_mode="spectral")
 
 
 class TestSnr:
