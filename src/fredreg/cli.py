@@ -9,6 +9,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -29,9 +30,7 @@ def _cmd_run(args) -> int:
     if args.config:
         cfg = ExperimentConfig.from_json_dict(json.loads(Path(args.config).read_text()))
         if args.out:
-            cfg = ExperimentConfig.from_json_dict(
-                {**cfg.to_json_dict(include_output_dir=True), "output_dir": args.out}
-            )
+            cfg = dataclasses.replace(cfg, output_dir=args.out)
     else:
         if not args.preset:
             print("error: run needs --preset or --config", file=sys.stderr)

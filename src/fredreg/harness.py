@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -114,6 +115,8 @@ class ExperimentConfig:
     name: str = "experiment"
 
     def __post_init__(self):
+        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.grid_size < 65 or self.grid_size % 2 == 0:
             raise ValueError("grid_size must be odd and >= 65")
         if self.n_coeff < 1 or self.n_max < 1:
@@ -138,11 +141,11 @@ class ExperimentConfig:
             return self.epsilon
         return noise_dispersion(self.epsilon)
 
-    def to_json_dict(self, include_output_dir: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         # output_dir is a runtime destination, not part of the experiment
         # identity: leaving it out keeps outputs byte-identical across
         # destinations and makes the config hash destination-free
-        d = {
+        return {
             "name": self.name,
             "signal": self.signal.to_json_dict(),
             "epsilon": self.epsilon,
@@ -156,27 +159,25 @@ class ExperimentConfig:
             "dispersion_mode": self.dispersion_mode,
             "noise_mode": self.noise_mode,
         }
-        if include_output_dir:
-            d["output_dir"] = self.output_dir
-        return d
 
     @staticmethod
     def from_json_dict(d: dict) -> "ExperimentConfig":
-        return ExperimentConfig(
-            signal=SignalSpec.from_json_dict(d["signal"]),
-            epsilon=float(d["epsilon"]),
-            n_coeff=int(d.get("n_coeff", 512)),
-            grid_size=int(d.get("grid_size", 513)),
-            n_max=int(d.get("n_max", 64)),
-            seeds=tuple(d.get("seeds", [0])),
-            methods=tuple(d.get("methods", ALL_METHODS)),
-            E_override=d.get("E_override"),
-            c1_override=d.get("c1_override"),
-            dispersion_mode=d.get("dispersion_mode", "eps_over_sqrt3"),
-            noise_mode=d.get("noise_mode", "coefficient"),
-            output_dir=d.get("output_dir"),
-            name=d.get("name", "experiment"),
-        )
+        """Inverse of to_json_dict; absent keys take the field defaults."""
+        unknown = sorted(set(d) - {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"unknown ExperimentConfig keys {unknown}")
+        # JSON gives lists and may give ints for floats: normalize the types
+        # that the config hash sees
+        convert = {
+            "signal": SignalSpec.from_json_dict,
+            "epsilon": float,
+            "n_coeff": int,
+            "grid_size": int,
+            "n_max": int,
+            "seeds": tuple,
+            "methods": tuple,
+        }
+        return ExperimentConfig(**{k: convert.get(k, lambda v: v)(v) for k, v in d.items()})
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -360,8 +361,9 @@ def _write_solutions_csv(path: Path, record: RunRecord, ctx: RunContext) -> None
 def emit_outputs(records: list[RunRecord], summary: dict, cfg: ExperimentConfig) -> list[Path]:
     """Write per-seed CSVs, summary and manifest JSON under cfg.output_dir.
 
-    Top-level autocorr.csv / profile.csv / solutions.csv / coefficients.csv
-    hold the first seed; every seed also gets copies under seeds/<seed>/.
+    Every seed writes autocorr.csv / profile.csv / solutions.csv /
+    coefficients.csv under seeds/<seed>/; the top-level files of those names
+    are copies of the first seed's.
     The records must come from run_experiment: each carries its dataset and
     the run context it was drawn from.  Returns the list of written paths
     (also recorded in manifest.json).
@@ -376,20 +378,23 @@ def emit_outputs(records: list[RunRecord], summary: dict, cfg: ExperimentConfig)
         written.append(path)
         return path
 
-    def emit_seed(rec: RunRecord, into: Path) -> None:
+    def emit_seed(rec: RunRecord, into: Path) -> list[Path]:
         if rec.dataset is None or rec.context is None:
             raise ValueError(f"record for seed {rec.seed} has no dataset; emit records from run_experiment")
         into.mkdir(parents=True, exist_ok=True)
+        first = len(written)
         write_coeffs_csv(str(target(into / "coefficients.csv")), rec.dataset.coeffs)
         cumulative_profile(rec.dataset, rec.context.data.es).write_csv(str(target(into / "profile.csv")))
         if rec.selection is not None:
             rec.selection.write_autocorr_csv(str(target(into / "autocorr.csv")))
         _write_solutions_csv(target(into / "solutions.csv"), rec, rec.context)
+        return written[first:]
 
     for i, rec in enumerate(records):
-        emit_seed(rec, out_dir / "seeds" / str(rec.seed))
+        paths = emit_seed(rec, out_dir / "seeds" / str(rec.seed))
         if i == 0:
-            emit_seed(rec, out_dir)
+            for path in paths:
+                shutil.copyfile(path, target(out_dir / path.name))
 
     report = {"config": cfg.to_json_dict(), "records": [r.to_json_dict() for r in records]}
     target(out_dir / "report.json").write_text(json.dumps(report, indent=2))

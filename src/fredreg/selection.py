@@ -113,20 +113,23 @@ def autocorr_estimate(coeffs: np.ndarray) -> AutocorrSeries:
     return AutocorrSeries(delta=delta, n_count=n_count)
 
 
-def bartlett_stderr(series: AutocorrSeries, n0: int, n: int) -> float:
+def bartlett_stderr(series: AutocorrSeries, n0: int, n: int | np.ndarray) -> float | np.ndarray:
     """Large-lag standard error sqrt((1 + 2 sum_{v<=n0} delta(v)^2) / (N - n)).
 
     Valid for lags beyond the hypothesized cut: requires n > n0 >= 0 and
-    n < N.  Estimated autocorrelations stand in for the theoretical ones;
-    undefined lags contribute nothing to the sum.
+    n < N.  n is one lag (a float is returned) or an integer array of lags
+    (the band over them is returned).  Estimated autocorrelations stand in
+    for the theoretical ones; undefined lags contribute nothing to the sum.
     """
-    if n0 < 0 or n <= n0:
+    lags = np.asarray(n)
+    if n0 < 0 or np.any(lags <= n0):
         raise ValueError(f"large-lag standard error needs n > n0 >= 0, got n={n}, n0={n0}")
-    if n >= series.n_count:
+    if np.any(lags >= series.n_count):
         raise ValueError(f"lag {n} outside record of length {series.n_count}")
     head = series.delta[1 : n0 + 1]
     s = float(np.nansum(head**2)) if head.size else 0.0
-    return math.sqrt((1.0 + 2.0 * s) / (series.n_count - n))
+    band = np.sqrt((1.0 + 2.0 * s) / (series.n_count - lags))
+    return float(band) if lags.ndim == 0 else band
 
 
 def default_max_lag(n_count: int) -> int:
@@ -144,20 +147,14 @@ def _passes_randomness_gate(
     series: AutocorrSeries, top: int, significance: float, level: float
 ) -> bool:
     """True when the scanned window is compatible with complete randomness."""
-    z2 = []
-    exceed = False
-    for n in range(1, top + 1):
-        d = series.delta[n]
-        if not np.isfinite(d):
-            continue
-        z = d / bartlett_stderr(series, 0, n)
-        z2.append(z * z)
-        if abs(z) > significance:
-            exceed = True
-    if not exceed:
+    lags = np.arange(1, top + 1)
+    delta = series.delta[lags]
+    defined = np.isfinite(delta)
+    z = delta[defined] / bartlett_stderr(series, 0, lags[defined])
+    if not np.any(np.abs(z) > significance):
         return True
-    stat = float(np.sum(z2))
-    return stat <= float(chi2.ppf(level, len(z2)))
+    stat = float(np.sum(z * z))
+    return stat <= float(chi2.ppf(level, z.size))
 
 
 def detect_n0(
@@ -182,27 +179,19 @@ def detect_n0(
             return 0
     nbar = 0
     while True:
-        nxt = 0
-        for n in range(nbar + 1, top + 1):
-            d = series.delta[n]
-            if not np.isfinite(d):
-                continue
-            if abs(d) > significance * bartlett_stderr(series, nbar, n):
-                nxt = n
-                break
-        if nxt == 0:
+        lags = np.arange(nbar + 1, top + 1)
+        # undefined (NaN) lags compare False and are never promoted
+        hits = np.abs(series.delta[lags]) > significance * bartlett_stderr(series, nbar, lags)
+        if not hits.any():
             return nbar
-        nbar = nxt
+        nbar = int(lags[np.argmax(hits)])  # the first lag past its threshold
 
 
 def build_Q(series: AutocorrSeries, n0: int, significance: float = SIGNIFICANCE) -> list[int]:
     """Lags 0 < n <= n0 whose |delta(n)| exceeds the fully-random threshold sigma(n; 0)."""
-    out = []
-    for n in range(1, n0 + 1):
-        d = series.delta[n]
-        if np.isfinite(d) and abs(d) > significance * bartlett_stderr(series, 0, n):
-            out.append(n)
-    return out
+    lags = np.arange(1, n0 + 1)
+    hits = np.abs(series.delta[lags]) > significance * bartlett_stderr(series, 0, lags)
+    return lags[hits].tolist()
 
 
 def select_pairs(coeffs: np.ndarray, Q: list[int]) -> list[tuple[int, int]]:
@@ -254,22 +243,18 @@ class SelectionReport:
 
     def write_autocorr_csv(self, path: str) -> None:
         """Lag table "n,delta,threshold0,threshold_n0" for confidence-limit plots."""
+        lags = np.arange(self.series.n_count)
+        columns = []
+        for cut in (0, self.n0):
+            band = self.significance * bartlett_stderr(self.series, cut, lags[cut + 1 :])
+            # lags up to the hypothesized cut have no threshold: empty cells
+            columns.append([""] * (cut + 1) + [repr(t) for t in band.tolist()])
+        threshold0, threshold_n0 = columns
         with open(path, "w", newline="") as fh:
             fh.write("n,delta,threshold0,threshold_n0\n")
-            for n in range(self.series.n_count):
-                d = self.series.delta[n]
-                dtxt = repr(float(d)) if np.isfinite(d) else ""
-                t0 = (
-                    repr(self.significance * bartlett_stderr(self.series, 0, n))
-                    if n >= 1
-                    else ""
-                )
-                tn = (
-                    repr(self.significance * bartlett_stderr(self.series, self.n0, n))
-                    if n > self.n0
-                    else ""
-                )
-                fh.write(f"{n},{dtxt},{t0},{tn}\n")
+            for n, d in enumerate(self.series.delta.tolist()):
+                dtxt = repr(d) if math.isfinite(d) else ""
+                fh.write(f"{n},{dtxt},{threshold0[n]},{threshold_n0[n]}\n")
 
 
 def build_selection(
@@ -286,6 +271,9 @@ def build_selection(
     coeffs = data.coeffs if isinstance(data, NoisyDataset) else np.asarray(data, dtype=float)
     if coeffs.size < 8:
         raise DegenerateSequenceError("selection needs a record of at least 8 coefficients")
+    bad = np.flatnonzero(~np.isfinite(coeffs))
+    if bad.size:
+        raise ValueError(f"record is not finite at index {bad[0]} (k={bad[0] + 1})")
     series = autocorr_estimate(coeffs)
     n0 = detect_n0(series, significance, max_lag, randomness_test)
     Q = build_Q(series, n0, significance)

@@ -165,6 +165,9 @@ class NoisyDataset:
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
         if self.coeffs.size != self.n_coeff:
             raise ValueError("coefficient list does not match n_coeff")
+        for name in ("coeffs", "g_bar"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} holds NaN or inf")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
 
@@ -348,6 +351,8 @@ def read_coeffs_csv(path: str) -> np.ndarray:
             line = line.strip()
             if not line:
                 continue
-            _, c = line.split(",", 1)
+            k, c = line.split(",", 1)
+            if int(k) != len(vals) + 1:
+                raise ValueError(f"{path}: expected k={len(vals) + 1}, got k={k}")
             vals.append(float(c))
     return np.asarray(vals)

@@ -1,17 +1,23 @@
 """Fast paths against the slow paths they replaced, bit for bit.
 
 Each oracle below is the former implementation written out: the basis built
-one index at a time, reconstruction summed one eigenfunction at a time, and
-a dataset synthesized from scratch (g_k projected, g and the noise series
-each summed over a fresh basis build) for every seed.
+one index at a time, reconstruction summed one eigenfunction at a time, a
+dataset synthesized from scratch (g_k projected, g and the noise series each
+summed over a fresh basis build) for every seed, and the selection steps
+(randomness gate, n0 recursion, Q, autocorr.csv rows) walking one lag at a
+time with one scalar Bartlett standard error per lag.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 import fredreg as fr
+from fredreg.selection import _passes_randomness_gate
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -143,3 +149,173 @@ class TestRunContextDatasets:
             ds = rec.context.data.draw(cfg.epsilon, rec.seed)
             assert np.array_equal(rec.dataset.coeffs, ds.coeffs)
             assert rec.context is records[0].context
+
+
+def former_stderr(series, n0, n):
+    head = series.delta[1 : n0 + 1]
+    s = float(np.nansum(head**2)) if head.size else 0.0
+    return math.sqrt((1.0 + 2.0 * s) / (series.n_count - n))
+
+
+def former_gate(series, top, significance, level):
+    z2 = []
+    exceed = False
+    for n in range(1, top + 1):
+        d = series.delta[n]
+        if not np.isfinite(d):
+            continue
+        z = d / former_stderr(series, 0, n)
+        z2.append(z * z)
+        if abs(z) > significance:
+            exceed = True
+    if not exceed:
+        return True
+    return float(np.sum(z2)) <= float(chi2.ppf(level, len(z2)))
+
+
+def former_detect_n0(series, significance, max_lag, randomness_test):
+    if max_lag is None:
+        max_lag = fr.default_max_lag(series.n_count)
+    top = min(max_lag, series.n_count - 1)
+    if randomness_test == "portmanteau":
+        level = math.erf(significance / math.sqrt(2.0))
+        if former_gate(series, top, significance, level):
+            return 0
+    nbar = 0
+    while True:
+        nxt = 0
+        for n in range(nbar + 1, top + 1):
+            d = series.delta[n]
+            if not np.isfinite(d):
+                continue
+            if abs(d) > significance * former_stderr(series, nbar, n):
+                nxt = n
+                break
+        if nxt == 0:
+            return nbar
+        nbar = nxt
+
+
+def former_build_Q(series, n0, significance):
+    out = []
+    for n in range(1, n0 + 1):
+        d = series.delta[n]
+        if np.isfinite(d) and abs(d) > significance * former_stderr(series, 0, n):
+            out.append(n)
+    return out
+
+
+def former_autocorr_csv(series, n0, significance):
+    rows = ["n,delta,threshold0,threshold_n0\n"]
+    for n in range(series.n_count):
+        d = series.delta[n]
+        dtxt = repr(float(d)) if np.isfinite(d) else ""
+        t0 = repr(significance * former_stderr(series, 0, n)) if n >= 1 else ""
+        tn = repr(significance * former_stderr(series, n0, n)) if n > n0 else ""
+        rows.append(f"{n},{dtxt},{t0},{tn}\n")
+    return "".join(rows)
+
+
+@st.composite
+def handmade_series(draw):
+    """delta drawn directly: any scale up to 1, with undefined (NaN) lags."""
+    n_count = draw(st.integers(8, 120))
+    scale = draw(st.sampled_from([0.01, 0.05, 0.2, 1.0]))
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=n_count, max_size=n_count))
+    delta = scale * np.array(values)
+    delta[0] = 1.0
+    delta[draw(st.lists(st.integers(0, n_count - 1), max_size=n_count // 3))] = np.nan
+    return fr.AutocorrSeries(delta=delta, n_count=n_count)
+
+
+@st.composite
+def threshold_series(draw):
+    """Lags exactly on, or well off, the fully-random threshold at SIGNIFICANCE."""
+    n_count = draw(st.integers(8, 120))
+    factors = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]), min_size=n_count, max_size=n_count))
+    sigma0 = np.sqrt(1.0 / (n_count - np.arange(n_count)))
+    delta = np.clip(np.array(factors) * fr.SIGNIFICANCE * sigma0, -1.0, 1.0)
+    delta[0] = 1.0
+    return fr.AutocorrSeries(delta=delta, n_count=n_count)
+
+
+# small-integer records repeat values, so constant windows leave NaN lags
+estimated_series = st.one_of(
+    st.lists(st.floats(-1e3, 1e3), min_size=8, max_size=120),
+    st.lists(st.integers(-2, 2).map(float), min_size=8, max_size=120),
+).map(lambda g: fr.autocorr_estimate(np.array(g)))
+
+any_series = st.one_of(handmade_series(), estimated_series)
+significances = st.sampled_from([1.0, fr.SIGNIFICANCE, 2.576])
+
+
+class TestBartlettBand:
+    @SETTINGS
+    @given(series=any_series, data=st.data())
+    def test_band_matches_scalar_lags(self, series, data):
+        n0 = data.draw(st.integers(0, series.n_count - 2))
+        lags = np.arange(n0 + 1, series.n_count)
+        band = fr.bartlett_stderr(series, n0, lags)
+        assert band.tolist() == [former_stderr(series, n0, n) for n in lags]
+        assert band.tolist() == [fr.bartlett_stderr(series, n0, int(n)) for n in lags]
+        assert isinstance(fr.bartlett_stderr(series, n0, int(lags[0])), float)
+
+    @SETTINGS
+    @given(series=handmade_series(), data=st.data())
+    def test_array_with_a_bad_lag_raises(self, series, data):
+        n_count = series.n_count
+        n0 = data.draw(st.integers(0, n_count - 2))
+        good = data.draw(st.lists(st.integers(n0 + 1, n_count - 1), max_size=10))
+        bad = data.draw(st.one_of(st.integers(-5, n0), st.integers(n_count, n_count + 5)))
+        lags = np.array(good[:1] + [bad] + good[1:])
+        with pytest.raises(ValueError):
+            fr.bartlett_stderr(series, n0, lags)
+
+    @SETTINGS
+    @given(series=any_series, significance=significances, data=st.data())
+    def test_randomness_gate(self, series, significance, data):
+        top = data.draw(st.integers(0, series.n_count - 1))
+        level = math.erf(significance / math.sqrt(2.0))
+        got = _passes_randomness_gate(series, top, significance, level)
+        assert got == former_gate(series, top, significance, level)
+
+    @SETTINGS
+    @given(
+        series=any_series,
+        significance=significances,
+        mode=st.sampled_from(["portmanteau", "none"]),
+        data=st.data(),
+    )
+    def test_detect_n0(self, series, significance, mode, data):
+        max_lag = data.draw(st.none() | st.integers(1, series.n_count - 1))
+        got = fr.detect_n0(series, significance, max_lag, mode)
+        assert got == former_detect_n0(series, significance, max_lag, mode)
+
+    @SETTINGS
+    @given(series=any_series, significance=significances, data=st.data())
+    def test_build_Q(self, series, significance, data):
+        n0 = data.draw(st.integers(0, fr.default_max_lag(series.n_count)))
+        got = fr.build_Q(series, n0, significance)
+        assert got == former_build_Q(series, n0, significance)
+        assert all(type(n) is int for n in got)
+
+    @SETTINGS
+    @given(series=threshold_series(), data=st.data())
+    def test_lags_on_the_threshold_are_not_significant(self, series, data):
+        n0 = data.draw(st.integers(0, series.n_count - 1))
+        assert fr.build_Q(series, n0) == former_build_Q(series, n0, fr.SIGNIFICANCE)
+        for mode in ("portmanteau", "none"):
+            got = fr.detect_n0(series, randomness_test=mode)
+            assert got == former_detect_n0(series, fr.SIGNIFICANCE, None, mode)
+
+    @SETTINGS
+    @given(series=any_series, significance=significances, data=st.data())
+    def test_autocorr_csv_rows(self, series, significance, data, tmp_path_factory):
+        n0 = data.draw(st.integers(0, series.n_count - 1))
+        report = fr.SelectionReport(
+            n0=n0, Q=[], n_c=0, pairs=[], I_k=[], bound_ok=True, compat_ok=True,
+            compat_violations=[], series=series, significance=significance,
+        )
+        path = tmp_path_factory.mktemp("csv") / "autocorr.csv"
+        report.write_autocorr_csv(str(path))
+        assert path.read_text() == former_autocorr_csv(series, n0, significance)

@@ -33,6 +33,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(signal=sig, epsilon=1e-4, dispersion_mode="rms")
 
+    @pytest.mark.parametrize("epsilon", [-1.0, float("nan"), float("inf")])
+    def test_epsilon_must_be_finite_and_nonnegative(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            ExperimentConfig(signal=fr.SignalSpec.named("f1"), epsilon=epsilon)
+
     def test_dispersion_modes(self):
         sig = fr.SignalSpec.named("f1")
         a = ExperimentConfig(signal=sig, epsilon=3e-3)
@@ -46,6 +51,16 @@ class TestExperimentConfig:
         assert config_hash(back) == config_hash(cfg)
         other = preset("example2", seeds=(0, 1, 3))
         assert config_hash(other) != config_hash(cfg)
+
+    def test_unknown_json_key_rejected(self):
+        d = {**preset("example1").to_json_dict(), "n_coef": 64}
+        with pytest.raises(ValueError, match="n_coef"):
+            ExperimentConfig.from_json_dict(d)
+
+    def test_absent_json_keys_take_field_defaults(self):
+        sig = fr.SignalSpec.named("f1")
+        cfg = ExperimentConfig.from_json_dict({"signal": sig.to_json_dict(), "epsilon": 1e-4})
+        assert cfg == ExperimentConfig(signal=sig, epsilon=1e-4)
 
     def test_hash_ignores_output_dir(self):
         a = preset("example1", output_dir="/tmp/a")
@@ -208,6 +223,24 @@ class TestEmitOutputs:
         lines = (out / "autocorr.csv").read_text().splitlines()
         assert lines[0] == "n,delta,threshold0,threshold_n0"
         assert len(lines) == 1 + cfg.n_coeff
+
+    def test_top_level_files_copy_the_first_seed(self, emitted):
+        out, cfg, files = emitted
+        for name in ("autocorr.csv", "profile.csv", "solutions.csv", "coefficients.csv"):
+            first = out / "seeds" / str(cfg.seeds[0]) / name
+            assert (out / name).read_bytes() == first.read_bytes()
+            assert files.count(out / name) == 1
+
+    def test_stale_files_stay_out_of_the_manifest(self, tmp_path):
+        (tmp_path / "seeds" / "0").mkdir(parents=True)
+        (tmp_path / "stale.csv").write_text("old\n")
+        (tmp_path / "seeds" / "0" / "stale.csv").write_text("old\n")
+        cfg = preset("example1", seeds=(0,), output_dir=str(tmp_path))
+        records = fr.run_experiment(cfg)
+        fr.emit_outputs(records, fr.summarize(records), cfg)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert not [f for f in manifest["files"] if "stale" in f]
+        assert len(manifest["files"]) == 10
 
     def test_report_excludes_wall_time(self, emitted):
         out, _, _ = emitted

@@ -214,6 +214,15 @@ class TestBuildSelection:
             assert scaled.I_k == base.I_k
 
 
+class TestNonFiniteRecord:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejected_naming_the_first_bad_index(self, example1_seed0, bad):
+        coeffs = example1_seed0[0].coeffs.copy()
+        coeffs[[7, 9]] = bad
+        with pytest.raises(ValueError, match=r"index 7 \(k=8\)"):
+            fr.build_selection(coeffs)
+
+
 class TestReconstructBhat:
     def test_empty_selection_zero_solution(self, es64, grid513):
         report = fr.build_selection(np.random.default_rng(0).uniform(-1, 1, 64))

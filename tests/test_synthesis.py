@@ -134,6 +134,16 @@ class TestAddNoise:
             fr.add_noise(np.zeros(513), 1e-4, 0, **precomputed(np.zeros(513), es64, grid513, 64), noise_mode="spectral")
 
 
+class TestNoisyDataset:
+    @pytest.mark.parametrize("field", ["coeffs", "g_bar"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_rejected(self, field, bad):
+        values = {"g_bar": np.zeros(65), "coeffs": np.zeros(8)}
+        values[field][3] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            fr.NoisyDataset(**values, epsilon=1e-4, seed=0, n_coeff=8)
+
+
 class TestSnr:
     def test_unit_ratio_is_zero_db(self):
         eps = 0.3
@@ -178,6 +188,13 @@ class TestSerialization:
         npt.assert_array_equal(back.coeffs, ds.coeffs)
         npt.assert_array_equal(back.g_bar, ds.g_bar)
         assert back.seed == ds.seed and back.epsilon == ds.epsilon
+
+    @pytest.mark.parametrize("rows", [["3,1.0", "1,2.0", "2,3.0"], ["1,1.0", "2,2.0", "4,3.0"], ["0,1.0"]])
+    def test_coeffs_csv_k_must_run_from_one_in_order(self, tmp_path, rows):
+        path = tmp_path / "c.csv"
+        path.write_text("k,g_bar_k\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="expected k="):
+            fr.read_coeffs_csv(str(path))
 
     def test_coeffs_csv_roundtrip(self, tmp_path):
         coeffs = np.array([1.5, -2.25, 3.125e-7])
