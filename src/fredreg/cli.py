@@ -70,12 +70,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_summarize(args) -> int:
     payload = json.loads((Path(args.dir) / "report.json").read_text())
     cfg = ExperimentConfig.from_json_dict(payload["config"])
-    summary_path = Path(args.dir) / "summary.json"
-    if summary_path.exists():
-        summary = json.loads(summary_path.read_text())
-    else:  # re-derive from the raw records
-        summary = summarize(payload["records"], true_support=cfg.signal.support())
-    print_summary(cfg.name, summary)
+    print_summary(cfg.name, summarize(payload["records"], true_support=cfg.signal.support()))
     return 0
 
 

@@ -33,10 +33,10 @@ from .synthesis import (  # noqa: F401  synthesize_dataset stays importable from
     snr_db,
     synthesize_dataset,
     write_coeffs_csv,
+    write_table,
 )
 from .variational import (
     ConstraintSpec,
-    RegularizedSolution,
     VarianceProfile,
     best_linear_estimate,
     tikhonov_full,
@@ -117,6 +117,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        for name in ("E_override", "c1_override"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be None or finite and > 0, got {value}")
         if self.grid_size < 65 or self.grid_size % 2 == 0:
             raise ValueError("grid_size must be odd and >= 65")
         if self.n_coeff < 1 or self.n_max < 1:
@@ -215,9 +219,9 @@ class RunRecord:
     k_beta: int | None = None
     k0: int | None = None
     selection: SelectionReport | None = None
-    solutions: dict[str, RegularizedSolution] = field(default_factory=dict)
-    # not serialized: outputs stay byte-deterministic
+    # not serialized: outputs stay byte-deterministic; grids maps each method to its values on the grid
     wall_time_s: float = 0.0
+    grids: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
     dataset: NoisyDataset | None = field(default=None, repr=False, compare=False)
     context: RunContext | None = field(default=None, repr=False, compare=False)
 
@@ -278,8 +282,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
             for attr in CUTOFFS:
                 if attr in sol.params:
                     setattr(record, attr, int(sol.params[attr]))
-            record.solutions[name] = sol
-            record.rel_l2[name] = grid.norm(sol.to_grid(ctx.es, grid) - f_vals) / ctx.f_norm
+            record.grids[name] = sol.to_grid(ctx.es, grid)
+            record.rel_l2[name] = grid.norm(record.grids[name] - f_vals) / ctx.f_norm
         record.wall_time_s = time.perf_counter() - t0
         records.append(record)
     return records
@@ -346,27 +350,15 @@ def summarize(records: list[RunRecord] | list[dict], true_support: tuple[int, ..
     return out
 
 
-def _write_solutions_csv(path: Path, record: RunRecord, ctx: RunContext) -> None:
-    grid, f_vals = ctx.data.grid, ctx.data.f_vals
-    columns = ["x", "f_true"] + sorted(record.solutions)
-    grids = {name: sol.to_grid(ctx.es, grid) for name, sol in record.solutions.items()}
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for i, x in enumerate(grid.points):
-            row = [repr(float(x)), repr(float(f_vals[i]))]
-            row += [repr(float(grids[name][i])) for name in sorted(record.solutions)]
-            fh.write(",".join(row) + "\n")
-
-
 def emit_outputs(records: list[RunRecord], summary: dict, cfg: ExperimentConfig) -> list[Path]:
     """Write per-seed CSVs, summary and manifest JSON under cfg.output_dir.
 
     Every seed writes autocorr.csv / profile.csv / solutions.csv /
     coefficients.csv under seeds/<seed>/; the top-level files of those names
     are copies of the first seed's.
-    The records must come from run_experiment: each carries its dataset and
-    the run context it was drawn from.  Returns the list of written paths
-    (also recorded in manifest.json).
+    The records must come from run_experiment: each carries its dataset, the
+    run context it was drawn from and its methods' values on the grid.
+    Returns the list of written paths (also recorded in manifest.json).
     """
     if cfg.output_dir is None:
         raise ValueError("config has no output_dir")
@@ -387,7 +379,9 @@ def emit_outputs(records: list[RunRecord], summary: dict, cfg: ExperimentConfig)
         cumulative_profile(rec.dataset, rec.context.data.es).write_csv(str(target(into / "profile.csv")))
         if rec.selection is not None:
             rec.selection.write_autocorr_csv(str(target(into / "autocorr.csv")))
-        _write_solutions_csv(target(into / "solutions.csv"), rec, rec.context)
+        names = sorted(rec.grids)
+        columns = [rec.context.data.grid.points, rec.context.data.f_vals, *(rec.grids[n] for n in names)]
+        write_table(str(target(into / "solutions.csv")), ("x", "f_true", *names), *columns)
         return written[first:]
 
     for i, rec in enumerate(records):

@@ -37,8 +37,8 @@ import numpy as np
 from scipy.stats import chi2
 
 from .eigensystem import EigenSystem
-from .synthesis import NoisyDataset
-from .variational import RegularizedSolution
+from .synthesis import NoisyDataset, write_table
+from .variational import RegularizedSolution, truncated_expansion
 
 __all__ = [
     "AutocorrSeries",
@@ -244,17 +244,13 @@ class SelectionReport:
     def write_autocorr_csv(self, path: str) -> None:
         """Lag table "n,delta,threshold0,threshold_n0" for confidence-limit plots."""
         lags = np.arange(self.series.n_count)
-        columns = []
+        thresholds = []
         for cut in (0, self.n0):
             band = self.significance * bartlett_stderr(self.series, cut, lags[cut + 1 :])
             # lags up to the hypothesized cut have no threshold: empty cells
-            columns.append([""] * (cut + 1) + [repr(t) for t in band.tolist()])
-        threshold0, threshold_n0 = columns
-        with open(path, "w", newline="") as fh:
-            fh.write("n,delta,threshold0,threshold_n0\n")
-            for n, d in enumerate(self.series.delta.tolist()):
-                dtxt = repr(d) if math.isfinite(d) else ""
-                fh.write(f"{n},{dtxt},{threshold0[n]},{threshold_n0[n]}\n")
+            thresholds.append([None] * (cut + 1) + band.tolist())
+        delta = [d if math.isfinite(d) else None for d in self.series.delta.tolist()]
+        write_table(path, ("n", "delta", "threshold0", "threshold_n0"), lags, delta, *thresholds)
 
 
 def build_selection(
@@ -308,10 +304,7 @@ def reconstruct_bhat(
         raise IndexError(
             f"selected index {report.I_k[-1]} exceeds eigensystem count {es.count}"
         )
-    idx = np.asarray(report.I_k, dtype=int)
-    vals = data.coeffs[idx - 1] / es.eigenvalues[idx - 1] if idx.size else np.empty(0)
-    return RegularizedSolution(
-        indices=idx, values=vals, method="autocorrelation_selection",
-        params={"n0": report.n0, "Q": list(report.Q), "bound_ok": report.bound_ok,
-                "compat_ok": report.compat_ok},
-    )
+    params = {
+        "n0": report.n0, "Q": list(report.Q), "bound_ok": report.bound_ok, "compat_ok": report.compat_ok,
+    }
+    return truncated_expansion(data, es, report.I_k, "autocorrelation_selection", params)

@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .eigensystem import EigenSystem
-from .synthesis import NoisyDataset
-from .variational import RegularizedSolution
+from .synthesis import NoisyDataset, write_table
+from .variational import RegularizedSolution, truncated_expansion
 
 __all__ = [
     "CumulativeProfile",
@@ -43,19 +43,16 @@ class CumulativeProfile:
             raise ValueError("M(m) must be non-decreasing")
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("m,M\n")
-            for m, v in enumerate(self.values.tolist(), start=1):
-                fh.write(f"{m},{v!r}\n")
+        write_table(path, ("m", "M"), range(1, self.values.size + 1), self.values)
 
 
 def cumulative_profile(
     data: NoisyDataset, es: EigenSystem, c1: float | None = None
 ) -> CumulativeProfile:
-    """Exact partial sums of (gbar_k/lam_k)^2."""
+    """Exact partial sums of (gbar_k/lam_k)^2: squared norms of the raw expansion cut at m."""
     n = min(es.count, data.n_coeff)
-    terms = (data.coeffs[:n] / es.eigenvalues[:n]) ** 2
-    return CumulativeProfile(values=np.cumsum(terms), c1=c1)
+    raw = truncated_expansion(data, es, np.arange(1, n + 1), "raw_expansion", {})
+    return CumulativeProfile(values=np.cumsum(raw.values**2), c1=c1)
 
 
 def k0_cutoff(data: NoisyDataset, es: EigenSystem, c1: float) -> int:
@@ -69,11 +66,7 @@ def k0_cutoff(data: NoisyDataset, es: EigenSystem, c1: float) -> int:
 def f0_approximation(data: NoisyDataset, es: EigenSystem, c1: float) -> RegularizedSolution:
     """Raw expansion gbar_k/lam_k truncated at the norm-budget cutoff."""
     k0 = k0_cutoff(data, es, c1)
-    vals = data.coeffs[:k0] / es.eigenvalues[:k0]
-    return RegularizedSolution(
-        indices=np.arange(1, k0 + 1), values=vals, method="norm_budget_cutoff",
-        params={"c1": c1, "k0": k0},
-    )
+    return truncated_expansion(data, es, np.arange(1, k0 + 1), "norm_budget_cutoff", {"c1": c1, "k0": k0})
 
 
 def detect_plateau(
@@ -98,7 +91,9 @@ def detect_plateau(
             return True
         if bot == 0:
             return False
-        return top / bot <= 1.0 + flatness
+        # a subnormal bot overflows to inf, which correctly reads as not flat
+        with np.errstate(over="ignore"):
+            return top / bot <= 1.0 + flatness
 
     out: list[tuple[int, int, float]] = []
     end = 0

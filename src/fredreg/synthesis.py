@@ -42,6 +42,7 @@ __all__ = [
     "dataset_from_json",
     "write_coeffs_csv",
     "read_coeffs_csv",
+    "write_table",
 ]
 
 # Figure-legend example signals.
@@ -335,10 +336,7 @@ def dataset_from_json(text: str) -> NoisyDataset:
 
 
 def write_coeffs_csv(path: str, coeffs: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("k,g_bar_k\n")
-        for k, c in enumerate(np.asarray(coeffs, dtype=float).tolist(), start=1):
-            fh.write(f"{k},{c!r}\n")
+    write_table(path, ("k", "g_bar_k"), range(1, len(coeffs) + 1), np.asarray(coeffs, dtype=float))
 
 
 def read_coeffs_csv(path: str) -> np.ndarray:
@@ -356,3 +354,16 @@ def read_coeffs_csv(path: str) -> np.ndarray:
                 raise ValueError(f"{path}: expected k={len(vals) + 1}, got k={k}")
             vals.append(float(c))
     return np.asarray(vals)
+
+
+def write_table(path: str, header: Sequence[str], *columns) -> None:
+    """CSV of equal-length columns, one row per line.
+
+    Each cell is the repr of a Python int or float (numpy values are
+    converted first, so the digits round-trip); None is an empty cell.
+    """
+    rows = zip(*(np.asarray(col).tolist() for col in columns), strict=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("" if v is None else repr(v) for v in row) + "\n")

@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigensystem import EigenSystem, QuadratureGrid, reconstruct
-from .synthesis import NoisyDataset
+from .synthesis import NoisyDataset, write_table
 
 __all__ = [
     "ConstraintSpec",
     "VarianceProfile",
     "RegularizedSolution",
+    "truncated_expansion",
     "tikhonov_full",
     "truncated_k_alpha",
     "tikhonov_identity",
@@ -136,70 +137,69 @@ class RegularizedSolution:
         )
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("k,coefficient\n")
-            for k, v in self.coeffs:
-                fh.write(f"{k},{v!r}\n")
+        write_table(path, ("k", "coefficient"), self.indices, self.values)
 
 
 def _active_range(data: NoisyDataset, es: EigenSystem) -> int:
     return min(es.count, data.n_coeff)
 
 
-def tikhonov_full(data: NoisyDataset, es: EigenSystem, cs: ConstraintSpec) -> RegularizedSolution:
-    """Smoothed solution: coefficient lam_k gbar_k / (lam_k^2 + alpha^2 c_k^2)."""
+def truncated_expansion(
+    data: NoisyDataset, es: EigenSystem, ks: np.ndarray | list[int], method: str, params: dict
+) -> RegularizedSolution:
+    """Raw expansion gbar_k/lam_k on the index set ks, zero elsewhere."""
+    idx = np.asarray(ks, dtype=int)
+    vals = data.coeffs[idx - 1] / es.eigenvalues[idx - 1]
+    return RegularizedSolution(indices=idx, values=vals, method=method, params=params)
+
+
+def _tikhonov(
+    data: NoisyDataset, es: EigenSystem, E: float, eps: float, c: np.ndarray | float, method: str
+) -> RegularizedSolution:
+    """Filter lam_k gbar_k / (lam_k^2 + alpha^2 c_k^2), alpha = eps/E, over the active range."""
     n = _active_range(data, es)
     lam = es.eigenvalues[:n]
-    c = cs.spectrum(n)
-    vals = lam * data.coeffs[:n] / (lam**2 + (cs.alpha * c) ** 2)
-    return RegularizedSolution(
-        indices=np.arange(1, n + 1), values=vals, method="tikhonov_full",
-        params={"E": cs.E, "eps": cs.eps, "alpha": cs.alpha},
-    )
+    alpha = eps / E
+    vals = lam * data.coeffs[:n] / (lam**2 + (alpha * c) ** 2)
+    params = {"E": E, "eps": eps, "alpha": alpha}
+    return RegularizedSolution(indices=np.arange(1, n + 1), values=vals, method=method, params=params)
+
+
+def _cutoff(
+    data: NoisyDataset, es: EigenSystem, E: float, eps: float, c: np.ndarray | float, method: str, key: str
+) -> RegularizedSolution:
+    """Raw expansion up to the largest k with lam_k >= alpha |c_k|, reported as params[key]."""
+    lam = es.eigenvalues[: _active_range(data, es)]
+    alpha = eps / E
+    qualifies = lam >= alpha * np.abs(c)
+    k = int(np.nonzero(qualifies)[0].max() + 1) if qualifies.any() else 0
+    params = {"E": E, "eps": eps, "alpha": alpha, key: k}
+    return truncated_expansion(data, es, np.arange(1, k + 1), method, params)
+
+
+def tikhonov_full(data: NoisyDataset, es: EigenSystem, cs: ConstraintSpec) -> RegularizedSolution:
+    """Smoothed solution: coefficient lam_k gbar_k / (lam_k^2 + alpha^2 c_k^2)."""
+    return _tikhonov(data, es, cs.E, cs.eps, cs.spectrum(_active_range(data, es)), "tikhonov_full")
 
 
 def truncated_k_alpha(data: NoisyDataset, es: EigenSystem, cs: ConstraintSpec) -> RegularizedSolution:
     """Raw expansion gbar_k/lam_k up to the largest k with lam_k >= alpha |c_k|."""
-    n = _active_range(data, es)
-    lam = es.eigenvalues[:n]
-    c = cs.spectrum(n)
-    qualifies = lam >= cs.alpha * np.abs(c)
-    k_alpha = int(np.nonzero(qualifies)[0].max() + 1) if qualifies.any() else 0
-    vals = data.coeffs[:k_alpha] / lam[:k_alpha]
-    return RegularizedSolution(
-        indices=np.arange(1, k_alpha + 1), values=vals, method="truncated_k_alpha",
-        params={"E": cs.E, "eps": cs.eps, "alpha": cs.alpha, "k_alpha": k_alpha},
-    )
+    c = cs.spectrum(_active_range(data, es))
+    return _cutoff(data, es, cs.E, cs.eps, c, "truncated_k_alpha", "k_alpha")
 
 
 def tikhonov_identity(data: NoisyDataset, es: EigenSystem, E: float, eps: float) -> RegularizedSolution:
     """Identity-constraint filter: lam_k gbar_k / (lam_k^2 + (eps/E)^2)."""
     if E <= 0:
         raise ValueError("bound E must be > 0")
-    n = _active_range(data, es)
-    lam = es.eigenvalues[:n]
-    alpha = eps / E
-    vals = lam * data.coeffs[:n] / (lam**2 + alpha**2)
-    return RegularizedSolution(
-        indices=np.arange(1, n + 1), values=vals, method="tikhonov_identity",
-        params={"E": E, "eps": eps, "alpha": alpha},
-    )
+    return _tikhonov(data, es, E, eps, 1.0, "tikhonov_identity")
 
 
 def truncated_k_beta(data: NoisyDataset, es: EigenSystem, E: float, eps: float) -> RegularizedSolution:
     """Raw expansion up to the largest k with lam_k >= eps/E."""
     if E <= 0:
         raise ValueError("bound E must be > 0")
-    n = _active_range(data, es)
-    lam = es.eigenvalues[:n]
-    alpha = eps / E
-    qualifies = lam >= alpha
-    k_beta = int(np.nonzero(qualifies)[0].max() + 1) if qualifies.any() else 0
-    vals = data.coeffs[:k_beta] / lam[:k_beta]
-    return RegularizedSolution(
-        indices=np.arange(1, k_beta + 1), values=vals, method="truncated_k_beta",
-        params={"E": E, "eps": eps, "alpha": alpha, "k_beta": k_beta},
-    )
+    return _cutoff(data, es, E, eps, 1.0, "truncated_k_beta", "k_beta")
 
 
 def best_linear_estimate(data: NoisyDataset, es: EigenSystem, vp: VarianceProfile) -> RegularizedSolution:
@@ -249,8 +249,4 @@ def classified_solution(data: NoisyDataset, es: EigenSystem, vp: VarianceProfile
     """Conditional-mean estimate: gbar_k/lam_k on the informative set, 0 elsewhere."""
     informative, _ = classify_components(es, vp)
     keep = [k for k in informative if k <= data.n_coeff]
-    idx = np.asarray(keep, dtype=int)
-    vals = data.coeffs[idx - 1] / es.eigenvalues[idx - 1] if idx.size else np.empty(0)
-    return RegularizedSolution(
-        indices=idx, values=vals, method="classified_components", params={"eps": vp.eps}
-    )
+    return truncated_expansion(data, es, keep, "classified_components", {"eps": vp.eps})

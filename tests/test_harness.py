@@ -38,6 +38,22 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="epsilon"):
             ExperimentConfig(signal=fr.SignalSpec.named("f1"), epsilon=epsilon)
 
+    @pytest.mark.parametrize("field", ["E_override", "c1_override"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_overrides_must_be_finite_and_positive(self, field, value):
+        sig = fr.SignalSpec.named("f1")
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(signal=sig, epsilon=1e-4, **{field: value})
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_json_dict({"signal": sig.to_json_dict(), "epsilon": 1e-4, field: value})
+
+    def test_valid_overrides_run(self):
+        sig = fr.SignalSpec.named("f1")
+        cfg = ExperimentConfig(signal=sig, epsilon=1e-4, E_override=0.5, c1_override=0.25)
+        (rec,) = fr.run_experiment(cfg)
+        assert rec.failures == {}
+        assert rec.k_alpha > 0 and rec.k0 > 0
+
     def test_dispersion_modes(self):
         sig = fr.SignalSpec.named("f1")
         a = ExperimentConfig(signal=sig, epsilon=3e-3)

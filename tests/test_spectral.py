@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -156,6 +158,13 @@ class TestDetectPlateau:
             fr.detect_plateau(profile, window=1, flatness=0.05)
         with pytest.raises(ValueError):
             fr.detect_plateau(profile, window=3, flatness=0.0)
+
+    def test_subnormal_start_is_not_flat_and_silent(self):
+        # 1 / 5e-324 overflows to inf: the range reads as not flat, without a RuntimeWarning
+        profile = CumulativeProfile(values=[5e-324, 5e-324, 1.0, 1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fr.detect_plateau(profile, window=3, flatness=0.05) == [(3, 5, 1.0)]
 
     @settings(max_examples=80)
     @given(
