@@ -66,6 +66,7 @@ class RunContext:
 
     data: SignalContext  # grid, record eigensystem (k <= n_coeff), psi_k table, f, g_k, g
     es: EigenSystem  # reconstruction basis, k <= n_max: coefficients beyond it are noise-dominated
+    table: np.ndarray  # es.basis_matrix(grid points): row k-1 is psi_k on the grid
     f_norm: float
     E: float
     c1: float
@@ -244,12 +245,14 @@ def run_context(cfg: ExperimentConfig) -> RunContext:
     """Grid, both eigensystems, the psi_k table, f, ||f||, g_k and g: once per run."""
     grid = simpson_grid(cfg.grid_size)
     data = signal_context(cfg.signal, analytic_eigensystem(cfg.n_coeff), grid, cfg.n_coeff)
+    es = analytic_eigensystem(min(cfg.n_max, cfg.n_coeff))
     f_norm = grid.norm(data.f_vals)
     if f_norm == 0 and cfg.E_override is None:
         f_norm = 1.0  # zero signal: errors become absolute, bounds need overrides
     return RunContext(
         data=data,
-        es=analytic_eigensystem(min(cfg.n_max, cfg.n_coeff)),
+        es=es,
+        table=es.basis_matrix(grid.points),
         f_norm=f_norm,
         E=cfg.E_override if cfg.E_override is not None else f_norm,
         # 1e-9 headroom: quadrature-level Parseval rounding must not truncate the
@@ -257,6 +260,14 @@ def run_context(cfg: ExperimentConfig) -> RunContext:
         c1=cfg.c1_override if cfg.c1_override is not None else f_norm**2 * (1.0 + 1e-9),
         d_eps=cfg.dispersion(),
     )
+
+
+def _on_grid(sol, table):
+    """sol.to_grid from rows of the run's table: reconstruct's term-by-term sum in sol.coeffs order."""
+    out = np.zeros(table.shape[1])
+    for k, value in sol.coeffs:
+        out += value * table[k - 1]
+    return out
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
@@ -282,7 +293,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
             for attr in CUTOFFS:
                 if attr in sol.params:
                     setattr(record, attr, int(sol.params[attr]))
-            record.grids[name] = sol.to_grid(ctx.es, grid)
+            record.grids[name] = _on_grid(sol, ctx.table)
             record.rel_l2[name] = grid.norm(record.grids[name] - f_vals) / ctx.f_norm
         record.wall_time_s = time.perf_counter() - t0
         records.append(record)

@@ -29,6 +29,7 @@ with randomness, n0 = 0.  Set randomness_test="none" for the bare recursion.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -64,7 +65,7 @@ class DegenerateSequenceError(ValueError):
 
 @dataclass(frozen=True)
 class AutocorrSeries:
-    """Estimated autocorrelations delta(n), n = 0..N-1; NaN marks undefined lags."""
+    """Estimated autocorrelations delta(n), n = 0..L <= N-1 (N = n_count); NaN marks undefined lags."""
 
     delta: np.ndarray
     n_count: int
@@ -72,8 +73,8 @@ class AutocorrSeries:
     def __post_init__(self):
         d = np.asarray(self.delta, dtype=float)
         object.__setattr__(self, "delta", d)
-        if d.size != self.n_count:
-            raise ValueError("delta must have one entry per lag 0..N-1")
+        if not 1 <= d.size <= self.n_count:
+            raise ValueError("delta must have one entry per lag 0..L, L <= N-1")
         finite = d[np.isfinite(d)]
         if np.isfinite(d[0]) and abs(d[0] - 1.0) > 1e-12:
             raise ValueError("delta(0) must equal 1")
@@ -81,20 +82,26 @@ class AutocorrSeries:
             raise ValueError("|delta(n)| must not exceed 1")
 
 
-def autocorr_estimate(coeffs: np.ndarray) -> AutocorrSeries:
+def autocorr_estimate(coeffs: np.ndarray, last_lag: int | None = None) -> AutocorrSeries:
     """Lagged Pearson autocorrelation with per-lag means and normalizations.
 
     delta(n) correlates (gbar_k, gbar_{k+n}) over k = 1..N-n, each side
     centered by its own window mean.  Lags whose centered sums vanish
     (constant windows) are undefined and reported as NaN; they are excluded
-    from all significance testing downstream.
+    from all significance testing downstream.  Lags 0..last_lag are computed
+    (all N lags when last_lag is None or >= N-1).
     """
     g = np.asarray(coeffs, dtype=float).ravel()
     n_count = g.size
     if n_count < 2:
         raise DegenerateSequenceError("autocorrelation needs at least 2 coefficients")
-    delta = np.full(n_count, np.nan)
-    for n in range(n_count):
+    last_lag = n_count - 1 if last_lag is None else last_lag
+    if not isinstance(last_lag, (int, np.integer)) or last_lag < 0:
+        raise ValueError(f"last_lag must be an integer >= 0, got {last_lag!r}")
+    # peak to [0.5, 1): an exact power-of-two rescale keeps the sums of squares out of the subnormals
+    g = np.ldexp(g, -math.frexp(float(np.max(np.abs(g))))[1])
+    delta = np.full(min(last_lag, n_count - 1) + 1, np.nan)
+    for n in range(delta.size):
         m = n_count - n  # pairs in the scatter window
         if m < 2:
             continue
@@ -116,16 +123,16 @@ def autocorr_estimate(coeffs: np.ndarray) -> AutocorrSeries:
 def bartlett_stderr(series: AutocorrSeries, n0: int, n: int | np.ndarray) -> float | np.ndarray:
     """Large-lag standard error sqrt((1 + 2 sum_{v<=n0} delta(v)^2) / (N - n)).
 
-    Valid for lags beyond the hypothesized cut: requires n > n0 >= 0 and
-    n < N.  n is one lag (a float is returned) or an integer array of lags
-    (the band over them is returned).  Estimated autocorrelations stand in
-    for the theoretical ones; undefined lags contribute nothing to the sum.
+    Valid for lags beyond the hypothesized cut: requires n > n0 >= 0 and n in
+    the series' lag window.  n is one lag (a float is returned) or an integer
+    array of lags (the band over them is returned).  Estimated autocorrelations
+    stand in for the theoretical ones; undefined lags add nothing to the sum.
     """
     lags = np.asarray(n)
     if n0 < 0 or np.any(lags <= n0):
         raise ValueError(f"large-lag standard error needs n > n0 >= 0, got n={n}, n0={n0}")
-    if np.any(lags >= series.n_count):
-        raise ValueError(f"lag {n} outside record of length {series.n_count}")
+    if np.any(lags >= series.delta.size):
+        raise ValueError(f"lag {n} outside lag window 0..{series.delta.size - 1} (N={series.n_count})")
     head = series.delta[1 : n0 + 1]
     s = float(np.nansum(head**2)) if head.size else 0.0
     band = np.sqrt((1.0 + 2.0 * s) / (series.n_count - lags))
@@ -137,10 +144,15 @@ def default_max_lag(n_count: int) -> int:
     return max(1, min(n_count - 8, n_count // 2, int(math.floor(10.0 * math.log10(n_count)))))
 
 
-def _scan_lags(series: AutocorrSeries, max_lag: int | None) -> int:
+def _scan_lags(n_count: int, max_lag: int | None) -> int:
     if max_lag is None:
-        max_lag = default_max_lag(series.n_count)
-    return min(max_lag, series.n_count - 1)
+        max_lag = default_max_lag(n_count)
+    return min(max_lag, n_count - 1)
+
+
+@functools.lru_cache(maxsize=256)
+def _chi2_critical(level: float, df: int) -> float:
+    return float(chi2.ppf(level, df))
 
 
 def _passes_randomness_gate(
@@ -148,13 +160,14 @@ def _passes_randomness_gate(
 ) -> bool:
     """True when the scanned window is compatible with complete randomness."""
     lags = np.arange(1, top + 1)
+    band = bartlett_stderr(series, 0, lags)  # first: it rejects lags past the series' window
     delta = series.delta[lags]
     defined = np.isfinite(delta)
-    z = delta[defined] / bartlett_stderr(series, 0, lags[defined])
+    z = delta[defined] / band[defined]
     if not np.any(np.abs(z) > significance):
         return True
     stat = float(np.sum(z * z))
-    return stat <= float(chi2.ppf(level, z.size))
+    return stat <= _chi2_critical(level, z.size)
 
 
 def detect_n0(
@@ -172,7 +185,7 @@ def detect_n0(
     """
     if randomness_test not in ("portmanteau", "none"):
         raise ValueError(f"unknown randomness_test {randomness_test!r}")
-    top = _scan_lags(series, max_lag)
+    top = _scan_lags(series.n_count, max_lag)
     if randomness_test == "portmanteau":
         level = math.erf(significance / math.sqrt(2.0))  # coverage of the +/- z threshold
         if _passes_randomness_gate(series, top, significance, level):
@@ -180,8 +193,9 @@ def detect_n0(
     nbar = 0
     while True:
         lags = np.arange(nbar + 1, top + 1)
+        band = significance * bartlett_stderr(series, nbar, lags)
         # undefined (NaN) lags compare False and are never promoted
-        hits = np.abs(series.delta[lags]) > significance * bartlett_stderr(series, nbar, lags)
+        hits = np.abs(series.delta[lags]) > band
         if not hits.any():
             return nbar
         nbar = int(lags[np.argmax(hits)])  # the first lag past its threshold
@@ -190,7 +204,8 @@ def detect_n0(
 def build_Q(series: AutocorrSeries, n0: int, significance: float = SIGNIFICANCE) -> list[int]:
     """Lags 0 < n <= n0 whose |delta(n)| exceeds the fully-random threshold sigma(n; 0)."""
     lags = np.arange(1, n0 + 1)
-    hits = np.abs(series.delta[lags]) > significance * bartlett_stderr(series, 0, lags)
+    band = significance * bartlett_stderr(series, 0, lags)
+    hits = np.abs(series.delta[lags]) > band
     return lags[hits].tolist()
 
 
@@ -227,6 +242,7 @@ class SelectionReport:
     series: AutocorrSeries = field(repr=False)
     significance: float = SIGNIFICANCE
     max_lag: int | None = None
+    record: np.ndarray | None = field(default=None, repr=False, compare=False)  # autocorr.csv: all lags
 
     def to_json_dict(self) -> dict:
         return {
@@ -242,14 +258,17 @@ class SelectionReport:
         return json.dumps(self.to_json_dict())
 
     def write_autocorr_csv(self, path: str) -> None:
-        """Lag table "n,delta,threshold0,threshold_n0" for confidence-limit plots."""
-        lags = np.arange(self.series.n_count)
+        """Lag table "n,delta,threshold0,threshold_n0" over all lags, for confidence-limit plots."""
+        if self.record is None and self.series.delta.size < self.series.n_count:
+            raise ValueError(f"windowed series (lags 0..{self.series.delta.size - 1}) and no record")
+        series = self.series if self.record is None else autocorr_estimate(self.record)
+        lags = np.arange(series.n_count)
         thresholds = []
         for cut in (0, self.n0):
-            band = self.significance * bartlett_stderr(self.series, cut, lags[cut + 1 :])
+            band = self.significance * bartlett_stderr(series, cut, lags[cut + 1 :])
             # lags up to the hypothesized cut have no threshold: empty cells
             thresholds.append([None] * (cut + 1) + band.tolist())
-        delta = [d if math.isfinite(d) else None for d in self.series.delta.tolist()]
+        delta = [d if math.isfinite(d) else None for d in series.delta.tolist()]
         write_table(path, ("n", "delta", "threshold0", "threshold_n0"), lags, delta, *thresholds)
 
 
@@ -264,13 +283,14 @@ def build_selection(
     The report is purely diagnostic: the selection is returned even when the
     combinatorial bound or a pairwise compatibility constraint fails.
     """
-    coeffs = data.coeffs if isinstance(data, NoisyDataset) else np.asarray(data, dtype=float)
+    coeffs = data.coeffs if isinstance(data, NoisyDataset) else np.array(data, dtype=float)
     if coeffs.size < 8:
         raise DegenerateSequenceError("selection needs a record of at least 8 coefficients")
     bad = np.flatnonzero(~np.isfinite(coeffs))
     if bad.size:
         raise ValueError(f"record is not finite at index {bad[0]} (k={bad[0] + 1})")
-    series = autocorr_estimate(coeffs)
+    top = _scan_lags(coeffs.size, max_lag)
+    series = autocorr_estimate(coeffs, top)  # every lag the selection reads
     n0 = detect_n0(series, significance, max_lag, randomness_test)
     Q = build_Q(series, n0, significance)
     pairs = select_pairs(coeffs, Q)
@@ -291,8 +311,7 @@ def build_selection(
     return SelectionReport(
         n0=n0, Q=Q, n_c=len(Q), pairs=pairs, I_k=I_k,
         bound_ok=bound_ok, compat_ok=not violations, compat_violations=violations,
-        series=series, significance=significance,
-        max_lag=_scan_lags(series, max_lag),
+        series=series, significance=significance, max_lag=top, record=coeffs,
     )
 
 

@@ -7,7 +7,10 @@ summed over a fresh basis build) for every seed, the selection steps
 (randomness gate, n0 recursion, Q, autocorr.csv rows) walking one lag at a
 time with one scalar Bartlett standard error per lag, the seven spectral
 methods each dividing gbar_k by lam_k on its own, and each CSV written by
-its own row loop (solutions.csv from a fresh to_grid per method).
+its own row loop (solutions.csv from a fresh to_grid per method).  The
+selection runs on the lag window it reads against the former path that
+estimated every lag of an unscaled record, and scoring sums rows of the
+run's basis table against reconstruct evaluating each eigenfunction anew.
 """
 
 import math
@@ -19,8 +22,9 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import fredreg as fr
-from fredreg.harness import METHODS
-from fredreg.selection import _passes_randomness_gate
+from fredreg.cli import main
+from fredreg.harness import METHODS, _on_grid
+from fredreg.selection import _admissible_bounds, _passes_randomness_gate
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -613,7 +617,7 @@ class TestWriteTable:
         assert (into / "profile.csv").read_text() == former_profile_csv(profile)
         sel = rec.selection
         if sel is not None:
-            want = former_autocorr_csv(sel.series, sel.n0, sel.significance)
+            want = former_autocorr_csv(fr.autocorr_estimate(rec.dataset.coeffs), sel.n0, sel.significance)
             assert (into / "autocorr.csv").read_text() == want
         solutions = {name: METHODS[name](rec.dataset, rec.context, rec) for name in rec.grids}
         assert sorted(solutions) == sorted(set(cfg.methods) - set(rec.failures))
@@ -625,3 +629,140 @@ class TestWriteTable:
         assert path.read_text() == "a,b\n1,\n2,0.5\n"
         with pytest.raises(ValueError):
             fr.write_table(str(path), ("a", "b"), [1, 2], [0.5])
+
+
+def former_autocorr_estimate(coeffs):
+    g = np.asarray(coeffs, dtype=float).ravel()
+    n_count = g.size
+    delta = np.full(n_count, np.nan)
+    for n in range(n_count):
+        m = n_count - n
+        if m < 2:
+            continue
+        xc = g[:m] - g[:m].mean()
+        yc = g[n:] - g[n:].mean()
+        den = math.sqrt(float(xc @ xc)) * math.sqrt(float(yc @ yc))
+        if den <= 0:
+            continue
+        delta[n] = float(xc @ yc) / den
+    np.clip(delta, -1.0, 1.0, out=delta)
+    if np.isfinite(delta[0]):
+        delta[0] = 1.0
+    return delta
+
+
+def former_build_selection(coeffs, significance, max_lag, randomness_test):
+    """Every lag estimated, then the same steps: (all-lag series, selection fields)."""
+    series = fr.autocorr_estimate(coeffs)
+    n0 = fr.detect_n0(series, significance, max_lag, randomness_test)
+    Q = fr.build_Q(series, n0, significance)
+    pairs = fr.select_pairs(coeffs, Q)
+    members = set()
+    for a, b in pairs:
+        members.add(a)
+        members.add(b)
+    I_k = sorted(members)
+    lower, upper = _admissible_bounds(len(Q))
+    violations = [(a, b) for i, a in enumerate(I_k) for b in I_k[i + 1 :] if (b - a) not in set(Q)]
+    fields = {
+        "n0": n0, "Q": Q, "pairs": pairs, "I_k": I_k,
+        "bound_ok": bool(lower - 1e-9 <= len(I_k) <= upper), "compat_violations": violations,
+    }
+    return series, fields
+
+
+@st.composite
+def selection_records(draw):
+    """Noise, repeated small integers, constant runs (NaN lags inside the
+    window) and random walks (n0 at the window edge for small windows)."""
+    n = draw(st.integers(8, 160))
+    kind = draw(st.sampled_from(["floats", "integers", "constant_run", "walk"]))
+    if kind == "floats":
+        return np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    if kind == "integers":
+        return np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), dtype=float)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "walk":
+        return rng.normal(size=n).cumsum()
+    g = np.full(n, draw(st.floats(-5.0, 5.0)))
+    t = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        g[:t] = rng.normal(size=t)
+    else:
+        g[-t:] = rng.normal(size=t)
+    return g
+
+
+class TestLagWindowSelection:
+    def check(self, g, significance, max_lag, mode, path):
+        report = fr.build_selection(g, significance, max_lag, mode)
+        series, want = former_build_selection(g, significance, max_lag, mode)
+        assert {name: getattr(report, name) for name in want} == want
+        window = report.series.delta
+        assert window.size == report.max_lag + 1 == min(report.max_lag, g.size - 1) + 1
+        assert np.array_equal(window, series.delta[: window.size], equal_nan=True)
+        report.write_autocorr_csv(str(path))
+        assert path.read_text() == former_autocorr_csv(series, report.n0, significance)
+        return report
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        g=selection_records(),
+        significance=significances,
+        mode=st.sampled_from(["portmanteau", "none"]),
+        data=st.data(),
+    )
+    def test_matches_the_all_lag_path(self, g, significance, mode, data, tmp_path_factory):
+        max_lag = data.draw(st.none() | st.integers(0, 12) | st.integers(g.size - 2, g.size + 5))
+        self.check(g, significance, max_lag, mode, tmp_path_factory.mktemp("csv") / "autocorr.csv")
+
+    @pytest.mark.parametrize("mode", ["portmanteau", "none"])
+    @pytest.mark.parametrize("max_lag", [3, 5])
+    def test_n0_at_the_window_edge(self, mode, max_lag, tmp_path):
+        g = np.random.default_rng(0).normal(size=64).cumsum()
+        report = self.check(g, fr.SIGNIFICANCE, max_lag, mode, tmp_path / "autocorr.csv")
+        assert report.n0 == report.max_lag == max_lag
+
+    @pytest.mark.parametrize("mode", ["portmanteau", "none"])
+    def test_nan_lags_inside_the_window(self, mode, tmp_path):
+        g = np.array([0.3, -1.2, 0.7] + [2.0] * 61)
+        report = self.check(g, fr.SIGNIFICANCE, None, mode, tmp_path / "autocorr.csv")
+        assert np.isnan(report.series.delta[3:]).all() and report.series.delta.size == 19
+
+    def test_analyze_writes_every_lag(self, example1_seed0, tmp_path):
+        ds, _, _ = example1_seed0
+        fr.write_coeffs_csv(str(tmp_path / "coeffs.csv"), ds.coeffs)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--in", str(tmp_path / "coeffs.csv"), "--epsilon", "1e-4", "--out", str(out)]) == 0
+        series, want = former_build_selection(ds.coeffs, fr.SIGNIFICANCE, None, "portmanteau")
+        csv = out.with_suffix(".autocorr.csv").read_text()
+        assert csv == former_autocorr_csv(series, want["n0"], fr.SIGNIFICANCE) and series.delta.size == 512
+
+    @SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 200), exponent=st.integers(-8, 8))
+    def test_rescaled_record_keeps_the_bits(self, seed, size, exponent):
+        g = np.random.default_rng(seed).uniform(-1.0, 1.0, size) * 10.0**exponent
+        assert np.array_equal(fr.autocorr_estimate(g).delta, former_autocorr_estimate(g), equal_nan=True)
+
+
+class TestScoringTable:
+    @SETTINGS
+    @given(count=st.integers(1, 80), grid_size=st.sampled_from([65, 129, 513]), data=st.data())
+    def test_table_rows_sum_like_reconstruct(self, count, grid_size, data):
+        grid = fr.simpson_grid(grid_size)
+        es = fr.analytic_eigensystem(count)
+        # unique indices in drawn order: sparse, out of order, possibly empty
+        ks = data.draw(st.lists(st.integers(1, count), unique=True, max_size=count))
+        values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(ks), max_size=len(ks)))
+        sol = fr.RegularizedSolution(indices=np.array(ks, dtype=int), values=np.array(values), method="any")
+        assert np.array_equal(_on_grid(sol, es.basis_matrix(grid.points)), fr.reconstruct(sol.coeffs, es, grid))
+
+    def test_run_scores_from_its_table(self):
+        records = fr.run_experiment(fr.preset("example3", seeds=(0, 1)))
+        ctx = records[0].context
+        assert np.array_equal(ctx.table, ctx.es.basis_matrix(ctx.data.grid.points))
+        for rec in records:
+            assert sorted(rec.grids) == sorted(fr.ALL_METHODS)
+            for name, values in rec.grids.items():
+                sol = METHODS[name](rec.dataset, ctx, rec)
+                assert np.array_equal(values, sol.to_grid(ctx.es, ctx.data.grid))

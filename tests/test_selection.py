@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 import fredreg as fr
 from fredreg import AutocorrSeries, DegenerateSequenceError
-from fredreg.selection import _admissible_bounds
+from fredreg.selection import _admissible_bounds, _chi2_critical
 
 
 def null_series(n_count, spikes=None, floor=1e-3, seed=0):
@@ -61,6 +63,85 @@ class TestAutocorrEstimate:
         b = fr.autocorr_estimate(c * g).delta
         both = np.isfinite(a) & np.isfinite(b)
         npt.assert_allclose(a[both], b[both], atol=1e-9)
+
+
+    def test_subnormal_scale_record(self):
+        # the sums of squares of this record fall into the subnormals unless it is rescaled
+        g = np.array([0, 0, 0, 0, 0, 0, 2.962799155311004e-159, 0])
+        a = fr.autocorr_estimate(g).delta
+        assert np.array_equal(a, fr.autocorr_estimate(2 * g).delta, equal_nan=True)
+        assert abs(a[1] + 1 / 6) <= 1e-15
+
+
+class TestLagWindow:
+    """Series holding lags 0..L < N-1 only, as the selection estimates them."""
+
+    g = np.random.default_rng(7).normal(size=64)
+
+    @pytest.mark.parametrize("last_lag", [-1, 2.0, np.float64(3.0), 1.5, "3"])
+    def test_bad_last_lag(self, last_lag):
+        with pytest.raises(ValueError, match="last_lag"):
+            fr.autocorr_estimate(self.g, last_lag)
+
+    @pytest.mark.parametrize("last_lag", [0, 5, 62])
+    def test_window_is_the_head_of_all_lags(self, last_lag):
+        window = fr.autocorr_estimate(self.g, last_lag)
+        assert window.n_count == 64 and window.delta.size == last_lag + 1
+        assert np.array_equal(window.delta, fr.autocorr_estimate(self.g).delta[: last_lag + 1])
+
+    @pytest.mark.parametrize("last_lag", [63, 64, 1000, np.int64(63)])
+    def test_last_lag_past_the_record_gives_all_lags(self, last_lag):
+        all_lags = fr.autocorr_estimate(self.g).delta
+        assert np.array_equal(fr.autocorr_estimate(self.g, last_lag).delta, all_lags, equal_nan=True)
+
+    def test_series_size_checked(self):
+        with pytest.raises(ValueError):
+            AutocorrSeries(delta=np.ones(0), n_count=4)
+        with pytest.raises(ValueError):
+            AutocorrSeries(delta=np.ones(5), n_count=4)
+
+    def test_bartlett_past_the_window(self):
+        series = fr.autocorr_estimate(self.g, 10)
+        assert fr.bartlett_stderr(series, 3, 10) == pytest.approx(
+            fr.bartlett_stderr(fr.autocorr_estimate(self.g), 3, 10)
+        )
+        for lags in (11, np.arange(4, 20)):
+            with pytest.raises(ValueError, match="window 0..10"):
+                fr.bartlett_stderr(series, 3, lags)
+
+    @pytest.mark.parametrize("mode", ["portmanteau", "none"])
+    @pytest.mark.parametrize("max_lag", [None, 11, 40])
+    def test_detect_n0_past_the_window(self, mode, max_lag):
+        series = fr.autocorr_estimate(self.g, 10)
+        with pytest.raises(ValueError, match="window 0..10"):
+            fr.detect_n0(series, max_lag=max_lag, randomness_test=mode)
+
+    def test_build_Q_past_the_window(self):
+        series = fr.autocorr_estimate(self.g, 10)
+        assert fr.build_Q(series, 10) == fr.build_Q(fr.autocorr_estimate(self.g), 10)
+        with pytest.raises(ValueError, match="window 0..10"):
+            fr.build_Q(series, 11)
+
+    def test_autocorr_csv_needs_the_record(self, tmp_path):
+        report = fr.build_selection(self.g)
+        assert report.series.delta.size == report.max_lag + 1 < 64
+        kept = tmp_path / "kept.csv"
+        report.write_autocorr_csv(str(kept))
+        assert len(kept.read_text().splitlines()) == 65
+        bare = dataclasses.replace(report, record=None)
+        with pytest.raises(ValueError, match="no record"):
+            bare.write_autocorr_csv(str(tmp_path / "bare.csv"))
+
+    def test_record_is_not_serialized(self):
+        report = fr.build_selection(self.g)
+        assert "record" not in report.to_json_dict()
+        assert "record" not in repr(report)
+
+    @pytest.mark.parametrize("df", [1, 10, 27, 30])
+    @pytest.mark.parametrize("level", [0.5, math.erf(fr.SIGNIFICANCE / math.sqrt(2.0)), 0.99])
+    def test_cached_chi2_critical_value(self, level, df):
+        assert _chi2_critical(level, df) == float(chi2.ppf(level, df))
+        assert _chi2_critical(level, df) == _chi2_critical(level, df)
 
 
 class TestBartlettStderr:
