@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Record one checkout's performance in BENCH_<tag>.json.
+"""Record one checkout's performance in BENCH_<tag>.json, or two checkouts'.
 
 The file holds, for the checkout under --root (default: this repository):
 
-- the end-to-end metrics of `perfbench/run.py --workload all --trace 0` and
-  the per-layer metrics of the same command with `--trace 1`, each per
-  workload, together with the operations attempted and failed;
+- the end-to-end metrics of `perfbench/run.py --workload W --trace 0` and
+  the per-layer metrics of the same command with `--trace 1`, for each
+  workload W of BENCHMARK.json, together with the operations attempted and
+  failed;
 - wall times of fresh `fredreg run` processes: `--preset example1 --seeds 100`
   with and without `--out`, and `--preset example3 --seeds 100`;
 - the wall time of `scripts/null_control.py`;
@@ -17,7 +18,14 @@ commit exported with `git archive` can be measured by the same script.
 Wall times are the median of --repeats runs; every run is kept.  The file is
 written to the root of the repository that holds this script.
 
+With --parent DIR, the parent checkout is measured in the same session and
+written to BENCH_<tag>-parent.json: every perfbench pass (one workload, one
+trace setting) and every wall-time run alternates between the two checkouts,
+and the one that goes first swaps on each step, so a drift in host speed
+reaches both files alike.
+
 Usage: python scripts/bench.py --tag T [--root DIR] [--sha SHA]
+                               [--parent DIR] [--parent-sha SHA]
                                [--seconds 20] [--repeats 3]
 """
 
@@ -43,9 +51,9 @@ HEADER = re.compile(r"^(\S+) seed \d+: (\d+) operations, (\d+) records, (\d+) fa
 METRIC = re.compile(r"^\s+(\S+)\s+(\S+)\s+(\S+)$")
 
 
-def perfbench(root: Path, seconds: float, trace: int) -> tuple[dict, int]:
-    """Metrics printed by `perfbench/run.py --workload all`, per workload, and its exit code."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", "all",
+def perfbench(root: Path, workload: str, seconds: float, trace: int) -> tuple[dict, int]:
+    """Metrics printed by `perfbench/run.py --workload <workload>`, per workload, and its exit code."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(argv, cwd=root, stdout=subprocess.PIPE, text=True)
     workloads: dict = {}
@@ -64,16 +72,34 @@ def perfbench(root: Path, seconds: float, trace: int) -> tuple[dict, int]:
     return workloads, out.returncode
 
 
-def wall_times(argv: list[str], root: Path, repeats: int) -> dict:
+def wall_time(argv: list[str], root: Path) -> float:
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    runs = []
-    for _ in range(repeats):
-        with tempfile.TemporaryDirectory() as tmp:
-            cmd = [a.replace("{tmp}", tmp) for a in argv]
-            t0 = time.perf_counter()
-            subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL, check=True)
-            runs.append(time.perf_counter() - t0)
-    return {"command": " ".join(argv[1:]), "median_s": statistics.median(runs), "runs_s": runs}
+    with tempfile.TemporaryDirectory() as tmp:
+        cmd = [a.replace("{tmp}", tmp) for a in argv]
+        t0 = time.perf_counter()
+        subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL, check=True)
+        return time.perf_counter() - t0
+
+
+class Alternation:
+    """Runs one probe on every checkout, swapping which goes first on each call."""
+
+    def __init__(self, roots: list[Path]):
+        self.roots = roots
+        self.order = list(range(len(roots)))
+
+    def __call__(self, probe) -> list:
+        self.order.reverse()
+        out = [None] * len(self.roots)
+        for i in self.order:
+            out[i] = probe(self.roots[i])
+        return out
+
+
+def wall_times(argv: list[str], each: Alternation, repeats: int) -> list[dict]:
+    """Per checkout: the median and every run of `repeats` fresh processes."""
+    runs = list(zip(*(each(lambda root: wall_time(argv, root)) for _ in range(repeats))))
+    return [{"command": " ".join(argv[1:]), "median_s": statistics.median(r), "runs_s": list(r)} for r in runs]
 
 
 def git_sha(root: Path) -> str | None:
@@ -86,42 +112,62 @@ def main() -> int:
     ap.add_argument("--tag", required=True, help="names the output file BENCH_<tag>.json")
     ap.add_argument("--root", default=str(HERE), help="checkout to measure (default: this repository)")
     ap.add_argument("--sha", help="commit to record when --root has no git metadata")
+    ap.add_argument("--parent", help="also measure this checkout, alternating, into BENCH_<tag>-parent.json")
+    ap.add_argument("--parent-sha", help="commit to record when --parent has no git metadata")
     ap.add_argument("--seconds", type=float, default=20.0, help="perfbench run length per workload")
     ap.add_argument("--repeats", type=int, default=3, help="fresh processes per wall time")
     args = ap.parse_args()
-    root = Path(args.root).resolve()
-    if not (root / "src" / "fredreg" / "__init__.py").is_file():
-        sys.exit(f"error: no fredreg sources under {root / 'src'}")
+    checkouts = [(args.tag, Path(args.root).resolve(), args.sha)]
+    if args.parent:
+        checkouts.insert(0, (f"{args.tag}-parent", Path(args.parent).resolve(), args.parent_sha))
+    for _, root, _ in checkouts:
+        if not (root / "src" / "fredreg" / "__init__.py").is_file():
+            sys.exit(f"error: no fredreg sources under {root / 'src'}")
 
+    each = Alternation([root for _, root, _ in checkouts])
     cli = [sys.executable, "-m", "fredreg.cli", "run", "--seeds", "100", "--preset"]
-    end_to_end, status0 = perfbench(root, args.seconds, 0)
-    per_layer, status1 = perfbench(root, args.seconds, 1)
-    bench = {
-        "tag": args.tag,
-        "git_sha": args.sha or git_sha(root),
-        "measured_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "src_lines": sum(len(p.read_text().splitlines()) for p in (root / "src").rglob("*.py")),
-        "python": sys.version.split()[0],
-        "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
-        "nproc": os.cpu_count(),
-        "perfbench": {
-            "seconds": args.seconds,
-            "exit_codes": {"trace0": status0, "trace1": status1},
-            "end_to_end": end_to_end,
-            "per_layer": {name: w["metrics"] for name, w in per_layer.items()},
-        },
-        "wall": {
-            "run_example1": wall_times([*cli, "example1"], root, args.repeats),
-            "run_example1_out": wall_times([*cli, "example1", "--out", "{tmp}"], root, args.repeats),
-            "run_example3": wall_times([*cli, "example3"], root, args.repeats),
-            "null_control": wall_times([sys.executable, "scripts/null_control.py"], root, args.repeats),
-        },
+    workloads = [w["name"] for w in json.loads((HERE / "BENCHMARK.json").read_text())["workloads"]]
+    # per checkout: workload metrics and the first non-zero exit code, for trace 0 and trace 1
+    metrics = [({}, {}) for _ in checkouts]
+    codes = [[0, 0] for _ in checkouts]
+    for trace in (0, 1):
+        for name in workloads:
+            for i, (out, code) in enumerate(each(lambda root: perfbench(root, name, args.seconds, trace))):
+                metrics[i][trace].update(out)
+                codes[i][trace] = codes[i][trace] or code
+    probes = {
+        "run_example1": [*cli, "example1"],
+        "run_example1_out": [*cli, "example1", "--out", "{tmp}"],
+        "run_example3": [*cli, "example3"],
+        "null_control": [sys.executable, "scripts/null_control.py"],
     }
-    path = HERE / f"BENCH_{args.tag}.json"
-    path.write_text(json.dumps(bench, indent=2) + "\n")
-    print(f"wrote {path}")
-    return status0 or status1
+    wall = {name: wall_times(argv, each, args.repeats) for name, argv in probes.items()}
+    status = 0
+    for i, (tag, root, sha) in enumerate(checkouts):
+        (e2e, layers), (status0, status1) = metrics[i], codes[i]
+        bench = {
+            "tag": tag,
+            "git_sha": sha or git_sha(root),
+            "measured_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+            "src_lines": sum(len(p.read_text().splitlines()) for p in (root / "src").rglob("*.py")),
+            "python": sys.version.split()[0],
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "nproc": os.cpu_count(),
+            "alternated_with": [t for t, _, _ in checkouts if t != tag],
+            "perfbench": {
+                "seconds": args.seconds,
+                "exit_codes": {"trace0": status0, "trace1": status1},
+                "end_to_end": e2e,
+                "per_layer": {name: w["metrics"] for name, w in layers.items()},
+            },
+            "wall": {name: runs[i] for name, runs in wall.items()},
+        }
+        path = HERE / f"BENCH_{tag}.json"
+        path.write_text(json.dumps(bench, indent=2) + "\n")
+        print(f"wrote {path}")
+        status = status or status0 or status1
+    return status
 
 
 if __name__ == "__main__":

@@ -107,12 +107,14 @@ def autocorr_estimate(coeffs: np.ndarray, last_lag: int | None = None) -> Autoco
             continue
         xs = g[:m]
         ys = g[n:]
-        xc = xs - xs.mean()
-        yc = ys - ys.mean()
-        den = math.sqrt(float(xc @ xc)) * math.sqrt(float(yc @ yc))
+        # ndarray.mean's own pairwise sum and division, and the dot kernel that @ runs
+        # on two vectors, each without its Python-level wrapper: the same bits
+        xc = xs - np.add.reduce(xs) / m
+        yc = ys - np.add.reduce(ys) / m
+        den = math.sqrt(float(xc.dot(xc))) * math.sqrt(float(yc.dot(yc)))
         if den <= 0:
             continue  # constant window: undefined
-        delta[n] = float(xc @ yc) / den
+        delta[n] = float(xc.dot(yc)) / den
     # rounding can push |delta| a hair past 1; a constant record leaves even delta(0) undefined
     np.clip(delta, -1.0, 1.0, out=delta)
     if np.isfinite(delta[0]):

@@ -305,8 +305,8 @@ def snr_db(g: np.ndarray, epsilon: float) -> float:
 
 def noise_dispersion(epsilon: float) -> float:
     """Standard deviation eps/sqrt(3) of uniform noise on [-eps, eps]."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    if not (np.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     return epsilon / np.sqrt(3.0)
 
 
@@ -360,10 +360,16 @@ def write_table(path: str, header: Sequence[str], *columns) -> None:
     """CSV of equal-length columns, one row per line.
 
     Each cell is the repr of a Python int or float (numpy values are
-    converted first, so the digits round-trip); None is an empty cell.
+    converted first, so the digits round-trip); None is an empty cell.  A
+    column is formatted by one repr of its list, split back into cells.
     """
-    rows = zip(*(np.asarray(col).tolist() for col in columns), strict=True)
+    cells = []
+    for i, col in enumerate(columns):
+        col = np.asarray(col)
+        if col.ndim != 1:
+            raise ValueError(f"column {i} must be 1-D, got shape {col.shape}")
+        cells.append(repr(col.tolist())[1:-1].replace("None", "").split(", ") if col.size else [])
+    rows = zip(*cells, strict=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else repr(v) for v in row) + "\n")
+        fh.writelines(f"{','.join(row)}\n" for row in rows)

@@ -65,6 +65,16 @@ class TestAnalyze:
         autocorr = out.with_suffix(".autocorr.csv")
         assert autocorr.read_text().splitlines()[0] == "n,delta,threshold0,threshold_n0"
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_epsilon_fails_before_writing(self, eps, tmp_path, example1_seed0):
+        ds, _, _ = example1_seed0
+        csv_path = tmp_path / "coeffs.csv"
+        fr.write_coeffs_csv(str(csv_path), ds.coeffs)
+        out = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="epsilon"):
+            main(["analyze", "--in", str(csv_path), "--epsilon", eps, "--out", str(out)])
+        assert list(tmp_path.iterdir()) == [csv_path]
+
     def test_literal_recursion_flag(self, tmp_path, capsys, example1_seed0):
         ds, _, _ = example1_seed0
         csv_path = tmp_path / "coeffs.csv"

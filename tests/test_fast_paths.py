@@ -9,8 +9,10 @@ time with one scalar Bartlett standard error per lag, the seven spectral
 methods each dividing gbar_k by lam_k on its own, and each CSV written by
 its own row loop (solutions.csv from a fresh to_grid per method).  The
 windowed selection is checked against the former all-lag path, the rescaled
-autocorrelation against the former unscaled loop, and scoring from rows of
-the run's basis table against reconstruct evaluating each eigenfunction anew.
+autocorrelation against the former unscaled loop, its lag loop against the
+former one centering each window by ndarray.mean, write_table against the
+former writer formatting one cell at a time, and scoring from rows of the
+run's basis table against reconstruct evaluating each eigenfunction anew.
 """
 
 import math
@@ -568,6 +570,34 @@ class TestTruncatedExpansion:
             fr.reconstruct_bhat(ds, es64, selection_report([3, 65]))
 
 
+def former_write_table(header, *columns):
+    """Bytes of the former writer: one repr per cell, one write per row."""
+    rows = zip(*(np.asarray(col).tolist() for col in columns), strict=True)
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        lines.append(",".join("" if v is None else repr(v) for v in row) + "\n")
+    return "".join(lines).encode()
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, -1e300]
+
+
+@st.composite
+def table_columns(draw):
+    """Equal-length columns of every kind the CSV writers pass."""
+    rows = draw(st.integers(0, 40))
+    cells = st.floats() | st.sampled_from(EDGE_FLOATS)
+    kinds = {
+        "range": st.just(range(rows)),
+        "ints": st.lists(st.integers(-(2**40), 2**40), min_size=rows, max_size=rows).map(np.array),
+        "floats": st.lists(cells, min_size=rows, max_size=rows).map(np.array),
+        "with_none": st.lists(st.none() | cells, min_size=rows, max_size=rows),
+        "all_none": st.just([None] * rows),
+    }
+    names = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=5))
+    return [draw(kinds[name]) for name in names]
+
+
 class TestWriteTable:
     @SETTINGS
     @given(coeffs=st.lists(st.floats() | st.integers(-5, 5), max_size=60))
@@ -629,6 +659,35 @@ class TestWriteTable:
         assert path.read_text() == "a,b\n1,\n2,0.5\n"
         with pytest.raises(ValueError):
             fr.write_table(str(path), ("a", "b"), [1, 2], [0.5])
+
+    @SETTINGS
+    @given(columns=table_columns())
+    def test_matches_the_per_cell_writer(self, columns, tmp_path_factory):
+        header = [f"c{i}" for i in range(len(columns))]
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        fr.write_table(str(path), header, *columns)
+        assert path.read_bytes() == former_write_table(header, *columns)
+
+    def test_edge_cells_and_zero_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        columns = (range(len(EDGE_FLOATS)), np.array(EDGE_FLOATS), [None] * len(EDGE_FLOATS),
+                   [None if i % 2 else v for i, v in enumerate(EDGE_FLOATS)])
+        fr.write_table(str(path), ("a", "b", "c", "d"), *columns)
+        assert path.read_bytes() == former_write_table(("a", "b", "c", "d"), *columns)
+        assert path.read_text().splitlines()[4] == "3,-0.0,,"
+        for empty in [(), ([], np.empty(0)), (range(0), [])]:
+            fr.write_table(str(path), "ab", *empty)
+            assert path.read_text() == "a,b\n" == former_write_table("ab", *empty).decode()
+
+    @pytest.mark.parametrize("lengths", [(3, 2), (0, 1), (2, 2, 3)])
+    def test_unequal_columns_raise(self, lengths, tmp_path):
+        with pytest.raises(ValueError):
+            fr.write_table(str(tmp_path / "t.csv"), "abc", *(np.ones(n) for n in lengths))
+
+    @pytest.mark.parametrize("bad", [np.ones((2, 2)), np.float64(1.0), [[1.0], [2.0]]])
+    def test_a_column_that_is_not_1d_raises(self, bad, tmp_path):
+        with pytest.raises(ValueError, match="column 1 must be 1-D"):
+            fr.write_table(str(tmp_path / "t.csv"), ("a", "b"), [1, 2], bad)
 
 
 def former_autocorr_estimate(coeffs):
@@ -693,6 +752,46 @@ def selection_records(draw):
     return g
 
 
+def former_mean_loop(coeffs, last_lag):
+    """autocorr_estimate with each window centered by ndarray.mean."""
+    g = np.asarray(coeffs, dtype=float).ravel()
+    n_count = g.size
+    last_lag = n_count - 1 if last_lag is None else last_lag
+    g = np.ldexp(g, -math.frexp(float(np.max(np.abs(g))))[1])
+    delta = np.full(min(last_lag, n_count - 1) + 1, np.nan)
+    for n in range(delta.size):
+        m = n_count - n
+        if m < 2:
+            continue
+        xc = g[:m] - g[:m].mean()
+        yc = g[n:] - g[n:].mean()
+        den = math.sqrt(float(xc @ xc)) * math.sqrt(float(yc @ yc))
+        if den <= 0:
+            continue
+        delta[n] = float(xc @ yc) / den
+    np.clip(delta, -1.0, 1.0, out=delta)
+    if np.isfinite(delta[0]):
+        delta[0] = 1.0
+    return delta
+
+
+@st.composite
+def lag_records(draw):
+    """Noise, small integers, constant runs, a large offset and subnormal scale."""
+    n = draw(st.integers(2, 200))
+    kind = draw(st.sampled_from(["noise", "integers", "constant_run", "offset", "subnormal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "integers":
+        return rng.integers(-2, 3, n).astype(float)
+    if kind == "constant_run":
+        g = np.full(n, draw(st.floats(-5.0, 5.0)))
+        t = draw(st.integers(1, n))
+        g[:t] = rng.normal(size=t)
+        return g[::-1] if draw(st.booleans()) else g
+    noise = rng.normal(size=n)
+    return {"noise": noise, "offset": 1e8 + noise, "subnormal": 1e-310 * noise}[kind]
+
+
 class TestLagWindowSelection:
     def check(self, g, significance, max_lag, mode, path):
         report = fr.build_selection(g, significance, max_lag, mode)
@@ -743,6 +842,13 @@ class TestLagWindowSelection:
     def test_rescaled_record_keeps_the_bits(self, seed, size, exponent):
         g = np.random.default_rng(seed).uniform(-1.0, 1.0, size) * 10.0**exponent
         assert np.array_equal(fr.autocorr_estimate(g).delta, former_autocorr_estimate(g), equal_nan=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=lag_records(), data=st.data())
+    def test_lag_loop_matches_the_mean_loop(self, g, data):
+        last_lag = data.draw(st.sampled_from([None, 0, fr.default_max_lag(g.size), g.size + 5]))
+        got = fr.autocorr_estimate(g, last_lag).delta
+        assert np.array_equal(got, former_mean_loop(g, last_lag), equal_nan=True)
 
 
 class TestScoringTable:

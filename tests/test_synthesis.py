@@ -180,6 +180,11 @@ class TestNoiseDispersion:
         with pytest.raises(ValueError):
             fr.noise_dispersion(-1.0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            fr.noise_dispersion(eps)
+
 
 class TestSerialization:
     def test_dataset_json_roundtrip(self, es64, grid513):
