@@ -107,11 +107,14 @@ def autocorr_estimate(coeffs: np.ndarray, last_lag: int | None = None) -> Autoco
             continue
         xs = g[:m]
         ys = g[n:]
-        # ndarray.mean's own pairwise sum and division, and the dot kernel that @ runs
-        # on two vectors, each without its Python-level wrapper: the same bits
+        # the pairwise sum and division of ndarray.mean and the dot kernel of @, minus their wrappers
         xc = xs - np.add.reduce(xs) / m
         yc = ys - np.add.reduce(ys) / m
-        den = math.sqrt(float(xc.dot(xc))) * math.sqrt(float(yc.dot(yc)))
+        sxx, syy = float(xc.dot(xc)), float(yc.dot(yc))
+        if sxx < 2.0**-960 or syy < 2.0**-960:  # digits lost to subnormal products: rescale exactly
+            xc, yc = (np.ldexp(v, -math.frexp(float(np.max(np.abs(v))))[1]) for v in (xc, yc))
+            sxx, syy = float(xc.dot(xc)), float(yc.dot(yc))
+        den = math.sqrt(sxx) * math.sqrt(syy)
         if den <= 0:
             continue  # constant window: undefined
         delta[n] = float(xc.dot(yc)) / den

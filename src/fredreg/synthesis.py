@@ -360,8 +360,7 @@ def write_table(path: str, header: Sequence[str], *columns) -> None:
     """CSV of equal-length columns, one row per line.
 
     Each cell is the repr of a Python int or float (numpy values are
-    converted first, so the digits round-trip); None is an empty cell.  A
-    column is formatted by one repr of its list, split back into cells.
+    converted first, so the digits round-trip); None is an empty cell.
     """
     cells = []
     for i, col in enumerate(columns):

@@ -676,13 +676,13 @@ class TestWriteTable:
         assert path.read_bytes() == former_write_table(("a", "b", "c", "d"), *columns)
         assert path.read_text().splitlines()[4] == "3,-0.0,,"
         for empty in [(), ([], np.empty(0)), (range(0), [])]:
-            fr.write_table(str(path), "ab", *empty)
-            assert path.read_text() == "a,b\n" == former_write_table("ab", *empty).decode()
+            fr.write_table(str(path), ("a", "b"), *empty)
+            assert path.read_text() == "a,b\n" == former_write_table(("a", "b"), *empty).decode()
 
     @pytest.mark.parametrize("lengths", [(3, 2), (0, 1), (2, 2, 3)])
     def test_unequal_columns_raise(self, lengths, tmp_path):
         with pytest.raises(ValueError):
-            fr.write_table(str(tmp_path / "t.csv"), "abc", *(np.ones(n) for n in lengths))
+            fr.write_table(str(tmp_path / "t.csv"), ("a", "b", "c"), *(np.ones(n) for n in lengths))
 
     @pytest.mark.parametrize("bad", [np.ones((2, 2)), np.float64(1.0), [[1.0], [2.0]]])
     def test_a_column_that_is_not_1d_raises(self, bad, tmp_path):
@@ -690,24 +690,38 @@ class TestWriteTable:
             fr.write_table(str(tmp_path / "t.csv"), ("a", "b"), [1, 2], bad)
 
 
-def former_autocorr_estimate(coeffs):
+def former_autocorr_estimate(coeffs, last_lag=None, rescale=True):
+    """The former lag loop: each window centered by ndarray.mean, inner
+    products by @; rescale=False is the loop before the power-of-two rescale.
+
+    Returns (delta, tiny): tiny marks the lags whose window sums of squares
+    fell below 2**-960, where products may have lost digits in the
+    subnormals; autocorr_estimate rescales those windows, so only the other
+    lags must keep their bits.
+    """
     g = np.asarray(coeffs, dtype=float).ravel()
     n_count = g.size
-    delta = np.full(n_count, np.nan)
-    for n in range(n_count):
+    last_lag = n_count - 1 if last_lag is None else last_lag
+    if rescale:
+        g = np.ldexp(g, -math.frexp(float(np.max(np.abs(g))))[1])
+    delta = np.full(min(last_lag, n_count - 1) + 1, np.nan)
+    tiny = np.zeros(delta.size, dtype=bool)
+    for n in range(delta.size):
         m = n_count - n
         if m < 2:
             continue
         xc = g[:m] - g[:m].mean()
         yc = g[n:] - g[n:].mean()
-        den = math.sqrt(float(xc @ xc)) * math.sqrt(float(yc @ yc))
+        sxx, syy = float(xc @ xc), float(yc @ yc)
+        tiny[n] = min(sxx, syy) < 2.0**-960
+        den = math.sqrt(sxx) * math.sqrt(syy)
         if den <= 0:
             continue
         delta[n] = float(xc @ yc) / den
     np.clip(delta, -1.0, 1.0, out=delta)
     if np.isfinite(delta[0]):
         delta[0] = 1.0
-    return delta
+    return delta, tiny
 
 
 def former_build_selection(coeffs, significance, max_lag, randomness_test):
@@ -750,29 +764,6 @@ def selection_records(draw):
     else:
         g[-t:] = rng.normal(size=t)
     return g
-
-
-def former_mean_loop(coeffs, last_lag):
-    """autocorr_estimate with each window centered by ndarray.mean."""
-    g = np.asarray(coeffs, dtype=float).ravel()
-    n_count = g.size
-    last_lag = n_count - 1 if last_lag is None else last_lag
-    g = np.ldexp(g, -math.frexp(float(np.max(np.abs(g))))[1])
-    delta = np.full(min(last_lag, n_count - 1) + 1, np.nan)
-    for n in range(delta.size):
-        m = n_count - n
-        if m < 2:
-            continue
-        xc = g[:m] - g[:m].mean()
-        yc = g[n:] - g[n:].mean()
-        den = math.sqrt(float(xc @ xc)) * math.sqrt(float(yc @ yc))
-        if den <= 0:
-            continue
-        delta[n] = float(xc @ yc) / den
-    np.clip(delta, -1.0, 1.0, out=delta)
-    if np.isfinite(delta[0]):
-        delta[0] = 1.0
-    return delta
 
 
 @st.composite
@@ -841,14 +832,24 @@ class TestLagWindowSelection:
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 200), exponent=st.integers(-8, 8))
     def test_rescaled_record_keeps_the_bits(self, seed, size, exponent):
         g = np.random.default_rng(seed).uniform(-1.0, 1.0, size) * 10.0**exponent
-        assert np.array_equal(fr.autocorr_estimate(g).delta, former_autocorr_estimate(g), equal_nan=True)
+        want, tiny = former_autocorr_estimate(g, rescale=False)
+        assert not tiny.any() and np.array_equal(fr.autocorr_estimate(g).delta, want, equal_nan=True)
 
     @settings(max_examples=60, deadline=None)
     @given(g=lag_records(), data=st.data())
     def test_lag_loop_matches_the_mean_loop(self, g, data):
         last_lag = data.draw(st.sampled_from([None, 0, fr.default_max_lag(g.size), g.size + 5]))
         got = fr.autocorr_estimate(g, last_lag).delta
-        assert np.array_equal(got, former_mean_loop(g, last_lag), equal_nan=True)
+        want, tiny = former_autocorr_estimate(g, last_lag)
+        assert np.array_equal(got[~tiny], want[~tiny], equal_nan=True)
+
+    @pytest.mark.parametrize("scale", [1.0, 1.5, 1e-6, 1e6])
+    def test_windows_with_subnormal_products_keep_their_digits(self, scale):
+        # lag 1 pairs (0,..,0,t) with (0,..,t,1024): both centered windows point the same
+        # way, but t^2 ~ 1e-317 after the record's rescale, so the former loop read 0.99999988
+        g = scale * np.array([0.0] * 6 + [1.617691314167889e-155, 1024.0])
+        _, tiny = former_autocorr_estimate(g)
+        assert tiny[1] and fr.autocorr_estimate(g).delta[1] == 1.0
 
 
 class TestScoringTable:

@@ -181,7 +181,10 @@ class TestDetectPlateau:
 
         def is_flat(lo, hi):
             seg = values[lo : hi + 1]
-            return seg.max() <= (1 + flatness) * seg.min()
+            # the documented max/min <= 1 + flatness, rounded as detect_plateau rounds it;
+            # a subnormal min overflows the ratio to inf: not flat
+            with np.errstate(over="ignore"):
+                return seg.max() / seg.min() <= 1 + flatness
 
         n = values.size
         brute = []
