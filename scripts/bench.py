@@ -18,7 +18,7 @@ commit exported with `git archive` can be measured by the same script.
 Wall times are the median of --repeats runs; every run is kept.  The file is
 written to the root of the repository that holds this script.
 
-With --parent DIR, the parent checkout is measured in the same session and
+With --parent DIR, the parent checkout is measured in the same invocation and
 written to BENCH_<tag>-parent.json: every perfbench pass (one workload, one
 trace setting) and every wall-time run alternates between the two checkouts,
 and the one that goes first swaps on each step, so a drift in host speed
