@@ -10,17 +10,20 @@ The file holds, for the checkout under --root (default: this repository):
 - wall times of fresh `fredreg run` processes: `--preset example1 --seeds 100`
   with and without `--out`, and `--preset example3 --seeds 100`;
 - the wall time of `scripts/null_control.py`;
+- the peak RSS (`ru_maxrss`) of fresh processes that each run
+  `run_experiment(preset("example1", seeds=range(n)))` in process, for n in
+  100 and 3000;
 - the `src/` line count, the git sha, the numpy and scipy versions and nproc.
 
 Every command runs in a fresh process from the measured checkout's own
 files (its `perfbench/run.py`, its `src/` and its `scripts/`), so a parent
 commit exported with `git archive` can be measured by the same script.
-Wall times are the median of --repeats runs; every run is kept.  The file is
+Wall times and peak RSS are the median of --repeats runs; every run is kept.  The file is
 written to the root of the repository that holds this script.
 
 With --parent DIR, the parent checkout is measured in the same invocation and
 written to BENCH_<tag>-parent.json: every perfbench pass (one workload, one
-trace setting) and every wall-time run alternates between the two checkouts,
+trace setting) and every wall-time or RSS run alternates between the two checkouts,
 and the one that goes first swaps on each step, so a drift in host speed
 reaches both files alike.
 
@@ -47,6 +50,12 @@ import numpy
 import scipy
 
 HERE = Path(__file__).resolve().parents[1]
+RSS_SEEDS = (100, 3000)
+RSS_PROBE = """import resource
+from fredreg.harness import preset, run_experiment
+run_experiment(preset("example1", seeds=range({n})))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+"""
 HEADER = re.compile(r"^(\S+) seed \d+: (\d+) operations, (\d+) records, (\d+) failed")
 METRIC = re.compile(r"^\s+(\S+)\s+(\S+)\s+(\S+)$")
 
@@ -70,6 +79,13 @@ def perfbench(root: Path, workload: str, seconds: float, trace: int) -> tuple[di
         elif m := METRIC.match(line):
             current[section][m[1]] = {"value": float(m[2]), "unit": m[3]}
     return workloads, out.returncode
+
+
+def peak_rss_mb(n: int, root: Path) -> float:
+    """Peak RSS in MB (ru_maxrss / 1024, as perfbench reads it) of a fresh process running n example1 seeds."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = [sys.executable, "-c", RSS_PROBE.format(n=n)]
+    return float(subprocess.run(argv, cwd=root, env=env, stdout=subprocess.PIPE, text=True, check=True).stdout)
 
 
 def wall_time(argv: list[str], root: Path) -> float:
@@ -96,10 +112,22 @@ class Alternation:
         return out
 
 
+def repeated(probe, each: Alternation, repeats: int) -> list[tuple[float, list[float]]]:
+    """Per checkout: the median and every value of `repeats` alternated calls of probe(root)."""
+    runs = list(zip(*(each(probe) for _ in range(repeats))))
+    return [(statistics.median(r), list(r)) for r in runs]
+
+
 def wall_times(argv: list[str], each: Alternation, repeats: int) -> list[dict]:
     """Per checkout: the median and every run of `repeats` fresh processes."""
-    runs = list(zip(*(each(lambda root: wall_time(argv, root)) for _ in range(repeats))))
-    return [{"command": " ".join(argv[1:]), "median_s": statistics.median(r), "runs_s": list(r)} for r in runs]
+    runs = repeated(lambda root: wall_time(argv, root), each, repeats)
+    return [{"command": " ".join(argv[1:]), "median_s": median, "runs_s": r} for median, r in runs]
+
+
+def peak_rss(n: int, each: Alternation, repeats: int) -> list[dict]:
+    """Per checkout: the median and every peak RSS of `repeats` fresh processes running n seeds."""
+    runs = repeated(lambda root: peak_rss_mb(n, root), each, repeats)
+    return [{"seeds": n, "median_mb": median, "runs_mb": r} for median, r in runs]
 
 
 def git_sha(root: Path) -> str | None:
@@ -142,6 +170,7 @@ def main() -> int:
         "null_control": [sys.executable, "scripts/null_control.py"],
     }
     wall = {name: wall_times(argv, each, args.repeats) for name, argv in probes.items()}
+    rss = {f"run_experiment_example1_{n}": peak_rss(n, each, args.repeats) for n in RSS_SEEDS}
     status = 0
     for i, (tag, root, sha) in enumerate(checkouts):
         (e2e, layers), (status0, status1) = metrics[i], codes[i]
@@ -162,6 +191,7 @@ def main() -> int:
                 "per_layer": {name: w["metrics"] for name, w in layers.items()},
             },
             "wall": {name: runs[i] for name, runs in wall.items()},
+            "rss": {name: runs[i] for name, runs in rss.items()},
         }
         path = HERE / f"BENCH_{tag}.json"
         path.write_text(json.dumps(bench, indent=2) + "\n")

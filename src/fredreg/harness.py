@@ -4,8 +4,11 @@ Presets example1..example4 encode the reference experiments (signal, noise
 bound, record length); each run builds its seed-invariant context once, draws
 a dataset per seed, applies the requested reconstruction methods, and records
 relative L2 errors on the grid together with the cutoff indices and the
-selection report.  Outputs are plain CSV/JSON and byte-deterministic for a
-fixed config.
+selection report.  With an output_dir, run_experiment writes each seed's CSVs
+under seeds/<seed>/ while that seed's dataset and grid values are live, so a
+record keeps only what report.json serializes; emit_outputs then copies the
+first seed's CSVs to the top level and writes the JSON files.  Outputs are
+plain CSV/JSON and byte-deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .eigensystem import EigenSystem, analytic_eigensystem, simpson_grid
 from .selection import SelectionReport, build_selection, reconstruct_bhat
 from .spectral import cumulative_profile, f0_approximation
 from .synthesis import (  # noqa: F401  synthesize_dataset stays importable from here
-    NoisyDataset,
     SignalContext,
     SignalSpec,
     noise_dispersion,
@@ -220,11 +222,7 @@ class RunRecord:
     k_beta: int | None = None
     k0: int | None = None
     selection: SelectionReport | None = None
-    # not serialized: outputs stay byte-deterministic; grids maps each method to its values on the grid
-    wall_time_s: float = 0.0
-    grids: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
-    dataset: NoisyDataset | None = field(default=None, repr=False, compare=False)
-    context: RunContext | None = field(default=None, repr=False, compare=False)
+    wall_time_s: float = 0.0  # not serialized: outputs stay byte-deterministic
 
     def to_json_dict(self) -> dict:
         d = {
@@ -270,11 +268,20 @@ def _on_grid(sol, table):
     return out
 
 
+def _seed_files(out_dir: Path, rec: RunRecord) -> list[Path]:
+    """The CSVs of one record under seeds/<seed>/; autocorr.csv only with a selection."""
+    into = out_dir / "seeds" / str(rec.seed)
+    names = ("coefficients.csv", "profile.csv", "autocorr.csv", "solutions.csv")
+    return [into / name for name in names if name != "autocorr.csv" or rec.selection is not None]
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
     """Deterministic batch: build the run context once, then per seed draw the
     noise, run each method and score its error on the grid.
 
-    Per-method failures are recorded on the RunRecord, never fatal to the batch.
+    With cfg.output_dir set, each seed's CSVs are written under seeds/<seed>/
+    before the next seed is drawn.  Per-method failures are recorded on the
+    RunRecord, never fatal to the batch.
     """
     ctx = run_context(cfg)
     grid, f_vals = ctx.data.grid, ctx.data.f_vals
@@ -283,7 +290,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
     for seed in cfg.seeds:
         t0 = time.perf_counter()
         ds = ctx.data.draw(cfg.epsilon, seed, cfg.noise_mode)
-        record = RunRecord(seed=seed, snr_db=base_snr, dataset=ds, context=ctx)
+        record = RunRecord(seed=seed, snr_db=base_snr)
+        grids = {}  # method -> its values on the grid
         for name in cfg.methods:
             try:
                 sol = METHODS[name](ds, ctx, record)
@@ -293,9 +301,18 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
             for attr in CUTOFFS:
                 if attr in sol.params:
                     setattr(record, attr, int(sol.params[attr]))
-            record.grids[name] = _on_grid(sol, ctx.table)
-            record.rel_l2[name] = grid.norm(record.grids[name] - f_vals) / ctx.f_norm
+            grids[name] = _on_grid(sol, ctx.table)
+            record.rel_l2[name] = grid.norm(grids[name] - f_vals) / ctx.f_norm
         record.wall_time_s = time.perf_counter() - t0
+        if cfg.output_dir is not None:
+            coeffs_csv, profile_csv, *autocorr_csv, solutions_csv = _seed_files(Path(cfg.output_dir), record)
+            coeffs_csv.parent.mkdir(parents=True, exist_ok=True)
+            write_coeffs_csv(str(coeffs_csv), ds.coeffs)
+            cumulative_profile(ds, ctx.data.es).write_csv(str(profile_csv))
+            for path in autocorr_csv:
+                record.selection.write_autocorr_csv(str(path))
+            names = sorted(grids)
+            write_table(str(solutions_csv), ("x", "f_true", *names), grid.points, f_vals, *(grids[n] for n in names))
         records.append(record)
     return records
 
@@ -362,52 +379,36 @@ def summarize(records: list[RunRecord] | list[dict], true_support: tuple[int, ..
 
 
 def emit_outputs(records: list[RunRecord], summary: dict, cfg: ExperimentConfig) -> list[Path]:
-    """Write per-seed CSVs, summary and manifest JSON under cfg.output_dir.
+    """Copy the first seed's CSVs to the top level of cfg.output_dir and write
+    report.json, summary.json and manifest.json there.
 
-    Every seed writes autocorr.csv / profile.csv / solutions.csv /
-    coefficients.csv under seeds/<seed>/; the top-level files of those names
-    are copies of the first seed's.
-    The records must come from run_experiment: each carries its dataset, the
-    run context it was drawn from and its methods' values on the grid.
-    Returns the list of written paths (also recorded in manifest.json).
+    run_experiment(cfg) has already written every seed's autocorr.csv /
+    profile.csv / solutions.csv / coefficients.csv under seeds/<seed>/.  A
+    seed file that is not there (the records came from a run without this
+    output_dir) raises FileNotFoundError naming it, so the manifest never
+    lists a file the run did not write.  Returns the list of written paths,
+    seed files included (also recorded in manifest.json).
     """
     if cfg.output_dir is None:
         raise ValueError("config has no output_dir")
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    def target(path: Path) -> Path:
-        written.append(path)
-        return path
-
-    def emit_seed(rec: RunRecord, into: Path) -> list[Path]:
-        if rec.dataset is None or rec.context is None:
-            raise ValueError(f"record for seed {rec.seed} has no dataset; emit records from run_experiment")
-        into.mkdir(parents=True, exist_ok=True)
-        first = len(written)
-        write_coeffs_csv(str(target(into / "coefficients.csv")), rec.dataset.coeffs)
-        cumulative_profile(rec.dataset, rec.context.data.es).write_csv(str(target(into / "profile.csv")))
-        if rec.selection is not None:
-            rec.selection.write_autocorr_csv(str(target(into / "autocorr.csv")))
-        names = sorted(rec.grids)
-        columns = [rec.context.data.grid.points, rec.context.data.f_vals, *(rec.grids[n] for n in names)]
-        write_table(str(target(into / "solutions.csv")), ("x", "f_true", *names), *columns)
-        return written[first:]
-
-    for i, rec in enumerate(records):
-        paths = emit_seed(rec, out_dir / "seeds" / str(rec.seed))
-        if i == 0:
-            for path in paths:
-                shutil.copyfile(path, target(out_dir / path.name))
+    seed_files = [_seed_files(out_dir, rec) for rec in records]
+    written = [path for paths in seed_files for path in paths]
+    missing = [path for path in written if not path.is_file()]
+    if missing:
+        raise FileNotFoundError(f"{missing[0]} was not written: run_experiment writes it when cfg.output_dir is set")
+    for path in seed_files[0] if seed_files else []:
+        shutil.copyfile(path, out_dir / path.name)
+        written.append(out_dir / path.name)
 
     report = {"config": cfg.to_json_dict(), "records": [r.to_json_dict() for r in records]}
-    target(out_dir / "report.json").write_text(json.dumps(report, indent=2))
-    target(out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
+    (out_dir / "report.json").write_text(json.dumps(report, indent=2))
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
+    written += [out_dir / "report.json", out_dir / "summary.json"]
     manifest = {
         "config": cfg.to_json_dict(),
         "config_hash": config_hash(cfg),
         "files": sorted(str(p.relative_to(out_dir)) for p in written),
     }
-    target(out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    return written
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    return written + [out_dir / "manifest.json"]

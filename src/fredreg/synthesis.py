@@ -17,7 +17,6 @@ seeded PCG64 generator (numpy default_rng) and can be injected in two ways:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,8 +37,6 @@ __all__ = [
     "synthesize_dataset",
     "snr_db",
     "noise_dispersion",
-    "dataset_to_json",
-    "dataset_from_json",
     "write_coeffs_csv",
     "read_coeffs_csv",
     "write_table",
@@ -208,8 +205,8 @@ def add_noise(
     grid Nyquist index; in pointwise mode it enters the grid values, which
     are then projected.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    if not (np.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     g = np.asarray(g, dtype=float)
     g_coeffs = np.asarray(g_coeffs, dtype=float)
     n_coeff = g_coeffs.size
@@ -308,31 +305,6 @@ def noise_dispersion(epsilon: float) -> float:
     if not (np.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     return epsilon / np.sqrt(3.0)
-
-
-def dataset_to_json(ds: NoisyDataset) -> str:
-    return json.dumps(
-        {
-            "epsilon": ds.epsilon,
-            "seed": ds.seed,
-            "n_coeff": ds.n_coeff,
-            "noise_mode": ds.noise_mode,
-            "coeffs": ds.coeffs.tolist(),
-            "grid_values": ds.g_bar.tolist(),
-        }
-    )
-
-
-def dataset_from_json(text: str) -> NoisyDataset:
-    d = json.loads(text)
-    return NoisyDataset(
-        g_bar=np.asarray(d["grid_values"], dtype=float),
-        coeffs=np.asarray(d["coeffs"], dtype=float),
-        epsilon=float(d["epsilon"]),
-        seed=int(d["seed"]),
-        n_coeff=int(d["n_coeff"]),
-        noise_mode=d.get("noise_mode", "coefficient"),
-    )
 
 
 def write_coeffs_csv(path: str, coeffs: np.ndarray) -> None:

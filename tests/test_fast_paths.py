@@ -151,13 +151,13 @@ class TestRunContextDatasets:
         assert np.array_equal(lib.g_bar, g_bar) and np.array_equal(lib.coeffs, coeffs)
         assert np.array_equal(lib_f, f_vals) and np.array_equal(lib_g, g_coeffs)
 
-    def test_records_keep_their_datasets(self):
-        cfg = fr.preset("example1", seeds=(4, 5))
+    def test_records_keep_their_datasets(self, tmp_path):
+        cfg = fr.preset("example1", seeds=(4, 5), output_dir=str(tmp_path))
         records = fr.run_experiment(cfg)
+        ctx = fr.run_context(cfg)
         for rec in records:
-            ds = rec.context.data.draw(cfg.epsilon, rec.seed)
-            assert np.array_equal(rec.dataset.coeffs, ds.coeffs)
-            assert rec.context is records[0].context
+            emitted = fr.read_coeffs_csv(str(tmp_path / "seeds" / str(rec.seed) / "coefficients.csv"))
+            assert np.array_equal(emitted, ctx.data.draw(cfg.epsilon, rec.seed).coeffs)
 
 
 def former_stderr(series, n0, n):
@@ -435,8 +435,7 @@ def former_solution_csv(sol):
     return "".join(rows)
 
 
-def former_solutions_csv(record, solutions):
-    ctx = record.context
+def former_solutions_csv(ctx, solutions):
     grid, f_vals = ctx.data.grid, ctx.data.f_vals
     columns = ["x", "f_true"] + sorted(solutions)
     grids = {name: sol.to_grid(ctx.es, grid) for name, sol in solutions.items()}
@@ -641,17 +640,19 @@ class TestWriteTable:
         records = fr.run_experiment(cfg)
         fr.emit_outputs(records, fr.summarize(records), cfg)
         (rec,) = records
+        ctx = fr.run_context(cfg)
+        ds = ctx.data.draw(cfg.epsilon, seed, cfg.noise_mode)
         into = out / "seeds" / str(seed)
-        assert (into / "coefficients.csv").read_text() == former_coeffs_csv(rec.dataset.coeffs)
-        profile = former_profile(rec.dataset, rec.context.data.es)
+        assert (into / "coefficients.csv").read_text() == former_coeffs_csv(ds.coeffs)
+        profile = former_profile(ds, ctx.data.es)
         assert (into / "profile.csv").read_text() == former_profile_csv(profile)
         sel = rec.selection
         if sel is not None:
-            want = former_autocorr_csv(fr.autocorr_estimate(rec.dataset.coeffs), sel.n0, sel.significance)
+            want = former_autocorr_csv(fr.autocorr_estimate(ds.coeffs), sel.n0, sel.significance)
             assert (into / "autocorr.csv").read_text() == want
-        solutions = {name: METHODS[name](rec.dataset, rec.context, rec) for name in rec.grids}
-        assert sorted(solutions) == sorted(set(cfg.methods) - set(rec.failures))
-        assert (into / "solutions.csv").read_text() == former_solutions_csv(rec, solutions)
+        solutions = {name: METHODS[name](ds, ctx, rec) for name in cfg.methods if name not in rec.failures}
+        assert sorted(solutions) == sorted(rec.rel_l2)
+        assert (into / "solutions.csv").read_text() == former_solutions_csv(ctx, solutions)
 
     def test_none_is_an_empty_cell_and_columns_must_match(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -865,11 +866,14 @@ class TestScoringTable:
         assert np.array_equal(_on_grid(sol, es.basis_matrix(grid.points)), fr.reconstruct(sol.coeffs, es, grid))
 
     def test_run_scores_from_its_table(self):
-        records = fr.run_experiment(fr.preset("example3", seeds=(0, 1)))
-        ctx = records[0].context
-        assert np.array_equal(ctx.table, ctx.es.basis_matrix(ctx.data.grid.points))
+        cfg = fr.preset("example3", seeds=(0, 1))
+        records = fr.run_experiment(cfg)
+        ctx = fr.run_context(cfg)
+        grid = ctx.data.grid
+        assert np.array_equal(ctx.table, ctx.es.basis_matrix(grid.points))
         for rec in records:
-            assert sorted(rec.grids) == sorted(fr.ALL_METHODS)
-            for name, values in rec.grids.items():
-                sol = METHODS[name](rec.dataset, ctx, rec)
-                assert np.array_equal(values, sol.to_grid(ctx.es, ctx.data.grid))
+            ds = ctx.data.draw(cfg.epsilon, rec.seed, cfg.noise_mode)
+            assert sorted(rec.rel_l2) == sorted(fr.ALL_METHODS)
+            for name, err in rec.rel_l2.items():
+                values = METHODS[name](ds, ctx, rec).to_grid(ctx.es, grid)
+                assert err == grid.norm(values - ctx.data.f_vals) / ctx.f_norm

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +112,11 @@ class TestRunExperiment:
         assert rec.selection.I_k == [1, 2, 3, 4]
         assert set(rec.rel_l2) == set(fr.ALL_METHODS)
         assert all(e >= 0 and np.isfinite(e) for e in rec.rel_l2.values())
+
+    def test_record_fields_are_its_serialized_keys(self, example1_records):
+        _, records = example1_records
+        names = {f.name for f in dataclasses.fields(fr.RunRecord)}
+        assert names == set(records[0].to_json_dict()) | {"wall_time_s"}
 
     def test_blp_equals_tikhonov_identity(self, example1_records):
         _, records = example1_records
@@ -257,6 +264,14 @@ class TestEmitOutputs:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert not [f for f in manifest["files"] if "stale" in f]
         assert len(manifest["files"]) == 10
+
+    def test_records_from_a_run_without_output_dir_are_refused(self, example1_records, tmp_path):
+        cfg, records = example1_records
+        out_cfg = dataclasses.replace(cfg, output_dir=str(tmp_path))
+        missing = tmp_path / "seeds" / str(cfg.seeds[0]) / "coefficients.csv"
+        with pytest.raises(FileNotFoundError, match=re.escape(str(missing))):
+            fr.emit_outputs(records, fr.summarize(records), out_cfg)
+        assert list(tmp_path.iterdir()) == []
 
     def test_report_excludes_wall_time(self, emitted):
         out, _, _ = emitted

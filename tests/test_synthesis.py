@@ -133,6 +133,12 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             fr.add_noise(np.zeros(513), 1e-4, 0, **precomputed(np.zeros(513), es64, grid513, 64), noise_mode="spectral")
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_epsilon_rejected(self, es64, grid513, eps):
+        g = np.zeros(513)
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            fr.add_noise(g, eps, 0, **precomputed(g, es64, grid513, 40))
+
 
 class TestNoisyDataset:
     @pytest.mark.parametrize("field", ["coeffs", "g_bar"])
@@ -187,13 +193,6 @@ class TestNoiseDispersion:
 
 
 class TestSerialization:
-    def test_dataset_json_roundtrip(self, es64, grid513):
-        ds, _, _ = fr.synthesize_dataset(fr.SignalSpec.named("f1"), es64, grid513, 1e-4, 21, 40)
-        back = fr.dataset_from_json(fr.dataset_to_json(ds))
-        npt.assert_array_equal(back.coeffs, ds.coeffs)
-        npt.assert_array_equal(back.g_bar, ds.g_bar)
-        assert back.seed == ds.seed and back.epsilon == ds.epsilon
-
     @pytest.mark.parametrize("rows", [["3,1.0", "1,2.0", "2,3.0"], ["1,1.0", "2,2.0", "4,3.0"], ["0,1.0"]])
     def test_coeffs_csv_k_must_run_from_one_in_order(self, tmp_path, rows):
         path = tmp_path / "c.csv"
