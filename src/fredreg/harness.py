@@ -1,14 +1,20 @@
 """Experiment runner: seeded Monte-Carlo batches over signals, noise, methods.
 
 Presets example1..example4 encode the reference experiments (signal, noise
-bound, record length); each run builds its seed-invariant context once, draws
-a dataset per seed, applies the requested reconstruction methods, and records
+bound, record length); each run takes its seed-invariant context, draws a
+dataset per seed, applies the requested reconstruction methods, and records
 relative L2 errors on the grid together with the cutoff indices and the
-selection report.  With an output_dir, run_experiment writes each seed's CSVs
-under seeds/<seed>/ while that seed's dataset and grid values are live, so a
-record keeps only what report.json serializes; emit_outputs then copies the
-first seed's CSVs to the top level and writes the JSON files.  Outputs are
-plain CSV/JSON and byte-deterministic for a fixed config.
+selection report.  The context's tables (grid, eigensystems, psi_k table, f,
+g_k, g) depend only on the signal, n_coeff, grid_size and n_max, so repeated
+calls on one signal share them: a process-wide cache holds the tables of the
+last such key (one entry) and its arrays are read-only.
+
+With an output_dir, run_experiment writes each seed's CSVs under
+seeds/<seed>/ while that seed's dataset and grid values are live, so a record
+keeps only what report.json serializes and the directory it wrote;
+emit_outputs then copies the first seed's CSVs to the top level and writes
+the JSON files, refusing seed files that the records' run did not write.
+Outputs are plain CSV/JSON and byte-deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import json
 import shutil
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -64,11 +70,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RunContext:
-    """Seed-invariant half of a run, built once and shared by its records."""
+    """Seed-invariant half of a run, shared by its records; its arrays are read-only."""
 
     data: SignalContext  # grid, record eigensystem (k <= n_coeff), psi_k table, f, g_k, g
     es: EigenSystem  # reconstruction basis, k <= n_max: coefficients beyond it are noise-dominated
-    table: np.ndarray  # es.basis_matrix(grid points): row k-1 is psi_k on the grid
+    table: np.ndarray  # data.basis[:es.count]: row k-1 is psi_k on the grid
     f_norm: float
     E: float
     c1: float
@@ -223,6 +229,8 @@ class RunRecord:
     k0: int | None = None
     selection: SelectionReport | None = None
     wall_time_s: float = 0.0  # not serialized: outputs stay byte-deterministic
+    # not serialized: the seeds/<seed>/ directory run_experiment wrote this record's CSVs to
+    seed_dir: Path | None = field(default=None, init=False, compare=False)
 
     def to_json_dict(self) -> dict:
         d = {
@@ -239,18 +247,49 @@ class RunRecord:
         return d
 
 
+# The one entry of the process-wide cache: (signal JSON, n_coeff, grid_size,
+# n_max) -> the read-only (data, es, table) of run_context.  One entry keeps no
+# more alive than the last run did; it is emptied before a miss builds, so two
+# entries never coexist.
+_TABLES: dict = {}
+
+
+def _seed_invariant_tables(cfg: ExperimentConfig) -> tuple[SignalContext, EigenSystem, np.ndarray]:
+    """The grid, both eigensystems, the psi_k table, f, g_k and g of cfg, built on a miss."""
+    signal = json.dumps(cfg.signal.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    key = (signal, cfg.n_coeff, cfg.grid_size, cfg.n_max)
+    tables = _TABLES.get(key)
+    if tables is None:
+        _TABLES.clear()
+        grid = simpson_grid(cfg.grid_size)
+        data = signal_context(cfg.signal, analytic_eigensystem(cfg.n_coeff), grid, cfg.n_coeff)
+        es = analytic_eigensystem(min(cfg.n_max, cfg.n_coeff))
+        # a grid-tabulated f is the caller's own array: freeze a copy of it
+        data = replace(data, f_vals=np.array(data.f_vals))
+        for a in (grid.points, grid.weights, data.es.eigenvalues, data.basis, data.f_vals,
+                  data.g_coeffs, data.g_vals, es.eigenvalues):
+            a.flags.writeable = False
+        # psi_k depends on k and x alone, so the first es.count rows of the record's
+        # table are the reconstruction basis on the grid
+        tables = _TABLES[key] = (data, es, data.basis[: es.count])
+    return tables
+
+
 def run_context(cfg: ExperimentConfig) -> RunContext:
-    """Grid, both eigensystems, the psi_k table, f, ||f||, g_k and g: once per run."""
-    grid = simpson_grid(cfg.grid_size)
-    data = signal_context(cfg.signal, analytic_eigensystem(cfg.n_coeff), grid, cfg.n_coeff)
-    es = analytic_eigensystem(min(cfg.n_max, cfg.n_coeff))
-    f_norm = grid.norm(data.f_vals)
+    """Grid, both eigensystems, the psi_k table, f, ||f||, g_k and g.
+
+    The tables depend only on the signal, n_coeff, grid_size and n_max: calls
+    that share them share one read-only copy (see _TABLES); the scalars are
+    computed per call.
+    """
+    data, es, table = _seed_invariant_tables(cfg)
+    f_norm = data.grid.norm(data.f_vals)
     if f_norm == 0 and cfg.E_override is None:
         f_norm = 1.0  # zero signal: errors become absolute, bounds need overrides
     return RunContext(
         data=data,
         es=es,
-        table=es.basis_matrix(grid.points),
+        table=table,
         f_norm=f_norm,
         E=cfg.E_override if cfg.E_override is not None else f_norm,
         # 1e-9 headroom: quadrature-level Parseval rounding must not truncate the
@@ -306,7 +345,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
         record.wall_time_s = time.perf_counter() - t0
         if cfg.output_dir is not None:
             coeffs_csv, profile_csv, *autocorr_csv, solutions_csv = _seed_files(Path(cfg.output_dir), record)
-            coeffs_csv.parent.mkdir(parents=True, exist_ok=True)
+            record.seed_dir = coeffs_csv.parent
+            record.seed_dir.mkdir(parents=True, exist_ok=True)
             write_coeffs_csv(str(coeffs_csv), ds.coeffs)
             cumulative_profile(ds, ctx.data.es).write_csv(str(profile_csv))
             for path in autocorr_csv:
@@ -385,9 +425,11 @@ def emit_outputs(records: list[RunRecord], summary: dict, cfg: ExperimentConfig)
     run_experiment(cfg) has already written every seed's autocorr.csv /
     profile.csv / solutions.csv / coefficients.csv under seeds/<seed>/.  A
     seed file that is not there (the records came from a run without this
-    output_dir) raises FileNotFoundError naming it, so the manifest never
-    lists a file the run did not write.  Returns the list of written paths,
-    seed files included (also recorded in manifest.json).
+    output_dir) raises FileNotFoundError naming it, and a seed directory the
+    records' run did not write (an earlier run's files) raises ValueError
+    naming the seed, so the manifest never lists a file the run did not write.
+    Returns the list of written paths, seed files included (also recorded in
+    manifest.json).
     """
     if cfg.output_dir is None:
         raise ValueError("config has no output_dir")
@@ -397,6 +439,12 @@ def emit_outputs(records: list[RunRecord], summary: dict, cfg: ExperimentConfig)
     missing = [path for path in written if not path.is_file()]
     if missing:
         raise FileNotFoundError(f"{missing[0]} was not written: run_experiment writes it when cfg.output_dir is set")
+    for rec, paths in zip(records, seed_files):
+        if rec.seed_dir != paths[0].parent:
+            raise ValueError(
+                f"seed {rec.seed}: {paths[0].parent} holds files this record's run did not write; "
+                "run_experiment writes them when cfg.output_dir is set"
+            )
     for path in seed_files[0] if seed_files else []:
         shutil.copyfile(path, out_dir / path.name)
         written.append(out_dir / path.name)

@@ -4,8 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fredreg as fr
+from fredreg import harness
 from fredreg.harness import ExperimentConfig, config_hash, preset
 
 
@@ -116,7 +119,7 @@ class TestRunExperiment:
     def test_record_fields_are_its_serialized_keys(self, example1_records):
         _, records = example1_records
         names = {f.name for f in dataclasses.fields(fr.RunRecord)}
-        assert names == set(records[0].to_json_dict()) | {"wall_time_s"}
+        assert names == set(records[0].to_json_dict()) | {"wall_time_s", "seed_dir"}
 
     def test_blp_equals_tikhonov_identity(self, example1_records):
         _, records = example1_records
@@ -273,6 +276,18 @@ class TestEmitOutputs:
             fr.emit_outputs(records, fr.summarize(records), out_cfg)
         assert list(tmp_path.iterdir()) == []
 
+    def test_an_earlier_runs_seed_files_are_refused(self, tmp_path):
+        cfg = preset("example1", seeds=(0,), output_dir=str(tmp_path))
+        records = fr.run_experiment(cfg)
+        fr.emit_outputs(records, fr.summarize(records), cfg)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        other = dataclasses.replace(cfg, epsilon=1e-3, output_dir=None)
+        stale = fr.run_experiment(other)
+        assert stale[0].seed_dir is None
+        with pytest.raises(ValueError, match="seed 0: "):
+            fr.emit_outputs(stale, fr.summarize(stale), dataclasses.replace(other, output_dir=str(tmp_path)))
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
     def test_report_excludes_wall_time(self, emitted):
         out, _, _ = emitted
         report = json.loads((out / "report.json").read_text())
@@ -286,3 +301,87 @@ class TestEmitOutputs:
         for name in ("autocorr.csv", "profile.csv", "solutions.csv", "coefficients.csv",
                      "report.json", "summary.json", "manifest.json"):
             assert (tmp_path / "rerun" / name).read_bytes() == (out / name).read_bytes()
+
+
+def _records_and_csvs(cfg, out):
+    """run_experiment(cfg) into out: its records as JSON text and the bytes of every CSV written."""
+    records = fr.run_experiment(dataclasses.replace(cfg, output_dir=str(out)))
+    csvs = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*.csv"))}
+    return json.dumps([r.to_json_dict() for r in records]), csvs
+
+
+small_signals = st.one_of(
+    st.sampled_from(fr.NAMED_SIGNALS).map(fr.SignalSpec.named),
+    st.lists(
+        # a zero signal is left out: snr_db takes log10(0) for it (a separate defect)
+        st.tuples(st.floats(-50, 50).filter(lambda a: abs(a) >= 0.5), st.integers(1, 40)),
+        min_size=1, max_size=4, unique_by=lambda t: t[1],
+    ).map(fr.SignalSpec.sines),
+)
+small_configs = st.builds(
+    ExperimentConfig,
+    signal=small_signals,
+    epsilon=st.sampled_from([0.0, 1e-4, 1e-3, 3e-3]),
+    n_coeff=st.integers(8, 64),
+    grid_size=st.sampled_from([65, 129]),
+    n_max=st.integers(4, 40),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2, unique=True).map(tuple),
+    methods=st.sets(st.sampled_from(fr.ALL_METHODS), min_size=1).map(lambda m: tuple(sorted(m))),
+    noise_mode=st.sampled_from(["coefficient", "pointwise"]),
+)
+
+
+class TestTableCache:
+    """run_context shares one read-only copy of a signal's tables between calls."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(a=small_configs, b=small_configs, b_shares_tables=st.booleans())
+    def test_warm_runs_equal_cold_runs(self, a, b, b_shares_tables, tmp_path_factory):
+        if b_shares_tables:
+            b = dataclasses.replace(b, signal=a.signal, n_coeff=a.n_coeff, grid_size=a.grid_size, n_max=a.n_max)
+        cold = {}
+        for name, cfg in (("a", a), ("b", b)):
+            harness._TABLES.clear()
+            cold[name] = _records_and_csvs(cfg, tmp_path_factory.mktemp("cold"))
+        for name, cfg in (("a", a), ("b", b), ("a", a)):
+            assert _records_and_csvs(cfg, tmp_path_factory.mktemp("warm")) == cold[name]
+
+    def test_only_the_signal_and_table_sizes_pick_the_tables(self):
+        base = ExperimentConfig(signal=fr.SignalSpec.named("f2"), epsilon=1e-3, n_coeff=64, grid_size=129, n_max=16)
+        same = [
+            dataclasses.replace(base, **change) for change in (
+                {"epsilon": 3e-3}, {"E_override": 2.0}, {"c1_override": 5.0}, {"dispersion_mode": "eps"},
+                {"noise_mode": "pointwise"}, {"methods": ("bhat",)}, {"seeds": (7, 8)},
+            )
+        ]
+        table = fr.run_context(base).table
+        assert all(fr.run_context(cfg).table is table for cfg in same)
+        other = [
+            dataclasses.replace(base, **change) for change in (
+                {"signal": fr.SignalSpec.named("f3")}, {"n_coeff": 48}, {"grid_size": 65}, {"n_max": 12},
+            )
+        ]
+        for cfg in other:
+            assert fr.run_context(base).table is not fr.run_context(cfg).table
+
+    def test_a_tabulated_signal_changed_in_place_misses(self):
+        values = np.linspace(0.0, 1.0, 65)
+        cfg = ExperimentConfig(signal=fr.SignalSpec.tabulated(values), epsilon=1e-3, n_coeff=16, grid_size=65, n_max=8)
+        first = fr.run_context(cfg)
+        values[10] += 1.0
+        second = fr.run_context(cfg)
+        assert second.table is not first.table
+        assert np.array_equal(second.data.f_vals, values)
+        assert values.flags.writeable and cfg.signal.values.flags.writeable
+        assert not second.data.f_vals.flags.writeable
+
+    def test_tables_are_read_only(self):
+        ctx = fr.run_context(preset("example1"))
+        for table in (ctx.table, ctx.data.basis):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
+
+    def test_one_sine_table_per_grid(self):
+        ctx = fr.run_context(preset("example3"))
+        assert np.shares_memory(ctx.table, ctx.data.basis)
+        assert ctx.table.shape == (ctx.es.count, ctx.data.grid.size)
