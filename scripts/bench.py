@@ -10,9 +10,6 @@ The file holds, for the checkout under --root (default: this repository):
 - wall times of fresh `fredreg run` processes: `--preset example1 --seeds 100`
   with and without `--out`, and `--preset example3 --seeds 100`;
 - the wall time of `scripts/null_control.py`;
-- the wall time of one process that runs `run_experiment` for example3 with
-  10 seeds at each of 7 noise levels eps_preset * 10^(j/2), j = -4..2: the
-  shape of a noise sweep, many runs on one signal in one process;
 - the peak RSS (`ru_maxrss`) of fresh processes that each run
   `run_experiment(preset("example1", seeds=range(n)))` in process, for n in
   100 and 3000;
@@ -58,12 +55,6 @@ RSS_PROBE = """import resource
 from fredreg.harness import preset, run_experiment
 run_experiment(preset("example1", seeds=range({n})))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
-"""
-SWEEP_PROBE = """from dataclasses import replace
-from fredreg.harness import preset, run_experiment
-cfg = preset("example3", seeds=range(10))
-for j in range(-4, 3):
-    run_experiment(replace(cfg, epsilon=cfg.epsilon * 10 ** (j / 2)))
 """
 HEADER = re.compile(r"^(\S+) seed \d+: (\d+) operations, (\d+) records, (\d+) failed")
 METRIC = re.compile(r"^\s+(\S+)\s+(\S+)\s+(\S+)$")
@@ -177,7 +168,6 @@ def main() -> int:
         "run_example1_out": [*cli, "example1", "--out", "{tmp}"],
         "run_example3": [*cli, "example3"],
         "null_control": [sys.executable, "scripts/null_control.py"],
-        "sweep_example3": [sys.executable, "-c", SWEEP_PROBE],
     }
     wall = {name: wall_times(argv, each, args.repeats) for name, argv in probes.items()}
     rss = {f"run_experiment_example1_{n}": peak_rss(n, each, args.repeats) for n in RSS_SEEDS}

@@ -7,13 +7,15 @@ relative L2 errors on the grid together with the cutoff indices and the
 selection report.  The context's tables (grid, eigensystems, psi_k table, f,
 g_k, g) depend only on the signal, n_coeff, grid_size and n_max, so repeated
 calls on one signal share them: a process-wide cache holds the tables of the
-last such key (one entry) and its arrays are read-only.
+last such key (one entry), its arrays are read-only, and it keeps them after
+the call returns, until a call on another key replaces them.
 
 With an output_dir, run_experiment writes each seed's CSVs under
 seeds/<seed>/ while that seed's dataset and grid values are live, so a record
 keeps only what report.json serializes and the directory it wrote;
 emit_outputs then copies the first seed's CSVs to the top level and writes
-the JSON files, refusing seed files that the records' run did not write.
+the JSON files, refusing a seed directory that the records' run did not
+write to.
 Outputs are plain CSV/JSON and byte-deterministic for a fixed config.
 """
 
@@ -229,7 +231,7 @@ class RunRecord:
     k0: int | None = None
     selection: SelectionReport | None = None
     wall_time_s: float = 0.0  # not serialized: outputs stay byte-deterministic
-    # not serialized: the seeds/<seed>/ directory run_experiment wrote this record's CSVs to
+    # not serialized: the resolved seeds/<seed>/ directory run_experiment wrote this record's CSVs to
     seed_dir: Path | None = field(default=None, init=False, compare=False)
 
     def to_json_dict(self) -> dict:
@@ -248,9 +250,10 @@ class RunRecord:
 
 
 # The one entry of the process-wide cache: (signal JSON, n_coeff, grid_size,
-# n_max) -> the read-only (data, es, table) of run_context.  One entry keeps no
-# more alive than the last run did; it is emptied before a miss builds, so two
-# entries never coexist.
+# n_max) -> the read-only (data, es, table) of run_context.  It is emptied
+# before a miss builds, so two entries never coexist, but the last key's
+# tables outlive the call: the n_coeff x grid_size psi_k table (8 bytes a
+# value) stays in memory until a call on another key replaces it.
 _TABLES: dict = {}
 
 
@@ -279,8 +282,9 @@ def run_context(cfg: ExperimentConfig) -> RunContext:
     """Grid, both eigensystems, the psi_k table, f, ||f||, g_k and g.
 
     The tables depend only on the signal, n_coeff, grid_size and n_max: calls
-    that share them share one read-only copy (see _TABLES); the scalars are
-    computed per call.
+    that share them share one read-only copy (see _TABLES), so the arrays of
+    the returned context are read-only and shared; the scalars are computed
+    per call.
     """
     data, es, table = _seed_invariant_tables(cfg)
     f_norm = data.grid.norm(data.f_vals)
@@ -345,8 +349,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
         record.wall_time_s = time.perf_counter() - t0
         if cfg.output_dir is not None:
             coeffs_csv, profile_csv, *autocorr_csv, solutions_csv = _seed_files(Path(cfg.output_dir), record)
-            record.seed_dir = coeffs_csv.parent
-            record.seed_dir.mkdir(parents=True, exist_ok=True)
+            coeffs_csv.parent.mkdir(parents=True, exist_ok=True)
+            record.seed_dir = coeffs_csv.parent.resolve()
             write_coeffs_csv(str(coeffs_csv), ds.coeffs)
             cumulative_profile(ds, ctx.data.es).write_csv(str(profile_csv))
             for path in autocorr_csv:
@@ -423,28 +427,31 @@ def emit_outputs(records: list[RunRecord], summary: dict, cfg: ExperimentConfig)
     report.json, summary.json and manifest.json there.
 
     run_experiment(cfg) has already written every seed's autocorr.csv /
-    profile.csv / solutions.csv / coefficients.csv under seeds/<seed>/.  A
-    seed file that is not there (the records came from a run without this
-    output_dir) raises FileNotFoundError naming it, and a seed directory the
-    records' run did not write (an earlier run's files) raises ValueError
-    naming the seed, so the manifest never lists a file the run did not write.
-    Returns the list of written paths, seed files included (also recorded in
-    manifest.json).
+    profile.csv / solutions.csv / coefficients.csv under seeds/<seed>/.
+    Before any file is written, each record's seed files are checked: one
+    that is not there raises FileNotFoundError naming it, and files that are
+    there in a directory the record's run did not write to (the records came
+    from a run without this output_dir, beside an earlier run's files) raise
+    ValueError naming the seed.  Directories are compared after resolving
+    them, so a relative and an absolute output_dir match.  The check names
+    directories, not writes: a later run that rewrote the same directory
+    passes.  Returns the list of written paths, seed files included (also
+    recorded in manifest.json).
     """
     if cfg.output_dir is None:
         raise ValueError("config has no output_dir")
     out_dir = Path(cfg.output_dir)
     seed_files = [_seed_files(out_dir, rec) for rec in records]
-    written = [path for paths in seed_files for path in paths]
-    missing = [path for path in written if not path.is_file()]
-    if missing:
-        raise FileNotFoundError(f"{missing[0]} was not written: run_experiment writes it when cfg.output_dir is set")
     for rec, paths in zip(records, seed_files):
-        if rec.seed_dir != paths[0].parent:
+        missing = [path for path in paths if not path.is_file()]
+        if missing:
+            raise FileNotFoundError(f"{missing[0]} was not written: run_experiment writes it when cfg.output_dir is set")
+        if rec.seed_dir != paths[0].parent.resolve():
             raise ValueError(
                 f"seed {rec.seed}: {paths[0].parent} holds files this record's run did not write; "
                 "run_experiment writes them when cfg.output_dir is set"
             )
+    written = [path for paths in seed_files for path in paths]
     for path in seed_files[0] if seed_files else []:
         shutil.copyfile(path, out_dir / path.name)
         written.append(out_dir / path.name)

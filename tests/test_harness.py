@@ -288,6 +288,15 @@ class TestEmitOutputs:
             fr.emit_outputs(stale, fr.summarize(stale), dataclasses.replace(other, output_dir=str(tmp_path)))
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
+    def test_a_run_dir_matches_its_absolute_and_linked_paths(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = preset("example1", seeds=(0,), output_dir="out")
+        records = fr.run_experiment(cfg)
+        (tmp_path / "link").symlink_to(tmp_path / "out")
+        for out in (tmp_path / "out", tmp_path / "link"):
+            files = fr.emit_outputs(records, fr.summarize(records), dataclasses.replace(cfg, output_dir=str(out)))
+            assert files[-1] == out / "manifest.json"
+
     def test_report_excludes_wall_time(self, emitted):
         out, _, _ = emitted
         report = json.loads((out / "report.json").read_text())
