@@ -60,7 +60,7 @@ def _cmd_analyze(args) -> int:
     text = json.dumps(payload, indent=2)
     if args.out:
         Path(args.out).write_text(text)
-        report.write_autocorr_csv(str(Path(args.out).with_suffix(".autocorr.csv")))
+        report.write_autocorr_csv(str(Path(args.out).with_suffix(".autocorr.csv")), coeffs)
         print(f"wrote {args.out}")
     else:
         print(text)
@@ -75,7 +75,8 @@ def _cmd_summarize(args) -> int:
 
 
 def print_summary(name: str, summary: dict) -> None:
-    print(f"== {name}: {summary['n_seeds']} seeds, SNR {summary['snr_db']:.2f} dB")
+    snr = "n/a" if summary["snr_db"] is None else f"{summary['snr_db']:.2f} dB"
+    print(f"== {name}: {summary['n_seeds']} seeds, SNR {snr}")
     print(f"{'method':>18}  {'median':>10}  {'q25':>10}  {'q75':>10}")
     for method, stats in sorted(summary["methods"].items()):
         print(

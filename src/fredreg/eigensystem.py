@@ -9,7 +9,8 @@ decreasing eigenvalues {lam_k}.  This module supplies
     K(x,y) = (1-x)y for y <= x, x(1-y) for y >= x on [0,1], whose
     eigenpairs are psi_k = sqrt(2) sin(k pi x), lam_k = 1/(k^2 pi^2),
   * a Nystrom-style numeric eigensystem for tabulated symmetric kernels,
-  * projection onto and reconstruction from the eigenbasis.
+  * coefficients (f, psi_k) for k = 1..upto in one product with the psi_k
+    table, and reconstruction from the eigenbasis.
 
 Quadrature note: on a uniform grid of M+1 points the Simpson weights couple
 sine modes with i + j = M (Gram entries ~1/6).  Orthonormality is therefore
@@ -33,14 +34,11 @@ __all__ = [
     "EigenSystem",
     "TabulatedKernel",
     "EigenDecompositionError",
-    "sample_kernel_eval",
     "sample_kernel_matrix",
     "analytic_eigensystem",
     "numeric_eigensystem",
-    "project",
     "project_all",
     "reconstruct",
-    "apply_kernel",
     "load_kernel_csv",
 ]
 
@@ -79,9 +77,6 @@ class QuadratureGrid:
     def size(self) -> int:
         return self.points.size
 
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        return float(np.sum(self.weights * np.asarray(f) * np.asarray(g)))
-
     def norm(self, f: np.ndarray) -> float:
         return float(np.sqrt(np.sum(self.weights * np.asarray(f) ** 2)))
 
@@ -108,14 +103,13 @@ class EigenSystem:
     `evaluator(ks, x)` tabulates the eigenfunctions: for an integer array ks
     (values in 1..count, already checked) and a 1-d array x it returns the
     array of shape (len(ks), len(x)) whose row i is psi_{ks[i]}(x).  Every
-    evaluation goes through one call to it: `basis_matrix` for a whole table,
-    `eigenfunction` for one row, `reconstruct` for the rows it sums.
+    evaluation goes through one call to it: `basis_matrix` for the rows
+    1..upto, `reconstruct` for the rows it sums.
     """
 
     eigenvalues: np.ndarray
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     count: int
-    kind: str  # "analytic-sample-kernel" | "numeric-tabulated"
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=float)
@@ -126,15 +120,6 @@ class EigenSystem:
             raise ValueError("eigenvalues must be strictly positive")
         if np.any(np.diff(vals) >= 0):
             raise ValueError("eigenvalues must be strictly decreasing")
-
-    def eigenvalue(self, k: int) -> float:
-        self._check_index(k)
-        return float(self.eigenvalues[k - 1])
-
-    def eigenfunction(self, k: int, x: np.ndarray) -> np.ndarray:
-        self._check_index(k)
-        x = np.asarray(x, dtype=float)
-        return self.evaluator(np.array([k]), x.ravel())[0].reshape(x.shape)
 
     def basis_matrix(self, x: np.ndarray, upto: int | None = None) -> np.ndarray:
         """psi_k(x) stacked row-wise for k = 1..upto."""
@@ -164,18 +149,11 @@ class TabulatedKernel:
             raise ValueError("kernel matrix must be symmetric within 1e-12")
 
 
-def sample_kernel_eval(x: float, y: float) -> float:
-    """Triangular sample kernel on the unit square: (1-x)y if y <= x, else x(1-y)."""
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise ValueError(f"sample kernel defined on [0,1]^2, got ({x}, {y})")
-    if y <= x:
-        return (1.0 - x) * y
-    return x * (1.0 - y)
-
-
 def sample_kernel_matrix(grid: QuadratureGrid) -> TabulatedKernel:
-    """Tabulate the sample kernel on a grid (grid must lie in [0, 1])."""
+    """Tabulate the sample kernel (1-x)y for y <= x, x(1-y) for y >= x on a grid in [0, 1]."""
     x = grid.points
+    if x[0] < 0.0 or x[-1] > 1.0:
+        raise ValueError(f"sample kernel is defined on [0, 1]; grid spans [{x[0]}, {x[-1]}]")
     X, Y = np.meshgrid(x, x, indexing="ij")
     vals = np.where(Y <= X, (1.0 - X) * Y, X * (1.0 - Y))
     return TabulatedKernel(values=vals, grid=grid)
@@ -195,7 +173,6 @@ def analytic_eigensystem(n_max: int = DEFAULT_N_MAX) -> EigenSystem:
         eigenvalues=1.0 / (ks * np.pi) ** 2,
         evaluator=_sine_evaluator,
         count=n_max,
-        kind="analytic-sample-kernel",
     )
 
 
@@ -246,15 +223,7 @@ def numeric_eigensystem(kernel: TabulatedKernel, n_max: int) -> EigenSystem:
     def evaluator(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
         return np.array([np.interp(x, pts, table[k - 1]) for k in ks]).reshape(len(ks), x.size)
 
-    return EigenSystem(
-        eigenvalues=vals, evaluator=evaluator, count=n_max, kind="numeric-tabulated"
-    )
-
-
-def project(f: np.ndarray, es: EigenSystem, k: int, grid: QuadratureGrid) -> float:
-    """Quadrature approximation of the inner product (f, psi_k)."""
-    es._check_index(k)
-    return grid.inner(np.asarray(f, dtype=float), es.eigenfunction(k, grid.points))
+    return EigenSystem(eigenvalues=vals, evaluator=evaluator, count=n_max)
 
 
 def project_all(f: np.ndarray, es: EigenSystem, grid: QuadratureGrid, upto: int | None = None) -> np.ndarray:
@@ -275,11 +244,6 @@ def reconstruct(
     for (_, value), row in zip(coeffs, es.evaluator(np.array(ks, dtype=int), grid.points)):
         out += value * row
     return out
-
-
-def apply_kernel(kernel: TabulatedKernel, f: np.ndarray) -> np.ndarray:
-    """Quadrature application of the integral operator to a grid function."""
-    return kernel.values @ (kernel.grid.weights * np.asarray(f, dtype=float))
 
 
 def load_kernel_csv(path: str, grid: QuadratureGrid | None = None) -> TabulatedKernel:

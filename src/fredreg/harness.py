@@ -223,7 +223,7 @@ PRESETS = ("example1", "example2", "example3", "example4")
 @dataclass
 class RunRecord:
     seed: int
-    snr_db: float
+    snr_db: float | None  # None without a finite ratio: epsilon = 0 or a zero record
     rel_l2: dict[str, float] = field(default_factory=dict)
     failures: dict[str, str] = field(default_factory=dict)
     k_alpha: int | None = None
@@ -328,7 +328,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
     """
     ctx = run_context(cfg)
     grid, f_vals = ctx.data.grid, ctx.data.f_vals
-    base_snr = snr_db(ctx.data.g_coeffs, cfg.epsilon) if cfg.epsilon > 0 else float("inf")
+    try:
+        base_snr = snr_db(ctx.data.g_coeffs, cfg.epsilon)
+    except ValueError:  # epsilon = 0 or a zero record
+        base_snr = None
     records = []
     for seed in cfg.seeds:
         t0 = time.perf_counter()
@@ -354,7 +357,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
             write_coeffs_csv(str(coeffs_csv), ds.coeffs)
             cumulative_profile(ds, ctx.data.es).write_csv(str(profile_csv))
             for path in autocorr_csv:
-                record.selection.write_autocorr_csv(str(path))
+                record.selection.write_autocorr_csv(str(path), ds.coeffs)
             names = sorted(grids)
             write_table(str(solutions_csv), ("x", "f_true", *names), grid.points, f_vals, *(grids[n] for n in names))
         records.append(record)
@@ -457,13 +460,13 @@ def emit_outputs(records: list[RunRecord], summary: dict, cfg: ExperimentConfig)
         written.append(out_dir / path.name)
 
     report = {"config": cfg.to_json_dict(), "records": [r.to_json_dict() for r in records]}
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2))
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
+    (out_dir / "report.json").write_text(json.dumps(report, indent=2, allow_nan=False))
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, allow_nan=False))
     written += [out_dir / "report.json", out_dir / "summary.json"]
     manifest = {
         "config": cfg.to_json_dict(),
         "config_hash": config_hash(cfg),
         "files": sorted(str(p.relative_to(out_dir)) for p in written),
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, allow_nan=False))
     return written + [out_dir / "manifest.json"]

@@ -30,7 +30,6 @@ with randomness, n0 = 0.  Set randomness_test="none" for the bare recursion.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -247,7 +246,6 @@ class SelectionReport:
     series: AutocorrSeries = field(repr=False)
     significance: float = SIGNIFICANCE
     max_lag: int | None = None
-    record: np.ndarray | None = field(default=None, repr=False, compare=False)  # autocorr.csv: all lags
 
     def to_json_dict(self) -> dict:
         return {
@@ -259,14 +257,21 @@ class SelectionReport:
             "compat_violations": [list(v) for v in self.compat_violations],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+    def write_autocorr_csv(self, path: str, record: np.ndarray) -> None:
+        """Lag table "n,delta,threshold0,threshold_n0" over all lags, for confidence-limit plots.
 
-    def write_autocorr_csv(self, path: str) -> None:
-        """Lag table "n,delta,threshold0,threshold_n0" over all lags, for confidence-limit plots."""
-        if self.record is None and self.series.delta.size < self.series.n_count:
-            raise ValueError(f"windowed series (lags 0..{self.series.delta.size - 1}) and no record")
-        series = self.series if self.record is None else autocorr_estimate(self.record)
+        `record` is the coefficient record the report was built from; its lags
+        are estimated anew.  A record of another length, or whose estimate
+        differs from the report's window, raises ValueError.
+        """
+        n_count = self.series.n_count
+        if np.size(record) != n_count:
+            raise ValueError(f"record of length {np.size(record)} is not this report's (N={n_count})")
+        series = autocorr_estimate(record)
+        window = self.series.delta
+        # the same loop on the same record: equal to the bit
+        if not np.array_equal(series.delta[: window.size], window, equal_nan=True):
+            raise ValueError(f"record's lags 0..{window.size - 1} differ from this report's: not its record")
         lags = np.arange(series.n_count)
         thresholds = []
         for cut in (0, self.n0):
@@ -288,7 +293,7 @@ def build_selection(
     The report is purely diagnostic: the selection is returned even when the
     combinatorial bound or a pairwise compatibility constraint fails.
     """
-    coeffs = data.coeffs if isinstance(data, NoisyDataset) else np.array(data, dtype=float)
+    coeffs = data.coeffs if isinstance(data, NoisyDataset) else np.asarray(data, dtype=float)
     if coeffs.size < 8:
         raise DegenerateSequenceError("selection needs a record of at least 8 coefficients")
     bad = np.flatnonzero(~np.isfinite(coeffs))
@@ -316,7 +321,7 @@ def build_selection(
     return SelectionReport(
         n0=n0, Q=Q, n_c=len(Q), pairs=pairs, I_k=I_k,
         bound_ok=bound_ok, compat_ok=not violations, compat_violations=violations,
-        series=series, significance=significance, max_lag=top, record=coeffs,
+        series=series, significance=significance, max_lag=top,
     )
 
 

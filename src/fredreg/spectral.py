@@ -10,7 +10,6 @@ window flatness detector is included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -29,10 +28,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CumulativeProfile:
-    """Partial sums M(m), m = 1..N, with an optional norm budget C1."""
+    """Partial sums M(m), m = 1..N."""
 
     values: np.ndarray
-    c1: Optional[float] = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -46,13 +44,11 @@ class CumulativeProfile:
         write_table(path, ("m", "M"), range(1, self.values.size + 1), self.values)
 
 
-def cumulative_profile(
-    data: NoisyDataset, es: EigenSystem, c1: float | None = None
-) -> CumulativeProfile:
+def cumulative_profile(data: NoisyDataset, es: EigenSystem) -> CumulativeProfile:
     """Exact partial sums of (gbar_k/lam_k)^2: squared norms of the raw expansion cut at m."""
     n = min(es.count, data.n_coeff)
     raw = truncated_expansion(data, es, np.arange(1, n + 1), "raw_expansion", {})
-    return CumulativeProfile(values=np.cumsum(raw.values**2), c1=c1)
+    return CumulativeProfile(values=np.cumsum(raw.values**2))
 
 
 def k0_cutoff(data: NoisyDataset, es: EigenSystem, c1: float) -> int:

@@ -29,7 +29,6 @@ __all__ = [
     "NoisyDataset",
     "NAMED_SIGNALS",
     "evaluate_signal",
-    "forward_apply",
     "forward_coeffs",
     "add_noise",
     "SignalContext",
@@ -179,12 +178,6 @@ def forward_coeffs(
     return es.eigenvalues[:upto] * f_k
 
 
-def forward_apply(f: np.ndarray, es: EigenSystem, grid: QuadratureGrid) -> np.ndarray:
-    """g = Af computed spectrally: project f, scale by lam_k, reconstruct."""
-    g_k = forward_coeffs(f, es, grid)
-    return g_k @ es.basis_matrix(grid.points)
-
-
 def add_noise(
     g: np.ndarray,
     epsilon: float,
@@ -292,12 +285,15 @@ def snr_db(g: np.ndarray, epsilon: float) -> float:
 
     `g` is the noiseless data record the noise is injected into; for the
     standard coefficient-noise experiments that is the coefficient sequence
-    {g_k}, matching the reported figure-legend values.
+    {g_k}, matching the reported figure-legend values.  A record of zero
+    power (all zero) has no finite ratio and raises, as epsilon <= 0 does.
     """
     if epsilon <= 0:
         raise ValueError("snr_db needs epsilon > 0")
-    g = np.asarray(g, dtype=float)
-    return float(10.0 * np.log10(np.mean(g**2) / (epsilon**2 / 3.0)))
+    power = np.mean(np.asarray(g, dtype=float) ** 2)
+    if power == 0:
+        raise ValueError("snr_db needs a record of nonzero power")
+    return float(10.0 * np.log10(power / (epsilon**2 / 3.0)))
 
 
 def noise_dispersion(epsilon: float) -> float:

@@ -12,7 +12,6 @@ indices into informative and noise-dominated sets.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigensystem import EigenSystem, QuadratureGrid, reconstruct
-from .synthesis import NoisyDataset, write_table
+from .synthesis import NoisyDataset
 
 __all__ = [
     "ConstraintSpec",
@@ -130,14 +129,6 @@ class RegularizedSolution:
 
     def to_grid(self, es: EigenSystem, grid: QuadratureGrid) -> np.ndarray:
         return reconstruct(self.coeffs, es, grid)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"method": self.method, "params": self.params, "coeffs": self.coeffs}
-        )
-
-    def write_csv(self, path: str) -> None:
-        write_table(path, ("k", "coefficient"), self.indices, self.values)
 
 
 def _active_range(data: NoisyDataset, es: EigenSystem) -> int:

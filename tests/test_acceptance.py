@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import fredreg as fr
-from fredreg.harness import preset
+from fredreg.harness import _modal, preset
 from fredreg.selection import _admissible_bounds
 
 SEEDS_100 = tuple(range(100))
@@ -41,10 +41,9 @@ def preset_runs():
 
 
 def modal(items):
-    from collections import Counter
-
-    value, hits = Counter(items).most_common(1)[0]
-    return value, hits
+    """The modal value and its hit count, from summarize's fraction."""
+    value, fraction = _modal(items)
+    return value, round(fraction * len(items))
 
 
 class TestCriterion1:

@@ -32,6 +32,27 @@ class TestRun:
         assert report["config"]["name"] == "tiny"
         assert set(report["records"][0]["rel_l2"]) == {"k_alpha", "bhat"}
 
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.0])
+    def test_runs_without_an_snr_write_strict_json(self, epsilon, tmp_path, capsys):
+        # a zero signal has no signal power, a noiseless run no noise power: no finite SNR
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "signal": {"kind": "sine-combination", "terms": [[0.0, 1]]},
+            "epsilon": epsilon, "n_coeff": 64, "grid_size": 129, "n_max": 16,
+        }))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        assert "SNR n/a" in capsys.readouterr().out
+
+        def no_constant(name):
+            raise ValueError(f"{name} in JSON")
+
+        for name in ("report.json", "summary.json", "manifest.json"):
+            payload = json.loads((tmp_path / "o" / name).read_text(), parse_constant=no_constant)
+            if name == "report.json":
+                assert payload["records"][0]["snr_db"] is None
+        assert main(["summarize", str(tmp_path / "o")]) == 0
+        assert "SNR n/a" in capsys.readouterr().out
+
     def test_run_without_preset_or_config(self, capsys):
         assert main(["run"]) == 2
 

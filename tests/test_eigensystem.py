@@ -7,26 +7,25 @@ from fredreg import EigenDecompositionError
 
 
 class TestSampleKernel:
+    # simpson_grid(5) has the points 0, 0.25, 0.5, 0.75, 1
     def test_diagonal(self):
-        assert fr.sample_kernel_eval(0.5, 0.5) == pytest.approx(0.25)
+        assert fr.sample_kernel_matrix(fr.simpson_grid(5)).values[2, 2] == pytest.approx(0.25)
 
     def test_upper_branch(self):
-        assert fr.sample_kernel_eval(0.25, 0.75) == pytest.approx(0.0625)
+        assert fr.sample_kernel_matrix(fr.simpson_grid(5)).values[1, 3] == pytest.approx(0.0625)
 
     def test_boundary_zero(self):
-        for x in (0.0, 0.3, 1.0):
-            assert fr.sample_kernel_eval(x, 0.0) == 0.0
+        vals = fr.sample_kernel_matrix(fr.simpson_grid(65)).values
+        assert not vals[:, 0].any() and not vals[:, -1].any()
 
     def test_symmetry(self):
-        rng = np.random.default_rng(1)
-        for x, y in rng.uniform(0, 1, size=(50, 2)):
-            assert fr.sample_kernel_eval(x, y) == pytest.approx(fr.sample_kernel_eval(y, x))
+        vals = fr.sample_kernel_matrix(fr.simpson_grid(65)).values
+        assert np.array_equal(vals, vals.T)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            fr.sample_kernel_eval(1.5, 0.5)
-        with pytest.raises(ValueError):
-            fr.sample_kernel_eval(0.5, -0.1)
+        for a, b in ((0.0, 2.0), (-0.1, 1.0)):
+            with pytest.raises(ValueError, match=r"defined on \[0, 1\]"):
+                fr.sample_kernel_matrix(fr.simpson_grid(5, a=a, b=b))
 
 
 class TestQuadratureGrid:
@@ -54,13 +53,13 @@ class TestQuadratureGrid:
 
 class TestAnalyticEigensystem:
     def test_first_eigenvalue(self, es64):
-        assert es64.eigenvalue(1) == pytest.approx(1.0 / np.pi**2, rel=1e-14)
+        assert es64.eigenvalues[0] == pytest.approx(1.0 / np.pi**2, rel=1e-14)
 
     def test_eigenvalue_13(self, es64):
-        assert es64.eigenvalue(13) == pytest.approx(1.0 / (169 * np.pi**2), rel=1e-14)
+        assert es64.eigenvalues[12] == pytest.approx(1.0 / (169 * np.pi**2), rel=1e-14)
 
     def test_eigenfunction_midpoint(self, es64):
-        assert es64.eigenfunction(1, np.array([0.5]))[0] == pytest.approx(np.sqrt(2.0))
+        assert es64.basis_matrix(np.array([0.5]), 1)[0, 0] == pytest.approx(np.sqrt(2.0))
 
     def test_orthonormality_upto_40(self, es512, grid513):
         basis = es512.basis_matrix(grid513.points, 40)
@@ -68,10 +67,9 @@ class TestAnalyticEigensystem:
         npt.assert_allclose(gram, np.eye(40), atol=1e-8)
 
     def test_index_errors(self, es64):
-        with pytest.raises(IndexError):
-            es64.eigenvalue(65)
-        with pytest.raises(IndexError):
-            es64.eigenfunction(0, np.array([0.5]))
+        for upto in (0, 65):
+            with pytest.raises(IndexError):
+                es64.basis_matrix(np.array([0.5]), upto)
 
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ValueError):
@@ -80,15 +78,16 @@ class TestAnalyticEigensystem:
 
 class TestProjectReconstruct:
     def test_orthonormality_projection(self, es64, grid513):
-        psi2 = es64.eigenfunction(2, grid513.points)
-        assert fr.project(psi2, es64, 2, grid513) == pytest.approx(1.0, abs=1e-8)
-        assert fr.project(psi2, es64, 5, grid513) == pytest.approx(0.0, abs=1e-8)
+        psi2 = es64.basis_matrix(grid513.points, 2)[1]
+        coeffs = fr.project_all(psi2, es64, grid513, 5)
+        assert coeffs[1] == pytest.approx(1.0, abs=1e-8)
+        assert coeffs[4] == pytest.approx(0.0, abs=1e-8)
 
     def test_parabola_against_closed_form(self, es64, grid513):
         # int_0^1 x(1-x) sqrt(2) sin(pi x) dx = 4 sqrt(2) / pi^3
         f = grid513.points * (1 - grid513.points)
         expected = 4.0 * np.sqrt(2.0) / np.pi**3
-        assert fr.project(f, es64, 1, grid513) == pytest.approx(expected, abs=1e-8)
+        assert fr.project_all(f, es64, grid513, 1)[0] == pytest.approx(expected, abs=1e-8)
 
     def test_single_basis_function(self, es64, grid513):
         out = fr.reconstruct([(1, 1.0)], es64, grid513)
@@ -98,8 +97,9 @@ class TestProjectReconstruct:
         assert not fr.reconstruct([], es64, grid513).any()
 
     def test_project_reconstruct_roundtrip(self, es64, grid513):
-        f = es64.eigenfunction(1, grid513.points) + 0.5 * es64.eigenfunction(4, grid513.points)
-        coeffs = [(k, fr.project(f, es64, k, grid513)) for k in range(1, 9)]
+        basis = es64.basis_matrix(grid513.points, 4)
+        f = basis[0] + 0.5 * basis[3]
+        coeffs = list(enumerate(fr.project_all(f, es64, grid513, 8), start=1))
         back = fr.reconstruct(coeffs, es64, grid513)
         assert grid513.norm(back - f) < 1e-8
 
@@ -118,10 +118,11 @@ class TestProjectReconstruct:
 class TestTabulatedKernel:
     def test_operator_consistency(self, es64, grid513):
         kern = fr.sample_kernel_matrix(grid513)
+        basis = es64.basis_matrix(grid513.points, 20)
         for k in (1, 5, 11, 20):
-            psi = es64.eigenfunction(k, grid513.points)
-            applied = fr.apply_kernel(kern, psi)
-            assert grid513.norm(applied - es64.eigenvalue(k) * psi) < 1e-6
+            psi = basis[k - 1]
+            applied = kern.values @ (grid513.weights * psi)  # quadrature of int K(x, y) psi(y) dy
+            assert grid513.norm(applied - es64.eigenvalues[k - 1] * psi) < 1e-6
 
     def test_asymmetry_rejected(self, grid513):
         vals = fr.sample_kernel_matrix(grid513).values.copy()
@@ -134,13 +135,13 @@ class TestNumericEigensystem:
     def test_first_eigenvalue_401(self):
         grid = fr.simpson_grid(401)
         nes = fr.numeric_eigensystem(fr.sample_kernel_matrix(grid), 8)
-        assert abs(nes.eigenvalue(1) - 1.0 / np.pi**2) < 1e-6
+        assert abs(nes.eigenvalues[0] - 1.0 / np.pi**2) < 1e-6
 
     def test_eigenfunction_3_sign_fixed(self):
         grid = fr.simpson_grid(1025)
         nes = fr.numeric_eigensystem(fr.sample_kernel_matrix(grid), 5)
         truth = np.sqrt(2) * np.sin(3 * np.pi * grid.points)
-        assert grid.norm(nes.eigenfunction(3, grid.points) - truth) < 1e-5
+        assert grid.norm(nes.basis_matrix(grid.points, 3)[2] - truth) < 1e-5
 
     def test_eigenvalues_relative_error_k10(self):
         # the kernel slope jump across the diagonal biases Nystrom eigenvalues
@@ -168,8 +169,7 @@ class TestNumericEigensystem:
 
     def test_matches_analytic_at_513(self, grid513):
         nes = fr.numeric_eigensystem(fr.sample_kernel_matrix(grid513), 3)
-        assert nes.eigenvalue(1) == pytest.approx(1 / np.pi**2, rel=1e-4)
-        assert nes.kind == "numeric-tabulated"
+        assert nes.eigenvalues[0] == pytest.approx(1 / np.pi**2, rel=1e-4)
 
 
 class TestKernelCsv:

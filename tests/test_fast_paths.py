@@ -57,7 +57,6 @@ class TestBasisTable:
     def test_analytic_random_points(self, es512, x, upto):
         table = es512.basis_matrix(x, upto)
         assert np.array_equal(table, sine_rows(range(1, upto + 1), x))
-        assert np.array_equal(es512.eigenfunction(upto, x), table[-1])
 
     @SETTINGS
     @given(x=unit_points, upto=st.integers(1, 12))
@@ -66,10 +65,6 @@ class TestBasisTable:
         nodes = es.basis_matrix(grid.points)  # np.interp returns the node values exactly
         rows = np.vstack([np.interp(x, grid.points, nodes[k - 1]) for k in range(1, upto + 1)])
         assert np.array_equal(es.basis_matrix(x, upto), rows)
-
-    def test_eigenfunction_keeps_the_shape_of_x(self, es64):
-        assert es64.eigenfunction(2, 0.25).shape == ()
-        assert es64.eigenfunction(2, np.zeros((2, 3))).shape == (2, 3)
 
 
 def sequential_sum(coeffs, row, size):
@@ -96,7 +91,7 @@ class TestReconstruct:
     @given(coeffs=terms.map(lambda ts: [(k, v) for k, v in ts if k <= 12]))
     def test_numeric_term_by_term(self, numeric_es, coeffs):
         grid, es = numeric_es
-        want = sequential_sum(coeffs, lambda k: es.eigenfunction(k, grid.points), grid.size)
+        want = sequential_sum(coeffs, lambda k: es.basis_matrix(grid.points, k)[k - 1], grid.size)
         assert np.array_equal(fr.reconstruct(coeffs, es, grid), want)
 
     def test_index_checked(self, es64, grid513):
@@ -249,10 +244,11 @@ def threshold_series(draw):
 
 
 # small-integer records repeat values, so constant windows leave NaN lags
-estimated_series = st.one_of(
+coeff_records = st.one_of(
     st.lists(st.floats(-1e3, 1e3), min_size=8, max_size=120),
     st.lists(st.integers(-2, 2).map(float), min_size=8, max_size=120),
-).map(lambda g: fr.autocorr_estimate(np.array(g)))
+).map(np.array)
+estimated_series = coeff_records.map(fr.autocorr_estimate)
 
 any_series = st.one_of(handmade_series(), estimated_series)
 significances = st.sampled_from([1.0, fr.SIGNIFICANCE, 2.576])
@@ -318,16 +314,17 @@ class TestBartlettBand:
             assert got == former_detect_n0(series, fr.SIGNIFICANCE, None, mode)
 
     @SETTINGS
-    @given(series=any_series, significance=significances, data=st.data())
-    def test_autocorr_csv_rows(self, series, significance, data, tmp_path_factory):
-        n0 = data.draw(st.integers(0, series.n_count - 1))
+    @given(g=coeff_records, significance=significances, data=st.data())
+    def test_autocorr_csv_rows(self, g, significance, data, tmp_path_factory):
+        n0 = data.draw(st.integers(0, g.size - 1))
+        window = fr.autocorr_estimate(g, data.draw(st.integers(0, g.size - 1)))
         report = fr.SelectionReport(
             n0=n0, Q=[], n_c=0, pairs=[], I_k=[], bound_ok=True, compat_ok=True,
-            compat_violations=[], series=series, significance=significance,
+            compat_violations=[], series=window, significance=significance,
         )
         path = tmp_path_factory.mktemp("csv") / "autocorr.csv"
-        report.write_autocorr_csv(str(path))
-        assert path.read_text() == former_autocorr_csv(series, n0, significance)
+        report.write_autocorr_csv(str(path), g)
+        assert path.read_text() == former_autocorr_csv(fr.autocorr_estimate(g), n0, significance)
 
 
 def former_tikhonov_full(data, es, cs):
@@ -428,13 +425,6 @@ def former_profile_csv(values):
     return "".join(rows)
 
 
-def former_solution_csv(sol):
-    rows = ["k,coefficient\n"]
-    for k, v in sol.coeffs:
-        rows.append(f"{k},{v!r}\n")
-    return "".join(rows)
-
-
 def former_solutions_csv(ctx, solutions):
     grid, f_vals = ctx.data.grid, ctx.data.f_vals
     columns = ["x", "f_true"] + sorted(solutions)
@@ -447,14 +437,11 @@ def former_solutions_csv(ctx, solutions):
     return "".join(rows)
 
 
-def assert_same_solution(got, want, tmp_dir):
+def assert_same_solution(got, want):
     assert got.indices.dtype == want.indices.dtype and np.array_equal(got.indices, want.indices)
     assert got.values.dtype == want.values.dtype and np.array_equal(got.values, want.values)
     assert got.method == want.method
     assert repr(got.params) == repr(want.params)  # same keys in the same order, same types
-    path = tmp_dir / "solution.csv"
-    got.write_csv(str(path))
-    assert path.read_text() == former_solution_csv(want)
 
 
 positive = st.floats(-8.0, 3.0).map(lambda e: 10.0**e)
@@ -493,36 +480,35 @@ class TestTruncatedExpansion:
     @pytest.mark.parametrize("kind", KINDS)
     @SETTINGS
     @given(data=st.data())
-    def test_constraint_and_identity_filters(self, numeric_es, kind, data, tmp_path_factory):
+    def test_constraint_and_identity_filters(self, numeric_es, kind, data):
         ds, es = draw_record(data, kind, numeric_es)
         n = min(es.count, ds.n_coeff)
         steps = st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n + 3)
         c = data.draw(st.none() | steps.map(np.cumsum), label="c")
         E, eps = data.draw(positive, label="E"), data.draw(positive, label="eps")
         cs = fr.ConstraintSpec(E=E, eps=eps, c=c)
-        tmp = tmp_path_factory.mktemp("sol")
         for new, former, args in [
             (fr.tikhonov_full, former_tikhonov_full, (cs,)),
             (fr.truncated_k_alpha, former_truncated_k_alpha, (cs,)),
             (fr.tikhonov_identity, former_tikhonov_identity, (E, eps)),
             (fr.truncated_k_beta, former_truncated_k_beta, (E, eps)),
         ]:
-            assert_same_solution(new(ds, es, *args), former(ds, es, *args), tmp)
+            assert_same_solution(new(ds, es, *args), former(ds, es, *args))
 
     @pytest.mark.parametrize("kind", KINDS)
     @SETTINGS
     @given(data=st.data())
-    def test_norm_budget_cutoff(self, numeric_es, kind, data, tmp_path_factory):
+    def test_norm_budget_cutoff(self, numeric_es, kind, data):
         ds, es = draw_record(data, kind, numeric_es)
         c1 = data.draw(st.floats(-12.0, 12.0).map(lambda e: 10.0**e), label="c1")
         assert np.array_equal(fr.cumulative_profile(ds, es).values, former_profile(ds, es))
         got = fr.f0_approximation(ds, es, c1)
-        assert_same_solution(got, former_f0_approximation(ds, es, c1), tmp_path_factory.mktemp("sol"))
+        assert_same_solution(got, former_f0_approximation(ds, es, c1))
 
     @pytest.mark.parametrize("kind", KINDS)
     @SETTINGS
     @given(data=st.data())
-    def test_selected_components(self, numeric_es, kind, data, tmp_path_factory):
+    def test_selected_components(self, numeric_es, kind, data):
         ds, es = draw_record(data, kind, numeric_es)
         top = min(es.count, ds.n_coeff)
         I_k = sorted(data.draw(st.sets(st.integers(1, top)), label="I_k"))
@@ -530,21 +516,21 @@ class TestTruncatedExpansion:
         flags = data.draw(st.tuples(st.booleans(), st.booleans()), label="flags")
         report = selection_report(I_k, n0=max(Q, default=0), Q=Q, bound_ok=flags[0], compat_ok=flags[1])
         got = fr.reconstruct_bhat(ds, es, report)
-        assert_same_solution(got, former_reconstruct_bhat(ds, es, report), tmp_path_factory.mktemp("sol"))
+        assert_same_solution(got, former_reconstruct_bhat(ds, es, report))
 
     @pytest.mark.parametrize("kind", KINDS)
     @SETTINGS
     @given(data=st.data())
-    def test_classified_components(self, numeric_es, kind, data, tmp_path_factory):
+    def test_classified_components(self, numeric_es, kind, data):
         ds, es = draw_record(data, kind, numeric_es)
         m = data.draw(st.integers(1, 2 * es.count), label="m")
         rho = data.draw(st.lists(st.floats(0.0, 10.0), min_size=m, max_size=m), label="rho")
         nu = data.draw(st.lists(st.floats(0.0, 10.0), min_size=m, max_size=m), label="nu")
         vp = fr.VarianceProfile(rho=rho, nu=nu, eps=data.draw(st.just(0.0) | positive, label="eps"))
         got = fr.classified_solution(ds, es, vp)
-        assert_same_solution(got, former_classified_solution(ds, es, vp), tmp_path_factory.mktemp("sol"))
+        assert_same_solution(got, former_classified_solution(ds, es, vp))
 
-    def test_empty_cutoffs(self, es64, tmp_path):
+    def test_empty_cutoffs(self, es64):
         ds = record(np.full(64, 0.5))
         for new, former, args in [
             (fr.truncated_k_alpha, former_truncated_k_alpha, (fr.ConstraintSpec(E=1.0, eps=1e6),)),
@@ -554,14 +540,14 @@ class TestTruncatedExpansion:
         ]:
             got = new(ds, es64, *args)
             assert got.indices.size == 0
-            assert_same_solution(got, former(ds, es64, *args), tmp_path)
+            assert_same_solution(got, former(ds, es64, *args))
 
-    def test_classified_drops_informative_indices_past_the_record(self, es64, tmp_path):
+    def test_classified_drops_informative_indices_past_the_record(self, es64):
         ds = record(np.full(10, 0.5))
         vp = fr.VarianceProfile(rho=np.ones(64), nu=np.ones(64), eps=0.0)  # every k <= 64 informative
         got = fr.classified_solution(ds, es64, vp)
         assert got.indices.tolist() == list(range(1, 11))
-        assert_same_solution(got, former_classified_solution(ds, es64, vp), tmp_path)
+        assert_same_solution(got, former_classified_solution(ds, es64, vp))
 
     def test_selected_index_past_the_eigensystem_raises(self, es64):
         ds = record(np.ones(80))
@@ -614,14 +600,15 @@ class TestWriteTable:
         assert path.read_text() == former_profile_csv(profile.values)
 
     @SETTINGS
-    @given(series=any_series, significance=significances)
-    def test_autocorr_csv_with_n0_zero(self, series, significance, tmp_path_factory):
+    @given(g=coeff_records, significance=significances)
+    def test_autocorr_csv_with_n0_zero(self, g, significance, tmp_path_factory):
+        series = fr.autocorr_estimate(g)
         report = fr.SelectionReport(
             n0=0, Q=[], n_c=0, pairs=[], I_k=[], bound_ok=True, compat_ok=True,
             compat_violations=[], series=series, significance=significance,
         )
         path = tmp_path_factory.mktemp("csv") / "autocorr.csv"
-        report.write_autocorr_csv(str(path))
+        report.write_autocorr_csv(str(path), g)
         assert path.read_text() == former_autocorr_csv(series, 0, significance)
 
     @settings(max_examples=12, deadline=None)
@@ -792,7 +779,7 @@ class TestLagWindowSelection:
         window = report.series.delta
         assert window.size == report.max_lag + 1 <= g.size
         assert np.array_equal(window, series.delta[: window.size], equal_nan=True)
-        report.write_autocorr_csv(str(path))
+        report.write_autocorr_csv(str(path), g)
         assert path.read_text() == former_autocorr_csv(series, report.n0, significance)
         return report
 

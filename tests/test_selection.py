@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -126,16 +125,20 @@ class TestLagWindow:
         report = fr.build_selection(self.g)
         assert report.series.delta.size == report.max_lag + 1 < 64
         kept = tmp_path / "kept.csv"
-        report.write_autocorr_csv(str(kept))
+        report.write_autocorr_csv(str(kept), self.g)
         assert len(kept.read_text().splitlines()) == 65
-        bare = dataclasses.replace(report, record=None)
-        with pytest.raises(ValueError, match="no record"):
-            bare.write_autocorr_csv(str(tmp_path / "bare.csv"))
+        with pytest.raises(ValueError, match="length 63 is not this report's"):
+            report.write_autocorr_csv(str(tmp_path / "short.csv"), self.g[:-1])
+        with pytest.raises(ValueError, match="differ from this report's"):
+            report.write_autocorr_csv(str(tmp_path / "other.csv"), self.g[::-1] + 1.0)
+        assert not (tmp_path / "short.csv").exists() and not (tmp_path / "other.csv").exists()
 
     def test_record_is_not_serialized(self):
+        # nor kept: the report's one array is its window series, so no record outlives the run
         report = fr.build_selection(self.g)
         assert "record" not in report.to_json_dict()
-        assert "record" not in repr(report)
+        assert [name for name, v in vars(report).items() if isinstance(v, np.ndarray)] == []
+        assert report.series.delta.size == report.max_lag + 1
 
     @pytest.mark.parametrize("df", [1, 10, 27, 30])
     @pytest.mark.parametrize("level", [0.5, math.erf(fr.SIGNIFICANCE / math.sqrt(2.0)), 0.99])

@@ -30,7 +30,7 @@ class TestCumulativeProfile:
     def test_parseval_plateau_for_eigenfunction(self, grid513):
         es = fr.analytic_eigensystem(8)
         coeffs = np.zeros(8)
-        coeffs[0] = es.eigenvalue(1)  # g = A psi_1
+        coeffs[0] = es.eigenvalues[0]  # g = A psi_1
         ds = dataset_from_coeffs(es, grid513, coeffs)
         profile = fr.cumulative_profile(ds, es)
         npt.assert_allclose(profile.values, np.ones(8), atol=1e-14)

@@ -40,16 +40,21 @@ class TestSignalSpec:
         assert back == spec
 
 
+def forward_g(signal, es, grid):
+    """g = Af on the grid, computed spectrally over all of es: project f, scale by lam_k, sum."""
+    return fr.signal_context(signal, es, grid, es.count).g_vals
+
+
 class TestForwardApply:
     def test_eigenfunction_maps_to_scaled_self(self, es64, grid513):
-        psi1 = es64.eigenfunction(1, grid513.points)
-        g = fr.forward_apply(psi1, es64, grid513)
-        npt.assert_allclose(g, es64.eigenvalue(1) * psi1, atol=1e-12)
+        psi1 = es64.basis_matrix(grid513.points, 1)[0]
+        g = forward_g(fr.SignalSpec.tabulated(psi1), es64, grid513)
+        npt.assert_allclose(g, es64.eigenvalues[0] * psi1, atol=1e-12)
         mid = g[grid513.size // 2]
         assert mid == pytest.approx(np.sqrt(2) / np.pi**2, abs=1e-12)
 
     def test_zero_maps_to_zero(self, es64, grid513):
-        g = fr.forward_apply(np.zeros(grid513.size), es64, grid513)
+        g = forward_g(fr.SignalSpec.tabulated(np.zeros(grid513.size)), es64, grid513)
         assert not g.any()
 
     def test_f2_coefficient_13_closed_form(self, es64, grid513):
@@ -64,10 +69,10 @@ class TestForwardApply:
         # comparison needs a fine grid for a signal of amplitude ~30
         grid = fr.simpson_grid(4097)
         f = fr.evaluate_signal(fr.SignalSpec.named("f2"), grid)
-        direct = fr.apply_kernel(fr.sample_kernel_matrix(grid), f)
-        spectral = fr.forward_apply(f, es64, grid)
+        direct = fr.sample_kernel_matrix(grid).values @ (grid.weights * f)
+        spectral = forward_g(fr.SignalSpec.named("f2"), es64, grid)
         assert grid.norm(direct - spectral) < 1e-6
-        g13 = fr.project(direct, es64, 13, grid)
+        g13 = fr.project_all(direct, es64, grid, 13)[12]
         assert g13 == pytest.approx((15 / np.sqrt(2)) / (169 * np.pi**2), abs=1e-6)
 
 
@@ -83,13 +88,13 @@ def precomputed(g, es, grid, n_coeff):
 class TestAddNoise:
     def test_noiseless_limit(self, es64, grid513):
         f = fr.evaluate_signal(fr.SignalSpec.named("f1"), grid513)
-        g = fr.forward_apply(f, es64, grid513)
+        g = forward_g(fr.SignalSpec.named("f1"), es64, grid513)
         ds = fr.add_noise(g, 0.0, seed=3, **precomputed(g, es64, grid513, 40))
         npt.assert_allclose(ds.g_bar, g, atol=0)
         npt.assert_allclose(ds.coeffs, fr.forward_coeffs(f, es64, grid513, 40), atol=1e-15)
 
     def test_same_seed_identical(self, es64, grid513):
-        g = fr.forward_apply(fr.evaluate_signal(fr.SignalSpec.named("f1"), grid513), es64, grid513)
+        g = forward_g(fr.SignalSpec.named("f1"), es64, grid513)
         a = fr.add_noise(g, 1e-4, seed=11, **precomputed(g, es64, grid513, 40))
         b = fr.add_noise(g, 1e-4, seed=11, **precomputed(g, es64, grid513, 40))
         npt.assert_array_equal(a.coeffs, b.coeffs)
@@ -99,7 +104,7 @@ class TestAddNoise:
 
     def test_pointwise_sup_bound_and_variance(self, es64, grid513):
         eps = 1e-4
-        g = fr.forward_apply(fr.evaluate_signal(fr.SignalSpec.named("f1"), grid513), es64, grid513)
+        g = forward_g(fr.SignalSpec.named("f1"), es64, grid513)
         ds = fr.add_noise(g, eps, seed=5, **precomputed(g, es64, grid513, 40), noise_mode="pointwise")
         noise = ds.g_bar - g
         assert np.max(np.abs(noise)) <= eps
@@ -117,7 +122,7 @@ class TestAddNoise:
         # both injection modes satisfy |gbar_k - g_k| <= sqrt(2) eps
         eps = 1e-3
         f = fr.evaluate_signal(fr.SignalSpec.named("f4"), grid513)
-        g = fr.forward_apply(f, es512, grid513)
+        g = forward_g(fr.SignalSpec.named("f4"), es512, grid513)
         g_k = fr.forward_coeffs(f, es512, grid513, 256)
         for mode in ("coefficient", "pointwise"):
             ds = fr.add_noise(g, eps, seed=2, **precomputed(g, es512, grid513, 256), noise_mode=mode)
@@ -174,6 +179,12 @@ class TestSnr:
     def test_zero_eps_rejected(self):
         with pytest.raises(ValueError):
             fr.snr_db(np.ones(4), 0.0)
+
+    def test_zero_record_rejected(self):
+        # all zero, or squares that underflow: log10(0) would warn and give -inf
+        for g in (np.zeros(4), np.full(4, 1e-200)):
+            with pytest.raises(ValueError, match="nonzero power"):
+                fr.snr_db(g, 1e-3)
 
 
 class TestNoiseDispersion:

@@ -50,9 +50,9 @@ class TestTikhonovFull:
         grid, es, ds = small_setup
         # with lam_k = (eps/E) c_k the filter gives gbar_k / (2 lam_k)
         k = 3
-        alpha = es.eigenvalue(k) / k
+        alpha = es.eigenvalues[k - 1] / k
         sol = fr.tikhonov_full(ds, es, ConstraintSpec(E=1.0, eps=alpha))
-        assert sol.values[k - 1] == pytest.approx(ds.coeffs[k - 1] / (2 * es.eigenvalue(k)))
+        assert sol.values[k - 1] == pytest.approx(ds.coeffs[k - 1] / (2 * es.eigenvalues[k - 1]))
 
     def test_filter_factor_in_unit_interval(self, small_setup):
         grid, es, ds = small_setup
@@ -145,7 +145,7 @@ class TestTikhonovIdentity:
 
     def test_single_coefficient_hand_case(self, grid513):
         es = fr.analytic_eigensystem(1)
-        lam = es.eigenvalue(1)
+        lam = es.eigenvalues[0]
         ds = fr.NoisyDataset(
             g_bar=lam * es.basis_matrix(grid513.points, 1)[0],
             coeffs=np.array([lam]), epsilon=0.0, seed=0, n_coeff=1,
@@ -223,7 +223,7 @@ class TestClassifyComponents:
 
     def test_boundary_inclusive(self, grid513):
         es = fr.analytic_eigensystem(3)
-        eps = es.eigenvalue(2)  # lam_2 rho = eps nu exactly
+        eps = es.eigenvalues[1]  # lam_2 rho = eps nu exactly
         vp = VarianceProfile(rho=np.ones(3), nu=np.ones(3), eps=eps)
         informative, noisy = fr.classify_components(es, vp)
         assert 2 in informative and 3 in noisy
@@ -241,7 +241,7 @@ class TestClassifyComponents:
 
     def test_classified_solution(self, small_setup):
         grid, es, ds = small_setup
-        eps = es.eigenvalue(5)
+        eps = es.eigenvalues[4]
         vp = VarianceProfile(rho=np.ones(16), nu=np.ones(16), eps=eps)
         sol = fr.classified_solution(ds, es, vp)
         assert sol.indices.tolist() == [1, 2, 3, 4, 5]
@@ -252,16 +252,6 @@ class TestRegularizedSolution:
     def test_duplicate_indices_rejected(self):
         with pytest.raises(ValueError):
             fr.RegularizedSolution(indices=[1, 1], values=[0.5, 0.5], method="x")
-
-    def test_json_and_csv(self, tmp_path):
-        sol = fr.RegularizedSolution(indices=[1, 4], values=[2.0, -0.5], method="demo", params={"eps": 0.1})
-        d = sol.to_json()
-        assert '"method": "demo"' in d
-        path = tmp_path / "sol.csv"
-        sol.write_csv(str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "k,coefficient"
-        assert lines[1] == "1,2.0"
 
 
 @settings(max_examples=60)
