@@ -7,6 +7,7 @@ The file holds, for the checkout under --root (default: this repository):
   the per-layer metrics of the same command with `--trace 1`, for each
   workload W of BENCHMARK.json, together with the operations attempted and
   failed;
+- the wall time of a fresh `python -c "import fredreg"`, which every run pays;
 - wall times of fresh `fredreg run` processes: `--preset example1 --seeds 100`
   with and without `--out`, and `--preset example3 --seeds 100`;
 - the wall time of `scripts/null_control.py`;
@@ -164,6 +165,7 @@ def main() -> int:
                 metrics[i][trace].update(out)
                 codes[i][trace] = codes[i][trace] or code
     probes = {
+        "import_fredreg": [sys.executable, "-c", "import fredreg"],
         "run_example1": [*cli, "example1"],
         "run_example1_out": [*cli, "example1", "--out", "{tmp}"],
         "run_example3": [*cli, "example3"],

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 __all__ = [
     "QuadratureGrid",
@@ -184,6 +182,11 @@ def numeric_eigensystem(kernel: TabulatedKernel, n_max: int) -> EigenSystem:
     Raises EigenDecompositionError on non-convergence, on eigenvalues <= 1e-14
     (rank deficiency), and on numerically repeated eigenvalues.
     """
+    # imported on first use: only this function needs an eigensolver, and
+    # `import fredreg` should not pay for loading one
+    import scipy.linalg
+    import scipy.sparse.linalg
+
     grid = kernel.grid
     npts = grid.size
     if not 1 <= n_max <= npts:

@@ -128,6 +128,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        variance = self.epsilon * self.epsilon / 3.0
+        if self.epsilon > 0 and not np.finfo(float).smallest_normal <= variance < np.inf:
+            raise ValueError(
+                f"epsilon = {self.epsilon!r} is out of range: its noise variance epsilon^2/3 = {variance!r} "
+                "is not a normal float"
+            )
         for name in ("E_override", "c1_override"):
             value = getattr(self, name)
             if value is not None and not (np.isfinite(value) and value > 0):

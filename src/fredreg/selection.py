@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .eigensystem import EigenSystem
 from .synthesis import NoisyDataset, write_table
@@ -156,7 +156,9 @@ def _scan_lags(n_count: int, max_lag: int | None) -> int:
 
 @functools.lru_cache(maxsize=256)
 def _chi2_critical(level: float, df: int) -> float:
-    return float(chi2.ppf(level, df))
+    # the chi-square quantile as scipy.stats.chi2.ppf computes it, without
+    # importing scipy.stats
+    return float(2.0 * gammaincinv(df / 2.0, level))
 
 
 def _passes_randomness_gate(

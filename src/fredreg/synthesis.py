@@ -286,14 +286,20 @@ def snr_db(g: np.ndarray, epsilon: float) -> float:
     `g` is the noiseless data record the noise is injected into; for the
     standard coefficient-noise experiments that is the coefficient sequence
     {g_k}, matching the reported figure-legend values.  A record of zero
-    power (all zero) has no finite ratio and raises, as epsilon <= 0 does.
+    power (all zero) has no finite ratio and raises, as epsilon <= 0 does, and
+    so does an epsilon whose eps^2/3 underflows to zero or makes the ratio
+    overflow or underflow.
     """
     if epsilon <= 0:
         raise ValueError("snr_db needs epsilon > 0")
     power = np.mean(np.asarray(g, dtype=float) ** 2)
     if power == 0:
         raise ValueError("snr_db needs a record of nonzero power")
-    return float(10.0 * np.log10(power / (epsilon**2 / 3.0)))
+    with np.errstate(divide="ignore", over="ignore"):
+        db = 10.0 * np.log10(power / (epsilon**2 / 3.0))
+    if not np.isfinite(db):
+        raise ValueError(f"snr_db has no finite ratio at epsilon = {epsilon!r} (eps^2/3 = {epsilon**2 / 3.0!r})")
+    return float(db)
 
 
 def noise_dispersion(epsilon: float) -> float:

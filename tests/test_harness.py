@@ -43,6 +43,21 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="epsilon"):
             ExperimentConfig(signal=fr.SignalSpec.named("f1"), epsilon=epsilon)
 
+    @pytest.mark.parametrize("epsilon", [5e-324, 1e-170, 1e-160, 2.5e-154, 1e160])
+    def test_epsilon_must_have_a_normal_noise_variance(self, epsilon):
+        # eps^2/3 zero or subnormal gave snr_db a division by zero (an inf SNR
+        # that failed only at emission); past about 1.3e154 it overflowed
+        sig = fr.SignalSpec.named("f1")
+        with pytest.raises(ValueError, match=re.escape(f"epsilon = {epsilon!r} is out of range")):
+            ExperimentConfig(signal=sig, epsilon=epsilon)
+        with pytest.raises(ValueError, match=re.escape(f"epsilon = {epsilon!r} is out of range")):
+            ExperimentConfig.from_json_dict({"signal": sig.to_json_dict(), "epsilon": epsilon})
+
+    def test_smallest_normal_noise_variance_runs(self):
+        (rec,) = fr.run_experiment(ExperimentConfig(signal=fr.SignalSpec.named("f1"), epsilon=2.6e-154))
+        assert rec.failures == {}
+        assert np.isfinite(rec.snr_db)
+
     @pytest.mark.parametrize("field", ["E_override", "c1_override"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
     def test_overrides_must_be_finite_and_positive(self, field, value):

@@ -146,6 +146,12 @@ class TestLagWindow:
         assert _chi2_critical(level, df) == float(chi2.ppf(level, df))
         assert _chi2_critical(level, df) == _chi2_critical(level, df)
 
+    @settings(max_examples=300, deadline=None)
+    @given(level=st.floats(1e-6, 1.0 - 1e-6), df=st.integers(1, 299))
+    def test_chi2_critical_is_the_scipy_stats_quantile(self, level, df):
+        # scipy.stats is the oracle: the selection computes the quantile without importing it
+        assert _chi2_critical(level, df) == float(chi2.ppf(level, df))
+
 
 class TestBartlettStderr:
     def test_white_noise_value(self):

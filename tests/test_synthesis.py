@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -179,6 +180,16 @@ class TestSnr:
     def test_zero_eps_rejected(self):
         with pytest.raises(ValueError):
             fr.snr_db(np.ones(4), 0.0)
+
+    @pytest.mark.parametrize(
+        "g, epsilon",
+        [([1.0, 2.0], 1e-170), ([1.0, 2.0], 5e-324), ([1.0, 2.0], 1e-160), ([1e-150], 1e150)],
+        ids=["variance-zero", "variance-zero-subnormal-eps", "ratio-overflows", "ratio-underflows"],
+    )
+    def test_no_finite_ratio_rejected(self, g, epsilon):
+        # a ValueError, never a RuntimeWarning and an infinite SNR
+        with pytest.raises(ValueError, match=re.escape(f"no finite ratio at epsilon = {epsilon!r}")):
+            fr.snr_db(np.array(g), epsilon)
 
     def test_zero_record_rejected(self):
         # all zero, or squares that underflow: log10(0) would warn and give -inf
