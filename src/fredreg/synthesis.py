@@ -295,10 +295,11 @@ def snr_db(g: np.ndarray, epsilon: float) -> float:
     power = np.mean(np.asarray(g, dtype=float) ** 2)
     if power == 0:
         raise ValueError("snr_db needs a record of nonzero power")
+    variance = epsilon**2 / 3.0
     with np.errstate(divide="ignore", over="ignore"):
-        db = 10.0 * np.log10(power / (epsilon**2 / 3.0))
+        db = 10.0 * np.log10(power / variance)
     if not np.isfinite(db):
-        raise ValueError(f"snr_db has no finite ratio at epsilon = {epsilon!r} (eps^2/3 = {epsilon**2 / 3.0!r})")
+        raise ValueError(f"snr_db has no finite ratio at epsilon = {epsilon!r} (eps^2/3 = {variance!r})")
     return float(db)
 
 
