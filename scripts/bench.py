@@ -10,7 +10,9 @@ The file holds, for the checkout under --root (default: this repository):
 - the wall time of a fresh `python -c "import fredreg"`, which every run pays;
 - wall times of fresh `fredreg run` processes: `--preset example1 --seeds 100`
   with and without `--out`, and `--preset example3 --seeds 100`;
-- the wall time of `scripts/null_control.py`;
+- the wall time of `scripts/null_control.py`, and of `scripts/noise_sweep.py
+  --seeds 20` (every preset over its ladder of eps in one process, so all
+  but the first rung of a preset reuse its tables);
 - the peak RSS (`ru_maxrss`) of fresh processes that each run
   `run_experiment(preset("example1", seeds=range(n)))` in process, for n in
   100 and 3000;
@@ -170,6 +172,7 @@ def main() -> int:
         "run_example1_out": [*cli, "example1", "--out", "{tmp}"],
         "run_example3": [*cli, "example3"],
         "null_control": [sys.executable, "scripts/null_control.py"],
+        "noise_sweep": [sys.executable, "scripts/noise_sweep.py", "--seeds", "20", "--out", "{tmp}/sweep.json"],
     }
     wall = {name: wall_times(argv, each, args.repeats) for name, argv in probes.items()}
     rss = {f"run_experiment_example1_{n}": peak_rss(n, each, args.repeats) for n in RSS_SEEDS}

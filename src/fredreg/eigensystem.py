@@ -20,7 +20,6 @@ is exact (to rounding) for i + j < 512.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -37,7 +36,6 @@ __all__ = [
     "numeric_eigensystem",
     "project_all",
     "reconstruct",
-    "load_kernel_csv",
 ]
 
 DEFAULT_GRID_SIZE = 513
@@ -98,26 +96,30 @@ def simpson_grid(n: int = DEFAULT_GRID_SIZE, a: float = 0.0, b: float = 1.0) -> 
 class EigenSystem:
     """Ordered eigenpairs {psi_k, lam_k}, k = 1..count, of a symmetric kernel.
 
-    `evaluator(ks, x)` tabulates the eigenfunctions: for an integer array ks
-    (values in 1..count, already checked) and a 1-d array x it returns the
-    array of shape (len(ks), len(x)) whose row i is psi_{ks[i]}(x).  Every
-    evaluation goes through one call to it: `basis_matrix` for the rows
-    1..upto, `reconstruct` for the rows it sums.
+    `eigenvalues` is the 1-d array lam_1 > lam_2 > ... > 0; its size is the
+    eigenpair count.  `evaluator(ks, x)` tabulates the eigenfunctions: for an
+    integer array ks (values in 1..count, already checked) and a 1-d array x
+    it returns the array of shape (len(ks), len(x)) whose row i is
+    psi_{ks[i]}(x).  Every evaluation goes through one call to it:
+    `basis_matrix` for the rows 1..upto, `reconstruct` for the rows it sums.
     """
 
     eigenvalues: np.ndarray
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    count: int
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=float)
         object.__setattr__(self, "eigenvalues", vals)
-        if vals.size != self.count:
-            raise ValueError("eigenvalue list does not match count")
+        if vals.ndim != 1:
+            raise ValueError(f"eigenvalues must be a 1-d array, got shape {vals.shape}")
         if np.any(vals <= 0):
             raise ValueError("eigenvalues must be strictly positive")
         if np.any(np.diff(vals) >= 0):
             raise ValueError("eigenvalues must be strictly decreasing")
+
+    @property
+    def count(self) -> int:
+        return self.eigenvalues.size
 
     def basis_matrix(self, x: np.ndarray, upto: int | None = None) -> np.ndarray:
         """psi_k(x) stacked row-wise for k = 1..upto."""
@@ -170,7 +172,6 @@ def analytic_eigensystem(n_max: int = DEFAULT_N_MAX) -> EigenSystem:
     return EigenSystem(
         eigenvalues=1.0 / (ks * np.pi) ** 2,
         evaluator=_sine_evaluator,
-        count=n_max,
     )
 
 
@@ -226,7 +227,7 @@ def numeric_eigensystem(kernel: TabulatedKernel, n_max: int) -> EigenSystem:
     def evaluator(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
         return np.array([np.interp(x, pts, table[k - 1]) for k in ks]).reshape(len(ks), x.size)
 
-    return EigenSystem(eigenvalues=vals, evaluator=evaluator, count=n_max)
+    return EigenSystem(eigenvalues=vals, evaluator=evaluator)
 
 
 def project_all(f: np.ndarray, es: EigenSystem, grid: QuadratureGrid, upto: int | None = None) -> np.ndarray:
@@ -248,35 +249,3 @@ def reconstruct(
         out += value * row
     return out
 
-
-def load_kernel_csv(path: str, grid: QuadratureGrid | None = None) -> TabulatedKernel:
-    """Load a tabulated kernel from CSV.
-
-    Two layouts are accepted: a triplet table with header "x,y,value" covering
-    the full tensor grid (the grid is inferred from the x column), or a dense
-    matrix (no header) paired with an explicit `grid`.
-    """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty kernel file")
-    header = [c.strip().lower() for c in rows[0]]
-    if header == ["x", "y", "value"]:
-        data = np.array([[float(c) for c in row] for row in rows[1:]])
-        xs = np.unique(data[:, 0])
-        n = xs.size
-        if data.shape[0] != n * n:
-            raise ValueError(f"{path}: triplet table must cover the full {n}x{n} grid")
-        if grid is None:
-            if xs[-1] == xs[0]:
-                raise ValueError(f"{path}: cannot infer grid endpoints; pass grid=")
-            grid = simpson_grid(n, a=float(xs[0]), b=float(xs[-1]))
-        ix = np.searchsorted(xs, data[:, 0])
-        iy = np.searchsorted(xs, data[:, 1])
-        vals = np.zeros((n, n))
-        vals[ix, iy] = data[:, 2]
-        return TabulatedKernel(values=vals, grid=grid)
-    if grid is None:
-        raise ValueError(f"{path}: dense matrix form needs an explicit grid= (sidecar grid file)")
-    vals = np.array([[float(c) for c in row] for row in rows])
-    return TabulatedKernel(values=vals, grid=grid)

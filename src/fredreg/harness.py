@@ -3,8 +3,9 @@
 Presets example1..example4 encode the reference experiments (signal, noise
 bound, record length); each run takes its seed-invariant context, draws a
 dataset per seed, applies the requested reconstruction methods, and records
-relative L2 errors on the grid together with the cutoff indices and the
-selection report.  The context's tables (grid, eigensystems, psi_k table, f,
+relative L2 errors on the grid (each method's expansion summed over rows of
+the one psi_k table) together with the cutoff indices and the selection
+report.  The context's tables (grid, eigensystems, psi_k table, f,
 g_k, g) depend only on the signal, n_coeff, grid_size and n_max, so repeated
 calls on one signal share them: a process-wide cache holds the tables of the
 last such key (one entry), its arrays are read-only, and it keeps them after
@@ -24,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
-import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -76,7 +76,6 @@ class RunContext:
 
     data: SignalContext  # grid, record eigensystem (k <= n_coeff), psi_k table, f, g_k, g
     es: EigenSystem  # reconstruction basis, k <= n_max: coefficients beyond it are noise-dominated
-    table: np.ndarray  # data.basis[:es.count]: row k-1 is psi_k on the grid
     f_norm: float
     E: float
     c1: float
@@ -236,7 +235,6 @@ class RunRecord:
     k_beta: int | None = None
     k0: int | None = None
     selection: SelectionReport | None = None
-    wall_time_s: float = 0.0  # not serialized: outputs stay byte-deterministic
     # not serialized: the resolved seeds/<seed>/ directory run_experiment wrote this record's CSVs to
     seed_dir: Path | None = field(default=None, init=False, compare=False)
 
@@ -256,14 +254,14 @@ class RunRecord:
 
 
 # The one entry of the process-wide cache: (signal JSON, n_coeff, grid_size,
-# n_max) -> the read-only (data, es, table) of run_context.  It is emptied
+# n_max) -> the read-only (data, es) of run_context.  It is emptied
 # before a miss builds, so two entries never coexist, but the last key's
 # tables outlive the call: the n_coeff x grid_size psi_k table (8 bytes a
 # value) stays in memory until a call on another key replaces it.
 _TABLES: dict = {}
 
 
-def _seed_invariant_tables(cfg: ExperimentConfig) -> tuple[SignalContext, EigenSystem, np.ndarray]:
+def _seed_invariant_tables(cfg: ExperimentConfig) -> tuple[SignalContext, EigenSystem]:
     """The grid, both eigensystems, the psi_k table, f, g_k and g of cfg, built on a miss."""
     signal = json.dumps(cfg.signal.to_json_dict(), sort_keys=True, separators=(",", ":"))
     key = (signal, cfg.n_coeff, cfg.grid_size, cfg.n_max)
@@ -278,9 +276,7 @@ def _seed_invariant_tables(cfg: ExperimentConfig) -> tuple[SignalContext, EigenS
         for a in (grid.points, grid.weights, data.es.eigenvalues, data.basis, data.f_vals,
                   data.g_coeffs, data.g_vals, es.eigenvalues):
             a.flags.writeable = False
-        # psi_k depends on k and x alone, so the first es.count rows of the record's
-        # table are the reconstruction basis on the grid
-        tables = _TABLES[key] = (data, es, data.basis[: es.count])
+        tables = _TABLES[key] = (data, es)
     return tables
 
 
@@ -292,14 +288,13 @@ def run_context(cfg: ExperimentConfig) -> RunContext:
     the returned context are read-only and shared; the scalars are computed
     per call.
     """
-    data, es, table = _seed_invariant_tables(cfg)
+    data, es = _seed_invariant_tables(cfg)
     f_norm = data.grid.norm(data.f_vals)
     if f_norm == 0 and cfg.E_override is None:
         f_norm = 1.0  # zero signal: errors become absolute, bounds need overrides
     return RunContext(
         data=data,
         es=es,
-        table=table,
         f_norm=f_norm,
         E=cfg.E_override if cfg.E_override is not None else f_norm,
         # 1e-9 headroom: quadrature-level Parseval rounding must not truncate the
@@ -309,11 +304,15 @@ def run_context(cfg: ExperimentConfig) -> RunContext:
     )
 
 
-def _on_grid(sol, table):
-    """sol.to_grid from rows of the run's table: reconstruct's term-by-term sum in sol.coeffs order."""
-    out = np.zeros(table.shape[1])
+def _on_grid(sol, basis):
+    """sol.to_grid from rows k-1 of the record's psi_k table, summed term by term in sol.coeffs order.
+
+    psi_k depends on k and x alone, so the table's first es.count rows are
+    the reconstruction basis on the grid; the sum is reconstruct's.
+    """
+    out = np.zeros(basis.shape[1])
     for k, value in sol.coeffs:
-        out += value * table[k - 1]
+        out += value * basis[k - 1]
     return out
 
 
@@ -340,7 +339,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
         base_snr = None
     records = []
     for seed in cfg.seeds:
-        t0 = time.perf_counter()
         ds = ctx.data.draw(cfg.epsilon, seed, cfg.noise_mode)
         record = RunRecord(seed=seed, snr_db=base_snr)
         grids = {}  # method -> its values on the grid
@@ -353,9 +351,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
             for attr in CUTOFFS:
                 if attr in sol.params:
                     setattr(record, attr, int(sol.params[attr]))
-            grids[name] = _on_grid(sol, ctx.table)
+            grids[name] = _on_grid(sol, ctx.data.basis)
             record.rel_l2[name] = grid.norm(grids[name] - f_vals) / ctx.f_norm
-        record.wall_time_s = time.perf_counter() - t0
         if cfg.output_dir is not None:
             coeffs_csv, profile_csv, *autocorr_csv, solutions_csv = _seed_files(Path(cfg.output_dir), record)
             coeffs_csv.parent.mkdir(parents=True, exist_ok=True)

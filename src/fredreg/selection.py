@@ -235,19 +235,46 @@ def _admissible_bounds(n_c: int) -> tuple[float, int]:
 
 @dataclass(frozen=True)
 class SelectionReport:
-    """Outcome and diagnostics of the full selection pipeline."""
+    """Outcome and diagnostics of the full selection pipeline.
+
+    The report keeps n0, the significant lags Q, one pair per lag and the
+    autocorrelation series over the scanned lag window 0..max_lag; the
+    informative set I_k (the pair members) and the combinatorial-bound and
+    pairwise lag-compatibility diagnostics are computed from them.
+    """
 
     n0: int
     Q: list[int]
-    n_c: int
     pairs: list[tuple[int, int]]
-    I_k: list[int]
-    bound_ok: bool
-    compat_ok: bool
-    compat_violations: list[tuple[int, int]]
     series: AutocorrSeries = field(repr=False)
     significance: float = SIGNIFICANCE
-    max_lag: int | None = None
+
+    @property
+    def max_lag(self) -> int:
+        return self.series.delta.size - 1
+
+    @property
+    def n_c(self) -> int:
+        return len(self.Q)
+
+    @property
+    def I_k(self) -> list[int]:
+        return sorted({k for pair in self.pairs for k in pair})
+
+    @property
+    def bound_ok(self) -> bool:
+        lower, upper = _admissible_bounds(self.n_c)
+        return bool(lower - 1e-9 <= len(self.I_k) <= upper)
+
+    @property
+    def compat_violations(self) -> list[tuple[int, int]]:
+        """Pairs of I_k members whose distance is not a lag in Q."""
+        I_k, qset = self.I_k, set(self.Q)
+        return [(a, b) for i, a in enumerate(I_k) for b in I_k[i + 1 :] if (b - a) not in qset]
+
+    @property
+    def compat_ok(self) -> bool:
+        return not self.compat_violations
 
     def to_json_dict(self) -> dict:
         return {
@@ -290,10 +317,10 @@ def build_selection(
     max_lag: int | None = None,
     randomness_test: str = "portmanteau",
 ) -> SelectionReport:
-    """Run the whole pipeline and attach the consistency diagnostics.
+    """Run the whole pipeline; the report derives the consistency diagnostics.
 
-    The report is purely diagnostic: the selection is returned even when the
-    combinatorial bound or a pairwise compatibility constraint fails.
+    The diagnostics do not gate anything: the selection is returned even when
+    the combinatorial bound or a pairwise compatibility constraint fails.
     """
     coeffs = data.coeffs if isinstance(data, NoisyDataset) else np.asarray(data, dtype=float)
     if coeffs.size < 8:
@@ -305,25 +332,8 @@ def build_selection(
     series = autocorr_estimate(coeffs, top)  # every lag the selection reads
     n0 = detect_n0(series, significance, max_lag, randomness_test)
     Q = build_Q(series, n0, significance)
-    pairs = select_pairs(coeffs, Q)
-    members: set[int] = set()
-    for a, b in pairs:
-        members.add(a)
-        members.add(b)
-    I_k = sorted(members)
-    lower, upper = _admissible_bounds(len(Q))
-    bound_ok = bool(lower - 1e-9 <= len(I_k) <= upper)
-    qset = set(Q)
-    violations = [
-        (a, b)
-        for i, a in enumerate(I_k)
-        for b in I_k[i + 1 :]
-        if (b - a) not in qset
-    ]
     return SelectionReport(
-        n0=n0, Q=Q, n_c=len(Q), pairs=pairs, I_k=I_k,
-        bound_ok=bound_ok, compat_ok=not violations, compat_violations=violations,
-        series=series, significance=significance, max_lag=top,
+        n0=n0, Q=Q, pairs=select_pairs(coeffs, Q), series=series, significance=significance
     )
 
 
@@ -331,11 +341,10 @@ def reconstruct_bhat(
     data: NoisyDataset, es: EigenSystem, report: SelectionReport
 ) -> RegularizedSolution:
     """Selected-component estimate: gbar_k/lam_k on I_k, zero elsewhere."""
-    if report.I_k and report.I_k[-1] > es.count:
-        raise IndexError(
-            f"selected index {report.I_k[-1]} exceeds eigensystem count {es.count}"
-        )
+    I_k = report.I_k
+    if I_k and I_k[-1] > es.count:
+        raise IndexError(f"selected index {I_k[-1]} exceeds eigensystem count {es.count}")
     params = {
         "n0": report.n0, "Q": list(report.Q), "bound_ok": report.bound_ok, "compat_ok": report.compat_ok,
     }
-    return truncated_expansion(data, es, report.I_k, "autocorrelation_selection", params)
+    return truncated_expansion(data, es, I_k, "autocorrelation_selection", params)

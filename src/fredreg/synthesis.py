@@ -148,25 +148,21 @@ def evaluate_signal(spec: SignalSpec, grid: QuadratureGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoisyDataset:
-    """Noisy data record: grid samples of gbar plus the coefficients gbar_k."""
+    """Noisy data record: the coefficients gbar_k, k = 1..n_coeff, as a finite 1-D array."""
 
-    g_bar: np.ndarray
     coeffs: np.ndarray
-    epsilon: float
-    seed: int
-    n_coeff: int
-    noise_mode: str = "coefficient"
 
     def __post_init__(self):
-        object.__setattr__(self, "g_bar", np.asarray(self.g_bar, dtype=float))
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        if self.coeffs.size != self.n_coeff:
-            raise ValueError("coefficient list does not match n_coeff")
-        for name in ("coeffs", "g_bar"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} holds NaN or inf")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        object.__setattr__(self, "coeffs", coeffs)
+        if coeffs.ndim != 1:
+            raise ValueError(f"coefficient record must be 1-D, got shape {coeffs.shape}")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("coeffs holds NaN or inf")
+
+    @property
+    def n_coeff(self) -> int:
+        return self.coeffs.size
 
 
 def forward_coeffs(
@@ -193,34 +189,24 @@ def add_noise(
     The seed-invariant inputs come precomputed: g on the grid, its
     coefficients g_coeffs (g_k for k = 1..n_coeff, n_coeff = len(g_coeffs))
     and the basis table psi_k(x_i), row k-1, for at least k = 1..n_coeff.
-    In coefficient mode the noise enters the coefficients directly and the
-    grid representation is g plus the noise series reconstructed up to the
-    grid Nyquist index; in pointwise mode it enters the grid values, which
-    are then projected.
+    In coefficient mode the noise enters the coefficients directly; in
+    pointwise mode it enters the grid values of g, which are then projected.
     """
     if not (np.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-    g = np.asarray(g, dtype=float)
     g_coeffs = np.asarray(g_coeffs, dtype=float)
     n_coeff = g_coeffs.size
     if basis.shape[0] < n_coeff or basis.shape[1:] != (grid.size,):
         raise ValueError(f"basis table {basis.shape} must cover {n_coeff} rows on {grid.size} points")
     rng = np.random.default_rng(seed)
     if noise_mode == "coefficient":
-        u = rng.uniform(-epsilon, epsilon, n_coeff)
-        coeffs = g_coeffs + u
-        upto = min(n_coeff, grid.size - 2)  # sine modes >= grid Nyquist alias on the grid
-        g_bar = g + u[:upto] @ basis[:upto]
+        coeffs = g_coeffs + rng.uniform(-epsilon, epsilon, n_coeff)
     elif noise_mode == "pointwise":
-        u = rng.uniform(-epsilon, epsilon, grid.size)
-        g_bar = g + u
+        g_bar = np.asarray(g, dtype=float) + rng.uniform(-epsilon, epsilon, grid.size)
         coeffs = basis[:n_coeff] @ (grid.weights * g_bar)
     else:
         raise ValueError(f"unknown noise_mode {noise_mode!r}")
-    return NoisyDataset(
-        g_bar=g_bar, coeffs=coeffs, epsilon=epsilon, seed=seed,
-        n_coeff=n_coeff, noise_mode=noise_mode,
-    )
+    return NoisyDataset(coeffs=coeffs)
 
 
 @dataclass(frozen=True)
@@ -230,7 +216,8 @@ class SignalContext:
     Built once per signal, eigensystem, grid and record length n_coeff:
     `basis` is the table psi_k(x_i) (row k-1, k = 1..n_coeff), `g_coeffs` the
     noiseless g_k and `g_vals` g on the grid, summed below the grid Nyquist
-    index.  Only the noise depends on the seed: `draw` adds it.
+    index (pointwise noise is added to it).  Only the noise depends on the
+    seed: `draw` adds it.
     """
 
     grid: QuadratureGrid
@@ -295,7 +282,7 @@ def snr_db(g: np.ndarray, epsilon: float) -> float:
     power = np.mean(np.asarray(g, dtype=float) ** 2)
     if power == 0:
         raise ValueError("snr_db needs a record of nonzero power")
-    variance = epsilon**2 / 3.0
+    variance = epsilon * epsilon / 3.0
     with np.errstate(divide="ignore", over="ignore"):
         db = 10.0 * np.log10(power / variance)
     if not np.isfinite(db):

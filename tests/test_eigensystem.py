@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -74,6 +76,14 @@ class TestAnalyticEigensystem:
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ValueError):
             fr.analytic_eigensystem(0)
+
+    def test_count_is_the_eigenvalue_count(self, es64):
+        assert [f.name for f in dataclasses.fields(es64)] == ["eigenvalues", "evaluator"]
+        assert es64.count == es64.eigenvalues.size == 64
+
+    def test_rejects_two_dimensional_eigenvalues(self, es64):
+        with pytest.raises(ValueError, match="1-d array"):
+            fr.EigenSystem(eigenvalues=es64.eigenvalues[:4].reshape(2, 2), evaluator=es64.evaluator)
 
 
 class TestProjectReconstruct:
@@ -171,28 +181,3 @@ class TestNumericEigensystem:
         nes = fr.numeric_eigensystem(fr.sample_kernel_matrix(grid513), 3)
         assert nes.eigenvalues[0] == pytest.approx(1 / np.pi**2, rel=1e-4)
 
-
-class TestKernelCsv:
-    def test_triplet_roundtrip(self, tmp_path):
-        grid = fr.simpson_grid(65)
-        kern = fr.sample_kernel_matrix(grid)
-        path = tmp_path / "kernel.csv"
-        with open(path, "w") as fh:
-            fh.write("x,y,value\n")
-            for i, x in enumerate(grid.points.tolist()):
-                for j, y in enumerate(grid.points.tolist()):
-                    fh.write(f"{x!r},{y!r},{kern.values[i, j].item()!r}\n")
-        loaded = fr.load_kernel_csv(str(path))
-        npt.assert_allclose(loaded.values, kern.values, atol=1e-15)
-
-    def test_dense_needs_grid(self, tmp_path):
-        path = tmp_path / "dense.csv"
-        grid = fr.simpson_grid(65)
-        kern = fr.sample_kernel_matrix(grid)
-        with open(path, "w") as fh:
-            for row in kern.values:
-                fh.write(",".join(repr(v) for v in row.tolist()) + "\n")
-        with pytest.raises(ValueError):
-            fr.load_kernel_csv(str(path))
-        loaded = fr.load_kernel_csv(str(path), grid=grid)
-        npt.assert_allclose(loaded.values, kern.values, atol=1e-15)

@@ -100,17 +100,15 @@ class TestReconstruct:
 
 
 def synthesize_from_scratch(signal, es, grid, epsilon, seed, n_coeff, noise_mode):
-    """The former per-seed synthesis: (g_bar, coeffs, f_vals, g_coeffs)."""
+    """The former per-seed synthesis: (coeffs, f_vals, g_coeffs)."""
     f_vals = fr.evaluate_signal(signal, grid)
     g_coeffs = fr.forward_coeffs(f_vals, es, grid, n_coeff)
-    upto = min(n_coeff, grid.size - 2)
-    g_vals = g_coeffs[:upto] @ es.basis_matrix(grid.points, upto)
     rng = np.random.default_rng(seed)
     if noise_mode == "coefficient":
-        u = rng.uniform(-epsilon, epsilon, n_coeff)
-        return g_vals + u[:upto] @ es.basis_matrix(grid.points, upto), g_coeffs + u, f_vals, g_coeffs
-    g_bar = g_vals + rng.uniform(-epsilon, epsilon, grid.size)
-    return g_bar, fr.project_all(g_bar, es, grid, n_coeff), f_vals, g_coeffs
+        return g_coeffs + rng.uniform(-epsilon, epsilon, n_coeff), f_vals, g_coeffs
+    upto = min(n_coeff, grid.size - 2)
+    g_bar = g_coeffs[:upto] @ es.basis_matrix(grid.points, upto) + rng.uniform(-epsilon, epsilon, grid.size)
+    return fr.project_all(g_bar, es, grid, n_coeff), f_vals, g_coeffs
 
 
 def run_cfg(name, noise_mode):
@@ -134,16 +132,16 @@ class TestRunContextDatasets:
     def test_draw_matches_synthesis_from_scratch(self, contexts, case, seed):
         cfg, ctx = run_cfg(*case), contexts[case]
         data = ctx.data
-        g_bar, coeffs, f_vals, g_coeffs = synthesize_from_scratch(
+        coeffs, f_vals, g_coeffs = synthesize_from_scratch(
             cfg.signal, data.es, data.grid, cfg.epsilon, seed, cfg.n_coeff, cfg.noise_mode
         )
         ds = data.draw(cfg.epsilon, seed, cfg.noise_mode)
-        assert np.array_equal(ds.g_bar, g_bar) and np.array_equal(ds.coeffs, coeffs)
+        assert np.array_equal(ds.coeffs, coeffs)
         assert np.array_equal(data.f_vals, f_vals) and np.array_equal(data.g_coeffs, g_coeffs)
         lib, lib_f, lib_g = fr.synthesize_dataset(
             cfg.signal, data.es, data.grid, cfg.epsilon, seed, cfg.n_coeff, cfg.noise_mode
         )
-        assert np.array_equal(lib.g_bar, g_bar) and np.array_equal(lib.coeffs, coeffs)
+        assert np.array_equal(lib.coeffs, coeffs)
         assert np.array_equal(lib_f, f_vals) and np.array_equal(lib_g, g_coeffs)
 
     def test_records_keep_their_datasets(self, tmp_path):
@@ -318,10 +316,7 @@ class TestBartlettBand:
     def test_autocorr_csv_rows(self, g, significance, data, tmp_path_factory):
         n0 = data.draw(st.integers(0, g.size - 1))
         window = fr.autocorr_estimate(g, data.draw(st.integers(0, g.size - 1)))
-        report = fr.SelectionReport(
-            n0=n0, Q=[], n_c=0, pairs=[], I_k=[], bound_ok=True, compat_ok=True,
-            compat_violations=[], series=window, significance=significance,
-        )
+        report = fr.SelectionReport(n0=n0, Q=[], pairs=[], series=window, significance=significance)
         path = tmp_path_factory.mktemp("csv") / "autocorr.csv"
         report.write_autocorr_csv(str(path), g)
         assert path.read_text() == former_autocorr_csv(fr.autocorr_estimate(g), n0, significance)
@@ -448,8 +443,7 @@ positive = st.floats(-8.0, 3.0).map(lambda e: 10.0**e)
 
 
 def record(coeffs):
-    coeffs = np.asarray(coeffs, dtype=float)
-    return fr.NoisyDataset(g_bar=np.zeros(1), coeffs=coeffs, epsilon=0.0, seed=0, n_coeff=coeffs.size)
+    return fr.NoisyDataset(coeffs=coeffs)
 
 
 def draw_record(data, kind, numeric_es):
@@ -465,11 +459,9 @@ def draw_record(data, kind, numeric_es):
     return record(scale * np.array(values)), es
 
 
-def selection_report(I_k, n0=0, Q=(), bound_ok=True, compat_ok=True):
+def selection_report(pairs, n0=0, Q=()):
     return fr.SelectionReport(
-        n0=n0, Q=list(Q), n_c=len(Q), pairs=[], I_k=list(I_k), bound_ok=bound_ok,
-        compat_ok=compat_ok, compat_violations=[],
-        series=fr.AutocorrSeries(delta=np.array([1.0, 0.0]), n_count=2),
+        n0=n0, Q=list(Q), pairs=list(pairs), series=fr.AutocorrSeries(delta=np.array([1.0, 0.0]), n_count=2)
     )
 
 
@@ -511,10 +503,11 @@ class TestTruncatedExpansion:
     def test_selected_components(self, numeric_es, kind, data):
         ds, es = draw_record(data, kind, numeric_es)
         top = min(es.count, ds.n_coeff)
-        I_k = sorted(data.draw(st.sets(st.integers(1, top)), label="I_k"))
+        # pairs (a, b), a < b <= top: I_k is their members; Q drawn apart, so either flag can fail
+        pairs = data.draw(st.lists(st.tuples(st.integers(1, top), st.integers(1, top)), max_size=4), label="pairs")
+        pairs = [(a, b) for a, b in pairs if a < b]
         Q = data.draw(st.lists(st.integers(1, 30), max_size=4), label="Q")
-        flags = data.draw(st.tuples(st.booleans(), st.booleans()), label="flags")
-        report = selection_report(I_k, n0=max(Q, default=0), Q=Q, bound_ok=flags[0], compat_ok=flags[1])
+        report = selection_report(pairs, n0=max(Q, default=0), Q=Q)
         got = fr.reconstruct_bhat(ds, es, report)
         assert_same_solution(got, former_reconstruct_bhat(ds, es, report))
 
@@ -552,7 +545,7 @@ class TestTruncatedExpansion:
     def test_selected_index_past_the_eigensystem_raises(self, es64):
         ds = record(np.ones(80))
         with pytest.raises(IndexError):
-            fr.reconstruct_bhat(ds, es64, selection_report([3, 65]))
+            fr.reconstruct_bhat(ds, es64, selection_report([(3, 65)], n0=62, Q=[62]))
 
 
 def former_write_table(header, *columns):
@@ -603,10 +596,7 @@ class TestWriteTable:
     @given(g=coeff_records, significance=significances)
     def test_autocorr_csv_with_n0_zero(self, g, significance, tmp_path_factory):
         series = fr.autocorr_estimate(g)
-        report = fr.SelectionReport(
-            n0=0, Q=[], n_c=0, pairs=[], I_k=[], bound_ok=True, compat_ok=True,
-            compat_violations=[], series=series, significance=significance,
-        )
+        report = fr.SelectionReport(n0=0, Q=[], pairs=[], series=series, significance=significance)
         path = tmp_path_factory.mktemp("csv") / "autocorr.csv"
         report.write_autocorr_csv(str(path), g)
         assert path.read_text() == former_autocorr_csv(series, 0, significance)
@@ -857,7 +847,7 @@ class TestScoringTable:
         records = fr.run_experiment(cfg)
         ctx = fr.run_context(cfg)
         grid = ctx.data.grid
-        assert np.array_equal(ctx.table, ctx.es.basis_matrix(grid.points))
+        assert np.array_equal(ctx.data.basis[: ctx.es.count], ctx.es.basis_matrix(grid.points))
         for rec in records:
             ds = ctx.data.draw(cfg.epsilon, rec.seed, cfg.noise_mode)
             assert sorted(rec.rel_l2) == sorted(fr.ALL_METHODS)

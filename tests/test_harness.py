@@ -134,7 +134,7 @@ class TestRunExperiment:
     def test_record_fields_are_its_serialized_keys(self, example1_records):
         _, records = example1_records
         names = {f.name for f in dataclasses.fields(fr.RunRecord)}
-        assert names == set(records[0].to_json_dict()) | {"wall_time_s", "seed_dir"}
+        assert names == set(records[0].to_json_dict()) | {"seed_dir"}
 
     def test_blp_equals_tikhonov_identity(self, example1_records):
         _, records = example1_records
@@ -377,15 +377,15 @@ class TestTableCache:
                 {"noise_mode": "pointwise"}, {"methods": ("bhat",)}, {"seeds": (7, 8)},
             )
         ]
-        table = fr.run_context(base).table
-        assert all(fr.run_context(cfg).table is table for cfg in same)
+        table = fr.run_context(base).data.basis
+        assert all(fr.run_context(cfg).data.basis is table for cfg in same)
         other = [
             dataclasses.replace(base, **change) for change in (
                 {"signal": fr.SignalSpec.named("f3")}, {"n_coeff": 48}, {"grid_size": 65}, {"n_max": 12},
             )
         ]
         for cfg in other:
-            assert fr.run_context(base).table is not fr.run_context(cfg).table
+            assert fr.run_context(base).data.basis is not fr.run_context(cfg).data.basis
 
     def test_a_tabulated_signal_changed_in_place_misses(self):
         values = np.linspace(0.0, 1.0, 65)
@@ -393,18 +393,21 @@ class TestTableCache:
         first = fr.run_context(cfg)
         values[10] += 1.0
         second = fr.run_context(cfg)
-        assert second.table is not first.table
+        assert second.data.basis is not first.data.basis
         assert np.array_equal(second.data.f_vals, values)
         assert values.flags.writeable and cfg.signal.values.flags.writeable
         assert not second.data.f_vals.flags.writeable
 
     def test_tables_are_read_only(self):
         ctx = fr.run_context(preset("example1"))
-        for table in (ctx.table, ctx.data.basis):
+        for table in (ctx.data.basis, ctx.data.g_coeffs, ctx.es.eigenvalues):
             with pytest.raises(ValueError, match="read-only"):
-                table[0, 0] = 1.0
+                table[0] = 1.0
 
     def test_one_sine_table_per_grid(self):
-        ctx = fr.run_context(preset("example3"))
-        assert np.shares_memory(ctx.table, ctx.data.basis)
-        assert ctx.table.shape == (ctx.es.count, ctx.data.grid.size)
+        cfg = preset("example3")
+        ctx = fr.run_context(cfg)
+        # the record's psi_k table is the only one: scoring reads its first n_max rows
+        assert [f.name for f in dataclasses.fields(ctx) if isinstance(getattr(ctx, f.name), np.ndarray)] == []
+        assert ctx.data.basis.shape == (cfg.n_coeff, ctx.data.grid.size)
+        assert ctx.es.count == cfg.n_max < cfg.n_coeff

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -293,6 +294,19 @@ class TestBuildSelection:
         d = fr.build_selection(ds).to_json_dict()
         assert set(d) == {"n0", "Q", "pairs", "I_k", "bound_ok", "compat_violations"}
 
+    def test_diagnostics_follow_from_the_pairs(self):
+        series = AutocorrSeries(delta=np.array([1.0, 0.0, 0.0]), n_count=8)
+        fits = fr.SelectionReport(n0=2, Q=[1, 2], pairs=[(1, 2), (1, 3)], series=series)
+        names = [f.name for f in dataclasses.fields(fits)]
+        assert names == ["n0", "Q", "pairs", "series", "significance"]
+        assert (fits.I_k, fits.n_c, fits.max_lag) == ([1, 2, 3], 2, 2)
+        assert fits.bound_ok and fits.compat_ok and fits.compat_violations == []
+        # members 1 and 4, 1 and 5 lie 3 and 4 apart: lags outside Q; four members exceed the bound 3
+        clash = fr.SelectionReport(n0=2, Q=[1, 2], pairs=[(4, 5), (1, 3)], series=series)
+        assert clash.I_k == [1, 3, 4, 5]
+        assert clash.compat_violations == [(1, 4), (1, 5)]
+        assert not clash.compat_ok and not clash.bound_ok
+
     def test_scale_invariance_full_pipeline(self, example1_seed0):
         ds, _, _ = example1_seed0
         base = fr.build_selection(ds.coeffs)
@@ -316,9 +330,7 @@ class TestNonFiniteRecord:
 class TestReconstructBhat:
     def test_empty_selection_zero_solution(self, es64, grid513):
         report = fr.build_selection(np.random.default_rng(0).uniform(-1, 1, 64))
-        ds = fr.NoisyDataset(
-            g_bar=np.zeros(513), coeffs=np.zeros(64), epsilon=0.0, seed=0, n_coeff=64
-        )
+        ds = fr.NoisyDataset(np.zeros(64))
         if report.I_k:  # this seed gives an empty selection; guard regardless
             pytest.skip("seed produced a nonempty selection")
         sol = fr.reconstruct_bhat(ds, es64, report)

@@ -10,28 +10,20 @@ import fredreg as fr
 from fredreg import CumulativeProfile
 
 
-def dataset_from_coeffs(es, grid, coeffs, epsilon=0.0):
-    coeffs = np.asarray(coeffs, dtype=float)
-    return fr.NoisyDataset(
-        g_bar=coeffs @ es.basis_matrix(grid.points, coeffs.size),
-        coeffs=coeffs, epsilon=epsilon, seed=0, n_coeff=coeffs.size,
-    )
-
-
 class TestCumulativeProfile:
-    def test_unit_summands(self, grid513):
+    def test_unit_summands(self):
         es = fr.analytic_eigensystem(6)
         coeffs = np.zeros(6)
         coeffs[:3] = es.eigenvalues[:3]  # gbar_k = lam_k for k <= 3
-        ds = dataset_from_coeffs(es, grid513, coeffs)
+        ds = fr.NoisyDataset(coeffs)
         profile = fr.cumulative_profile(ds, es)
         npt.assert_allclose(profile.values, [1, 2, 3, 3, 3, 3], atol=1e-14)
 
-    def test_parseval_plateau_for_eigenfunction(self, grid513):
+    def test_parseval_plateau_for_eigenfunction(self):
         es = fr.analytic_eigensystem(8)
         coeffs = np.zeros(8)
         coeffs[0] = es.eigenvalues[0]  # g = A psi_1
-        ds = dataset_from_coeffs(es, grid513, coeffs)
+        ds = fr.NoisyDataset(coeffs)
         profile = fr.cumulative_profile(ds, es)
         npt.assert_allclose(profile.values, np.ones(8), atol=1e-14)
 
@@ -62,21 +54,21 @@ class TestCumulativeProfile:
 
 
 class TestK0Cutoff:
-    def test_direct_definition(self, grid513):
+    def test_direct_definition(self):
         es = fr.analytic_eigensystem(6)
         coeffs = np.zeros(6)
         coeffs[:3] = es.eigenvalues[:3]
-        ds = dataset_from_coeffs(es, grid513, coeffs)
+        ds = fr.NoisyDataset(coeffs)
         assert fr.k0_cutoff(ds, es, 2.5) == 2
 
-    def test_budget_never_exceeded(self, grid513):
+    def test_budget_never_exceeded(self):
         es = fr.analytic_eigensystem(6)
-        ds = dataset_from_coeffs(es, grid513, es.eigenvalues * 0.1)
+        ds = fr.NoisyDataset(es.eigenvalues * 0.1)
         assert fr.k0_cutoff(ds, es, 1e6) == 6
 
-    def test_zero_when_first_term_over(self, grid513):
+    def test_zero_when_first_term_over(self):
         es = fr.analytic_eigensystem(4)
-        ds = dataset_from_coeffs(es, grid513, es.eigenvalues)
+        ds = fr.NoisyDataset(es.eigenvalues)
         assert fr.k0_cutoff(ds, es, 0.5) == 0
 
     def test_monotone_in_budget(self, es512, grid513, example1_seed0):
@@ -105,14 +97,14 @@ class TestF0Approximation:
         f_coeffs = np.zeros(16)
         f_coeffs[:5] = rng.normal(size=5)
         g_coeffs = es.eigenvalues * f_coeffs
-        ds = dataset_from_coeffs(es, grid513, g_coeffs)
+        ds = fr.NoisyDataset(g_coeffs)
         f_vals = f_coeffs @ es.basis_matrix(grid513.points, 16)
         sol = fr.f0_approximation(ds, es, c1=float(np.sum(f_coeffs**2)))
         assert grid513.norm(sol.to_grid(es, grid513) - f_vals) < 1e-8
 
     def test_zero_cutoff_gives_zero_solution(self, grid513):
         es = fr.analytic_eigensystem(4)
-        ds = dataset_from_coeffs(es, grid513, es.eigenvalues)
+        ds = fr.NoisyDataset(es.eigenvalues)
         sol = fr.f0_approximation(ds, es, 0.5)
         assert sol.indices.size == 0
         assert not sol.to_grid(es, grid513).any()

@@ -8,20 +8,12 @@ import fredreg as fr
 from fredreg.variational import ConstraintSpec, VarianceProfile
 
 
-def make_dataset(es, grid, coeffs):
-    coeffs = np.asarray(coeffs, dtype=float)
-    g_bar = coeffs @ es.basis_matrix(grid.points, coeffs.size)
-    return fr.NoisyDataset(
-        g_bar=g_bar, coeffs=coeffs, epsilon=0.0, seed=0, n_coeff=coeffs.size
-    )
-
-
 @pytest.fixture(scope="module")
 def small_setup():
     grid = fr.simpson_grid(129)
     es = fr.analytic_eigensystem(16)
     rng = np.random.default_rng(42)
-    ds = make_dataset(es, grid, rng.normal(scale=1e-3, size=16) + es.eigenvalues)
+    ds = fr.NoisyDataset(rng.normal(scale=1e-3, size=16) + es.eigenvalues)
     return grid, es, ds
 
 
@@ -143,13 +135,10 @@ class TestTikhonovIdentity:
         b = fr.tikhonov_identity(ds, es, E=0.5, eps=2e-3)
         npt.assert_array_equal(a.values, b.values)
 
-    def test_single_coefficient_hand_case(self, grid513):
+    def test_single_coefficient_hand_case(self):
         es = fr.analytic_eigensystem(1)
         lam = es.eigenvalues[0]
-        ds = fr.NoisyDataset(
-            g_bar=lam * es.basis_matrix(grid513.points, 1)[0],
-            coeffs=np.array([lam]), epsilon=0.0, seed=0, n_coeff=1,
-        )
+        ds = fr.NoisyDataset(np.array([lam]))
         sol = fr.tikhonov_identity(ds, es, E=1.0, eps=lam)
         assert sol.values[0] == pytest.approx(0.5)
 
@@ -262,15 +251,11 @@ class TestRegularizedSolution:
 )
 def test_filter_factor_bounds_property(eps, E, scale):
     """The spectral filter never amplifies: 0 < lam_k coeff_k / gbar_k <= 1."""
-    grid = fr.simpson_grid(65)
     es = fr.analytic_eigensystem(8)
     rng = np.random.default_rng(0)
     coeffs = scale * rng.normal(size=8)
     coeffs[coeffs == 0] = scale
-    ds = fr.NoisyDataset(
-        g_bar=coeffs @ es.basis_matrix(grid.points, 8),
-        coeffs=coeffs, epsilon=0.0, seed=0, n_coeff=8,
-    )
+    ds = fr.NoisyDataset(coeffs)
     for sol in (
         fr.tikhonov_full(ds, es, ConstraintSpec(E=E, eps=eps)),
         fr.tikhonov_identity(ds, es, E=E, eps=eps),
