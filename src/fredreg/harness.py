@@ -6,7 +6,7 @@ dataset per seed, applies the requested reconstruction methods, and records
 relative L2 errors on the grid (each method's expansion summed over rows of
 the one psi_k table) together with the cutoff indices and the selection
 report.  The context's tables (grid, eigensystems, psi_k table, f,
-g_k, g) depend only on the signal, n_coeff, grid_size and n_max, so repeated
+g_k) depend only on the signal, n_coeff, grid_size and n_max, so repeated
 calls on one signal share them: a process-wide cache holds the tables of the
 last such key (one entry), its arrays are read-only, and it keeps them after
 the call returns, until a call on another key replaces them.
@@ -32,12 +32,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .eigensystem import EigenSystem, analytic_eigensystem, simpson_grid
+from .eigensystem import DEFAULT_GRID_SIZE, DEFAULT_N_MAX, EigenSystem, analytic_eigensystem, simpson_grid
 from .selection import SelectionReport, build_selection, reconstruct_bhat
 from .spectral import cumulative_profile, f0_approximation
 from .synthesis import (  # noqa: F401  synthesize_dataset stays importable from here
     SignalContext,
     SignalSpec,
+    add_noise,
     noise_dispersion,
     signal_context,
     snr_db,
@@ -74,7 +75,7 @@ __all__ = [
 class RunContext:
     """Seed-invariant half of a run, shared by its records; its arrays are read-only."""
 
-    data: SignalContext  # grid, record eigensystem (k <= n_coeff), psi_k table, f, g_k, g
+    data: SignalContext  # grid, record eigensystem (k <= n_coeff), psi_k table, f, g_k
     es: EigenSystem  # reconstruction basis, k <= n_max: coefficients beyond it are noise-dominated
     f_norm: float
     E: float
@@ -83,7 +84,7 @@ class RunContext:
 
 
 def _blp(ds, ctx, record):
-    n = min(ctx.es.count, ds.n_coeff)
+    n = ctx.es.count
     vp = VarianceProfile(rho=np.full(n, ctx.E), nu=np.ones(n), eps=ctx.d_eps)
     return best_linear_estimate(ds, ctx.es, vp)
 
@@ -113,8 +114,8 @@ class ExperimentConfig:
     signal: SignalSpec
     epsilon: float
     n_coeff: int = 512
-    grid_size: int = 513
-    n_max: int = 64  # reconstruction expansions truncate here; the record keeps n_coeff
+    grid_size: int = DEFAULT_GRID_SIZE
+    n_max: int = DEFAULT_N_MAX  # reconstruction expansions truncate here; the record keeps n_coeff
     seeds: tuple[int, ...] = (0,)
     methods: tuple[str, ...] = ALL_METHODS
     E_override: float | None = None
@@ -125,8 +126,7 @@ class ExperimentConfig:
     name: str = "experiment"
 
     def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        noise_dispersion(self.epsilon)  # rejects an epsilon that is not finite and >= 0
         variance = self.epsilon * self.epsilon / 3.0
         if self.epsilon > 0 and not np.finfo(float).smallest_normal <= variance < np.inf:
             raise ValueError(
@@ -262,7 +262,7 @@ _TABLES: dict = {}
 
 
 def _seed_invariant_tables(cfg: ExperimentConfig) -> tuple[SignalContext, EigenSystem]:
-    """The grid, both eigensystems, the psi_k table, f, g_k and g of cfg, built on a miss."""
+    """The grid, both eigensystems, the psi_k table, f and g_k of cfg, built on a miss."""
     signal = json.dumps(cfg.signal.to_json_dict(), sort_keys=True, separators=(",", ":"))
     key = (signal, cfg.n_coeff, cfg.grid_size, cfg.n_max)
     tables = _TABLES.get(key)
@@ -274,14 +274,14 @@ def _seed_invariant_tables(cfg: ExperimentConfig) -> tuple[SignalContext, EigenS
         # a grid-tabulated f is the caller's own array: freeze a copy of it
         data = replace(data, f_vals=np.array(data.f_vals))
         for a in (grid.points, grid.weights, data.es.eigenvalues, data.basis, data.f_vals,
-                  data.g_coeffs, data.g_vals, es.eigenvalues):
+                  data.g_coeffs, es.eigenvalues):
             a.flags.writeable = False
         tables = _TABLES[key] = (data, es)
     return tables
 
 
 def run_context(cfg: ExperimentConfig) -> RunContext:
-    """Grid, both eigensystems, the psi_k table, f, ||f||, g_k and g.
+    """Grid, both eigensystems, the psi_k table, f, ||f|| and g_k.
 
     The tables depend only on the signal, n_coeff, grid_size and n_max: calls
     that share them share one read-only copy (see _TABLES), so the arrays of
@@ -339,7 +339,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
         base_snr = None
     records = []
     for seed in cfg.seeds:
-        ds = ctx.data.draw(cfg.epsilon, seed, cfg.noise_mode)
+        ds = add_noise(ctx.data, cfg.epsilon, seed, cfg.noise_mode)
         record = RunRecord(seed=seed, snr_db=base_snr)
         grids = {}  # method -> its values on the grid
         for name in cfg.methods:

@@ -81,6 +81,14 @@ class AutocorrSeries:
             raise ValueError("|delta(n)| must not exceed 1")
 
 
+def _record(coeffs) -> np.ndarray:
+    """The coefficient record as a 1-D float array; any other shape raises, naming it."""
+    g = np.asarray(coeffs, dtype=float)
+    if g.ndim != 1:
+        raise ValueError(f"coefficient record must be 1-D, got shape {g.shape}")
+    return g
+
+
 def autocorr_estimate(coeffs: np.ndarray, last_lag: int | None = None) -> AutocorrSeries:
     """Lagged Pearson autocorrelation with per-lag means and normalizations.
 
@@ -90,7 +98,7 @@ def autocorr_estimate(coeffs: np.ndarray, last_lag: int | None = None) -> Autoco
     from all significance testing downstream.  Lags 0..last_lag are computed
     (all N lags when last_lag is None or >= N-1).
     """
-    g = np.asarray(coeffs, dtype=float).ravel()
+    g = _record(coeffs)
     n_count = g.size
     if n_count < 2:
         raise DegenerateSequenceError("autocorrelation needs at least 2 coefficients")
@@ -217,7 +225,7 @@ def build_Q(series: AutocorrSeries, n0: int, significance: float = SIGNIFICANCE)
 
 def select_pairs(coeffs: np.ndarray, Q: list[int]) -> list[tuple[int, int]]:
     """For each lag the pair (k*, k*+n) maximizing |gbar_k gbar_{k+n}|; ties take the smallest k."""
-    g = np.asarray(coeffs, dtype=float).ravel()
+    g = _record(coeffs)
     n_count = g.size
     pairs = []
     for n in sorted(Q):
@@ -322,7 +330,7 @@ def build_selection(
     The diagnostics do not gate anything: the selection is returned even when
     the combinatorial bound or a pairwise compatibility constraint fails.
     """
-    coeffs = data.coeffs if isinstance(data, NoisyDataset) else np.asarray(data, dtype=float)
+    coeffs = data.coeffs if isinstance(data, NoisyDataset) else _record(data)
     if coeffs.size < 8:
         raise DegenerateSequenceError("selection needs a record of at least 8 coefficients")
     bad = np.flatnonzero(~np.isfinite(coeffs))

@@ -41,11 +41,23 @@ __all__ = [
     "write_table",
 ]
 
-# Figure-legend example signals.
-_F3_AMPLITUDES = (17.0, 23.0, 27.0, 33.0, 43.0, 55.0, 68.0, 70.0, 77.0, 81.0)
-_F3_INDICES = (5, 9, 13, 17, 18, 23, 24, 25, 31, 33)
-
 NAMED_SIGNALS = ("f1", "f2", "f3", "f4")
+
+# The figure-legend examples that are sine combinations: (a_j, k_j) terms of sum a_j sin(k_j pi x).
+_SINE_TERMS = {
+    "f2": ((5.0, 3), (10.0, 7), (15.0, 13)),
+    "f3": ((17.0, 5), (23.0, 9), (27.0, 13), (33.0, 17), (43.0, 18),
+           (55.0, 23), (68.0, 24), (70.0, 25), (77.0, 31), (81.0, 33)),
+}
+
+
+def _sine_terms(spec: SignalSpec) -> tuple[tuple[float, int], ...] | None:
+    """The (amplitude, index) terms of a sine combination, named or not, else None."""
+    if spec.kind == "sine-combination":
+        return spec.terms
+    if spec.kind == "named-example":
+        return _SINE_TERMS.get(spec.name)
+    return None
 
 
 @dataclass(frozen=True)
@@ -97,13 +109,8 @@ class SignalSpec:
 
     def support(self) -> tuple[int, ...] | None:
         """Exact coefficient support when the signal is band-limited, else None."""
-        if self.kind == "sine-combination":
-            return tuple(sorted(k for _, k in self.terms))
-        if self.kind == "named-example" and self.name == "f2":
-            return (3, 7, 13)
-        if self.kind == "named-example" and self.name == "f3":
-            return _F3_INDICES
-        return None
+        terms = _sine_terms(self)
+        return None if terms is None else tuple(sorted(k for _, k in terms))
 
     def to_json_dict(self) -> dict:
         if self.kind == "named-example":
@@ -124,23 +131,16 @@ class SignalSpec:
 
 def evaluate_signal(spec: SignalSpec, grid: QuadratureGrid) -> np.ndarray:
     x = grid.points
-    if spec.kind == "named-example":
-        if spec.name == "f1":
-            return (1.0 - x) * np.sin(3.0 * np.sin(3.0 * x))
-        if spec.name == "f2":
-            return 5 * np.sin(3 * np.pi * x) + 10 * np.sin(7 * np.pi * x) + 15 * np.sin(13 * np.pi * x)
-        if spec.name == "f3":
-            out = np.zeros_like(x)
-            for a, k in zip(_F3_AMPLITUDES, _F3_INDICES):
-                out += a * np.sin(k * np.pi * x)
-            return out
-        if spec.name == "f4":
-            return (1.0 - x) * np.sin(5.0 * np.sin(12.0 * x))
-    if spec.kind == "sine-combination":
+    terms = _sine_terms(spec)
+    if terms is not None:
         out = np.zeros_like(x)
-        for a, k in spec.terms:
+        for a, k in terms:
             out += a * np.sin(k * np.pi * x)
         return out
+    if spec.name == "f1":
+        return (1.0 - x) * np.sin(3.0 * np.sin(3.0 * x))
+    if spec.name == "f4":
+        return (1.0 - x) * np.sin(5.0 * np.sin(12.0 * x))
     if spec.values.shape != x.shape:
         raise ValueError("tabulated signal does not match the grid")
     return spec.values
@@ -174,50 +174,13 @@ def forward_coeffs(
     return es.eigenvalues[:upto] * f_k
 
 
-def add_noise(
-    g: np.ndarray,
-    epsilon: float,
-    seed: int,
-    *,
-    g_coeffs: np.ndarray,
-    basis: np.ndarray,
-    grid: QuadratureGrid,
-    noise_mode: str = "coefficient",
-) -> NoisyDataset:
-    """Draw one seed of uniform noise on [-eps, eps] onto a noiseless record.
-
-    The seed-invariant inputs come precomputed: g on the grid, its
-    coefficients g_coeffs (g_k for k = 1..n_coeff, n_coeff = len(g_coeffs))
-    and the basis table psi_k(x_i), row k-1, for at least k = 1..n_coeff.
-    In coefficient mode the noise enters the coefficients directly; in
-    pointwise mode it enters the grid values of g, which are then projected.
-    """
-    if not (np.isfinite(epsilon) and epsilon >= 0):
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-    g_coeffs = np.asarray(g_coeffs, dtype=float)
-    n_coeff = g_coeffs.size
-    if basis.shape[0] < n_coeff or basis.shape[1:] != (grid.size,):
-        raise ValueError(f"basis table {basis.shape} must cover {n_coeff} rows on {grid.size} points")
-    rng = np.random.default_rng(seed)
-    if noise_mode == "coefficient":
-        coeffs = g_coeffs + rng.uniform(-epsilon, epsilon, n_coeff)
-    elif noise_mode == "pointwise":
-        g_bar = np.asarray(g, dtype=float) + rng.uniform(-epsilon, epsilon, grid.size)
-        coeffs = basis[:n_coeff] @ (grid.weights * g_bar)
-    else:
-        raise ValueError(f"unknown noise_mode {noise_mode!r}")
-    return NoisyDataset(coeffs=coeffs)
-
-
 @dataclass(frozen=True)
 class SignalContext:
     """Seed-invariant half of the noise model gbar_k = g_k + u_k, g_k = lam_k f_k.
 
     Built once per signal, eigensystem, grid and record length n_coeff:
-    `basis` is the table psi_k(x_i) (row k-1, k = 1..n_coeff), `g_coeffs` the
-    noiseless g_k and `g_vals` g on the grid, summed below the grid Nyquist
-    index (pointwise noise is added to it).  Only the noise depends on the
-    seed: `draw` adds it.
+    `basis` is the table psi_k(x_i) (row k-1, k = 1..n_coeff) and `g_coeffs`
+    the noiseless g_k.  Only the noise depends on the seed: `add_noise` draws it.
     """
 
     grid: QuadratureGrid
@@ -225,27 +188,44 @@ class SignalContext:
     basis: np.ndarray
     f_vals: np.ndarray
     g_coeffs: np.ndarray
-    g_vals: np.ndarray
 
-    def draw(self, epsilon: float, seed: int, noise_mode: str = "coefficient") -> NoisyDataset:
-        return add_noise(
-            self.g_vals, epsilon, seed, g_coeffs=self.g_coeffs, basis=self.basis,
-            grid=self.grid, noise_mode=noise_mode,
-        )
+    def __post_init__(self):
+        n_coeff, points = self.g_coeffs.size, self.grid.size
+        if self.basis.shape != (n_coeff, points):
+            raise ValueError(f"basis table {self.basis.shape} must have {n_coeff} rows on {points} points")
 
 
 def signal_context(
     signal: SignalSpec, es: EigenSystem, grid: QuadratureGrid, n_coeff: int
 ) -> SignalContext:
-    """Evaluate f, tabulate psi_k once, and apply the operator: g_k and g."""
+    """Evaluate f, tabulate psi_k once, and apply the operator: g_k."""
     basis = es.basis_matrix(grid.points, n_coeff)  # IndexError beyond es.count
     f_vals = evaluate_signal(signal, grid)
     g_coeffs = es.eigenvalues[:n_coeff] * (basis @ (grid.weights * f_vals))
-    upto = min(n_coeff, grid.size - 2)
-    g_vals = g_coeffs[:upto] @ basis[:upto]
-    return SignalContext(
-        grid=grid, es=es, basis=basis, f_vals=f_vals, g_coeffs=g_coeffs, g_vals=g_vals
-    )
+    return SignalContext(grid=grid, es=es, basis=basis, f_vals=f_vals, g_coeffs=g_coeffs)
+
+
+def add_noise(
+    ctx: SignalContext, epsilon: float, seed: int, noise_mode: str = "coefficient"
+) -> NoisyDataset:
+    """Draw one seed of uniform noise on [-eps, eps] onto the noiseless record of ctx.
+
+    In coefficient mode the noise enters the coefficients g_k directly; in
+    pointwise mode it enters g on the grid (g_k summed over psi_k below the
+    grid Nyquist index), which is then projected.
+    """
+    noise_dispersion(epsilon)  # rejects an epsilon that is not finite and >= 0
+    g_coeffs, basis, grid = ctx.g_coeffs, ctx.basis, ctx.grid
+    rng = np.random.default_rng(seed)
+    if noise_mode == "coefficient":
+        coeffs = g_coeffs + rng.uniform(-epsilon, epsilon, g_coeffs.size)
+    elif noise_mode == "pointwise":
+        upto = min(g_coeffs.size, grid.size - 2)
+        g_bar = g_coeffs[:upto] @ basis[:upto] + rng.uniform(-epsilon, epsilon, grid.size)
+        coeffs = basis @ (grid.weights * g_bar)
+    else:
+        raise ValueError(f"unknown noise_mode {noise_mode!r}")
+    return NoisyDataset(coeffs=coeffs)
 
 
 def synthesize_dataset(
@@ -261,10 +241,10 @@ def synthesize_dataset(
 
     Returns (dataset, f_values, g_coeffs); g_coeffs are the noiseless
     coefficients g_k = lam_k f_k for k = 1..n_coeff.  For many seeds of one
-    signal, build `signal_context` once and call its `draw` per seed.
+    signal, build `signal_context` once and call `add_noise` on it per seed.
     """
     ctx = signal_context(signal, es, grid, n_coeff)
-    return ctx.draw(epsilon, seed, noise_mode), ctx.f_vals, ctx.g_coeffs
+    return add_noise(ctx, epsilon, seed, noise_mode), ctx.f_vals, ctx.g_coeffs
 
 
 def snr_db(g: np.ndarray, epsilon: float) -> float:

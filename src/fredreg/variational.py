@@ -148,6 +148,8 @@ def _tikhonov(
     data: NoisyDataset, es: EigenSystem, E: float, eps: float, c: np.ndarray | float, method: str
 ) -> RegularizedSolution:
     """Filter lam_k gbar_k / (lam_k^2 + alpha^2 c_k^2), alpha = eps/E, over the active range."""
+    if E <= 0:
+        raise ValueError("bound E must be > 0")
     n = _active_range(data, es)
     lam = es.eigenvalues[:n]
     alpha = eps / E
@@ -160,6 +162,8 @@ def _cutoff(
     data: NoisyDataset, es: EigenSystem, E: float, eps: float, c: np.ndarray | float, method: str, key: str
 ) -> RegularizedSolution:
     """Raw expansion up to the largest k with lam_k >= alpha |c_k|, reported as params[key]."""
+    if E <= 0:
+        raise ValueError("bound E must be > 0")
     lam = es.eigenvalues[: _active_range(data, es)]
     alpha = eps / E
     qualifies = lam >= alpha * np.abs(c)
@@ -181,15 +185,11 @@ def truncated_k_alpha(data: NoisyDataset, es: EigenSystem, cs: ConstraintSpec) -
 
 def tikhonov_identity(data: NoisyDataset, es: EigenSystem, E: float, eps: float) -> RegularizedSolution:
     """Identity-constraint filter: lam_k gbar_k / (lam_k^2 + (eps/E)^2)."""
-    if E <= 0:
-        raise ValueError("bound E must be > 0")
     return _tikhonov(data, es, E, eps, 1.0, "tikhonov_identity")
 
 
 def truncated_k_beta(data: NoisyDataset, es: EigenSystem, E: float, eps: float) -> RegularizedSolution:
     """Raw expansion up to the largest k with lam_k >= eps/E."""
-    if E <= 0:
-        raise ValueError("bound E must be > 0")
     return _cutoff(data, es, E, eps, 1.0, "truncated_k_beta", "k_beta")
 
 

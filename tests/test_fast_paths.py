@@ -135,7 +135,7 @@ class TestRunContextDatasets:
         coeffs, f_vals, g_coeffs = synthesize_from_scratch(
             cfg.signal, data.es, data.grid, cfg.epsilon, seed, cfg.n_coeff, cfg.noise_mode
         )
-        ds = data.draw(cfg.epsilon, seed, cfg.noise_mode)
+        ds = fr.add_noise(data, cfg.epsilon, seed, cfg.noise_mode)
         assert np.array_equal(ds.coeffs, coeffs)
         assert np.array_equal(data.f_vals, f_vals) and np.array_equal(data.g_coeffs, g_coeffs)
         lib, lib_f, lib_g = fr.synthesize_dataset(
@@ -150,7 +150,7 @@ class TestRunContextDatasets:
         ctx = fr.run_context(cfg)
         for rec in records:
             emitted = fr.read_coeffs_csv(str(tmp_path / "seeds" / str(rec.seed) / "coefficients.csv"))
-            assert np.array_equal(emitted, ctx.data.draw(cfg.epsilon, rec.seed).coeffs)
+            assert np.array_equal(emitted, fr.add_noise(ctx.data, cfg.epsilon, rec.seed).coeffs)
 
 
 def former_stderr(series, n0, n):
@@ -618,7 +618,7 @@ class TestWriteTable:
         fr.emit_outputs(records, fr.summarize(records), cfg)
         (rec,) = records
         ctx = fr.run_context(cfg)
-        ds = ctx.data.draw(cfg.epsilon, seed, cfg.noise_mode)
+        ds = fr.add_noise(ctx.data, cfg.epsilon, seed, cfg.noise_mode)
         into = out / "seeds" / str(seed)
         assert (into / "coefficients.csv").read_text() == former_coeffs_csv(ds.coeffs)
         profile = former_profile(ds, ctx.data.es)
@@ -849,7 +849,7 @@ class TestScoringTable:
         grid = ctx.data.grid
         assert np.array_equal(ctx.data.basis[: ctx.es.count], ctx.es.basis_matrix(grid.points))
         for rec in records:
-            ds = ctx.data.draw(cfg.epsilon, rec.seed, cfg.noise_mode)
+            ds = fr.add_noise(ctx.data, cfg.epsilon, rec.seed, cfg.noise_mode)
             assert sorted(rec.rel_l2) == sorted(fr.ALL_METHODS)
             for name, err in rec.rel_l2.items():
                 values = METHODS[name](ds, ctx, rec).to_grid(ctx.es, grid)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -325,6 +326,19 @@ class TestNonFiniteRecord:
         coeffs[[7, 9]] = bad
         with pytest.raises(ValueError, match=r"index 7 \(k=8\)"):
             fr.build_selection(coeffs)
+
+
+class TestRecordShape:
+    @pytest.mark.parametrize("shape", [(2, 32), (64, 1), (1, 64), (4, 4, 4), ()])
+    def test_non_1d_record_rejected_naming_its_shape(self, shape):
+        g = np.random.default_rng(0).normal(size=shape)
+        message = re.escape(f"must be 1-D, got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            fr.build_selection(g)
+        with pytest.raises(ValueError, match=message):
+            fr.autocorr_estimate(g)
+        with pytest.raises(ValueError, match=message):
+            fr.select_pairs(g, [1])
 
 
 class TestReconstructBhat:

@@ -36,6 +36,25 @@ class TestSignalSpec:
         assert fr.SignalSpec.named("f1").support() is None
         assert fr.SignalSpec.sines([(2.0, 9), (1.0, 4)]).support() == (4, 9)
 
+    @pytest.mark.parametrize("size", [65, 129, 513, 4097])
+    def test_named_sine_combinations_keep_their_former_formulas(self, size):
+        # oracle: f2 and f3 as closed-form expressions, independent of the library's term table
+        grid = fr.simpson_grid(size)
+        x = grid.points
+        f2 = 5 * np.sin(3 * np.pi * x) + 10 * np.sin(7 * np.pi * x) + 15 * np.sin(13 * np.pi * x)
+        f3 = np.zeros_like(x)
+        f3_amplitudes = (17.0, 23.0, 27.0, 33.0, 43.0, 55.0, 68.0, 70.0, 77.0, 81.0)
+        f3_indices = (5, 9, 13, 17, 18, 23, 24, 25, 31, 33)
+        for a, k in zip(f3_amplitudes, f3_indices):
+            f3 += a * np.sin(k * np.pi * x)
+        for name, former, support in (("f2", f2, (3, 7, 13)), ("f3", f3, f3_indices)):
+            spec = fr.SignalSpec.named(name)
+            # bytes, so sign bits of zeros count too
+            assert fr.evaluate_signal(spec, grid).tobytes() == former.tobytes()
+            assert spec.support() == support
+        assert fr.SignalSpec.named("f4").support() is None
+        assert fr.SignalSpec.tabulated(f2).support() is None
+
     def test_json_roundtrip(self):
         spec = fr.SignalSpec.sines([(5, 3), (10, 7)])
         back = fr.SignalSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
@@ -44,7 +63,9 @@ class TestSignalSpec:
 
 def forward_g(signal, es, grid):
     """g = Af on the grid, computed spectrally over all of es: project f, scale by lam_k, sum."""
-    return fr.signal_context(signal, es, grid, es.count).g_vals
+    ctx = fr.signal_context(signal, es, grid, es.count)
+    upto = min(es.count, grid.size - 2)
+    return ctx.g_coeffs[:upto] @ ctx.basis[:upto]
 
 
 class TestForwardApply:
@@ -79,27 +100,26 @@ class TestForwardApply:
 
 
 def precomputed(g, es, grid, n_coeff):
-    """The seed-invariant inputs add_noise takes: g_k by projection and the psi_k table."""
-    return {
-        "g_coeffs": fr.project_all(g, es, grid, n_coeff),
-        "basis": es.basis_matrix(grid.points, n_coeff),
-        "grid": grid,
-    }
+    """A signal context for the record g on the grid: g_k by projection and the psi_k table."""
+    return fr.SignalContext(
+        grid=grid, es=es, basis=es.basis_matrix(grid.points, n_coeff), f_vals=np.zeros(grid.size),
+        g_coeffs=fr.project_all(g, es, grid, n_coeff),
+    )
 
 
 class TestAddNoise:
     def test_noiseless_limit(self, es64, grid513):
         f = fr.evaluate_signal(fr.SignalSpec.named("f1"), grid513)
         g = forward_g(fr.SignalSpec.named("f1"), es64, grid513)
-        ds = fr.add_noise(g, 0.0, seed=3, **precomputed(g, es64, grid513, 40))
+        ds = fr.add_noise(precomputed(g, es64, grid513, 40), 0.0, seed=3)
         npt.assert_allclose(ds.coeffs, fr.forward_coeffs(f, es64, grid513, 40), atol=1e-15)
 
     def test_same_seed_identical(self, es64, grid513):
         g = forward_g(fr.SignalSpec.named("f1"), es64, grid513)
-        a = fr.add_noise(g, 1e-4, seed=11, **precomputed(g, es64, grid513, 40))
-        b = fr.add_noise(g, 1e-4, seed=11, **precomputed(g, es64, grid513, 40))
+        a = fr.add_noise(precomputed(g, es64, grid513, 40), 1e-4, seed=11)
+        b = fr.add_noise(precomputed(g, es64, grid513, 40), 1e-4, seed=11)
         npt.assert_array_equal(a.coeffs, b.coeffs)
-        c = fr.add_noise(g, 1e-4, seed=12, **precomputed(g, es64, grid513, 40))
+        c = fr.add_noise(precomputed(g, es64, grid513, 40), 1e-4, seed=12)
         assert np.any(c.coeffs != a.coeffs)
 
     def test_coefficient_mode_bound(self, es512, grid513):
@@ -116,18 +136,33 @@ class TestAddNoise:
         g = forward_g(fr.SignalSpec.named("f4"), es512, grid513)
         g_k = fr.forward_coeffs(f, es512, grid513, 256)
         for mode in ("coefficient", "pointwise"):
-            ds = fr.add_noise(g, eps, seed=2, **precomputed(g, es512, grid513, 256), noise_mode=mode)
+            ds = fr.add_noise(precomputed(g, es512, grid513, 256), eps, seed=2, noise_mode=mode)
             assert np.max(np.abs(ds.coeffs - g_k)) <= np.sqrt(2) * eps
 
     def test_unknown_mode(self, es64, grid513):
         with pytest.raises(ValueError):
-            fr.add_noise(np.zeros(513), 1e-4, 0, **precomputed(np.zeros(513), es64, grid513, 64), noise_mode="spectral")
+            fr.add_noise(precomputed(np.zeros(513), es64, grid513, 64), 1e-4, 0, noise_mode="spectral")
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_epsilon_rejected(self, es64, grid513, eps):
         g = np.zeros(513)
         with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
-            fr.add_noise(g, eps, 0, **precomputed(g, es64, grid513, 40))
+            fr.add_noise(precomputed(g, es64, grid513, 40), eps, 0)
+
+
+class TestSignalContext:
+    def test_fields_are_the_seed_invariant_tables(self, es64, grid513):
+        ctx = fr.signal_context(fr.SignalSpec.named("f1"), es64, grid513, 40)
+        assert [f.name for f in dataclasses.fields(ctx)] == ["grid", "es", "basis", "f_vals", "g_coeffs"]
+        assert not hasattr(ctx, "draw")
+
+    @pytest.mark.parametrize("rows, points", [(39, 513), (41, 513), (40, 129)])
+    def test_mismatched_basis_rejected(self, es64, grid513, rows, points):
+        ctx = fr.signal_context(fr.SignalSpec.named("f1"), es64, grid513, 40)
+        basis = es64.basis_matrix(fr.simpson_grid(points).points, rows)
+        message = f"basis table ({rows}, {points}) must have 40 rows on 513 points"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(ctx, basis=basis)
 
 
 class TestNoisyDataset:
