@@ -37,7 +37,7 @@ class TestSignalSpec:
         assert fr.SignalSpec.sines([(2.0, 9), (1.0, 4)]).support() == (4, 9)
 
     @pytest.mark.parametrize("size", [65, 129, 513, 4097])
-    def test_named_sine_combinations_keep_their_former_formulas(self, size):
+    def test_named_sine_combinations_equal_their_closed_forms(self, size):
         # oracle: f2 and f3 as closed-form expressions, independent of the library's term table
         grid = fr.simpson_grid(size)
         x = grid.points
@@ -47,10 +47,10 @@ class TestSignalSpec:
         f3_indices = (5, 9, 13, 17, 18, 23, 24, 25, 31, 33)
         for a, k in zip(f3_amplitudes, f3_indices):
             f3 += a * np.sin(k * np.pi * x)
-        for name, former, support in (("f2", f2, (3, 7, 13)), ("f3", f3, f3_indices)):
+        for name, closed_form, support in (("f2", f2, (3, 7, 13)), ("f3", f3, f3_indices)):
             spec = fr.SignalSpec.named(name)
             # bytes, so sign bits of zeros count too
-            assert fr.evaluate_signal(spec, grid).tobytes() == former.tobytes()
+            assert fr.evaluate_signal(spec, grid).tobytes() == closed_form.tobytes()
             assert spec.support() == support
         assert fr.SignalSpec.named("f4").support() is None
         assert fr.SignalSpec.tabulated(f2).support() is None
