@@ -99,7 +99,7 @@ class EigenSystem:
     `eigenvalues` is the 1-d array lam_1 > lam_2 > ... > 0; its size is the
     eigenpair count.  `evaluator(ks, x)` tabulates the eigenfunctions: for an
     integer array ks (values in 1..count, already checked) and a 1-d array x
-    it returns the array of shape (len(ks), len(x)) whose row i is
+    it returns a new array of shape (len(ks), len(x)) whose row i is
     psi_{ks[i]}(x).  Every evaluation goes through one call to it:
     `basis_matrix` for the rows 1..upto, `reconstruct` for the rows it sums.
     """
@@ -178,8 +178,11 @@ def analytic_eigensystem(n_max: int = DEFAULT_N_MAX) -> EigenSystem:
 def numeric_eigensystem(kernel: TabulatedKernel, n_max: int) -> EigenSystem:
     """Largest n_max eigenpairs of W^(1/2) K W^(1/2), mapped back to grid functions.
 
-    Eigenfunctions are weight-orthonormalized, sign-fixed so the first nonzero
-    grid value is positive, and evaluated off-grid by linear interpolation.
+    Eigenfunctions are weight-orthonormalized and sign-fixed so the first
+    nonzero grid value is positive.  Evaluated on the grid's own nodes they
+    are a gather of the eigenvector table's rows, exactly the values linear
+    interpolation gives there; at any other points they are interpolated
+    linearly, one row at a time.
     Raises EigenDecompositionError on non-convergence, on eigenvalues <= 1e-14
     (rank deficiency), and on numerically repeated eigenvalues.
     """
@@ -225,6 +228,10 @@ def numeric_eigensystem(kernel: TabulatedKernel, n_max: int) -> EigenSystem:
     table = funcs.T.copy()
 
     def evaluator(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+        if np.array_equal(x, pts):
+            # np.interp returns the knot value itself at a knot (signed zeros
+            # included), so on the nodes the rows are the table's: a copy of them
+            return table[ks - 1]
         return np.array([np.interp(x, pts, table[k - 1]) for k in ks]).reshape(len(ks), x.size)
 
     return EigenSystem(eigenvalues=vals, evaluator=evaluator)
@@ -236,16 +243,31 @@ def project_all(f: np.ndarray, es: EigenSystem, grid: QuadratureGrid, upto: int 
     return basis @ (grid.weights * np.asarray(f, dtype=float))
 
 
+def _expansion_sum(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_i values[i] * rows[i] over the rows of a new (K, M) array, K >= 0, which it scales in place.
+
+    The terms are added one at a time in row order, starting from +0.0, as the
+    loop `out = np.zeros(M); out += values[i] * rows[i]` adds them: the reduce
+    runs over the outer axis of a C-ordered array, so numpy adds row by row
+    (no pairwise summation).  A dense mat-vec would round differently.
+    """
+    terms = np.ascontiguousarray(rows, dtype=float)
+    terms *= np.asarray(values, dtype=float)[:, None]
+    return np.add.reduce(terms, axis=0, initial=0.0)
+
+
 def reconstruct(
     coeffs: Sequence[tuple[int, float]], es: EigenSystem, grid: QuadratureGrid
 ) -> np.ndarray:
-    """Sum of coeff_k * psi_k on the grid; an empty list gives the zero function."""
-    ks = [int(k) for k, _ in coeffs]
-    for k in ks:
-        es._check_index(k)
-    out = np.zeros(grid.size)
-    # summed term by term in list order: a dense mat-vec would round differently
-    for (_, value), row in zip(coeffs, es.evaluator(np.array(ks, dtype=int), grid.points)):
-        out += value * row
-    return out
+    """Sum of coeff_k * psi_k on the grid, term by term in list order; an empty list gives the zero function.
 
+    The psi_k come from one evaluation of the listed rows on grid.points.  For
+    a Nystrom eigensystem built on this grid that is an exact gather of its
+    table's rows; on any other grid its rows are interpolated linearly.
+    """
+    ks = np.array([int(k) for k, _ in coeffs], dtype=int)
+    bad = np.flatnonzero((ks < 1) | (ks > es.count))
+    if bad.size:
+        es._check_index(int(ks[bad[0]]))
+    values = np.array([float(value) for _, value in coeffs], dtype=float)
+    return _expansion_sum(values, es.evaluator(ks, grid.points))

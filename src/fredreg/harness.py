@@ -32,13 +32,16 @@ from typing import Iterable
 
 import numpy as np
 
-from .eigensystem import DEFAULT_GRID_SIZE, DEFAULT_N_MAX, EigenSystem, analytic_eigensystem, simpson_grid
+from .eigensystem import (
+    DEFAULT_GRID_SIZE, DEFAULT_N_MAX, EigenSystem, _expansion_sum, analytic_eigensystem, simpson_grid,
+)
 from .selection import SelectionReport, build_selection, reconstruct_bhat
 from .spectral import cumulative_profile, f0_approximation
 from .synthesis import (  # noqa: F401  synthesize_dataset stays importable from here
     SignalContext,
     SignalSpec,
     add_noise,
+    csv_cells,
     noise_dispersion,
     signal_context,
     snr_db,
@@ -310,10 +313,7 @@ def _on_grid(sol, basis):
     psi_k depends on k and x alone, so the table's first es.count rows are
     the reconstruction basis on the grid; the sum is reconstruct's.
     """
-    out = np.zeros(basis.shape[1])
-    for k, value in sol.coeffs:
-        out += value * basis[k - 1]
-    return out
+    return _expansion_sum(sol.values, basis[sol.indices - 1])
 
 
 def _seed_files(out_dir: Path, rec: RunRecord) -> list[Path]:
@@ -337,6 +337,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
         base_snr = snr_db(ctx.data.g_coeffs, cfg.epsilon)
     except ValueError:  # epsilon = 0 or a zero record
         base_snr = None
+    # the seed-invariant x and f_true columns of solutions.csv, formatted once for every seed
+    fixed_cells = (csv_cells(grid.points), csv_cells(f_vals)) if cfg.output_dir is not None else ()
     records = []
     for seed in cfg.seeds:
         ds = add_noise(ctx.data, cfg.epsilon, seed, cfg.noise_mode)
@@ -362,7 +364,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
             for path in autocorr_csv:
                 record.selection.write_autocorr_csv(str(path), ds.coeffs)
             names = sorted(grids)
-            write_table(str(solutions_csv), ("x", "f_true", *names), grid.points, f_vals, *(grids[n] for n in names))
+            write_table(str(solutions_csv), ("x", "f_true", *names), *fixed_cells, *(grids[n] for n in names))
         records.append(record)
     return records
 

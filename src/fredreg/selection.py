@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import gammaincinv
 
 from .eigensystem import EigenSystem
-from .synthesis import NoisyDataset, write_table
+from .synthesis import NoisyDataset, _record, csv_cells, write_table
 from .variational import RegularizedSolution, truncated_expansion
 
 __all__ = [
@@ -79,14 +79,6 @@ class AutocorrSeries:
             raise ValueError("delta(0) must equal 1")
         if finite.size and np.max(np.abs(finite)) > 1.0 + 1e-12:
             raise ValueError("|delta(n)| must not exceed 1")
-
-
-def _record(coeffs) -> np.ndarray:
-    """The coefficient record as a 1-D float array; any other shape raises, naming it."""
-    g = np.asarray(coeffs, dtype=float)
-    if g.ndim != 1:
-        raise ValueError(f"coefficient record must be 1-D, got shape {g.shape}")
-    return g
 
 
 def autocorr_estimate(coeffs: np.ndarray, last_lag: int | None = None) -> AutocorrSeries:
@@ -167,6 +159,19 @@ def _chi2_critical(level: float, df: int) -> float:
     # the chi-square quantile as scipy.stats.chi2.ppf computes it, without
     # importing scipy.stats
     return float(2.0 * gammaincinv(df / 2.0, level))
+
+
+@functools.lru_cache(maxsize=16)
+def _fixed_autocorr_cells(n_count: int, significance: float) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The n and threshold0 cells of autocorr.csv, formatted once per (N, significance).
+
+    Under the completely-random hypothesis (n0 = 0) the Bartlett band reads
+    no delta, so the threshold0 column depends on N and the significance alone.
+    """
+    lags = np.arange(n_count)
+    white = AutocorrSeries(delta=(lags == 0).astype(float), n_count=n_count)
+    band = significance * bartlett_stderr(white, 0, lags[1:])
+    return tuple(csv_cells(lags)), ("", *csv_cells(band))
 
 
 def _passes_randomness_gate(
@@ -309,14 +314,12 @@ class SelectionReport:
         # the same loop on the same record: equal to the bit
         if not np.array_equal(series.delta[: window.size], window, equal_nan=True):
             raise ValueError(f"record's lags 0..{window.size - 1} differ from this report's: not its record")
-        lags = np.arange(series.n_count)
-        thresholds = []
-        for cut in (0, self.n0):
-            band = self.significance * bartlett_stderr(series, cut, lags[cut + 1 :])
-            # lags up to the hypothesized cut have no threshold: empty cells
-            thresholds.append([None] * (cut + 1) + band.tolist())
+        n_cells, threshold0 = _fixed_autocorr_cells(n_count, self.significance)
+        band = self.significance * bartlett_stderr(series, self.n0, np.arange(self.n0 + 1, n_count))
+        # lags up to the hypothesized cut have no threshold: empty cells
+        threshold_n0 = [None] * (self.n0 + 1) + band.tolist()
         delta = [d if math.isfinite(d) else None for d in series.delta.tolist()]
-        write_table(path, ("n", "delta", "threshold0", "threshold_n0"), lags, delta, *thresholds)
+        write_table(path, ("n", "delta", "threshold0", "threshold_n0"), n_cells, delta, threshold0, threshold_n0)
 
 
 def build_selection(

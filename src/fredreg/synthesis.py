@@ -38,6 +38,7 @@ __all__ = [
     "noise_dispersion",
     "write_coeffs_csv",
     "read_coeffs_csv",
+    "csv_cells",
     "write_table",
 ]
 
@@ -146,6 +147,14 @@ def evaluate_signal(spec: SignalSpec, grid: QuadratureGrid) -> np.ndarray:
     return spec.values
 
 
+def _record(coeffs) -> np.ndarray:
+    """The coefficient record as a 1-D float array; any other shape raises, naming it."""
+    g = np.asarray(coeffs, dtype=float)
+    if g.ndim != 1:
+        raise ValueError(f"coefficient record must be 1-D, got shape {g.shape}")
+    return g
+
+
 @dataclass(frozen=True)
 class NoisyDataset:
     """Noisy data record: the coefficients gbar_k, k = 1..n_coeff, as a finite 1-D array."""
@@ -153,10 +162,8 @@ class NoisyDataset:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
+        coeffs = _record(self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
-        if coeffs.ndim != 1:
-            raise ValueError(f"coefficient record must be 1-D, got shape {coeffs.shape}")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coeffs holds NaN or inf")
 
@@ -298,18 +305,28 @@ def read_coeffs_csv(path: str) -> np.ndarray:
     return np.asarray(vals)
 
 
-def write_table(path: str, header: Sequence[str], *columns) -> None:
-    """CSV of equal-length columns, one row per line.
+def csv_cells(column, i: int = 0) -> list[str]:
+    """The CSV cells of a 1-D column of numbers; a column that is not 1-D raises, naming it column i.
 
     Each cell is the repr of a Python int or float (numpy values are
     converted first, so the digits round-trip); None is an empty cell.
     """
-    cells = []
-    for i, col in enumerate(columns):
-        col = np.asarray(col)
-        if col.ndim != 1:
-            raise ValueError(f"column {i} must be 1-D, got shape {col.shape}")
-        cells.append(repr(col.tolist())[1:-1].replace("None", "").split(", ") if col.size else [])
+    col = np.asarray(column)
+    if col.ndim != 1:
+        raise ValueError(f"column {i} must be 1-D, got shape {col.shape}")
+    return repr(col.tolist())[1:-1].replace("None", "").split(", ") if col.size else []
+
+
+def write_table(path: str, header: Sequence[str], *columns) -> None:
+    """CSV of equal-length columns, one row per line.
+
+    A column is numbers, formatted by csv_cells, or a list or tuple of str
+    cells (a column formatted once for many tables), written verbatim.
+    """
+    cells = [
+        col if isinstance(col, (list, tuple)) and col and isinstance(col[0], str) else csv_cells(col, i)
+        for i, col in enumerate(columns)
+    ]
     rows = zip(*cells, strict=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")

@@ -13,6 +13,9 @@ autocorrelation against the former unscaled loop, its lag loop against the
 former one centering each window by ndarray.mean, write_table against the
 former writer formatting one cell at a time, and scoring from rows of the
 run's basis table against reconstruct evaluating each eigenfunction anew.
+The Nystrom basis on its own nodes, a gather of its table's rows, is checked
+against the per-row np.interp path, and every expansion sum (one ordered
+reduce) against the term-by-term loop, both to the byte.
 """
 
 import math
@@ -25,6 +28,7 @@ from scipy.stats import chi2
 
 import fredreg as fr
 from fredreg.cli import main
+from fredreg.eigensystem import _expansion_sum
 from fredreg.harness import METHODS, _on_grid
 from fredreg.selection import _admissible_bounds, _passes_randomness_gate
 
@@ -45,6 +49,13 @@ def numeric_es():
     return grid, fr.numeric_eigensystem(fr.sample_kernel_matrix(grid), 12)
 
 
+def node_values(es, grid, upto=None):
+    """psi_k on the grid's nodes through the np.interp path: the node columns of
+    an evaluation on the nodes plus one point between the first two."""
+    x = np.append(grid.points, 0.5 * (grid.points[0] + grid.points[1]))
+    return es.basis_matrix(x, upto)[:, :-1]
+
+
 class TestBasisTable:
     @pytest.mark.parametrize("n", [64, 512, 1024])
     def test_analytic_grid_table_matches_rows(self, n):
@@ -62,9 +73,47 @@ class TestBasisTable:
     @given(x=unit_points, upto=st.integers(1, 12))
     def test_numeric_matches_per_row_interp(self, numeric_es, x, upto):
         grid, es = numeric_es
-        nodes = es.basis_matrix(grid.points)  # np.interp returns the node values exactly
+        nodes = node_values(es, grid)
         rows = np.vstack([np.interp(x, grid.points, nodes[k - 1]) for k in range(1, upto + 1)])
         assert np.array_equal(es.basis_matrix(x, upto), rows)
+
+    @pytest.mark.parametrize("size, count", [(129, 12), (513, 64)])
+    def test_numeric_nodes_gather_the_interp_values(self, size, count):
+        grid = fr.simpson_grid(size)
+        es = fr.numeric_eigensystem(fr.sample_kernel_matrix(grid), count)
+        table = es.basis_matrix(grid.points)
+        assert np.any((table == 0) & np.signbit(table))  # the table holds -0.0: signed zeros must survive
+        assert table.tobytes() == node_values(es, grid).tobytes()
+        for upto in (1, count // 2, count):
+            assert es.basis_matrix(grid.points, upto).tobytes() == table[:upto].tobytes()
+
+    def test_numeric_gather_returns_a_copy(self, numeric_es):
+        grid, es = numeric_es
+        want = es.basis_matrix(grid.points)
+        es.basis_matrix(grid.points)[:] = 7.0
+        assert es.basis_matrix(grid.points).tobytes() == want.tobytes()
+
+    @SETTINGS
+    @given(fp=st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0]), min_size=2, max_size=60))
+    def test_interp_at_a_knot_is_the_knot_value(self, fp):
+        # the premise of the gather: np.interp returns fp[j] itself at xp[j], signed zeros included
+        fp = np.array(fp)
+        xp = np.linspace(0.0, 1.0, fp.size)
+        assert np.interp(xp, xp, fp).tobytes() == fp.tobytes()
+
+    def test_on_the_nodes_nothing_interpolates(self, numeric_es, monkeypatch):
+        grid, es = numeric_es
+        want_table = es.basis_matrix(grid.points)
+        want_sum = fr.reconstruct([(3, 0.5), (1, -2.0)], es, grid)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.interp called on the nodes")
+
+        monkeypatch.setattr(np, "interp", refuse)
+        assert es.basis_matrix(grid.points).tobytes() == want_table.tobytes()
+        assert fr.reconstruct([(3, 0.5), (1, -2.0)], es, grid).tobytes() == want_sum.tobytes()
+        with pytest.raises(AssertionError, match="np.interp called"):
+            es.basis_matrix(grid.points[:-1])  # off the nodes it interpolates
 
 
 def sequential_sum(coeffs, row, size):
@@ -91,12 +140,52 @@ class TestReconstruct:
     @given(coeffs=terms.map(lambda ts: [(k, v) for k, v in ts if k <= 12]))
     def test_numeric_term_by_term(self, numeric_es, coeffs):
         grid, es = numeric_es
-        want = sequential_sum(coeffs, lambda k: es.basis_matrix(grid.points, k)[k - 1], grid.size)
-        assert np.array_equal(fr.reconstruct(coeffs, es, grid), want)
+        nodes = node_values(es, grid)
+        want = sequential_sum(coeffs, lambda k: nodes[k - 1], grid.size)
+        assert fr.reconstruct(coeffs, es, grid).tobytes() == want.tobytes()
 
     def test_index_checked(self, es64, grid513):
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match="index 65 outside 1..64"):
             fr.reconstruct([(1, 1.0), (65, 1.0)], es64, grid513)
+        with pytest.raises(IndexError, match="index 0 outside 1..64"):  # the first bad k is named
+            fr.reconstruct([(2, 1.0), (0, 1.0), (-3, 1.0), (99, 1.0)], es64, grid513)
+
+    def test_a_missing_value_raises(self, es64, grid513):
+        with pytest.raises(TypeError):
+            fr.reconstruct([(1, None)], es64, grid513)
+
+
+signed_values = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
+
+
+class TestExpansionSum:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        count=st.integers(0, 130) | st.sampled_from([0, 1]),
+        points=st.integers(3, 140),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.sampled_from([0.0, 0.2, 0.9]),
+        order=st.sampled_from("CF"),
+    )
+    def test_matches_the_term_by_term_loop(self, count, points, seed, zeros, order):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(count, points)) * 10.0 ** rng.uniform(-6, 6, (count, 1))
+        values = rng.normal(size=count) * 10.0 ** rng.uniform(-6, 6, count)
+        for a in (rows, values):  # signed zeros of both signs
+            a[rng.random(a.shape) < zeros] = -0.0
+            a[rng.random(a.shape) < zeros / 2] = 0.0
+        want = np.zeros(points)
+        for value, row in zip(values.tolist(), rows):
+            want += value * row
+        assert _expansion_sum(values, np.array(rows, order=order)).tobytes() == want.tobytes()
+
+    def test_signed_zeros_sum_to_positive_zero(self):
+        # the loop starts from +0.0, so -0.0 terms (and a one-term -0.0 expansion) sum to +0.0
+        rows = np.array([[-0.0, 1.0, -0.0], [-0.0, -0.0, 2.0]])
+        for k in (1, 2):
+            got = _expansion_sum(np.ones(k), rows[:k].copy())
+            assert not np.signbit(got[0]) and got[0] == 0.0
+        assert _expansion_sum(np.empty(0), np.empty((0, 5))).tobytes() == np.zeros(5).tobytes()
 
 
 def synthesize_from_scratch(signal, es, grid, epsilon, seed, n_coeff, noise_mode):
@@ -646,6 +735,16 @@ class TestWriteTable:
         fr.write_table(str(path), header, *columns)
         assert path.read_bytes() == former_write_table(header, *columns)
 
+    @SETTINGS
+    @given(columns=table_columns(), data=st.data())
+    def test_preformatted_cells_are_written_verbatim(self, columns, data, tmp_path_factory):
+        header = [f"c{i}" for i in range(len(columns))]
+        kinds = [data.draw(st.sampled_from([None, list, tuple])) for _ in columns]
+        given_cells = [col if kind is None else kind(fr.csv_cells(col)) for col, kind in zip(columns, kinds)]
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        fr.write_table(str(path), header, *given_cells)
+        assert path.read_bytes() == former_write_table(header, *columns)
+
     def test_edge_cells_and_zero_rows(self, tmp_path):
         path = tmp_path / "t.csv"
         columns = (range(len(EDGE_FLOATS)), np.array(EDGE_FLOATS), [None] * len(EDGE_FLOATS),
@@ -838,9 +937,22 @@ class TestScoringTable:
         es = fr.analytic_eigensystem(count)
         # unique indices in drawn order: sparse, out of order, possibly empty
         ks = data.draw(st.lists(st.integers(1, count), unique=True, max_size=count))
-        values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(ks), max_size=len(ks)))
+        values = data.draw(st.lists(signed_values, min_size=len(ks), max_size=len(ks)))
         sol = fr.RegularizedSolution(indices=np.array(ks, dtype=int), values=np.array(values), method="any")
-        assert np.array_equal(_on_grid(sol, es.basis_matrix(grid.points)), fr.reconstruct(sol.coeffs, es, grid))
+        got = _on_grid(sol, es.basis_matrix(grid.points))
+        assert got.tobytes() == fr.reconstruct(sol.coeffs, es, grid).tobytes()
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_numeric_table_rows_sum_like_reconstruct(self, numeric_es, data):
+        grid, es = numeric_es
+        ks = data.draw(st.lists(st.integers(1, es.count), unique=True, max_size=es.count))
+        values = data.draw(st.lists(signed_values, min_size=len(ks), max_size=len(ks)))
+        sol = fr.RegularizedSolution(indices=np.array(ks, dtype=int), values=np.array(values), method="any")
+        nodes = node_values(es, grid)
+        want = sequential_sum(sol.coeffs, lambda k: nodes[k - 1], grid.size)
+        assert _on_grid(sol, es.basis_matrix(grid.points)).tobytes() == want.tobytes()
+        assert fr.reconstruct(sol.coeffs, es, grid).tobytes() == want.tobytes()
 
     def test_run_scores_from_its_table(self):
         cfg = fr.preset("example3", seeds=(0, 1))

@@ -339,6 +339,8 @@ class TestRecordShape:
             fr.autocorr_estimate(g)
         with pytest.raises(ValueError, match=message):
             fr.select_pairs(g, [1])
+        with pytest.raises(ValueError, match=message):  # the one rule of synthesis.NoisyDataset
+            fr.NoisyDataset(coeffs=g)
 
 
 class TestReconstructBhat:
