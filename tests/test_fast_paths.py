@@ -49,11 +49,11 @@ def numeric_es():
     return grid, fr.numeric_eigensystem(fr.sample_kernel_matrix(grid), 12)
 
 
-def node_values(es, grid, upto=None):
+def node_values(es, grid):
     """psi_k on the grid's nodes through the np.interp path: the node columns of
     an evaluation on the nodes plus one point between the first two."""
     x = np.append(grid.points, 0.5 * (grid.points[0] + grid.points[1]))
-    return es.basis_matrix(x, upto)[:, :-1]
+    return es.basis_matrix(x)[:, :-1]
 
 
 class TestBasisTable:
