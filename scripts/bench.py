@@ -13,6 +13,9 @@ The file holds, for the checkout under --root (default: this repository):
 - the wall time of `scripts/null_control.py`, and of `scripts/noise_sweep.py
   --seeds 20` (every preset over its ladder of eps in one process, so all
   but the first rung of a preset reuse its tables);
+- the wall time of the tier-1 suite, a fresh `python -m pytest -q -p
+  no:cacheprovider`, with its passed and failed counts whatever its exit code
+  (documented failing tests make pytest exit 1);
 - the peak RSS (`ru_maxrss`) of fresh processes that each run
   `run_experiment(preset("example1", seeds=range(n)))` in process, for n in
   100 and 3000;
@@ -59,6 +62,7 @@ from fredreg.harness import preset, run_experiment
 run_experiment(preset("example1", seeds=range({n})))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
 """
+TIER1_COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
 HEADER = re.compile(r"^(\S+) seed \d+: (\d+) operations, (\d+) records, (\d+) failed")
 METRIC = re.compile(r"^\s+(\S+)\s+(\S+)\s+(\S+)$")
 
@@ -98,6 +102,19 @@ def wall_time(argv: list[str], root: Path) -> float:
         t0 = time.perf_counter()
         subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL, check=True)
         return time.perf_counter() - t0
+
+
+def tier1(root: Path) -> dict:
+    """Wall time, exit code and counts of one fresh tier-1 run of the checkout's own tests."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    t0 = time.perf_counter()
+    out = subprocess.run(argv, cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    wall = time.perf_counter() - t0
+    summary = out.stdout.rstrip().rsplit("\n", 1)[-1]
+    counts = {kind.rstrip("s"): int(n) for n, kind in TIER1_COUNT.findall(summary)}
+    return {"wall_s": wall, "exit_code": out.returncode, "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0), "errors": counts.get("error", 0)}
 
 
 class Alternation:
@@ -176,6 +193,7 @@ def main() -> int:
     }
     wall = {name: wall_times(argv, each, args.repeats) for name, argv in probes.items()}
     rss = {f"run_experiment_example1_{n}": peak_rss(n, each, args.repeats) for n in RSS_SEEDS}
+    suites = [list(r) for r in zip(*(each(tier1) for _ in range(args.repeats)))]
     status = 0
     for i, (tag, root, sha) in enumerate(checkouts):
         (e2e, layers), (status0, status1) = metrics[i], codes[i]
@@ -197,6 +215,7 @@ def main() -> int:
             },
             "wall": {name: runs[i] for name, runs in wall.items()},
             "rss": {name: runs[i] for name, runs in rss.items()},
+            "tier1": {"median_s": statistics.median(r["wall_s"] for r in suites[i]), "runs": suites[i]},
         }
         path = HERE / f"BENCH_{tag}.json"
         path.write_text(json.dumps(bench, indent=2) + "\n")

@@ -266,8 +266,13 @@ def reconstruct(
     table's rows; on any other grid its rows are interpolated linearly.
     """
     ks = np.array([int(k) for k, _ in coeffs], dtype=int)
+    values = np.array([float(value) for _, value in coeffs], dtype=float)
+    return _expansion_on(ks, values, es, grid)
+
+
+def _expansion_on(ks: np.ndarray, values: np.ndarray, es: EigenSystem, grid: QuadratureGrid) -> np.ndarray:
+    """reconstruct of the terms values[i] * psi_{ks[i]}, given as an integer and a float array."""
     bad = np.flatnonzero((ks < 1) | (ks > es.count))
     if bad.size:
         es._check_index(int(ks[bad[0]]))
-    values = np.array([float(value) for _, value in coeffs], dtype=float)
     return _expansion_sum(values, es.evaluator(ks, grid.points))

@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.fft import irfft, rfft
 from scipy.special import gammaincinv
 
 from .eigensystem import EigenSystem
@@ -81,6 +82,31 @@ class AutocorrSeries:
             raise ValueError("|delta(n)| must not exceed 1")
 
 
+def _peak_scaled(g: np.ndarray) -> np.ndarray:
+    """g with its peak moved to [0.5, 1): an exact power-of-two rescale keeps the sums of squares out of the subnormals."""
+    return np.ldexp(g, -math.frexp(float(np.max(np.abs(g))))[1])
+
+
+def _lag_delta(g: np.ndarray, n: int) -> float:
+    """delta(n) of a peak-scaled record from its two centered windows; NaN for an undefined lag."""
+    m = g.size - n  # pairs in the scatter window
+    if m < 2:
+        return math.nan
+    xs = g[:m]
+    ys = g[n:]
+    # the pairwise sum and division of ndarray.mean and the dot kernel of @, minus their wrappers
+    xc = xs - np.add.reduce(xs) / m
+    yc = ys - np.add.reduce(ys) / m
+    sxx, syy = float(xc.dot(xc)), float(yc.dot(yc))
+    if sxx < 2.0**-960 or syy < 2.0**-960:  # digits lost to subnormal products: rescale exactly
+        xc, yc = _peak_scaled(xc), _peak_scaled(yc)
+        sxx, syy = float(xc.dot(xc)), float(yc.dot(yc))
+    den = math.sqrt(sxx) * math.sqrt(syy)
+    if den <= 0:
+        return math.nan  # constant window: undefined
+    return float(xc.dot(yc)) / den
+
+
 def autocorr_estimate(coeffs: np.ndarray, last_lag: int | None = None) -> AutocorrSeries:
     """Lagged Pearson autocorrelation with per-lag means and normalizations.
 
@@ -97,31 +123,65 @@ def autocorr_estimate(coeffs: np.ndarray, last_lag: int | None = None) -> Autoco
     last_lag = n_count - 1 if last_lag is None else last_lag
     if not isinstance(last_lag, (int, np.integer)) or last_lag < 0:
         raise ValueError(f"last_lag must be an integer >= 0, got {last_lag!r}")
-    # peak to [0.5, 1): an exact power-of-two rescale keeps the sums of squares out of the subnormals
-    g = np.ldexp(g, -math.frexp(float(np.max(np.abs(g))))[1])
+    g = _peak_scaled(g)
     delta = np.full(min(last_lag, n_count - 1) + 1, np.nan)
     for n in range(delta.size):
-        m = n_count - n  # pairs in the scatter window
-        if m < 2:
-            continue
-        xs = g[:m]
-        ys = g[n:]
-        # the pairwise sum and division of ndarray.mean and the dot kernel of @, minus their wrappers
-        xc = xs - np.add.reduce(xs) / m
-        yc = ys - np.add.reduce(ys) / m
-        sxx, syy = float(xc.dot(xc)), float(yc.dot(yc))
-        if sxx < 2.0**-960 or syy < 2.0**-960:  # digits lost to subnormal products: rescale exactly
-            xc, yc = (np.ldexp(v, -math.frexp(float(np.max(np.abs(v))))[1]) for v in (xc, yc))
-            sxx, syy = float(xc.dot(xc)), float(yc.dot(yc))
-        den = math.sqrt(sxx) * math.sqrt(syy)
-        if den <= 0:
-            continue  # constant window: undefined
-        delta[n] = float(xc.dot(yc)) / den
+        delta[n] = _lag_delta(g, n)
     # rounding can push |delta| a hair past 1; a constant record leaves even delta(0) undefined
     np.clip(delta, -1.0, 1.0, out=delta)
     if np.isfinite(delta[0]):
         delta[0] = 1.0
     return AutocorrSeries(delta=delta, n_count=n_count)
+
+
+# a lag past the loop's head is taken from window sums when their estimated error in
+# delta(n) is at most this, else from the loop; the estimate scales with longdouble's
+# eps, so where longdouble is plain double nearly every lag goes to the loop
+_TAIL_TOL = 1e-15
+
+
+def _every_lag(coeffs: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """delta(n) for every lag 0..N-1 of a record whose loop estimate over lags 0..L is `head`.
+
+    The lags past L come from window sums and one zero-padded rFFT
+    (Wiener-Khinchin; Box, Jenkins and Reinsel, Time Series Analysis, ch. 2),
+    in extended precision.  With h the peak-scaled record centered by its
+    global mean, the windows h[:m] and h[n:] (m = N - n) take their sums s
+    and sums of squares q from running sums started at their own end of the
+    record, and sum_k h_k h_{k+n} is the inverse rFFT of |rFFT(h)|^2.  Each
+    centered sum is c = S - s_x s_y / m.  A lag whose error estimate -- the
+    cancellation m * max(q_x/c_xx, q_y/c_yy) plus the cross term's rounding
+    sum(h^2) / sqrt(c_xx c_yy), in units of longdouble's eps -- exceeds
+    _TAIL_TOL, and every lag with m < 2 or a window with c <= 0, comes from
+    the loop (_lag_delta), so undefined, constant and subnormal windows read
+    as the loop gives them.
+    """
+    g = _peak_scaled(_record(coeffs))
+    n_count, first = g.size, head.size
+    if first >= n_count:
+        return head
+    lags = np.arange(first, n_count)
+    m = n_count - lags
+    h = g.astype(np.longdouble)
+    h -= np.add.reduce(h) / n_count
+    h2 = h * h
+    # each window summed from its own end of the record: a total minus a prefix would cancel
+    sx, qx = np.cumsum(h)[m - 1], np.cumsum(h2)[m - 1]
+    sy, qy = np.cumsum(h[::-1])[m - 1], np.cumsum(h2[::-1])[m - 1]
+    size = 1 << (2 * n_count - 2).bit_length()  # >= 2N - 1: no lag wraps around
+    spectrum = rfft(h, size)
+    sxy = irfft(spectrum.real**2 + spectrum.imag**2, size)[first:n_count]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cxx = qx - sx * sx / m
+        cyy = qy - sy * sy / m
+        den = np.sqrt(cxx) * np.sqrt(cyy)
+        tail = ((sxy - sx * sy / m) / den).astype(float)
+        err = (m * np.maximum(qx / cxx, qy / cyy) + np.add.reduce(h2) / den) * np.finfo(np.longdouble).eps
+    summed = (m >= 2) & (cxx > 0) & (cyy > 0) & (err <= _TAIL_TOL)
+    for i in np.flatnonzero(~summed):
+        tail[i] = _lag_delta(g, first + i)
+    np.clip(tail, -1.0, 1.0, out=tail)
+    return np.concatenate([head, tail])
 
 
 def bartlett_stderr(series: AutocorrSeries, n0: int, n: int | np.ndarray) -> float | np.ndarray:
@@ -302,18 +362,21 @@ class SelectionReport:
     def write_autocorr_csv(self, path: str, record: np.ndarray) -> None:
         """Lag table "n,delta,threshold0,threshold_n0" over all lags, for confidence-limit plots.
 
-        `record` is the coefficient record the report was built from; its lags
-        are estimated anew.  A record of another length, or whose estimate
-        differs from the report's window, raises ValueError.
+        `record` is the coefficient record the report was built from.  Its
+        lags 0..max(max_lag, n0), all that the report and the Bartlett bands
+        read, are estimated anew by the loop, and a record of another length,
+        or whose window differs from the report's, raises ValueError.  The
+        lags past them come from window sums and one rFFT (see _every_lag).
         """
         n_count = self.series.n_count
         if np.size(record) != n_count:
             raise ValueError(f"record of length {np.size(record)} is not this report's (N={n_count})")
-        series = autocorr_estimate(record)
         window = self.series.delta
+        head = autocorr_estimate(record, max(window.size - 1, self.n0)).delta
         # the same loop on the same record: equal to the bit
-        if not np.array_equal(series.delta[: window.size], window, equal_nan=True):
+        if not np.array_equal(head[: window.size], window, equal_nan=True):
             raise ValueError(f"record's lags 0..{window.size - 1} differ from this report's: not its record")
+        series = AutocorrSeries(delta=_every_lag(record, head), n_count=n_count)
         n_cells, threshold0 = _fixed_autocorr_cells(n_count, self.significance)
         band = self.significance * bartlett_stderr(series, self.n0, np.arange(self.n0 + 1, n_count))
         # lags up to the hypothesized cut have no threshold: empty cells

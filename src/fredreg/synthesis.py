@@ -327,7 +327,6 @@ def write_table(path: str, header: Sequence[str], *columns) -> None:
         col if isinstance(col, (list, tuple)) and col and isinstance(col[0], str) else csv_cells(col, i)
         for i, col in enumerate(columns)
     ]
-    rows = zip(*cells, strict=True)
+    text = "\n".join([",".join(header), *map(",".join, zip(*cells, strict=True)), ""])
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(f"{','.join(row)}\n" for row in rows)
+        fh.write(text)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensystem import EigenSystem, QuadratureGrid, reconstruct
+from .eigensystem import EigenSystem, QuadratureGrid, _expansion_on
 from .synthesis import NoisyDataset
 
 __all__ = [
@@ -128,7 +128,7 @@ class RegularizedSolution:
         return list(zip(self.indices.tolist(), self.values.tolist()))
 
     def to_grid(self, es: EigenSystem, grid: QuadratureGrid) -> np.ndarray:
-        return reconstruct(self.coeffs, es, grid)
+        return _expansion_on(self.indices, self.values, es, grid)
 
 
 def _active_range(data: NoisyDataset, es: EigenSystem) -> int:

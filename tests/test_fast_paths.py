@@ -15,7 +15,10 @@ former writer formatting one cell at a time, and scoring from rows of the
 run's basis table against reconstruct evaluating each eigenfunction anew.
 The Nystrom basis on its own nodes, a gather of its table's rows, is checked
 against the per-row np.interp path, and every expansion sum (one ordered
-reduce) against the term-by-term loop, both to the byte.
+reduce) against the term-by-term loop, both to the byte.  autocorr.csv's
+lags past the selection window, from window sums and one rFFT, are checked
+against the per-lag loop: blank where it is NaN and within TAIL_TOL
+elsewhere, with the window's cells and every threshold cell to the byte.
 """
 
 import math
@@ -30,7 +33,7 @@ import fredreg as fr
 from fredreg.cli import main
 from fredreg.eigensystem import _expansion_sum
 from fredreg.harness import METHODS, _on_grid
-from fredreg.selection import _admissible_bounds, _passes_randomness_gate
+from fredreg.selection import _admissible_bounds, _every_lag, _passes_randomness_gate
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -153,6 +156,21 @@ class TestReconstruct:
     def test_a_missing_value_raises(self, es64, grid513):
         with pytest.raises(TypeError):
             fr.reconstruct([(1, None)], es64, grid513)
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_to_grid_is_reconstruct_of_its_terms(self, es64, grid513, numeric_es, data):
+        # analytic or Nystrom basis; sparse, out-of-order or empty indices
+        grid, es = data.draw(st.sampled_from([(grid513, es64), numeric_es]))
+        ks = data.draw(st.lists(st.integers(1, es.count), unique=True, max_size=es.count))
+        values = data.draw(st.lists(signed_values, min_size=len(ks), max_size=len(ks)))
+        sol = fr.RegularizedSolution(indices=np.array(ks, dtype=int), values=np.array(values), method="any")
+        assert sol.to_grid(es, grid).tobytes() == fr.reconstruct(sol.coeffs, es, grid).tobytes()
+
+    def test_to_grid_index_checked(self, es64, grid513):
+        sol = fr.RegularizedSolution(indices=np.array([3, 70, 1, 66]), values=np.ones(4), method="any")
+        with pytest.raises(IndexError, match="index 70 outside 1..64"):  # the first bad k is named
+            sol.to_grid(es64, grid513)
 
 
 signed_values = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
@@ -307,6 +325,29 @@ def former_autocorr_csv(series, n0, significance):
     return "".join(rows)
 
 
+TAIL_TOL = 1e-13  # ten times under the 1e-12 floor of the benchmark's reference comparison
+
+
+def assert_autocorr_csv(text, want, exact_lags):
+    """autocorr.csv text against the loop's table `want`.
+
+    Every cell of lags 0..exact_lags-1 and every n, threshold0 and
+    threshold_n0 cell are equal to the byte.  Past them a delta cell is blank
+    exactly where the loop's is, and any other is within TAIL_TOL of it.
+    """
+    got_rows = [line.split(",") for line in text.splitlines()]
+    want_rows = [line.split(",") for line in want.splitlines()]
+    assert text.endswith("\n") and len(got_rows) == len(want_rows) and got_rows[0] == want_rows[0]
+    for n, (got, exp) in enumerate(zip(got_rows[1:], want_rows[1:])):
+        if n < exact_lags:
+            assert got == exp, n
+            continue
+        assert [got[0], got[2], got[3]] == [exp[0], exp[2], exp[3]], n
+        assert (got[1] == "") == (exp[1] == ""), n
+        if exp[1]:
+            assert abs(float(got[1]) - float(exp[1])) <= TAIL_TOL, (n, got[1], exp[1])
+
+
 @st.composite
 def handmade_series(draw):
     """delta drawn directly: any scale up to 1, with undefined (NaN) lags."""
@@ -408,7 +449,8 @@ class TestBartlettBand:
         report = fr.SelectionReport(n0=n0, Q=[], pairs=[], series=window, significance=significance)
         path = tmp_path_factory.mktemp("csv") / "autocorr.csv"
         report.write_autocorr_csv(str(path), g)
-        assert path.read_text() == former_autocorr_csv(fr.autocorr_estimate(g), n0, significance)
+        want = former_autocorr_csv(fr.autocorr_estimate(g), n0, significance)
+        assert_autocorr_csv(path.read_text(), want, max(window.delta.size, n0 + 1))
 
 
 def former_tikhonov_full(data, es, cs):
@@ -646,6 +688,17 @@ def former_write_table(header, *columns):
     return "".join(lines).encode()
 
 
+def former_row_writer(header, *columns):
+    """Bytes of the writer before the one join: a str-cell or csv_cells column each, one f-string per row."""
+    cells = [
+        col if isinstance(col, (list, tuple)) and col and isinstance(col[0], str) else fr.csv_cells(col, i)
+        for i, col in enumerate(columns)
+    ]
+    lines = [",".join(header) + "\n"]
+    lines.extend(f"{','.join(row)}\n" for row in zip(*cells, strict=True))
+    return "".join(lines).encode()
+
+
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, -1e300]
 
 
@@ -715,7 +768,7 @@ class TestWriteTable:
         sel = rec.selection
         if sel is not None:
             want = former_autocorr_csv(fr.autocorr_estimate(ds.coeffs), sel.n0, sel.significance)
-            assert (into / "autocorr.csv").read_text() == want
+            assert_autocorr_csv((into / "autocorr.csv").read_text(), want, sel.max_lag + 1)
         solutions = {name: METHODS[name](ds, ctx, rec) for name in cfg.methods if name not in rec.failures}
         assert sorted(solutions) == sorted(rec.rel_l2)
         assert (into / "solutions.csv").read_text() == former_solutions_csv(ctx, solutions)
@@ -744,6 +797,23 @@ class TestWriteTable:
         path = tmp_path_factory.mktemp("csv") / "t.csv"
         fr.write_table(str(path), header, *given_cells)
         assert path.read_bytes() == former_write_table(header, *columns)
+
+    @SETTINGS
+    @given(columns=table_columns(), data=st.data())
+    def test_matches_the_row_generator_writer(self, columns, data, tmp_path_factory):
+        header = [f"c{i}" for i in range(len(columns))]
+        kinds = [data.draw(st.sampled_from([None, list, tuple])) for _ in columns]
+        given_cells = [col if kind is None else kind(fr.csv_cells(col)) for col, kind in zip(columns, kinds)]
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        fr.write_table(str(path), header, *given_cells)
+        assert path.read_bytes() == former_row_writer(header, *given_cells)
+
+    @pytest.mark.parametrize("columns", [([None],), ([None, None], [None, None]), (("", ""),), ([],)])
+    def test_rows_of_empty_cells_keep_their_lines(self, columns, tmp_path):
+        path = tmp_path / "t.csv"
+        header = [f"c{i}" for i in range(len(columns))]
+        fr.write_table(str(path), header, *columns)
+        assert path.read_bytes() == former_row_writer(header, *columns)
 
     def test_edge_cells_and_zero_rows(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -869,7 +939,8 @@ class TestLagWindowSelection:
         assert window.size == report.max_lag + 1 <= g.size
         assert np.array_equal(window, series.delta[: window.size], equal_nan=True)
         report.write_autocorr_csv(str(path), g)
-        assert path.read_text() == former_autocorr_csv(series, report.n0, significance)
+        want = former_autocorr_csv(series, report.n0, significance)
+        assert_autocorr_csv(path.read_text(), want, report.max_lag + 1)
         return report
 
     @settings(max_examples=80, deadline=None)
@@ -903,7 +974,9 @@ class TestLagWindowSelection:
         assert main(["analyze", "--in", str(tmp_path / "coeffs.csv"), "--epsilon", "1e-4", "--out", str(out)]) == 0
         series, want = former_build_selection(ds.coeffs, fr.SIGNIFICANCE, None, "portmanteau")
         csv = out.with_suffix(".autocorr.csv").read_text()
-        assert csv == former_autocorr_csv(series, want["n0"], fr.SIGNIFICANCE) and series.delta.size == 512
+        assert series.delta.size == 512
+        max_lag = fr.default_max_lag(512)
+        assert_autocorr_csv(csv, former_autocorr_csv(series, want["n0"], fr.SIGNIFICANCE), max_lag + 1)
 
     @SETTINGS
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 200), exponent=st.integers(-8, 8))
@@ -927,6 +1000,68 @@ class TestLagWindowSelection:
         g = scale * np.array([0.0] * 6 + [1.617691314167889e-155, 1024.0])
         _, tiny = former_autocorr_estimate(g)
         assert tiny[1] and fr.autocorr_estimate(g).delta[1] == 1.0
+
+
+@pytest.fixture(scope="module")
+def preset_contexts():
+    return {name: (fr.preset(name), fr.run_context(fr.preset(name))) for name in fr.PRESETS}
+
+
+@st.composite
+def every_lag_records(draw, contexts):
+    """Synthesized preset records, large offsets, a leading block, constant runs, subnormal scale."""
+    kind = draw(st.sampled_from(["preset", "offset", "block", "constant_run", "subnormal"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "preset":
+        cfg, ctx = contexts[draw(st.sampled_from(fr.PRESETS))]
+        return fr.add_noise(ctx.data, cfg.epsilon, seed, cfg.noise_mode).coeffs
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(8, 2049))
+    noise = rng.normal(size=n)
+    if kind == "offset":
+        return 10.0 ** draw(st.integers(0, 8)) * draw(st.sampled_from([1.0, -1.0])) + noise
+    if kind == "block":
+        noise[: draw(st.integers(1, n - 1))] *= 1e6
+        return noise
+    if kind == "constant_run":
+        g = np.full(n, draw(st.floats(-5.0, 5.0)))
+        t = draw(st.integers(1, n))
+        g[:t] = noise[:t]
+        return g[::-1] if draw(st.booleans()) else g
+    return 2.0**-1074 * rng.integers(-3, 4, n).astype(float)
+
+
+class TestEveryLag:
+    """autocorr.csv's lags past the loop's head, from window sums and one rFFT, against the loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_loop(self, preset_contexts, data):
+        g = data.draw(every_lag_records(preset_contexts))
+        head = data.draw(st.sampled_from([1, 2, fr.default_max_lag(g.size) + 1, g.size - 1, g.size]))
+        want = fr.autocorr_estimate(g).delta  # the loop over every lag
+        former, tiny = former_autocorr_estimate(g)
+        assert np.array_equal(want[~tiny], former[~tiny], equal_nan=True)
+        got = _every_lag(g, want[:head])
+        assert got.size == g.size and np.array_equal(got[:head], want[:head], equal_nan=True)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        defined = ~np.isnan(want)
+        assert np.max(np.abs(got - want)[defined], initial=0.0) <= TAIL_TOL
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_autocorr_csv(self, preset_contexts, data, tmp_path_factory):
+        g = data.draw(every_lag_records(preset_contexts))
+        report = fr.build_selection(g)
+        path = tmp_path_factory.mktemp("csv") / "autocorr.csv"
+        report.write_autocorr_csv(str(path), g)
+        want = former_autocorr_csv(fr.autocorr_estimate(g), report.n0, report.significance)
+        assert_autocorr_csv(path.read_text(), want, report.max_lag + 1)
+
+    @pytest.mark.parametrize("g", [np.full(40, 2.5), np.r_[1.0, np.zeros(30)], np.r_[np.zeros(20), 1e-300, 1.0]])
+    def test_degenerate_windows_come_from_the_loop(self, g):
+        want = fr.autocorr_estimate(g).delta
+        assert np.array_equal(_every_lag(g, want[:1]), want, equal_nan=True)
 
 
 class TestScoringTable:
