@@ -16,9 +16,9 @@ The file holds, for the checkout under --root (default: this repository):
 - the wall time of the tier-1 suite, a fresh `python -m pytest -q -p
   no:cacheprovider`, with its passed and failed counts whatever its exit code
   (documented failing tests make pytest exit 1);
-- the peak RSS (`ru_maxrss`) of fresh processes that each run
-  `run_experiment(preset("example1", seeds=range(n)))` in process, for n in
-  100 and 3000;
+- the peak RSS (`ru_maxrss`) of fresh processes that each run `import
+  fredreg`, or `run_experiment(preset("example1", seeds=range(n)))` in
+  process, for n in 100 and 3000;
 - the `src/` line count, the git sha, the numpy and scipy versions and nproc.
 
 Every command runs in a fresh process from the measured checkout's own
@@ -56,12 +56,13 @@ import numpy
 import scipy
 
 HERE = Path(__file__).resolve().parents[1]
-RSS_SEEDS = (100, 3000)
-RSS_PROBE = """import resource
-from fredreg.harness import preset, run_experiment
-run_experiment(preset("example1", seeds=range({n})))
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
-"""
+RUN_EXAMPLE1 = """from fredreg.harness import preset, run_experiment
+run_experiment(preset("example1", seeds=range({n})))"""
+# rss key -> the code a fresh process runs before it prints its own peak RSS
+RSS_PROBES = {
+    "import_fredreg": "import fredreg",
+    **{f"run_experiment_example1_{n}": RUN_EXAMPLE1.format(n=n) for n in (100, 3000)},
+}
 TIER1_COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
 HEADER = re.compile(r"^(\S+) seed \d+: (\d+) operations, (\d+) records, (\d+) failed")
 METRIC = re.compile(r"^\s+(\S+)\s+(\S+)\s+(\S+)$")
@@ -88,10 +89,11 @@ def perfbench(root: Path, workload: str, seconds: float, trace: int) -> tuple[di
     return workloads, out.returncode
 
 
-def peak_rss_mb(n: int, root: Path) -> float:
-    """Peak RSS in MB (ru_maxrss / 1024, as perfbench reads it) of a fresh process running n example1 seeds."""
+def peak_rss_mb(code: str, root: Path) -> float:
+    """Peak RSS in MB (ru_maxrss / 1024, as perfbench reads it) of a fresh process running code."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    argv = [sys.executable, "-c", RSS_PROBE.format(n=n)]
+    report = "import resource\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)"
+    argv = [sys.executable, "-c", f"{code}\n{report}"]
     return float(subprocess.run(argv, cwd=root, env=env, stdout=subprocess.PIPE, text=True, check=True).stdout)
 
 
@@ -144,10 +146,10 @@ def wall_times(argv: list[str], each: Alternation, repeats: int) -> list[dict]:
     return [{"command": " ".join(argv[1:]), "median_s": median, "runs_s": r} for median, r in runs]
 
 
-def peak_rss(n: int, each: Alternation, repeats: int) -> list[dict]:
-    """Per checkout: the median and every peak RSS of `repeats` fresh processes running n seeds."""
-    runs = repeated(lambda root: peak_rss_mb(n, root), each, repeats)
-    return [{"seeds": n, "median_mb": median, "runs_mb": r} for median, r in runs]
+def peak_rss(code: str, each: Alternation, repeats: int) -> list[dict]:
+    """Per checkout: the median and every peak RSS of `repeats` fresh processes running code."""
+    runs = repeated(lambda root: peak_rss_mb(code, root), each, repeats)
+    return [{"code": code, "median_mb": median, "runs_mb": r} for median, r in runs]
 
 
 def git_sha(root: Path) -> str | None:
@@ -192,7 +194,7 @@ def main() -> int:
         "noise_sweep": [sys.executable, "scripts/noise_sweep.py", "--seeds", "20", "--out", "{tmp}/sweep.json"],
     }
     wall = {name: wall_times(argv, each, args.repeats) for name, argv in probes.items()}
-    rss = {f"run_experiment_example1_{n}": peak_rss(n, each, args.repeats) for n in RSS_SEEDS}
+    rss = {name: peak_rss(code, each, args.repeats) for name, code in RSS_PROBES.items()}
     suites = [list(r) for r in zip(*(each(tier1) for _ in range(args.repeats)))]
     status = 0
     for i, (tag, root, sha) in enumerate(checkouts):

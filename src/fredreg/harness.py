@@ -13,10 +13,10 @@ the call returns, until a call on another key replaces them.
 
 With an output_dir, run_experiment writes each seed's CSVs under
 seeds/<seed>/ while that seed's dataset and grid values are live, so a record
-keeps only what report.json serializes and the directory it wrote;
+keeps only what report.json serializes and the sha256 of each file it wrote;
 emit_outputs then copies the first seed's CSVs to the top level and writes
-the JSON files, refusing a seed directory that the records' run did not
-write to.
+the JSON files, refusing a seed file that is not what the records' run
+wrote.
 Outputs are plain CSV/JSON and byte-deterministic for a fixed config.
 """
 
@@ -205,7 +205,7 @@ class ExperimentConfig:
 
 def config_hash(cfg: ExperimentConfig) -> str:
     canonical = json.dumps(cfg.to_json_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return _sha256(canonical.encode())
 
 
 def preset(name: str, seeds: Iterable[int] = (0,), output_dir: str | None = None) -> ExperimentConfig:
@@ -238,8 +238,8 @@ class RunRecord:
     k_beta: int | None = None
     k0: int | None = None
     selection: SelectionReport | None = None
-    # not serialized: the resolved seeds/<seed>/ directory run_experiment wrote this record's CSVs to
-    seed_dir: Path | None = field(default=None, init=False, compare=False)
+    # not serialized: file name -> sha256 of the text run_experiment wrote to this record's seeds/<seed>/
+    seed_sha256: dict[str, str] = field(default_factory=dict, init=False, compare=False)
 
     def to_json_dict(self) -> dict:
         d = {
@@ -316,6 +316,10 @@ def _on_grid(sol, basis):
     return _expansion_sum(sol.values, basis[sol.indices - 1])
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def _seed_files(out_dir: Path, rec: RunRecord) -> list[Path]:
     """The CSVs of one record under seeds/<seed>/; autocorr.csv only with a selection."""
     into = out_dir / "seeds" / str(rec.seed)
@@ -358,13 +362,17 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
         if cfg.output_dir is not None:
             coeffs_csv, profile_csv, *autocorr_csv, solutions_csv = _seed_files(Path(cfg.output_dir), record)
             coeffs_csv.parent.mkdir(parents=True, exist_ok=True)
-            record.seed_dir = coeffs_csv.parent.resolve()
-            write_coeffs_csv(str(coeffs_csv), ds.coeffs)
-            cumulative_profile(ds, ctx.data.es).write_csv(str(profile_csv))
+            texts = {
+                coeffs_csv: write_coeffs_csv(str(coeffs_csv), ds.coeffs),
+                profile_csv: cumulative_profile(ds, ctx.data.es).write_csv(str(profile_csv)),
+            }
             for path in autocorr_csv:
-                record.selection.write_autocorr_csv(str(path), ds.coeffs)
+                texts[path] = record.selection.write_autocorr_csv(str(path), ds.coeffs)
             names = sorted(grids)
-            write_table(str(solutions_csv), ("x", "f_true", *names), *fixed_cells, *(grids[n] for n in names))
+            texts[solutions_csv] = write_table(
+                str(solutions_csv), ("x", "f_true", *names), *fixed_cells, *(grids[n] for n in names)
+            )
+            record.seed_sha256 = {path.name: _sha256(text.encode()) for path, text in texts.items()}
         records.append(record)
     return records
 
@@ -437,13 +445,11 @@ def emit_outputs(records: list[RunRecord], summary: dict, cfg: ExperimentConfig)
     run_experiment(cfg) has already written every seed's autocorr.csv /
     profile.csv / solutions.csv / coefficients.csv under seeds/<seed>/.
     Before any file is written, each record's seed files are checked: one
-    that is not there raises FileNotFoundError naming it, and files that are
-    there in a directory the record's run did not write to (the records came
-    from a run without this output_dir, beside an earlier run's files) raise
-    ValueError naming the seed.  Directories are compared after resolving
-    them, so a relative and an absolute output_dir match.  The check names
-    directories, not writes: a later run that rewrote the same directory
-    passes.  Returns the list of written paths, seed files included (also
+    that is not there raises FileNotFoundError naming it, and one whose bytes
+    are not the text the record's run wrote (by sha256) raises ValueError
+    naming the seed and the file: the records came from a run without this
+    output_dir, beside an earlier run's files, or a later run rewrote the
+    directory.  Returns the list of written paths, seed files included (also
     recorded in manifest.json).
     """
     if cfg.output_dir is None:
@@ -454,11 +460,12 @@ def emit_outputs(records: list[RunRecord], summary: dict, cfg: ExperimentConfig)
         missing = [path for path in paths if not path.is_file()]
         if missing:
             raise FileNotFoundError(f"{missing[0]} was not written: run_experiment writes it when cfg.output_dir is set")
-        if rec.seed_dir != paths[0].parent.resolve():
-            raise ValueError(
-                f"seed {rec.seed}: {paths[0].parent} holds files this record's run did not write; "
-                "run_experiment writes them when cfg.output_dir is set"
-            )
+        for path in paths:
+            if _sha256(path.read_bytes()) != rec.seed_sha256.get(path.name):
+                raise ValueError(
+                    f"seed {rec.seed}: {path} holds text this record's run did not write; run_experiment "
+                    "writes it when cfg.output_dir is set, and a later run into the same directory replaces it"
+                )
     written = [path for paths in seed_files for path in paths]
     for path in seed_files[0] if seed_files else []:
         shutil.copyfile(path, out_dir / path.name)

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.fft import irfft, rfft
-from scipy.special import gammaincinv
 
 from .eigensystem import EigenSystem
 from .synthesis import NoisyDataset, _record, csv_cells, write_table
@@ -214,10 +213,42 @@ def _scan_lags(n_count: int, max_lag: int | None) -> int:
     return min(max_lag, n_count - 1)
 
 
+def _coverage(significance: float) -> float:
+    """Two-sided coverage of the +/- significance normal threshold: the portmanteau gate's level."""
+    return math.erf(significance / math.sqrt(2.0))
+
+
+# 2 * gammaincinv(df / 2, level), the chi-square quantile as scipy.stats.chi2.ppf
+# computes it, at the default level for df = 1..64; default_max_lag stays <= 60
+# up to N = 10**6, so the default selection never loads scipy
+_CHI2_LEVEL = _coverage(SIGNIFICANCE)
+_CHI2_TABLE = (
+    3.8415999999999966, 5.991632942339387, 7.814915769562501, 9.487932929110205,
+    11.070715543362668, 12.591817629718285, 14.067382315891297, 15.507565578399213,
+    16.919240115531636, 18.307309997489853, 19.675418479089327, 21.026359279613036,
+    22.362330157250355, 23.68509685327114, 24.99610329362715, 26.296548111783313,
+    27.587439269450424, 28.869633977246735, 30.14386847697785, 31.410780663922885,
+    32.67092754604738, 33.924798910712106, 35.17282815931497, 36.4154009955332,
+    37.65286246493141, 38.88552271280617, 40.113661734411465, 41.337533325011385,
+    42.557368388555794, 43.773377727829676, 44.985754412053765, 46.1946757976034,
+    47.40030526200336, 48.602793699404195, 49.802280816451955, 50.99889626017594,
+    52.19276060376428, 53.383986211517744, 54.57267800060001, 55.7589341142477,
+    56.9428465187017, 58.1245015341637, 59.30398030847734, 60.481359240908375,
+    61.65671036230226, 62.830101676985166, 64.00159747101054, 65.17125859071423,
+    66.33914269499977, 67.5053044843205, 68.66979590893618, 69.8326663586915,
+    70.99396283628218, 72.15373011573095, 73.3120108875881, 74.4688458921908,
+    75.62427404216005, 76.77833253517898, 77.93105695797836, 79.08248138235348,
+    80.23263845394547, 81.38155947444352, 82.52927447779318, 83.67581230093734,
+)
+
+
 @functools.lru_cache(maxsize=256)
 def _chi2_critical(level: float, df: int) -> float:
-    # the chi-square quantile as scipy.stats.chi2.ppf computes it, without
-    # importing scipy.stats
+    """The chi-square quantile chi2.ppf(level, df): from the table, else from scipy.special."""
+    if level == _CHI2_LEVEL and 1 <= df <= len(_CHI2_TABLE):
+        return _CHI2_TABLE[df - 1]
+    from scipy.special import gammaincinv
+
     return float(2.0 * gammaincinv(df / 2.0, level))
 
 
@@ -265,19 +296,31 @@ def detect_n0(
     if randomness_test not in ("portmanteau", "none"):
         raise ValueError(f"unknown randomness_test {randomness_test!r}")
     top = _scan_lags(series.n_count, max_lag)
+    if top >= series.delta.size:
+        raise ValueError(f"lag {top} outside lag window 0..{series.delta.size - 1} (N={series.n_count})")
     if randomness_test == "portmanteau":
-        level = math.erf(significance / math.sqrt(2.0))  # coverage of the +/- z threshold
-        if _passes_randomness_gate(series, top, significance, level):
+        if _passes_randomness_gate(series, top, significance, _coverage(significance)):
             return 0
+    # per lag 1..top, once: |delta|, delta^2 with undefined lags adding nothing
+    # (what nansum adds) and the N - n of the Bartlett denominator
+    lags = np.arange(1, top + 1)
+    delta = series.delta[lags]
+    size = np.abs(delta)
+    square = delta * delta
+    square[np.isnan(square)] = 0.0
+    dof = series.n_count - lags
     nbar = 0
-    while True:
-        lags = np.arange(nbar + 1, top + 1)
-        band = significance * bartlett_stderr(series, nbar, lags)
+    while nbar < top:
+        # bartlett_stderr's band over lags nbar+1..top, without its wrappers
+        s = float(np.add.reduce(square[:nbar]))
+        band = significance * np.sqrt((1.0 + 2.0 * s) / dof[nbar:])
         # undefined (NaN) lags compare False and are never promoted
-        hits = np.abs(series.delta[lags]) > band
-        if not hits.any():
-            return nbar
-        nbar = int(lags[np.argmax(hits)])  # the first lag past its threshold
+        hits = size[nbar:] > band
+        first = int(hits.argmax())  # the first lag past its threshold
+        if not hits[first]:
+            break
+        nbar += first + 1
+    return nbar
 
 
 def build_Q(series: AutocorrSeries, n0: int, significance: float = SIGNIFICANCE) -> list[int]:
@@ -359,7 +402,7 @@ class SelectionReport:
             "compat_violations": [list(v) for v in self.compat_violations],
         }
 
-    def write_autocorr_csv(self, path: str, record: np.ndarray) -> None:
+    def write_autocorr_csv(self, path: str, record: np.ndarray) -> str:
         """Lag table "n,delta,threshold0,threshold_n0" over all lags, for confidence-limit plots.
 
         `record` is the coefficient record the report was built from.  Its
@@ -382,7 +425,7 @@ class SelectionReport:
         # lags up to the hypothesized cut have no threshold: empty cells
         threshold_n0 = [None] * (self.n0 + 1) + band.tolist()
         delta = [d if math.isfinite(d) else None for d in series.delta.tolist()]
-        write_table(path, ("n", "delta", "threshold0", "threshold_n0"), n_cells, delta, threshold0, threshold_n0)
+        return write_table(path, ("n", "delta", "threshold0", "threshold_n0"), n_cells, delta, threshold0, threshold_n0)
 
 
 def build_selection(

@@ -40,8 +40,8 @@ class CumulativeProfile:
         if np.any(np.diff(vals) < 0):
             raise ValueError("M(m) must be non-decreasing")
 
-    def write_csv(self, path: str) -> None:
-        write_table(path, ("m", "M"), range(1, self.values.size + 1), self.values)
+    def write_csv(self, path: str) -> str:
+        return write_table(path, ("m", "M"), range(1, self.values.size + 1), self.values)
 
 
 def cumulative_profile(data: NoisyDataset, es: EigenSystem) -> CumulativeProfile:

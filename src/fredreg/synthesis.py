@@ -284,8 +284,8 @@ def noise_dispersion(epsilon: float) -> float:
     return epsilon / np.sqrt(3.0)
 
 
-def write_coeffs_csv(path: str, coeffs: np.ndarray) -> None:
-    write_table(path, ("k", "g_bar_k"), range(1, len(coeffs) + 1), np.asarray(coeffs, dtype=float))
+def write_coeffs_csv(path: str, coeffs: np.ndarray) -> str:
+    return write_table(path, ("k", "g_bar_k"), range(1, len(coeffs) + 1), np.asarray(coeffs, dtype=float))
 
 
 def read_coeffs_csv(path: str) -> np.ndarray:
@@ -317,8 +317,8 @@ def csv_cells(column, i: int = 0) -> list[str]:
     return repr(col.tolist())[1:-1].replace("None", "").split(", ") if col.size else []
 
 
-def write_table(path: str, header: Sequence[str], *columns) -> None:
-    """CSV of equal-length columns, one row per line.
+def write_table(path: str, header: Sequence[str], *columns) -> str:
+    """CSV of equal-length columns, one row per line; returns the text written.
 
     A column is numbers, formatted by csv_cells, or a list or tuple of str
     cells (a column formatted once for many tables), written verbatim.
@@ -330,3 +330,4 @@ def write_table(path: str, header: Sequence[str], *columns) -> None:
     text = "\n".join([",".join(header), *map(",".join, zip(*cells, strict=True)), ""])
     with open(path, "w", newline="") as fh:
         fh.write(text)
+    return text

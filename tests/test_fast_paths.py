@@ -382,6 +382,30 @@ any_series = st.one_of(handmade_series(), estimated_series)
 significances = st.sampled_from([1.0, fr.SIGNIFICANCE, 2.576])
 
 
+def walk_series(n_count, seed):
+    return fr.autocorr_estimate(np.random.default_rng(seed).normal(size=n_count).cumsum())
+
+
+def gapped_series():
+    """Hits at lags 2, 6 and 10, undefined lags before the first (1) and between them (3, 4, 8)."""
+    delta = np.full(40, 0.01)
+    delta[0] = 1.0
+    delta[[2, 6]], delta[10] = 0.7, 0.8
+    delta[[1, 3, 4, 8]] = np.nan
+    return fr.AutocorrSeries(delta=delta, n_count=40)
+
+
+# (series, max_lag): walks scanned to N-1 and stopped at top; undefined lags
+# before and between hits; tops of 1 and 2, where the walk can reach top
+RECURSION_CASES = [
+    *[(walk_series(n_count, seed), n_count - 1) for n_count in (16, 64, 200) for seed in range(3)],
+    (walk_series(64, 0), 3),
+    (gapped_series(), None),
+    (gapped_series(), 2),
+    *[(series, top) for series in (walk_series(16, 1), walk_series(64, 2), gapped_series()) for top in (1, 2)],
+]
+
+
 class TestBartlettBand:
     @SETTINGS
     @given(series=any_series, data=st.data())
@@ -440,6 +464,25 @@ class TestBartlettBand:
         for mode in ("portmanteau", "none"):
             got = fr.detect_n0(series, randomness_test=mode)
             assert got == former_detect_n0(series, fr.SIGNIFICANCE, None, mode)
+
+    @pytest.mark.parametrize("significance", [1.0, fr.SIGNIFICANCE, 2.576])
+    @pytest.mark.parametrize("case", range(len(RECURSION_CASES)))
+    def test_recursion_cases(self, case, significance):
+        series, max_lag = RECURSION_CASES[case]
+        top = min(max_lag or fr.default_max_lag(series.n_count), series.n_count - 1)
+        level = math.erf(significance / math.sqrt(2.0))
+        assert _passes_randomness_gate(series, top, significance, level) == former_gate(series, top, significance, level)
+        for mode in ("portmanteau", "none"):
+            got = fr.detect_n0(series, significance, max_lag, mode)
+            assert got == former_detect_n0(series, significance, max_lag, mode), mode
+
+    def test_recursion_cases_reach_what_they_name(self):
+        # the walk promotes each lag up to top, where the next step scans no lag
+        assert fr.detect_n0(walk_series(64, 0), max_lag=3, randomness_test="none") == 3
+        assert fr.detect_n0(walk_series(16, 1), max_lag=1, randomness_test="none") == 1
+        # the walk steps over undefined lags: 2, then 6 past 3 and 4, then 10 past 8 where its band allows
+        assert [fr.detect_n0(gapped_series(), z, None, "none") for z in (1.0, fr.SIGNIFICANCE, 2.576)] == [10, 10, 6]
+        assert fr.detect_n0(gapped_series(), max_lag=2, randomness_test="none") == 2
 
     @SETTINGS
     @given(g=coeff_records, significance=significances, data=st.data())

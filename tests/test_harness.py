@@ -134,7 +134,7 @@ class TestRunExperiment:
     def test_record_fields_are_its_serialized_keys(self, example1_records):
         _, records = example1_records
         names = {f.name for f in dataclasses.fields(fr.RunRecord)}
-        assert names == set(records[0].to_json_dict()) | {"seed_dir"}
+        assert names == set(records[0].to_json_dict()) | {"seed_sha256"}
 
     def test_blp_equals_tikhonov_identity(self, example1_records):
         _, records = example1_records
@@ -298,10 +298,21 @@ class TestEmitOutputs:
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         other = dataclasses.replace(cfg, epsilon=1e-3, output_dir=None)
         stale = fr.run_experiment(other)
-        assert stale[0].seed_dir is None
+        assert stale[0].seed_sha256 == {}
         with pytest.raises(ValueError, match="seed 0: "):
             fr.emit_outputs(stale, fr.summarize(stale), dataclasses.replace(other, output_dir=str(tmp_path)))
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_seed_files_a_later_run_rewrote_are_refused(self, tmp_path):
+        cfg = preset("example1", seeds=(0,), output_dir=str(tmp_path))
+        first = fr.run_experiment(cfg)
+        later = fr.run_experiment(dataclasses.replace(cfg, epsilon=1e-3))
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        coeffs = tmp_path / "seeds" / "0" / "coefficients.csv"
+        with pytest.raises(ValueError, match="seed 0: " + re.escape(str(coeffs))):
+            fr.emit_outputs(first, fr.summarize(first), cfg)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        fr.emit_outputs(later, fr.summarize(later), dataclasses.replace(cfg, epsilon=1e-3))
 
     def test_a_run_dir_matches_its_absolute_and_linked_paths(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

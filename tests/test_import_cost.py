@@ -1,8 +1,10 @@
-"""`import fredreg` loads numpy and scipy.special, nothing heavier.
+"""`import fredreg` and a default run load numpy and numpy.fft, and no scipy module.
 
-scipy.linalg and scipy.sparse load on the first numeric_eigensystem call, and
-scipy.stats not at all.  The check runs in a fresh interpreter because other
-test modules import scipy.stats into this one.
+The portmanteau gate's chi-square quantile comes from a table at the default
+level, so scipy.special loads only for another significance or a larger df,
+and scipy.linalg and scipy.sparse on the first numeric_eigensystem call.  The
+checks run in a fresh interpreter because other test modules import scipy
+into this one.
 """
 
 import os
@@ -11,13 +13,33 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-PROBE = """import sys
-import fredreg
-print("\\n".join(sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.linalg", "scipy.sparse")))))
+DEFAULT_RUN = """
+import numpy as np
+fr.run_experiment(fr.preset("example1", seeds=(0, 1, 2)))
+noise = np.random.default_rng(0).normal(size=256)
+for record in (noise, noise.cumsum()):  # the gate passes the first and consults the chi-square table on the second
+    for mode in ("portmanteau", "none"):
+        fr.build_selection(record, randomness_test=mode)
 """
 
 
-def test_import_fredreg_loads_no_stats_linalg_or_sparse():
+def scipy_modules_after(code: str) -> list[str]:
+    """The scipy modules loaded by `import fredreg as fr` and then `code`, in a fresh interpreter."""
+    probe = f"import sys\nimport fredreg as fr\n{code}\nprint(*sorted(m for m in sys.modules if m.startswith('scipy')))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    out = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == []
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
+
+def test_import_fredreg_loads_no_stats_linalg_or_sparse():
+    assert scipy_modules_after("") == []
+
+
+def test_a_default_run_loads_no_scipy():
+    assert scipy_modules_after(DEFAULT_RUN) == []
+
+
+def test_a_chi2_level_off_the_table_loads_scipy_special_only():
+    loaded = scipy_modules_after("from fredreg.selection import _chi2_critical\n_chi2_critical(0.99, 5)")
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.stats", "scipy.linalg", "scipy.sparse"))]

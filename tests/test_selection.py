@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import re
 
@@ -7,11 +8,13 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaincinv
 from scipy.stats import chi2
 
 import fredreg as fr
 from fredreg import AutocorrSeries, DegenerateSequenceError
-from fredreg.selection import _admissible_bounds, _chi2_critical
+from fredreg import selection
+from fredreg.selection import _CHI2_LEVEL, _CHI2_TABLE, _admissible_bounds, _chi2_critical
 
 
 def null_series(n_count, spikes=None, floor=1e-3, seed=0):
@@ -152,6 +155,31 @@ class TestLagWindow:
     @given(level=st.floats(1e-6, 1.0 - 1e-6), df=st.integers(1, 299))
     def test_chi2_critical_is_the_scipy_stats_quantile(self, level, df):
         # scipy.stats is the oracle: the selection computes the quantile without importing it
+        assert _chi2_critical(level, df) == float(chi2.ppf(level, df))
+
+
+class TestChi2Table:
+    """The default level's chi-square quantiles, stored as literals for df 1..64."""
+
+    quantiles = [float(2.0 * gammaincinv(df / 2.0, _CHI2_LEVEL)) for df in range(1, 65)]
+
+    def test_level_is_the_coverage_of_the_default_significance(self):
+        assert _CHI2_LEVEL == math.erf(fr.SIGNIFICANCE / math.sqrt(2.0))
+        assert fr.default_max_lag(10**6) <= len(_CHI2_TABLE) == 64
+
+    def test_every_entry_is_the_scipy_quantile(self):
+        assert list(_CHI2_TABLE) == self.quantiles
+        assert list(_CHI2_TABLE) == [float(chi2.ppf(_CHI2_LEVEL, df)) for df in range(1, 65)]
+        assert [_chi2_critical(_CHI2_LEVEL, df) for df in range(1, 65)] == self.quantiles
+
+    def test_the_literal_is_the_repr_of_the_quantiles(self):
+        # written four to a line: a hand edit that still parses to the same float fails here too
+        rows = [", ".join(map(repr, self.quantiles[i : i + 4])) + "," for i in range(0, 64, 4)]
+        literal = "_CHI2_TABLE = (\n" + "".join(f"    {row}\n" for row in rows) + ")\n"
+        assert literal in inspect.getsource(selection)
+
+    @pytest.mark.parametrize("level, df", [(0.99, 5), (0.99, 30), (_CHI2_LEVEL, 65), (_CHI2_LEVEL, 120)])
+    def test_a_miss_is_the_scipy_quantile(self, level, df):
         assert _chi2_critical(level, df) == float(chi2.ppf(level, df))
 
 
