@@ -19,7 +19,9 @@ The file holds, for the checkout under --root (default: this repository):
 - the peak RSS (`ru_maxrss`) of fresh processes that each run `import
   fredreg`, or `run_experiment(preset("example1", seeds=range(n)))` in
   process, for n in 100 and 3000;
-- the `src/` line count, the git sha, the numpy and scipy versions and nproc.
+- the `src/` line count, and its code lines: those that are not blank, not
+  comment-only and not inside a module, class or function docstring;
+- the git sha, the numpy and scipy versions and nproc.
 
 Every command runs in a fresh process from the measured checkout's own
 files (its `perfbench/run.py`, its `src/` and its `scripts/`), so a parent
@@ -41,6 +43,8 @@ Usage: python scripts/bench.py --tag T [--root DIR] [--sha SHA]
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import re
@@ -49,6 +53,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -152,6 +157,24 @@ def peak_rss(code: str, each: Alternation, repeats: int) -> list[dict]:
     return [{"code": code, "median_mb": median, "runs_mb": r} for median, r in runs]
 
 
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(text: str) -> int:
+    """Lines of Python source that hold a token other than a comment, outside every docstring."""
+    rows = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in NOT_CODE:
+            rows.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            doc = node.body[0]
+            if isinstance(doc, ast.Expr) and isinstance(doc.value, ast.Constant) and isinstance(doc.value.value, str):
+                rows.difference_update(range(doc.lineno, doc.end_lineno + 1))
+    return len(rows)
+
+
 def git_sha(root: Path) -> str | None:
     out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
     return out.stdout.strip() or None
@@ -204,6 +227,7 @@ def main() -> int:
             "git_sha": sha or git_sha(root),
             "measured_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
             "src_lines": sum(len(p.read_text().splitlines()) for p in (root / "src").rglob("*.py")),
+            "src_code_lines": sum(code_lines(p.read_text()) for p in (root / "src").rglob("*.py")),
             "python": sys.version.split()[0],
             "numpy": numpy.__version__,
             "scipy": scipy.__version__,

@@ -127,9 +127,13 @@ class EigenSystem:
         self._check_index(upto)
         return self.evaluator(np.arange(1, upto + 1), np.asarray(x, dtype=float))
 
-    def _check_index(self, k: int) -> None:
-        if not 1 <= k <= self.count:
-            raise IndexError(f"eigenpair index {k} outside 1..{self.count}")
+    def _check_index(self, k: int | np.ndarray) -> None:
+        """Raise IndexError naming the first of k (one index or an array) outside 1..count."""
+        n = self.count
+        # a list scan: faster than numpy's ufunc calls for the few dozen indices a call passes
+        bad = [i for i in np.ravel(k).tolist() if not 1 <= i <= n]
+        if bad:
+            raise IndexError(f"eigenpair index {bad[0]} outside 1..{n}")
 
 
 @dataclass(frozen=True)
@@ -272,7 +276,5 @@ def reconstruct(
 
 def _expansion_on(ks: np.ndarray, values: np.ndarray, es: EigenSystem, grid: QuadratureGrid) -> np.ndarray:
     """reconstruct of the terms values[i] * psi_{ks[i]}, given as an integer and a float array."""
-    bad = np.flatnonzero((ks < 1) | (ks > es.count))
-    if bad.size:
-        es._check_index(int(ks[bad[0]]))
+    es._check_index(ks)
     return _expansion_sum(values, es.evaluator(ks, grid.points))

@@ -146,6 +146,9 @@ class ExperimentConfig:
             raise ValueError("n_coeff and n_max must be >= 1")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
+        for seed in self.seeds:
+            if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+                raise ValueError(f"seeds must be integers, got {seed!r}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         bad = set(self.methods) - set(ALL_METHODS)
         if bad:

@@ -207,9 +207,13 @@ def default_max_lag(n_count: int) -> int:
     return max(1, min(n_count - 8, n_count // 2, int(math.floor(10.0 * math.log10(n_count)))))
 
 
-def _scan_lags(n_count: int, max_lag: int | None) -> int:
+def _scan_lags(n_count: int, max_lag: int | None, significance: float) -> int:
     if max_lag is None:
         max_lag = default_max_lag(n_count)
+    if isinstance(max_lag, bool) or not isinstance(max_lag, (int, np.integer)) or max_lag < 1:
+        raise ValueError(f"max_lag must be None or an integer >= 1, got {max_lag!r}")
+    if not (math.isfinite(significance) and significance > 0):
+        raise ValueError(f"significance must be finite and > 0, got {significance!r}")
     return min(max_lag, n_count - 1)
 
 
@@ -265,21 +269,6 @@ def _fixed_autocorr_cells(n_count: int, significance: float) -> tuple[tuple[str,
     return tuple(csv_cells(lags)), ("", *csv_cells(band))
 
 
-def _passes_randomness_gate(
-    series: AutocorrSeries, top: int, significance: float, level: float
-) -> bool:
-    """True when the scanned window is compatible with complete randomness."""
-    lags = np.arange(1, top + 1)
-    band = bartlett_stderr(series, 0, lags)  # first: it rejects lags past the series' window
-    delta = series.delta[lags]
-    defined = np.isfinite(delta)
-    z = delta[defined] / band[defined]
-    if not np.any(np.abs(z) > significance):
-        return True
-    stat = float(np.sum(z * z))
-    return stat <= _chi2_critical(level, z.size)
-
-
 def detect_n0(
     series: AutocorrSeries,
     significance: float = SIGNIFICANCE,
@@ -291,24 +280,32 @@ def detect_n0(
     Starting from nbar = 0, the first lag n in (nbar, max_lag] with
     |delta(n)| > significance * sigma(n; nbar) becomes the new candidate;
     the walk repeats until no lag beyond nbar exceeds its threshold.
-    Returns 0 for records consistent with pure randomness.
+    Returns 0 for records consistent with pure randomness; the portmanteau
+    gate (see the module docstring) reads the walk's own per-lag arrays.
+    max_lag is None (default_max_lag(N)) or an integer >= 1, clamped to N-1;
+    significance is finite and > 0; a ValueError names either otherwise.
     """
     if randomness_test not in ("portmanteau", "none"):
         raise ValueError(f"unknown randomness_test {randomness_test!r}")
-    top = _scan_lags(series.n_count, max_lag)
+    top = _scan_lags(series.n_count, max_lag, significance)
     if top >= series.delta.size:
         raise ValueError(f"lag {top} outside lag window 0..{series.delta.size - 1} (N={series.n_count})")
-    if randomness_test == "portmanteau":
-        if _passes_randomness_gate(series, top, significance, _coverage(significance)):
-            return 0
-    # per lag 1..top, once: |delta|, delta^2 with undefined lags adding nothing
-    # (what nansum adds) and the N - n of the Bartlett denominator
+    # per lag 1..top, once: delta, |delta|, delta^2 with undefined lags adding
+    # nothing (what nansum adds) and the N - n of the Bartlett denominator
     lags = np.arange(1, top + 1)
     delta = series.delta[lags]
     size = np.abs(delta)
     square = delta * delta
     square[np.isnan(square)] = 0.0
     dof = series.n_count - lags
+    if randomness_test == "portmanteau":
+        # sigma(n; 0) = sqrt(1 / (N - n)), bit for bit bartlett_stderr(series, 0, lags)
+        defined = np.isfinite(delta)
+        z = delta[defined] / np.sqrt(1.0 / dof[defined])
+        if not np.any(np.abs(z) > significance):
+            return 0
+        if float(np.sum(z * z)) <= _chi2_critical(_coverage(significance), z.size):
+            return 0
     nbar = 0
     while nbar < top:
         # bartlett_stderr's band over lags nbar+1..top, without its wrappers
@@ -445,7 +442,7 @@ def build_selection(
     bad = np.flatnonzero(~np.isfinite(coeffs))
     if bad.size:
         raise ValueError(f"record is not finite at index {bad[0]} (k={bad[0] + 1})")
-    top = _scan_lags(coeffs.size, max_lag)
+    top = _scan_lags(coeffs.size, max_lag, significance)
     series = autocorr_estimate(coeffs, top)  # every lag the selection reads
     n0 = detect_n0(series, significance, max_lag, randomness_test)
     Q = build_Q(series, n0, significance)
@@ -458,10 +455,7 @@ def reconstruct_bhat(
     data: NoisyDataset, es: EigenSystem, report: SelectionReport
 ) -> RegularizedSolution:
     """Selected-component estimate: gbar_k/lam_k on I_k, zero elsewhere."""
-    I_k = report.I_k
-    if I_k and I_k[-1] > es.count:
-        raise IndexError(f"selected index {I_k[-1]} exceeds eigensystem count {es.count}")
     params = {
         "n0": report.n0, "Q": list(report.Q), "bound_ok": report.bound_ok, "compat_ok": report.compat_ok,
     }
-    return truncated_expansion(data, es, I_k, "autocorrelation_selection", params)
+    return truncated_expansion(data, es, report.I_k, "autocorrelation_selection", params)

@@ -53,8 +53,8 @@ def cumulative_profile(data: NoisyDataset, es: EigenSystem) -> CumulativeProfile
 
 def k0_cutoff(data: NoisyDataset, es: EigenSystem, c1: float) -> int:
     """Largest m with M(m) <= c1; 0 when even M(1) exceeds the budget."""
-    if c1 <= 0:
-        raise ValueError("norm budget c1 must be > 0")
+    if not (np.isfinite(c1) and c1 > 0):
+        raise ValueError(f"norm budget c1 must be finite and > 0, got {c1!r}")
     profile = cumulative_profile(data, es)
     return int(np.searchsorted(profile.values, c1, side="right"))
 

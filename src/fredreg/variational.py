@@ -44,7 +44,8 @@ class ConstraintSpec:
 
     c=None means the default spectrum c_k = k.  The regularizing family is
     continuous only when c_k grows without bound; constant spectra are allowed
-    (they reduce to the identity constraint) but draw a warning.
+    (they reduce to the identity constraint) but draw a warning.  Every filter
+    reads its bounds from here: a finite E > 0 and a finite eps >= 0.
     """
 
     E: float
@@ -52,10 +53,10 @@ class ConstraintSpec:
     c: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.E <= 0:
-            raise ValueError("constraint bound E must be > 0")
-        if self.eps < 0:
-            raise ValueError("noise bound eps must be >= 0")
+        if not (math.isfinite(self.E) and self.E > 0):
+            raise ValueError(f"constraint bound E must be finite and > 0, got {self.E!r}")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(f"noise bound eps must be finite and >= 0, got {self.eps!r}")
         if self.c is not None:
             c = np.asarray(self.c, dtype=float)
             object.__setattr__(self, "c", c)
@@ -94,6 +95,8 @@ class VarianceProfile:
         object.__setattr__(self, "nu", nu)
         if rho.shape != nu.shape:
             raise ValueError("rho and nu must have matching length")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(f"noise scale eps must be finite and >= 0, got {self.eps!r}")
         if np.any(~np.isfinite(rho)) or np.any(~np.isfinite(nu)):
             raise ValueError("variance profile entries must be finite")
         if np.any(rho < 0) or np.any(nu < 0):
@@ -140,57 +143,52 @@ def truncated_expansion(
 ) -> RegularizedSolution:
     """Raw expansion gbar_k/lam_k on the index set ks, zero elsewhere."""
     idx = np.asarray(ks, dtype=int)
+    es._check_index(idx)
     vals = data.coeffs[idx - 1] / es.eigenvalues[idx - 1]
     return RegularizedSolution(indices=idx, values=vals, method=method, params=params)
 
 
 def _tikhonov(
-    data: NoisyDataset, es: EigenSystem, E: float, eps: float, c: np.ndarray | float, method: str
+    data: NoisyDataset, es: EigenSystem, cs: ConstraintSpec, c: np.ndarray | float, method: str
 ) -> RegularizedSolution:
     """Filter lam_k gbar_k / (lam_k^2 + alpha^2 c_k^2), alpha = eps/E, over the active range."""
-    if E <= 0:
-        raise ValueError("bound E must be > 0")
     n = _active_range(data, es)
     lam = es.eigenvalues[:n]
-    alpha = eps / E
-    vals = lam * data.coeffs[:n] / (lam**2 + (alpha * c) ** 2)
-    params = {"E": E, "eps": eps, "alpha": alpha}
+    vals = lam * data.coeffs[:n] / (lam**2 + (cs.alpha * c) ** 2)
+    params = {"E": cs.E, "eps": cs.eps, "alpha": cs.alpha}
     return RegularizedSolution(indices=np.arange(1, n + 1), values=vals, method=method, params=params)
 
 
 def _cutoff(
-    data: NoisyDataset, es: EigenSystem, E: float, eps: float, c: np.ndarray | float, method: str, key: str
+    data: NoisyDataset, es: EigenSystem, cs: ConstraintSpec, c: np.ndarray | float, method: str, key: str
 ) -> RegularizedSolution:
     """Raw expansion up to the largest k with lam_k >= alpha |c_k|, reported as params[key]."""
-    if E <= 0:
-        raise ValueError("bound E must be > 0")
     lam = es.eigenvalues[: _active_range(data, es)]
-    alpha = eps / E
-    qualifies = lam >= alpha * np.abs(c)
+    qualifies = lam >= cs.alpha * np.abs(c)
     k = int(np.nonzero(qualifies)[0].max() + 1) if qualifies.any() else 0
-    params = {"E": E, "eps": eps, "alpha": alpha, key: k}
+    params = {"E": cs.E, "eps": cs.eps, "alpha": cs.alpha, key: k}
     return truncated_expansion(data, es, np.arange(1, k + 1), method, params)
 
 
 def tikhonov_full(data: NoisyDataset, es: EigenSystem, cs: ConstraintSpec) -> RegularizedSolution:
     """Smoothed solution: coefficient lam_k gbar_k / (lam_k^2 + alpha^2 c_k^2)."""
-    return _tikhonov(data, es, cs.E, cs.eps, cs.spectrum(_active_range(data, es)), "tikhonov_full")
+    return _tikhonov(data, es, cs, cs.spectrum(_active_range(data, es)), "tikhonov_full")
 
 
 def truncated_k_alpha(data: NoisyDataset, es: EigenSystem, cs: ConstraintSpec) -> RegularizedSolution:
     """Raw expansion gbar_k/lam_k up to the largest k with lam_k >= alpha |c_k|."""
     c = cs.spectrum(_active_range(data, es))
-    return _cutoff(data, es, cs.E, cs.eps, c, "truncated_k_alpha", "k_alpha")
+    return _cutoff(data, es, cs, c, "truncated_k_alpha", "k_alpha")
 
 
 def tikhonov_identity(data: NoisyDataset, es: EigenSystem, E: float, eps: float) -> RegularizedSolution:
     """Identity-constraint filter: lam_k gbar_k / (lam_k^2 + (eps/E)^2)."""
-    return _tikhonov(data, es, E, eps, 1.0, "tikhonov_identity")
+    return _tikhonov(data, es, ConstraintSpec(E, eps), 1.0, "tikhonov_identity")
 
 
 def truncated_k_beta(data: NoisyDataset, es: EigenSystem, E: float, eps: float) -> RegularizedSolution:
     """Raw expansion up to the largest k with lam_k >= eps/E."""
-    return _cutoff(data, es, E, eps, 1.0, "truncated_k_beta", "k_beta")
+    return _cutoff(data, es, ConstraintSpec(E, eps), 1.0, "truncated_k_beta", "k_beta")
 
 
 def best_linear_estimate(data: NoisyDataset, es: EigenSystem, vp: VarianceProfile) -> RegularizedSolution:

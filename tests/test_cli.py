@@ -96,6 +96,17 @@ class TestAnalyze:
             main(["analyze", "--in", str(csv_path), "--epsilon", eps, "--out", str(out)])
         assert list(tmp_path.iterdir()) == [csv_path]
 
+    @pytest.mark.parametrize("significance", ["-1", "nan"])
+    def test_bad_significance_fails_before_writing(self, significance, tmp_path, example1_seed0):
+        ds, _, _ = example1_seed0
+        csv_path = tmp_path / "coeffs.csv"
+        fr.write_coeffs_csv(str(csv_path), ds.coeffs)
+        out = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="significance must be finite and > 0"):
+            main(["analyze", "--in", str(csv_path), "--epsilon", "1e-4",
+                  "--significance", significance, "--out", str(out)])
+        assert list(tmp_path.iterdir()) == [csv_path]
+
     def test_literal_recursion_flag(self, tmp_path, capsys, example1_seed0):
         ds, _, _ = example1_seed0
         csv_path = tmp_path / "coeffs.csv"

@@ -177,6 +177,38 @@ class TestNumericEigensystem:
         with pytest.raises(EigenDecompositionError):
             fr.numeric_eigensystem(kern, 2)
 
+    def test_dense_branch(self, monkeypatch):
+        # n_max = 20 > 129 // 8 takes scipy.linalg.eigh, not Lanczos
+        import scipy.linalg
+
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def counted_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+        grid = fr.simpson_grid(129)
+        nes = fr.numeric_eigensystem(fr.sample_kernel_matrix(grid), 20)
+        assert calls == [1] and nes.count == 20
+        # within the Nystrom bias ~(k pi h)^2 / 9 of the kernel's slope jump
+        ks = np.arange(1, 21)
+        bias = (ks * np.pi / 128) ** 2 / 9
+        rel = np.abs(nes.eigenvalues * (ks * np.pi) ** 2 - 1.0)
+        assert np.all(rel < 1.1 * bias)
+        # sign rule: each eigenfunction's first nonzero grid value is positive
+        rows = nes.basis_matrix(grid.points)
+        for row in rows:
+            assert row[np.flatnonzero(np.abs(row) > 1e-12 * np.abs(row).max())[0]] > 0
+        truth = np.sqrt(2) * np.sin(np.outer(ks * np.pi, grid.points))
+        assert max(grid.norm(r - t) for r, t in zip(rows, truth)) < 0.05
+        psi1 = np.sqrt(2) * np.sin(np.pi * grid.points)
+        rank_one = fr.TabulatedKernel(values=np.outer(psi1, psi1), grid=grid)
+        with pytest.raises(EigenDecompositionError, match="smallest eigenvalue"):
+            fr.numeric_eigensystem(rank_one, 20)
+        assert len(calls) == 2
+
     def test_matches_analytic_at_513(self, grid513):
         nes = fr.numeric_eigensystem(fr.sample_kernel_matrix(grid513), 3)
         assert nes.eigenvalues[0] == pytest.approx(1 / np.pi**2, rel=1e-4)

@@ -33,7 +33,7 @@ import fredreg as fr
 from fredreg.cli import main
 from fredreg.eigensystem import _expansion_sum
 from fredreg.harness import METHODS, _on_grid
-from fredreg.selection import _admissible_bounds, _every_lag, _passes_randomness_gate
+from fredreg.selection import _admissible_bounds, _every_lag
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -348,6 +348,15 @@ def assert_autocorr_csv(text, want, exact_lags):
             assert abs(float(got[1]) - float(exp[1])) <= TAIL_TOL, (n, got[1], exp[1])
 
 
+def assert_gate(series, significance, max_lag):
+    """detect_n0's portmanteau gate against former_gate: 0 where it passes, else the bare walk's n0."""
+    top = min(max_lag or fr.default_max_lag(series.n_count), series.n_count - 1)
+    level = math.erf(significance / math.sqrt(2.0))
+    walk = fr.detect_n0(series, significance, max_lag, "none")
+    want = 0 if former_gate(series, top, significance, level) else walk
+    assert fr.detect_n0(series, significance, max_lag, "portmanteau") == want
+
+
 @st.composite
 def handmade_series(draw):
     """delta drawn directly: any scale up to 1, with undefined (NaN) lags."""
@@ -431,10 +440,8 @@ class TestBartlettBand:
     @SETTINGS
     @given(series=any_series, significance=significances, data=st.data())
     def test_randomness_gate(self, series, significance, data):
-        top = data.draw(st.integers(0, series.n_count - 1))
-        level = math.erf(significance / math.sqrt(2.0))
-        got = _passes_randomness_gate(series, top, significance, level)
-        assert got == former_gate(series, top, significance, level)
+        max_lag = data.draw(st.integers(1, series.n_count - 1))
+        assert_gate(series, significance, max_lag)
 
     @SETTINGS
     @given(
@@ -469,9 +476,7 @@ class TestBartlettBand:
     @pytest.mark.parametrize("case", range(len(RECURSION_CASES)))
     def test_recursion_cases(self, case, significance):
         series, max_lag = RECURSION_CASES[case]
-        top = min(max_lag or fr.default_max_lag(series.n_count), series.n_count - 1)
-        level = math.erf(significance / math.sqrt(2.0))
-        assert _passes_randomness_gate(series, top, significance, level) == former_gate(series, top, significance, level)
+        assert_gate(series, significance, max_lag)
         for mode in ("portmanteau", "none"):
             got = fr.detect_n0(series, significance, max_lag, mode)
             assert got == former_detect_n0(series, significance, max_lag, mode), mode
@@ -994,7 +999,7 @@ class TestLagWindowSelection:
         data=st.data(),
     )
     def test_matches_the_all_lag_path(self, g, significance, mode, data, tmp_path_factory):
-        max_lag = data.draw(st.none() | st.integers(0, 12) | st.integers(g.size - 2, g.size + 5))
+        max_lag = data.draw(st.none() | st.integers(1, 12) | st.integers(g.size - 2, g.size + 5))
         self.check(g, significance, max_lag, mode, tmp_path_factory.mktemp("csv") / "autocorr.csv")
 
     @pytest.mark.parametrize("mode", ["portmanteau", "none"])

@@ -38,6 +38,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(signal=sig, epsilon=1e-4, dispersion_mode="rms")
 
+    @pytest.mark.parametrize("seed", [1.7, 2.0, True, "3"])
+    def test_seeds_must_be_integers(self, seed):
+        # int(1.7) ran seed 1 under the name of a seed that was never asked for
+        with pytest.raises(ValueError, match=re.escape(f"seeds must be integers, got {seed!r}")):
+            ExperimentConfig(signal=fr.SignalSpec.named("f1"), epsilon=1e-4, seeds=(0, seed))
+
+    def test_numpy_integer_seeds_run_as_ints(self):
+        cfg = ExperimentConfig(signal=fr.SignalSpec.named("f1"), epsilon=1e-4, seeds=tuple(np.arange(2)))
+        assert cfg.seeds == (0, 1) and all(type(s) is int for s in cfg.seeds)
+
     @pytest.mark.parametrize("epsilon", [-1.0, float("nan"), float("inf")])
     def test_epsilon_must_be_finite_and_nonnegative(self, epsilon):
         with pytest.raises(ValueError, match="epsilon"):

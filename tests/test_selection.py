@@ -239,6 +239,28 @@ class TestDetectN0:
         with pytest.raises(ValueError):
             fr.detect_n0(null_series(64), randomness_test="bogus")
 
+    # each gave a plausible n0 (max_lag 0 -> 0, True -> as 1, significance -1 -> 23, nan -> 0)
+    # or numpy's IndexError (max_lag 2.5), on a random walk whose n0 is 15
+    BAD_ARGUMENTS = [
+        *[("max_lag", {"max_lag": v}) for v in (0, -4, True, 2.5, np.float64(3.0))],
+        *[("significance", {"significance": v}) for v in (-1.0, 0.0, math.nan, math.inf)],
+    ]
+
+    @pytest.mark.parametrize("mode", ["portmanteau", "none"])
+    @pytest.mark.parametrize("name, kwargs", BAD_ARGUMENTS)
+    def test_bad_arguments_named(self, name, kwargs, mode):
+        g = np.random.default_rng(0).normal(size=200).cumsum()
+        assert fr.build_selection(g).n0 == 15
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            fr.detect_n0(fr.autocorr_estimate(g), randomness_test=mode, **kwargs)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            fr.build_selection(g, randomness_test=mode, **kwargs)
+
+    def test_max_lag_past_the_record_clamps(self):
+        series = fr.autocorr_estimate(np.random.default_rng(0).normal(size=40).cumsum())
+        n0 = fr.detect_n0(series, max_lag=39, randomness_test="none")
+        assert fr.detect_n0(series, max_lag=np.int64(500), randomness_test="none") == n0
+
 
 class TestBuildQ:
     def test_empty_for_zero_n0(self):

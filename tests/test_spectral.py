@@ -71,6 +71,14 @@ class TestK0Cutoff:
         ds = fr.NoisyDataset(es.eigenvalues)
         assert fr.k0_cutoff(ds, es, 0.5) == 0
 
+    @pytest.mark.parametrize("c1", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_budget_must_be_finite_and_positive(self, c1):
+        # c1 = nan gave k0 = N, every index
+        es = fr.analytic_eigensystem(4)
+        ds = fr.NoisyDataset(es.eigenvalues)
+        with pytest.raises(ValueError, match=f"c1 must be finite and > 0, got {c1!r}"):
+            fr.f0_approximation(ds, es, c1)
+
     def test_monotone_in_budget(self, es512, grid513, example1_seed0):
         ds, _, _ = example1_seed0
         cuts = [fr.k0_cutoff(ds, es512, c1) for c1 in (0.01, 0.05, 0.148, 0.2, 1.0)]

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 import fredreg as fr
 from fredreg.variational import ConstraintSpec, VarianceProfile
 
+NAN, INF = float("nan"), float("inf")
+
 
 @pytest.fixture(scope="module")
 def small_setup():
@@ -25,6 +27,16 @@ class TestConstraintSpec:
     def test_nonpositive_E_rejected(self):
         with pytest.raises(ValueError):
             ConstraintSpec(E=0.0, eps=0.1)
+
+    @pytest.mark.parametrize("E", [NAN, INF])
+    def test_non_finite_E_rejected(self, E):
+        with pytest.raises(ValueError, match=f"bound E must be finite and > 0, got {E!r}"):
+            ConstraintSpec(E=E, eps=0.1)
+
+    @pytest.mark.parametrize("eps", [NAN, INF])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match=f"bound eps must be finite and >= 0, got {eps!r}"):
+            ConstraintSpec(E=1.0, eps=eps)
 
     def test_constant_spectrum_warns_but_works(self):
         with pytest.warns(UserWarning):
@@ -147,6 +159,17 @@ class TestTikhonovIdentity:
         with pytest.raises(ValueError):
             fr.tikhonov_identity(ds, es, E=-1.0, eps=0.1)
 
+    # each returned a plausible solution: NaN or raw coefficients, k_beta = 0 or every index
+    @pytest.mark.parametrize("method", [fr.tikhonov_identity, fr.truncated_k_beta])
+    @pytest.mark.parametrize(
+        "E, eps, named",
+        [(NAN, 1e-3, "E"), (INF, 1e-3, "E"), (1.0, NAN, "eps"), (1.0, INF, "eps"), (1.0, -1e-3, "eps")],
+    )
+    def test_bounds_checked_by_constraint_spec(self, small_setup, method, E, eps, named):
+        grid, es, ds = small_setup
+        with pytest.raises(ValueError, match=f"bound {named} must be finite"):
+            method(ds, es, E, eps)
+
 
 class TestBestLinearEstimate:
     def test_reduces_to_identity_filter(self, small_setup):
@@ -169,6 +192,12 @@ class TestBestLinearEstimate:
         rho[4] = 0.0
         sol = fr.best_linear_estimate(ds, es, VarianceProfile(rho=rho, nu=np.ones(16), eps=1e-3))
         assert sol.values[4] == 0.0
+
+    @pytest.mark.parametrize("eps", [NAN, INF, -1.0])
+    def test_eps_must_be_finite_and_nonnegative(self, eps):
+        # eps = nan gave all-zero coefficients, eps = -1 the eps = +1 answer
+        with pytest.raises(ValueError, match=f"eps must be finite and >= 0, got {eps!r}"):
+            VarianceProfile(rho=np.ones(16), nu=np.ones(16), eps=eps)
 
     def test_singular_noise_rejected(self, small_setup):
         grid, es, ds = small_setup
