@@ -15,7 +15,8 @@ The file holds, for the checkout under --root (default: this repository):
   but the first rung of a preset reuse its tables);
 - the wall time of the tier-1 suite, a fresh `python -m pytest -q -p
   no:cacheprovider`, with its passed and failed counts whatever its exit code
-  (documented failing tests make pytest exit 1);
+  (documented failing tests make pytest exit 1), and the node IDs of its
+  short summary's FAILED and ERROR lines;
 - the peak RSS (`ru_maxrss`) of fresh processes that each run `import
   fredreg`, or `run_experiment(preset("example1", seeds=range(n)))` in
   process, for n in 100 and 3000;
@@ -69,6 +70,8 @@ RSS_PROBES = {
     **{f"run_experiment_example1_{n}": RUN_EXAMPLE1.format(n=n) for n in (100, 3000)},
 }
 TIER1_COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
+# "FAILED <node id> - <message>" or "ERROR <node id>" in pytest's short test summary
+TIER1_NOT_PASSED = re.compile(r"^(FAILED|ERROR) (.+?)(?: - .*)?$", re.MULTILINE)
 HEADER = re.compile(r"^(\S+) seed \d+: (\d+) operations, (\d+) records, (\d+) failed")
 METRIC = re.compile(r"^\s+(\S+)\s+(\S+)\s+(\S+)$")
 
@@ -111,8 +114,16 @@ def wall_time(argv: list[str], root: Path) -> float:
         return time.perf_counter() - t0
 
 
+def summary_ids(output: str) -> dict[str, list[str]]:
+    """The node IDs of the FAILED and of the ERROR lines in pytest's short test summary."""
+    ids: dict[str, list[str]] = {"failed_ids": [], "error_ids": []}
+    for outcome, node in TIER1_NOT_PASSED.findall(output.partition("short test summary info")[2]):
+        ids[f"{outcome.lower()}_ids"].append(node)
+    return ids
+
+
 def tier1(root: Path) -> dict:
-    """Wall time, exit code and counts of one fresh tier-1 run of the checkout's own tests."""
+    """Wall time, exit code, counts and failing node IDs of one fresh tier-1 run of the checkout's own tests."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
     t0 = time.perf_counter()
@@ -121,7 +132,7 @@ def tier1(root: Path) -> dict:
     summary = out.stdout.rstrip().rsplit("\n", 1)[-1]
     counts = {kind.rstrip("s"): int(n) for n, kind in TIER1_COUNT.findall(summary)}
     return {"wall_s": wall, "exit_code": out.returncode, "passed": counts.get("passed", 0),
-            "failed": counts.get("failed", 0), "errors": counts.get("error", 0)}
+            "failed": counts.get("failed", 0), "errors": counts.get("error", 0), **summary_ids(out.stdout)}
 
 
 class Alternation:

@@ -1,15 +1,19 @@
 """Experiment runner: seeded Monte-Carlo batches over signals, noise, methods.
 
 Presets example1..example4 encode the reference experiments (signal, noise
-bound, record length); each run takes its seed-invariant context, draws a
-dataset per seed, applies the requested reconstruction methods, and records
-relative L2 errors on the grid (each method's expansion summed over rows of
-the one psi_k table) together with the cutoff indices and the selection
-report.  The context's tables (grid, eigensystems, psi_k table, f,
-g_k) depend only on the signal, n_coeff, grid_size and n_max, so repeated
-calls on one signal share them: a process-wide cache holds the tables of the
-last such key (one entry), its arrays are read-only, and it keeps them after
-the call returns, until a call on another key replaces them.
+bound, record length); each run builds its seed-invariant context once,
+draws a dataset per seed, applies the requested reconstruction methods, and
+records relative L2 errors on the grid (each method's to_grid on the
+context's reconstruction eigensystem, whose psi_k on the grid are rows of the
+one psi_k table) together with the cutoff indices and the selection report.
+The context's tables (grid, eigensystems, psi_k table, f, g_k) depend only
+on the signal, n_coeff, grid_size and n_max, so repeated calls on one signal
+share them: a process-wide cache holds the tables of the last such key (one
+entry), its arrays are read-only, and it keeps them after the call returns,
+until a call on another key replaces them.  The methods' a priori bounds
+(E and the noise dispersion, and the flat variance profile rho_k = E,
+nu_k = 1 of the best linear estimate) depend on the call's epsilon and
+overrides as well, and each call builds them once for all its seeds.
 
 With an output_dir, run_experiment writes each seed's CSVs under
 seeds/<seed>/ while that seed's dataset and grid values are live, so a record
@@ -32,9 +36,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .eigensystem import (
-    DEFAULT_GRID_SIZE, DEFAULT_N_MAX, EigenSystem, _expansion_sum, analytic_eigensystem, simpson_grid,
-)
+from .eigensystem import DEFAULT_GRID_SIZE, DEFAULT_N_MAX, EigenSystem, analytic_eigensystem, simpson_grid
 from .selection import SelectionReport, build_selection, reconstruct_bhat
 from .spectral import cumulative_profile, f0_approximation
 from .synthesis import (  # noqa: F401  synthesize_dataset stays importable from here
@@ -79,17 +81,13 @@ class RunContext:
     """Seed-invariant half of a run, shared by its records; its arrays are read-only."""
 
     data: SignalContext  # grid, record eigensystem (k <= n_coeff), psi_k table, f, g_k
-    es: EigenSystem  # reconstruction basis, k <= n_max: coefficients beyond it are noise-dominated
+    # reconstruction basis, k <= n_max (coefficients beyond it are noise-dominated):
+    # on grid.points its psi_k are the first rows of data.basis, elsewhere data.es's
+    es: EigenSystem
     f_norm: float
-    E: float
+    cs: ConstraintSpec  # the a priori bounds of the variational filters: E and the noise dispersion
     c1: float
-    d_eps: float
-
-
-def _blp(ds, ctx, record):
-    n = ctx.es.count
-    vp = VarianceProfile(rho=np.full(n, ctx.E), nu=np.ones(n), eps=ctx.d_eps)
-    return best_linear_estimate(ds, ctx.es, vp)
+    vp: VarianceProfile  # the flat prior rho_k = E, nu_k = 1 of the best linear estimate
 
 
 def _bhat(ds, ctx, record):
@@ -100,11 +98,11 @@ def _bhat(ds, ctx, record):
 # name -> fn(dataset, run context, record) -> RegularizedSolution; each cutoff
 # (k_alpha, k_beta, k0) is reported through sol.params
 METHODS = {
-    "tikhonov_full": lambda ds, ctx, rec: tikhonov_full(ds, ctx.es, ConstraintSpec(E=ctx.E, eps=ctx.d_eps)),
-    "k_alpha": lambda ds, ctx, rec: truncated_k_alpha(ds, ctx.es, ConstraintSpec(E=ctx.E, eps=ctx.d_eps)),
-    "tikhonov_identity": lambda ds, ctx, rec: tikhonov_identity(ds, ctx.es, ctx.E, ctx.d_eps),
-    "k_beta": lambda ds, ctx, rec: truncated_k_beta(ds, ctx.es, ctx.E, ctx.d_eps),
-    "blp": _blp,
+    "tikhonov_full": lambda ds, ctx, rec: tikhonov_full(ds, ctx.es, ctx.cs),
+    "k_alpha": lambda ds, ctx, rec: truncated_k_alpha(ds, ctx.es, ctx.cs),
+    "tikhonov_identity": lambda ds, ctx, rec: tikhonov_identity(ds, ctx.es, ctx.cs.E, ctx.cs.eps),
+    "k_beta": lambda ds, ctx, rec: truncated_k_beta(ds, ctx.es, ctx.cs.E, ctx.cs.eps),
+    "blp": lambda ds, ctx, rec: best_linear_estimate(ds, ctx.es, ctx.vp),
     "f0": lambda ds, ctx, rec: f0_approximation(ds, ctx.es, ctx.c1),
     "bhat": _bhat,
 }
@@ -147,8 +145,9 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
         for seed in self.seeds:
-            if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-                raise ValueError(f"seeds must be integers, got {seed!r}")
+            # numpy's generators refuse a negative seed, with a message that names neither it nor the argument
+            if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+                raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         bad = set(self.methods) - set(ALL_METHODS)
         if bad:
@@ -276,47 +275,45 @@ def _seed_invariant_tables(cfg: ExperimentConfig) -> tuple[SignalContext, EigenS
         _TABLES.clear()
         grid = simpson_grid(cfg.grid_size)
         data = signal_context(cfg.signal, analytic_eigensystem(cfg.n_coeff), grid, cfg.n_coeff)
-        es = analytic_eigensystem(min(cfg.n_max, cfg.n_coeff))
         # a grid-tabulated f is the caller's own array: freeze a copy of it
         data = replace(data, f_vals=np.array(data.f_vals))
-        for a in (grid.points, grid.weights, data.es.eigenvalues, data.basis, data.f_vals,
-                  data.g_coeffs, es.eigenvalues):
+        for a in (grid.points, grid.weights, data.es.eigenvalues, data.basis, data.f_vals, data.g_coeffs):
             a.flags.writeable = False
+        # psi_k depends on k and x alone, so on the grid's own points the
+        # reconstruction basis is a gather (a copy) of the table's first rows;
+        # anywhere else it is the record eigensystem's, whose rows the table holds
+        es = EigenSystem(
+            eigenvalues=data.es.eigenvalues[: min(cfg.n_max, cfg.n_coeff)],  # a view, read-only as its base
+            evaluator=lambda ks, x: data.basis[ks - 1] if x is grid.points else data.es.evaluator(ks, x),
+        )
         tables = _TABLES[key] = (data, es)
     return tables
 
 
 def run_context(cfg: ExperimentConfig) -> RunContext:
-    """Grid, both eigensystems, the psi_k table, f, ||f|| and g_k.
+    """Grid, both eigensystems, the psi_k table, f, ||f||, g_k and the methods' bounds.
 
     The tables depend only on the signal, n_coeff, grid_size and n_max: calls
     that share them share one read-only copy (see _TABLES), so the arrays of
-    the returned context are read-only and shared; the scalars are computed
-    per call.
+    the returned context are read-only and shared; the scalars, the bounds
+    and the flat variance profile are built per call, once for all its seeds.
     """
     data, es = _seed_invariant_tables(cfg)
     f_norm = data.grid.norm(data.f_vals)
     if f_norm == 0 and cfg.E_override is None:
         f_norm = 1.0  # zero signal: errors become absolute, bounds need overrides
+    cs = ConstraintSpec(E=cfg.E_override if cfg.E_override is not None else f_norm, eps=cfg.dispersion())
     return RunContext(
         data=data,
         es=es,
         f_norm=f_norm,
-        E=cfg.E_override if cfg.E_override is not None else f_norm,
+        cs=cs,
         # 1e-9 headroom: quadrature-level Parseval rounding must not truncate the
         # last in-budget component of a noiseless band-limited record
         c1=cfg.c1_override if cfg.c1_override is not None else f_norm**2 * (1.0 + 1e-9),
-        d_eps=cfg.dispersion(),
+        # read-only views: no record can change the profile the next one reads
+        vp=VarianceProfile(rho=np.broadcast_to(cs.E, es.count), nu=np.broadcast_to(1.0, es.count), eps=cs.eps),
     )
-
-
-def _on_grid(sol, basis):
-    """sol.to_grid from rows k-1 of the record's psi_k table, summed term by term in sol.coeffs order.
-
-    psi_k depends on k and x alone, so the table's first es.count rows are
-    the reconstruction basis on the grid; the sum is reconstruct's.
-    """
-    return _expansion_sum(sol.values, basis[sol.indices - 1])
 
 
 def _sha256(data: bytes) -> str:
@@ -360,7 +357,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
             for attr in CUTOFFS:
                 if attr in sol.params:
                     setattr(record, attr, int(sol.params[attr]))
-            grids[name] = _on_grid(sol, ctx.data.basis)
+            grids[name] = sol.to_grid(ctx.es, grid)
             record.rel_l2[name] = grid.norm(grids[name] - f_vals) / ctx.f_norm
         if cfg.output_dir is not None:
             coeffs_csv, profile_csv, *autocorr_csv, solutions_csv = _seed_files(Path(cfg.output_dir), record)

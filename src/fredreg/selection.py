@@ -212,9 +212,14 @@ def _scan_lags(n_count: int, max_lag: int | None, significance: float) -> int:
         max_lag = default_max_lag(n_count)
     if isinstance(max_lag, bool) or not isinstance(max_lag, (int, np.integer)) or max_lag < 1:
         raise ValueError(f"max_lag must be None or an integer >= 1, got {max_lag!r}")
+    _check_significance(significance)
+    return min(max_lag, n_count - 1)
+
+
+def _check_significance(significance: float) -> None:
+    # a scalar check: numpy's ufuncs cost more than the whole rule on this per-record path
     if not (math.isfinite(significance) and significance > 0):
         raise ValueError(f"significance must be finite and > 0, got {significance!r}")
-    return min(max_lag, n_count - 1)
 
 
 def _coverage(significance: float) -> float:
@@ -322,6 +327,7 @@ def detect_n0(
 
 def build_Q(series: AutocorrSeries, n0: int, significance: float = SIGNIFICANCE) -> list[int]:
     """Lags 0 < n <= n0 whose |delta(n)| exceeds the fully-random threshold sigma(n; 0)."""
+    _check_significance(significance)
     lags = np.arange(1, n0 + 1)
     band = significance * bartlett_stderr(series, 0, lags)
     hits = np.abs(series.delta[lags]) > band
@@ -361,6 +367,9 @@ class SelectionReport:
     pairs: list[tuple[int, int]]
     series: AutocorrSeries = field(repr=False)
     significance: float = SIGNIFICANCE
+
+    def __post_init__(self):
+        _check_significance(self.significance)
 
     @property
     def max_lag(self) -> int:

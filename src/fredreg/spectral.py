@@ -47,8 +47,7 @@ class CumulativeProfile:
 def cumulative_profile(data: NoisyDataset, es: EigenSystem) -> CumulativeProfile:
     """Exact partial sums of (gbar_k/lam_k)^2: squared norms of the raw expansion cut at m."""
     n = min(es.count, data.n_coeff)
-    raw = truncated_expansion(data, es, np.arange(1, n + 1), "raw_expansion", {})
-    return CumulativeProfile(values=np.cumsum(raw.values**2))
+    return CumulativeProfile(values=np.cumsum((data.coeffs[:n] / es.eigenvalues[:n]) ** 2))
 
 
 def k0_cutoff(data: NoisyDataset, es: EigenSystem, c1: float) -> int:

@@ -56,6 +56,12 @@ class TestRun:
     def test_run_without_preset_or_config(self, capsys):
         assert main(["run"]) == 2
 
+    def test_negative_base_seed_is_named(self, tmp_path):
+        # the run failed inside numpy with "expected non-negative integer", naming neither the seed nor the flag
+        with pytest.raises(ValueError, match=r"^seeds must be integers >= 0, got -1$"):
+            main(["run", "--preset", "example1", "--base-seed", "-1", "--out", str(tmp_path / "run")])
+        assert not (tmp_path / "run").exists()
+
     def test_run_no_out_prints_summary_only(self, capsys):
         assert main(["run", "--preset", "example1", "--seeds", "1"]) == 0
         assert "median" in capsys.readouterr().out

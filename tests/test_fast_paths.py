@@ -32,7 +32,7 @@ from scipy.stats import chi2
 import fredreg as fr
 from fredreg.cli import main
 from fredreg.eigensystem import _expansion_sum
-from fredreg.harness import METHODS, _on_grid
+from fredreg.harness import METHODS
 from fredreg.selection import _admissible_bounds, _every_lag
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -1114,16 +1114,23 @@ class TestEveryLag:
 
 class TestScoringTable:
     @SETTINGS
-    @given(count=st.integers(1, 80), grid_size=st.sampled_from([65, 129, 513]), data=st.data())
-    def test_table_rows_sum_like_reconstruct(self, count, grid_size, data):
-        grid = fr.simpson_grid(grid_size)
-        es = fr.analytic_eigensystem(count)
+    @given(
+        count=st.integers(1, 80), extra=st.integers(0, 40), grid_size=st.sampled_from([65, 129, 513]),
+        data=st.data(),
+    )
+    def test_table_rows_sum_like_reconstruct(self, count, extra, grid_size, data):
+        cfg = fr.ExperimentConfig(
+            signal=fr.SignalSpec.named("f1"), epsilon=1e-3, n_coeff=count + extra, grid_size=grid_size, n_max=count,
+        )
+        ctx = fr.run_context(cfg)
+        grid = ctx.data.grid
         # unique indices in drawn order: sparse, out of order, possibly empty
         ks = data.draw(st.lists(st.integers(1, count), unique=True, max_size=count))
         values = data.draw(st.lists(signed_values, min_size=len(ks), max_size=len(ks)))
         sol = fr.RegularizedSolution(indices=np.array(ks, dtype=int), values=np.array(values), method="any")
-        got = _on_grid(sol, es.basis_matrix(grid.points))
-        assert got.tobytes() == fr.reconstruct(sol.coeffs, es, grid).tobytes()
+        want = sequential_sum(sol.coeffs, lambda k: sine_rows([k], grid.points)[0], grid.size)
+        assert sol.to_grid(ctx.es, grid).tobytes() == want.tobytes()
+        assert fr.reconstruct(sol.coeffs, fr.analytic_eigensystem(count), grid).tobytes() == want.tobytes()
 
     @SETTINGS
     @given(data=st.data())
@@ -1134,8 +1141,14 @@ class TestScoringTable:
         sol = fr.RegularizedSolution(indices=np.array(ks, dtype=int), values=np.array(values), method="any")
         nodes = node_values(es, grid)
         want = sequential_sum(sol.coeffs, lambda k: nodes[k - 1], grid.size)
-        assert _on_grid(sol, es.basis_matrix(grid.points)).tobytes() == want.tobytes()
+        assert sol.to_grid(es, grid).tobytes() == want.tobytes()
         assert fr.reconstruct(sol.coeffs, es, grid).tobytes() == want.tobytes()
+
+    def test_scoring_names_an_index_past_the_basis(self):
+        ctx = fr.run_context(fr.preset("example1"))
+        sol = fr.RegularizedSolution(indices=np.array([1, ctx.es.count + 1]), values=np.ones(2), method="any")
+        with pytest.raises(IndexError, match=f"eigenpair index {ctx.es.count + 1} outside 1..{ctx.es.count}"):
+            sol.to_grid(ctx.es, ctx.data.grid)
 
     def test_run_scores_from_its_table(self):
         cfg = fr.preset("example3", seeds=(0, 1))

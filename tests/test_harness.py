@@ -41,8 +41,14 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("seed", [1.7, 2.0, True, "3"])
     def test_seeds_must_be_integers(self, seed):
         # int(1.7) ran seed 1 under the name of a seed that was never asked for
-        with pytest.raises(ValueError, match=re.escape(f"seeds must be integers, got {seed!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"seeds must be integers >= 0, got {seed!r}")):
             ExperimentConfig(signal=fr.SignalSpec.named("f1"), epsilon=1e-4, seeds=(0, seed))
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-5)])
+    def test_seeds_must_be_nonnegative(self, seed):
+        # preset("example1", seeds=(-1,)) built, and run_experiment then failed inside numpy naming no seed
+        with pytest.raises(ValueError, match=re.escape(f"seeds must be integers >= 0, got {seed!r}")):
+            preset("example1", seeds=(0, seed))
 
     def test_numpy_integer_seeds_run_as_ints(self):
         cfg = ExperimentConfig(signal=fr.SignalSpec.named("f1"), epsilon=1e-4, seeds=tuple(np.arange(2)))
@@ -150,6 +156,23 @@ class TestRunExperiment:
         _, records = example1_records
         for rec in records:
             assert rec.rel_l2["blp"] == pytest.approx(rec.rel_l2["tikhonov_identity"], rel=1e-12)
+
+    def test_bounds_are_built_once_per_run(self, monkeypatch):
+        built = []
+
+        class Counted:
+            def __init__(self, cls):
+                self.cls = cls
+
+            def __call__(self, *args, **kwargs):
+                built.append(self.cls.__name__)
+                return self.cls(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "VarianceProfile", Counted(fr.VarianceProfile))
+        monkeypatch.setattr(harness, "ConstraintSpec", Counted(fr.ConstraintSpec))
+        records = fr.run_experiment(preset("example1", seeds=range(4)))
+        assert all(sorted(rec.rel_l2) == sorted(fr.ALL_METHODS) for rec in records)
+        assert sorted(built) == ["ConstraintSpec", "VarianceProfile"]
 
     def test_noiseless_exactness_bandlimited(self):
         cfg = ExperimentConfig(
@@ -421,7 +444,7 @@ class TestTableCache:
 
     def test_tables_are_read_only(self):
         ctx = fr.run_context(preset("example1"))
-        for table in (ctx.data.basis, ctx.data.g_coeffs, ctx.es.eigenvalues):
+        for table in (ctx.data.basis, ctx.data.g_coeffs, ctx.es.eigenvalues, ctx.vp.rho, ctx.vp.nu):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 1.0
 
@@ -432,3 +455,58 @@ class TestTableCache:
         assert [f.name for f in dataclasses.fields(ctx) if isinstance(getattr(ctx, f.name), np.ndarray)] == []
         assert ctx.data.basis.shape == (cfg.n_coeff, ctx.data.grid.size)
         assert ctx.es.count == cfg.n_max < cfg.n_coeff
+
+    @pytest.mark.parametrize("name", fr.PRESETS)
+    def test_reconstruction_basis_reads_the_table_on_the_grid(self, name, monkeypatch):
+        ctx = fr.run_context(preset(name))
+        n, grid = ctx.es.count, ctx.data.grid
+        exact = fr.analytic_eigensystem(n)
+        assert ctx.es.eigenvalues.tobytes() == exact.eigenvalues.tobytes()
+        for x in (grid.points.copy(), grid.points[1:], np.linspace(0.0, 1.0, 100), np.array([0.3])):
+            assert ctx.es.basis_matrix(x).tobytes() == exact.basis_matrix(x).tobytes()
+        sol = fr.RegularizedSolution(indices=np.array([3, 1]), values=np.array([0.5, -2.0]), method="any")
+        want = fr.reconstruct(sol.coeffs, exact, grid)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sine evaluated on the grid")
+
+        monkeypatch.setattr(np, "sin", refuse)
+        on_grid = ctx.es.basis_matrix(grid.points)
+        assert on_grid.tobytes() == ctx.data.basis[:n].tobytes()
+        assert not np.shares_memory(on_grid, ctx.data.basis)  # a gather: scoring scales its rows in place
+        assert sol.to_grid(ctx.es, grid).tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def flat_profile_runs():
+    """(ctx, noisy dataset) for 100 seeds of each preset."""
+    runs = []
+    for name in fr.PRESETS:
+        cfg = preset(name)
+        ctx = fr.run_context(cfg)
+        runs += [(ctx, fr.add_noise(ctx.data, cfg.epsilon, seed, cfg.noise_mode)) for seed in range(100)]
+    return runs
+
+
+class TestFlatProfile:
+    """On the run context's flat profile (rho_k = E, nu_k = 1) the probabilistic branch adds no method."""
+
+    def test_run_context_fields(self):
+        ctx = fr.run_context(preset("example1"))
+        assert [f.name for f in dataclasses.fields(ctx)] == ["data", "es", "f_norm", "cs", "c1", "vp"]
+        assert ctx.cs.E == ctx.f_norm and ctx.cs.eps == ctx.vp.eps == fr.noise_dispersion(1e-4) and ctx.cs.c is None
+        assert np.all(ctx.vp.rho == ctx.cs.E) and np.all(ctx.vp.nu == 1.0) and ctx.vp.rho.size == ctx.es.count
+
+    def test_classified_solution_is_k_beta(self, flat_profile_runs):
+        for ctx, ds in flat_profile_runs:
+            got = fr.classified_solution(ds, ctx.es, ctx.vp)
+            want = fr.truncated_k_beta(ds, ctx.es, ctx.cs.E, ctx.cs.eps)
+            assert got.indices.tobytes() == want.indices.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
+
+    def test_best_linear_estimate_is_tikhonov_identity(self, flat_profile_runs):
+        for ctx, ds in flat_profile_runs:
+            got = fr.best_linear_estimate(ds, ctx.es, ctx.vp)
+            want = fr.tikhonov_identity(ds, ctx.es, ctx.cs.E, ctx.cs.eps)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.all(np.abs(got.values - want.values) <= 1e-14 * np.abs(want.values))

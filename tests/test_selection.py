@@ -266,6 +266,13 @@ class TestBuildQ:
     def test_empty_for_zero_n0(self):
         assert fr.build_Q(null_series(256), 0) == []
 
+    @pytest.mark.parametrize("significance", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_significance_named(self, significance):
+        # on a random walk, -1 gave every lag 1..15 and nan gave none
+        series = fr.autocorr_estimate(np.random.default_rng(0).normal(size=200).cumsum(), 20)
+        with pytest.raises(ValueError, match=re.escape(f"significance must be finite and > 0, got {significance!r}")):
+            fr.build_Q(series, 15, significance)
+
     def test_spike_ladder(self):
         series = null_series(512, spikes={2: 0.5, 9: 0.4})
         assert fr.build_Q(series, 9) == [2, 9]
@@ -344,6 +351,12 @@ class TestBuildSelection:
         ds, _, _ = example1_seed0
         d = fr.build_selection(ds).to_json_dict()
         assert set(d) == {"n0", "Q", "pairs", "I_k", "bound_ok", "compat_violations"}
+
+    @pytest.mark.parametrize("significance", [-2.0, 0.0, math.nan, -math.inf])
+    def test_report_refuses_a_bad_significance(self, significance):
+        series = fr.autocorr_estimate(np.random.default_rng(0).normal(size=200).cumsum(), 20)
+        with pytest.raises(ValueError, match=re.escape(f"significance must be finite and > 0, got {significance!r}")):
+            fr.SelectionReport(n0=0, Q=[], pairs=[], series=series, significance=significance)
 
     def test_diagnostics_follow_from_the_pairs(self):
         series = AutocorrSeries(delta=np.array([1.0, 0.0, 0.0]), n_count=8)
