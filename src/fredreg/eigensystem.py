@@ -20,6 +20,7 @@ is exact (to rounding) for i + j < 512.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -74,7 +75,15 @@ class QuadratureGrid:
         return self.points.size
 
     def norm(self, f: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(self.weights * np.asarray(f) ** 2)))
+        f = np.asarray(f)
+        with np.errstate(over="ignore"):
+            sq = float(np.sum(self.weights * f**2))
+        if 2.0**-960 <= sq < math.inf:
+            return math.sqrt(sq)
+        # a square overflowed or lost digits to the subnormals (or f is zero or not finite):
+        # move the peak to [0.5, 1) by an exact power of two, square, and scale the root back
+        exp = math.frexp(float(np.max(np.abs(f))))[1]
+        return math.ldexp(float(np.sqrt(np.sum(self.weights * np.ldexp(f, -exp) ** 2))), exp)
 
 
 def simpson_grid(n: int = DEFAULT_GRID_SIZE, a: float = 0.0, b: float = 1.0) -> QuadratureGrid:

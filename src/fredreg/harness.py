@@ -3,17 +3,25 @@
 Presets example1..example4 encode the reference experiments (signal, noise
 bound, record length); each run builds its seed-invariant context once,
 draws a dataset per seed, applies the requested reconstruction methods, and
-records relative L2 errors on the grid (each method's to_grid on the
-context's reconstruction eigensystem, whose psi_k on the grid are rows of the
-one psi_k table) together with the cutoff indices and the selection report.
-The context's tables (grid, eigensystems, psi_k table, f, g_k) depend only
-on the signal, n_coeff, grid_size and n_max, so repeated calls on one signal
-share them: a process-wide cache holds the tables of the last such key (one
-entry), its arrays are read-only, and it keeps them after the call returns,
-until a call on another key replaces them.  The methods' a priori bounds
-(E and the noise dispersion, and the flat variance profile rho_k = E,
-nu_k = 1 of the best linear estimate) depend on the call's epsilon and
-overrides as well, and each call builds them once for all its seeds.
+records relative L2 errors together with the cutoff indices and the
+selection report.  An error is the Simpson norm of the method's expansion
+minus f on the grid, computed from its <= n_max coefficients alone: with
+d = c - f_k it is sqrt(d^T G d - 2 d^T h + ||r||^2) / ||f||, where G is the
+Gram matrix of the psi_k rows under the weights and r = f - sum_k f_k psi_k
+(see _GramForm).  The identity is exact algebra on any grid; it rounds
+differently from the grid sum, and the squared errors of the two agree to
+1e-13 (relative beyond 1).  Only solutions.csv needs grid values: each
+method's to_grid on the context's reconstruction eigensystem, whose psi_k on
+the grid are rows of the one psi_k table.
+The context's tables (grid, eigensystems, psi_k table, f, g_k and the Gram
+form) depend only on the signal, n_coeff, grid_size and n_max, so repeated
+calls on one signal share them: a process-wide cache holds the tables of the
+last such key (one entry), its arrays are read-only, and it keeps them after
+the call returns, until a call on another key replaces them.  The methods'
+a priori bounds (E and the noise dispersion, and the flat variance profile
+rho_k = E, nu_k = 1 of the best linear estimate) depend on the call's
+epsilon and overrides as well, and each call builds them once for all its
+seeds.
 
 With an output_dir, run_experiment writes each seed's CSVs under
 seeds/<seed>/ while that seed's dataset and grid values are live, so a record
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import shutil
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -77,6 +86,46 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class _GramForm:
+    """The squared grid error of an expansion over psi_1..psi_n, from its coefficients alone.
+
+    With B the first n rows of the psi_k table, W the quadrature weights,
+    f_k = B W f and r = f - B^T f_k, coefficients c over k = 1..n and
+    d = c - f_k give
+
+        ||B^T c - f||_W^2 = ||B^T d - r||_W^2 = d^T G d - 2 d^T h + ||r||_W^2,
+        G = B W B^T,  h = B W r.
+
+    That is exact algebra, so it holds on any grid, whether W makes the rows
+    orthonormal or not, and costs O(n^2) instead of O(n x grid size).
+    """
+
+    f_k: np.ndarray
+    gram: np.ndarray
+    h: np.ndarray
+    r_sq: float
+    f_sq: float  # ||f||_W^2, the error of the empty expansion, and the square of ||f||
+
+    @staticmethod
+    def build(basis: np.ndarray, weights: np.ndarray, f_vals: np.ndarray) -> "_GramForm":
+        """The form of the rows of basis (B) under weights (W); r_sq and f_sq are inf for a huge f."""
+        weighted = basis * weights
+        f_k = weighted @ f_vals
+        r = f_vals - f_k @ basis
+        with np.errstate(over="ignore"):
+            r_sq, f_sq = float(np.sum(weights * r**2)), float(np.sum(weights * f_vals**2))
+        return _GramForm(f_k=f_k, gram=weighted @ basis.T, h=weighted @ r, r_sq=r_sq, f_sq=f_sq)
+
+    def error_sq(self, indices: np.ndarray, values: np.ndarray) -> float:
+        """||sum_i values[i] psi_{indices[i]} - f||_W^2 for distinct indices in 1..n."""
+        if not indices.size:
+            return self.f_sq  # exactly, so an empty expansion scores ||f|| / ||f|| = 1
+        d = -self.f_k
+        d[indices - 1] += values
+        return float(d @ (self.gram @ d) - 2.0 * (d @ self.h) + self.r_sq)
+
+
+@dataclass(frozen=True)
 class RunContext:
     """Seed-invariant half of a run, shared by its records; its arrays are read-only."""
 
@@ -88,6 +137,7 @@ class RunContext:
     cs: ConstraintSpec  # the a priori bounds of the variational filters: E and the noise dispersion
     c1: float
     vp: VarianceProfile  # the flat prior rho_k = E, nu_k = 1 of the best linear estimate
+    _gram: _GramForm  # scores each method from its coefficients over es's k = 1..n
 
 
 def _bhat(ds, ctx, record):
@@ -259,15 +309,15 @@ class RunRecord:
 
 
 # The one entry of the process-wide cache: (signal JSON, n_coeff, grid_size,
-# n_max) -> the read-only (data, es) of run_context.  It is emptied
+# n_max) -> the read-only (data, es, gram) of run_context.  It is emptied
 # before a miss builds, so two entries never coexist, but the last key's
 # tables outlive the call: the n_coeff x grid_size psi_k table (8 bytes a
 # value) stays in memory until a call on another key replaces it.
 _TABLES: dict = {}
 
 
-def _seed_invariant_tables(cfg: ExperimentConfig) -> tuple[SignalContext, EigenSystem]:
-    """The grid, both eigensystems, the psi_k table, f and g_k of cfg, built on a miss."""
+def _seed_invariant_tables(cfg: ExperimentConfig) -> tuple[SignalContext, EigenSystem, _GramForm]:
+    """The grid, both eigensystems, the psi_k table, f, g_k and the scoring form of cfg, built on a miss."""
     signal = json.dumps(cfg.signal.to_json_dict(), sort_keys=True, separators=(",", ":"))
     key = (signal, cfg.n_coeff, cfg.grid_size, cfg.n_max)
     tables = _TABLES.get(key)
@@ -277,29 +327,39 @@ def _seed_invariant_tables(cfg: ExperimentConfig) -> tuple[SignalContext, EigenS
         data = signal_context(cfg.signal, analytic_eigensystem(cfg.n_coeff), grid, cfg.n_coeff)
         # a grid-tabulated f is the caller's own array: freeze a copy of it
         data = replace(data, f_vals=np.array(data.f_vals))
-        for a in (grid.points, grid.weights, data.es.eigenvalues, data.basis, data.f_vals, data.g_coeffs):
+        n = min(cfg.n_max, cfg.n_coeff)
+        gram = _GramForm.build(data.basis[:n], grid.weights, data.f_vals)
+        for a in (
+            grid.points, grid.weights, data.es.eigenvalues, data.basis, data.f_vals, data.g_coeffs,
+            gram.f_k, gram.gram, gram.h,
+        ):
             a.flags.writeable = False
         # psi_k depends on k and x alone, so on the grid's own points the
         # reconstruction basis is a gather (a copy) of the table's first rows;
         # anywhere else it is the record eigensystem's, whose rows the table holds
         es = EigenSystem(
-            eigenvalues=data.es.eigenvalues[: min(cfg.n_max, cfg.n_coeff)],  # a view, read-only as its base
+            eigenvalues=data.es.eigenvalues[:n],  # a view, read-only as its base
             evaluator=lambda ks, x: data.basis[ks - 1] if x is grid.points else data.es.evaluator(ks, x),
         )
-        tables = _TABLES[key] = (data, es)
+        tables = _TABLES[key] = (data, es, gram)
     return tables
 
 
 def run_context(cfg: ExperimentConfig) -> RunContext:
-    """Grid, both eigensystems, the psi_k table, f, ||f||, g_k and the methods' bounds.
+    """Grid, both eigensystems, the psi_k table, f, ||f||, g_k, the scoring form and the methods' bounds.
 
     The tables depend only on the signal, n_coeff, grid_size and n_max: calls
     that share them share one read-only copy (see _TABLES), so the arrays of
     the returned context are read-only and shared; the scalars, the bounds
     and the flat variance profile are built per call, once for all its seeds.
+    A signal whose ||f||^2 is not finite is refused: C1 and every score square ||f||.
     """
-    data, es = _seed_invariant_tables(cfg)
-    f_norm = data.grid.norm(data.f_vals)
+    data, es, gram = _seed_invariant_tables(cfg)
+    if not math.isfinite(gram.f_sq):
+        raise ValueError(
+            f"signal norm ||f|| = {data.grid.norm(data.f_vals)!r} is too large: ||f||^2 must be finite"
+        )
+    f_norm = math.sqrt(gram.f_sq)
     if f_norm == 0 and cfg.E_override is None:
         f_norm = 1.0  # zero signal: errors become absolute, bounds need overrides
     cs = ConstraintSpec(E=cfg.E_override if cfg.E_override is not None else f_norm, eps=cfg.dispersion())
@@ -313,6 +373,7 @@ def run_context(cfg: ExperimentConfig) -> RunContext:
         c1=cfg.c1_override if cfg.c1_override is not None else f_norm**2 * (1.0 + 1e-9),
         # read-only views: no record can change the profile the next one reads
         vp=VarianceProfile(rho=np.broadcast_to(cs.E, es.count), nu=np.broadcast_to(1.0, es.count), eps=cs.eps),
+        _gram=gram,
     )
 
 
@@ -329,7 +390,7 @@ def _seed_files(out_dir: Path, rec: RunRecord) -> list[Path]:
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
     """Deterministic batch: build the run context once, then per seed draw the
-    noise, run each method and score its error on the grid.
+    noise, run each method and score its error from its coefficients.
 
     With cfg.output_dir set, each seed's CSVs are written under seeds/<seed>/
     before the next seed is drawn.  Per-method failures are recorded on the
@@ -347,7 +408,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
     for seed in cfg.seeds:
         ds = add_noise(ctx.data, cfg.epsilon, seed, cfg.noise_mode)
         record = RunRecord(seed=seed, snr_db=base_snr)
-        grids = {}  # method -> its values on the grid
+        grids = {}  # method -> its values on the grid, for solutions.csv
         for name in cfg.methods:
             try:
                 sol = METHODS[name](ds, ctx, record)
@@ -357,8 +418,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
             for attr in CUTOFFS:
                 if attr in sol.params:
                     setattr(record, attr, int(sol.params[attr]))
-            grids[name] = sol.to_grid(ctx.es, grid)
-            record.rel_l2[name] = grid.norm(grids[name] - f_vals) / ctx.f_norm
+            ctx.es._check_index(sol.indices)
+            record.rel_l2[name] = math.sqrt(ctx._gram.error_sq(sol.indices, sol.values)) / ctx.f_norm
+            if cfg.output_dir is not None:
+                grids[name] = sol.to_grid(ctx.es, grid)
         if cfg.output_dir is not None:
             coeffs_csv, profile_csv, *autocorr_csv, solutions_csv = _seed_files(Path(cfg.output_dir), record)
             coeffs_csv.parent.mkdir(parents=True, exist_ok=True)

@@ -92,7 +92,12 @@ class SignalSpec:
         elif self.kind == "grid-tabulated":
             if self.values is None:
                 raise ValueError("grid-tabulated signal needs values")
-            object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+            values = np.asarray(self.values, dtype=float)
+            object.__setattr__(self, "values", values)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                i = bad[0]
+                raise ValueError(f"tabulated signal value {i} is {float(values.flat[i])}; values must be finite")
         else:
             raise ValueError(f"unknown signal kind {self.kind!r}")
 

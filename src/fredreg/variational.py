@@ -123,8 +123,10 @@ class RegularizedSolution:
         object.__setattr__(self, "values", vals)
         if idx.shape != vals.shape:
             raise ValueError("indices and values must have matching length")
-        if idx.size and (np.any(idx < 1) or np.unique(idx).size != idx.size):
-            raise ValueError("coefficient indices must be distinct and >= 1")
+        if idx.size:
+            ordered = np.sort(idx, axis=None)  # distinct: no two neighbours equal once sorted
+            if ordered[0] < 1 or np.any(ordered[1:] == ordered[:-1]):
+                raise ValueError("coefficient indices must be distinct and >= 1")
 
     @property
     def coeffs(self) -> list[tuple[int, float]]:

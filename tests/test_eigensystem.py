@@ -1,8 +1,12 @@
 import dataclasses
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fredreg as fr
 from fredreg import EigenDecompositionError
@@ -51,6 +55,37 @@ class TestQuadratureGrid:
     def test_rejects_decreasing_points(self):
         with pytest.raises(ValueError):
             fr.QuadratureGrid(points=np.array([0.0, 0.5, 0.4]), weights=np.full(3, 1 / 3), a=0, b=1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.sampled_from([5, 65, 129, 513]), seed=st.integers(0, 2**32 - 1),
+        exponent=st.integers(-140, 140), zeros=st.booleans(),
+    )
+    def test_norm_keeps_the_bits_of_the_plain_sum(self, size, seed, exponent, zeros):
+        # oracle: the former norm, which squares and sums with no rescale
+        g = fr.simpson_grid(size)
+        f = np.random.default_rng(seed).normal(size=size) * 10.0**exponent
+        if zeros:
+            f[::3] = 0.0
+        want = float(np.sqrt(np.sum(g.weights * f**2)))
+        assert g.norm(f) == want
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300, 1e-170, 1e-300])
+    def test_norm_of_a_large_or_tiny_function(self, scale):
+        # the plain sum of squares overflows or underflows at these magnitudes; oracle: exact rationals
+        g = fr.simpson_grid(65)
+        f = scale * (np.sin(np.pi * g.points) + 2.0)
+        exact_sq = sum(Fraction(w) * Fraction(x) ** 2 for w, x in zip(g.weights.tolist(), f.tolist()))
+        with localcontext() as ctx:
+            ctx.prec = 40
+            want = float((Decimal(exact_sq.numerator) / Decimal(exact_sq.denominator)).sqrt())
+        assert g.norm(f) == pytest.approx(want, rel=4e-16, abs=0.0)
+
+    def test_norm_of_zero_and_of_non_finite_values(self):
+        g = fr.simpson_grid(65)
+        assert g.norm(np.zeros(65)) == 0.0
+        assert g.norm(np.full(65, np.inf)) == np.inf
+        assert np.isnan(g.norm(np.full(65, np.nan)))
 
 
 class TestAnalyticEigensystem:

@@ -174,6 +174,24 @@ class TestRunExperiment:
         assert all(sorted(rec.rel_l2) == sorted(fr.ALL_METHODS) for rec in records)
         assert sorted(built) == ["ConstraintSpec", "VarianceProfile"]
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_a_signal_whose_squared_norm_overflows_is_refused(self, scale):
+        # ||f|| itself is finite here, but C1 = ||f||^2 (1 + 1e-9) and every score square it
+        values = scale * np.sin(np.pi * np.linspace(0.0, 1.0, 65))
+        cfg = ExperimentConfig(signal=fr.SignalSpec.tabulated(values), epsilon=1e-3, n_coeff=16, grid_size=65, n_max=8)
+        with pytest.raises(ValueError, match=r"signal norm \|\|f\|\| = \S+ is too large: \|\|f\|\|\^2 must be finite"):
+            fr.run_context(cfg)
+        with pytest.raises(ValueError, match=r"\|\|f\|\|\^2 must be finite"):
+            fr.run_experiment(cfg)
+
+    def test_the_largest_signals_still_run(self):
+        values = 1e150 * np.sin(np.pi * np.linspace(0.0, 1.0, 65))
+        cfg = ExperimentConfig(signal=fr.SignalSpec.tabulated(values), epsilon=1e-3, n_coeff=16, grid_size=65, n_max=8)
+        ctx = fr.run_context(cfg)
+        assert ctx.f_norm == ctx.data.grid.norm(values) and np.isfinite(ctx.c1)
+        rec = fr.run_experiment(cfg)[0]
+        assert rec.rel_l2 and all(np.isfinite(e) for e in rec.rel_l2.values())
+
     def test_noiseless_exactness_bandlimited(self):
         cfg = ExperimentConfig(
             signal=fr.SignalSpec.named("f2"), epsilon=0.0, n_coeff=512, seeds=(0,),
@@ -444,9 +462,14 @@ class TestTableCache:
 
     def test_tables_are_read_only(self):
         ctx = fr.run_context(preset("example1"))
-        for table in (ctx.data.basis, ctx.data.g_coeffs, ctx.es.eigenvalues, ctx.vp.rho, ctx.vp.nu):
+        gram = ctx._gram
+        for table in (
+            ctx.data.basis, ctx.data.g_coeffs, ctx.es.eigenvalues, ctx.vp.rho, ctx.vp.nu, gram.f_k, gram.gram, gram.h,
+        ):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gram.r_sq = 0.0
 
     def test_one_sine_table_per_grid(self):
         cfg = preset("example3")
@@ -493,7 +516,8 @@ class TestFlatProfile:
 
     def test_run_context_fields(self):
         ctx = fr.run_context(preset("example1"))
-        assert [f.name for f in dataclasses.fields(ctx)] == ["data", "es", "f_norm", "cs", "c1", "vp"]
+        assert [f.name for f in dataclasses.fields(ctx)] == ["data", "es", "f_norm", "cs", "c1", "vp", "_gram"]
+        assert ctx.f_norm == ctx.data.grid.norm(ctx.data.f_vals) and ctx._gram.gram.shape == (ctx.es.count,) * 2
         assert ctx.cs.E == ctx.f_norm and ctx.cs.eps == ctx.vp.eps == fr.noise_dispersion(1e-4) and ctx.cs.c is None
         assert np.all(ctx.vp.rho == ctx.cs.E) and np.all(ctx.vp.nu == 1.0) and ctx.vp.rho.size == ctx.es.count
 

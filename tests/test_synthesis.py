@@ -31,6 +31,16 @@ class TestSignalSpec:
         with pytest.raises(ValueError):
             fr.SignalSpec.sines([(1.0, 3), (2.0, 3)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_tabulated_values_must_be_finite(self, bad):
+        values = np.linspace(0.0, 1.0, 65)
+        values[3] = bad
+        values[7] = np.nan
+        with pytest.raises(ValueError, match=f"tabulated signal value 3 is {bad}; values must be finite"):
+            fr.SignalSpec.tabulated(values)
+        with pytest.raises(ValueError, match="tabulated signal value 3 is"):
+            fr.SignalSpec.from_json_dict({"kind": "grid-tabulated", "values": values.tolist()})
+
     def test_support(self):
         assert fr.SignalSpec.named("f2").support() == (3, 7, 13)
         assert fr.SignalSpec.named("f1").support() is None

@@ -271,6 +271,19 @@ class TestRegularizedSolution:
         with pytest.raises(ValueError):
             fr.RegularizedSolution(indices=[1, 1], values=[0.5, 0.5], method="x")
 
+    @settings(max_examples=200, deadline=None)
+    @given(indices=st.lists(st.integers(-3, 80), max_size=64) | st.lists(st.integers(-3, 80), max_size=64, unique=True))
+    def test_index_rule_matches_np_unique(self, indices):
+        # oracle: the former check, np.unique against the count
+        idx = np.array(indices, dtype=int)
+        refused = bool(idx.size) and (bool(np.any(idx < 1)) or np.unique(idx).size != idx.size)
+        values = np.ones(idx.size)
+        if refused:
+            with pytest.raises(ValueError, match="coefficient indices must be distinct and >= 1"):
+                fr.RegularizedSolution(indices=idx, values=values, method="x")
+        else:
+            assert fr.RegularizedSolution(indices=idx, values=values, method="x").indices.tolist() == indices
+
 
 @settings(max_examples=60)
 @given(
