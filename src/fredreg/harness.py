@@ -122,7 +122,9 @@ class _GramForm:
             return self.f_sq  # exactly, so an empty expansion scores ||f|| / ||f|| = 1
         d = -self.f_k
         d[indices - 1] += values
-        return float(d @ (self.gram @ d) - 2.0 * (d @ self.h) + self.r_sq)
+        # where W leaves the rows not orthonormal (2n >= grid size - 1), r is not small and an expansion
+        # equal to f up to rounding cancels terms of size ||f||^2: the sum can round below zero
+        return max(0.0, float(d @ (self.gram @ d) - 2.0 * (d @ self.h) + self.r_sq))
 
 
 @dataclass(frozen=True)
