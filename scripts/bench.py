@@ -10,6 +10,10 @@ The file holds, for the checkout under --root (default: this repository):
 - the wall time of a fresh `python -c "import fredreg"`, which every run pays;
 - wall times of fresh `fredreg run` processes: `--preset example1 --seeds 100`
   with and without `--out`, and `--preset example3 --seeds 100`;
+- the emission floor of the `--out` run: the number of float cells in its
+  `seeds/*/*.csv`, without the seed-invariant x and f_true columns, and the
+  seconds that `repr` takes over those floats, parsed back (the least that
+  writing them as round-trip digits costs);
 - the wall time of `scripts/null_control.py`, and of `scripts/noise_sweep.py
   --seeds 20` (every preset over its ladder of eps in one process, so all
   but the first rung of a preset reuse its tables);
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import collections
 import io
 import json
 import os
@@ -74,6 +79,8 @@ TIER1_COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
 TIER1_NOT_PASSED = re.compile(r"^(FAILED|ERROR) (.+?)(?: - .*)?$", re.MULTILINE)
 HEADER = re.compile(r"^(\S+) seed \d+: (\d+) operations, (\d+) records, (\d+) failed")
 METRIC = re.compile(r"^\s+(\S+)\s+(\S+)\s+(\S+)$")
+INT_CELL = re.compile(r"-?\d+")
+SEED_INVARIANT = {"x", "f_true"}  # solutions.csv columns formatted once per run, not per seed
 
 
 def perfbench(root: Path, workload: str, seconds: float, trace: int) -> tuple[dict, int]:
@@ -105,13 +112,35 @@ def peak_rss_mb(code: str, root: Path) -> float:
     return float(subprocess.run(argv, cwd=root, env=env, stdout=subprocess.PIPE, text=True, check=True).stdout)
 
 
-def wall_time(argv: list[str], root: Path) -> float:
+def wall_time(argv: list[str], root: Path, inspect=None):
+    """Seconds of a fresh process running argv, "{tmp}" a fresh directory; with inspect, also inspect(that directory)."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     with tempfile.TemporaryDirectory() as tmp:
         cmd = [a.replace("{tmp}", tmp) for a in argv]
         t0 = time.perf_counter()
         subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL, check=True)
-        return time.perf_counter() - t0
+        wall = time.perf_counter() - t0
+        return wall if inspect is None else (wall, inspect(Path(tmp)))
+
+
+def float_cells(out_dir: Path) -> list[float]:
+    """The float cells of out_dir/seeds/*/*.csv, parsed back; int cells, empty cells and the x and f_true columns are left out."""
+    values = []
+    for path in sorted(out_dir.glob("seeds/*/*.csv")):
+        header, *rows = path.read_text().splitlines()
+        keep = [i for i, name in enumerate(header.split(",")) if name not in SEED_INVARIANT]
+        for row in rows:
+            cells = row.split(",")
+            values.extend(float(cells[i]) for i in keep if cells[i] and not INT_CELL.fullmatch(cells[i]))
+    return values
+
+
+def emission_floor(out_dir: Path) -> tuple[int, float]:
+    """The number of float cells of an output directory and the seconds repr takes over them."""
+    values = float_cells(out_dir)
+    t0 = time.perf_counter()
+    collections.deque(map(repr, values), maxlen=0)
+    return len(values), time.perf_counter() - t0
 
 
 def summary_ids(output: str) -> dict[str, list[str]]:
@@ -160,6 +189,19 @@ def wall_times(argv: list[str], each: Alternation, repeats: int) -> list[dict]:
     """Per checkout: the median and every run of `repeats` fresh processes."""
     runs = repeated(lambda root: wall_time(argv, root), each, repeats)
     return [{"command": " ".join(argv[1:]), "median_s": median, "runs_s": r} for median, r in runs]
+
+
+def emission_times(argv: list[str], each: Alternation, repeats: int) -> list[dict]:
+    """Per checkout: wall_times of a run that writes into "{tmp}", with the float cells it wrote and their repr floor."""
+    out = []
+    for runs in zip(*(each(lambda root: wall_time(argv, root, emission_floor)) for _ in range(repeats))):
+        walls, floors = [w for w, _ in runs], [s for _, (_, s) in runs]
+        out.append({
+            "command": " ".join(argv[1:]), "median_s": statistics.median(walls), "runs_s": walls,
+            "float_cells": statistics.median(n for _, (n, _) in runs),
+            "repr_floor_s": statistics.median(floors), "repr_floor_runs_s": floors,
+        })
+    return out
 
 
 def peak_rss(code: str, each: Alternation, repeats: int) -> list[dict]:
@@ -227,7 +269,11 @@ def main() -> int:
         "null_control": [sys.executable, "scripts/null_control.py"],
         "noise_sweep": [sys.executable, "scripts/noise_sweep.py", "--seeds", "20", "--out", "{tmp}/sweep.json"],
     }
-    wall = {name: wall_times(argv, each, args.repeats) for name, argv in probes.items()}
+    wall = {
+        name: emission_times(argv, each, args.repeats) if name == "run_example1_out"
+        else wall_times(argv, each, args.repeats)
+        for name, argv in probes.items()
+    }
     rss = {name: peak_rss(code, each, args.repeats) for name, code in RSS_PROBES.items()}
     suites = [list(r) for r in zip(*(each(tier1) for _ in range(args.repeats)))]
     status = 0

@@ -26,9 +26,10 @@ seeds.
 With an output_dir, run_experiment writes each seed's CSVs under
 seeds/<seed>/ while that seed's dataset and grid values are live, so a record
 keeps only what report.json serializes and the sha256 of each file it wrote;
-emit_outputs then copies the first seed's CSVs to the top level and writes
-the JSON files, refusing a seed file that is not what the records' run
-wrote.
+emit_outputs then reads each seed file once, refuses one that is not what the
+records' run wrote, writes the first seed's checked bytes to the top level
+and writes the JSON files.  The x and f_true cells of solutions.csv are
+formatted once per table-cache entry, by the first run on it that emits.
 Outputs are plain CSV/JSON and byte-deterministic for a fixed config.
 """
 
@@ -37,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import shutil
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -140,6 +140,9 @@ class RunContext:
     c1: float
     vp: VarianceProfile  # the flat prior rho_k = E, nu_k = 1 of the best linear estimate
     _gram: _GramForm  # scores each method from its coefficients over es's k = 1..n
+    # the seed-invariant x and f_true cells of solutions.csv: the table-cache entry's, filled by
+    # the first run on these tables that emits, and dropped with the entry
+    _cells: dict
 
 
 def _bhat(ds, ctx, record):
@@ -311,14 +314,15 @@ class RunRecord:
 
 
 # The one entry of the process-wide cache: (signal JSON, n_coeff, grid_size,
-# n_max) -> the read-only (data, es, gram) of run_context.  It is emptied
-# before a miss builds, so two entries never coexist, but the last key's
-# tables outlive the call: the n_coeff x grid_size psi_k table (8 bytes a
-# value) stays in memory until a call on another key replaces it.
+# n_max) -> the read-only (data, es, gram) of run_context and the dict of
+# solutions.csv's x and f_true cells, empty until a run on it emits.  It is
+# emptied before a miss builds, so two entries never coexist, but the last
+# key's tables outlive the call: the n_coeff x grid_size psi_k table (8 bytes
+# a value) stays in memory until a call on another key replaces it.
 _TABLES: dict = {}
 
 
-def _seed_invariant_tables(cfg: ExperimentConfig) -> tuple[SignalContext, EigenSystem, _GramForm]:
+def _seed_invariant_tables(cfg: ExperimentConfig) -> tuple[SignalContext, EigenSystem, _GramForm, dict]:
     """The grid, both eigensystems, the psi_k table, f, g_k and the scoring form of cfg, built on a miss."""
     signal = json.dumps(cfg.signal.to_json_dict(), sort_keys=True, separators=(",", ":"))
     key = (signal, cfg.n_coeff, cfg.grid_size, cfg.n_max)
@@ -343,7 +347,7 @@ def _seed_invariant_tables(cfg: ExperimentConfig) -> tuple[SignalContext, EigenS
             eigenvalues=data.es.eigenvalues[:n],  # a view, read-only as its base
             evaluator=lambda ks, x: data.basis[ks - 1] if x is grid.points else data.es.evaluator(ks, x),
         )
-        tables = _TABLES[key] = (data, es, gram)
+        tables = _TABLES[key] = (data, es, gram, {})
     return tables
 
 
@@ -355,11 +359,18 @@ def run_context(cfg: ExperimentConfig) -> RunContext:
     the returned context are read-only and shared; the scalars, the bounds
     and the flat variance profile are built per call, once for all its seeds.
     A signal whose ||f||^2 is not finite is refused: C1 and every score square ||f||.
+    So is a nonzero signal whose ||f||^2 is below the smallest normal float:
+    its squares have lost their digits, or all of them (which would read as
+    the zero signal's fallback ||f|| = 1).
     """
-    data, es, gram = _seed_invariant_tables(cfg)
+    data, es, gram, cells = _seed_invariant_tables(cfg)
     if not math.isfinite(gram.f_sq):
         raise ValueError(
             f"signal norm ||f|| = {data.grid.norm(data.f_vals)!r} is too large: ||f||^2 must be finite"
+        )
+    if gram.f_sq < np.finfo(float).smallest_normal and np.any(data.f_vals):
+        raise ValueError(
+            f"signal norm ||f|| = {data.grid.norm(data.f_vals)!r} is too small: ||f||^2 must be a normal float"
         )
     f_norm = math.sqrt(gram.f_sq)
     if f_norm == 0 and cfg.E_override is None:
@@ -376,11 +387,22 @@ def run_context(cfg: ExperimentConfig) -> RunContext:
         # read-only views: no record can change the profile the next one reads
         vp=VarianceProfile(rho=np.broadcast_to(cs.E, es.count), nu=np.broadcast_to(1.0, es.count), eps=cs.eps),
         _gram=gram,
+        _cells=cells,
     )
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _read_file(path: Path) -> bytes | None:
+    """The bytes of the regular file at path, or None where there is none."""
+    try:
+        return path.read_bytes()
+    except OSError:
+        if path.is_file():
+            raise
+        return None
 
 
 def _seed_files(out_dir: Path, rec: RunRecord) -> list[Path]:
@@ -404,8 +426,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
         base_snr = snr_db(ctx.data.g_coeffs, cfg.epsilon)
     except ValueError:  # epsilon = 0 or a zero record
         base_snr = None
-    # the seed-invariant x and f_true columns of solutions.csv, formatted once for every seed
-    fixed_cells = (csv_cells(grid.points), csv_cells(f_vals)) if cfg.output_dir is not None else ()
+    if cfg.output_dir is not None and not ctx._cells:
+        ctx._cells.update(x=tuple(csv_cells(grid.points)), f_true=tuple(csv_cells(f_vals)))
     records = []
     for seed in cfg.seeds:
         ds = add_noise(ctx.data, cfg.epsilon, seed, cfg.noise_mode)
@@ -435,7 +457,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
                 texts[path] = record.selection.write_autocorr_csv(str(path), ds.coeffs)
             names = sorted(grids)
             texts[solutions_csv] = write_table(
-                str(solutions_csv), ("x", "f_true", *names), *fixed_cells, *(grids[n] for n in names)
+                str(solutions_csv), ("x", "f_true", *names), ctx._cells["x"], ctx._cells["f_true"],
+                *(grids[n] for n in names),
             )
             record.seed_sha256 = {path.name: _sha256(text.encode()) for path, text in texts.items()}
         records.append(record)
@@ -444,12 +467,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
 
 def _median_iqr(values: list[float]) -> dict:
     arr = np.asarray(values, dtype=float)
-    return {
-        "n": int(arr.size),
-        "median": float(np.median(arr)),
-        "q25": float(np.percentile(arr, 25)),
-        "q75": float(np.percentile(arr, 75)),
-    }
+    q25, q75 = np.percentile(arr, [25, 75]).tolist()
+    return {"n": int(arr.size), "median": float(np.median(arr)), "q25": q25, "q75": q75}
 
 
 def _modal(items: list[tuple]) -> tuple[tuple, float]:
@@ -504,7 +523,7 @@ def summarize(records: list[RunRecord] | list[dict], true_support: tuple[int, ..
 
 
 def emit_outputs(records: list[RunRecord], summary: dict, cfg: ExperimentConfig) -> list[Path]:
-    """Copy the first seed's CSVs to the top level of cfg.output_dir and write
+    """Write the first seed's CSVs to the top level of cfg.output_dir, and
     report.json, summary.json and manifest.json there.
 
     run_experiment(cfg) has already written every seed's autocorr.csv /
@@ -514,26 +533,31 @@ def emit_outputs(records: list[RunRecord], summary: dict, cfg: ExperimentConfig)
     are not the text the record's run wrote (by sha256) raises ValueError
     naming the seed and the file: the records came from a run without this
     output_dir, beside an earlier run's files, or a later run rewrote the
-    directory.  Returns the list of written paths, seed files included (also
-    recorded in manifest.json).
+    directory.  Each seed file is read once: the top-level copies are the
+    first record's checked bytes.  Returns the list of written paths, seed
+    files included (also recorded in manifest.json).
     """
     if cfg.output_dir is None:
         raise ValueError("config has no output_dir")
     out_dir = Path(cfg.output_dir)
     seed_files = [_seed_files(out_dir, rec) for rec in records]
+    first = []  # the first record's (path, bytes): the bytes checked are the bytes copied
     for rec, paths in zip(records, seed_files):
-        missing = [path for path in paths if not path.is_file()]
+        contents = [_read_file(path) for path in paths]
+        missing = [path for path, data in zip(paths, contents) if data is None]
         if missing:
             raise FileNotFoundError(f"{missing[0]} was not written: run_experiment writes it when cfg.output_dir is set")
-        for path in paths:
-            if _sha256(path.read_bytes()) != rec.seed_sha256.get(path.name):
+        for path, data in zip(paths, contents):
+            if _sha256(data) != rec.seed_sha256.get(path.name):
                 raise ValueError(
                     f"seed {rec.seed}: {path} holds text this record's run did not write; run_experiment "
                     "writes it when cfg.output_dir is set, and a later run into the same directory replaces it"
                 )
+        if not first:
+            first = list(zip(paths, contents))
     written = [path for paths in seed_files for path in paths]
-    for path in seed_files[0] if seed_files else []:
-        shutil.copyfile(path, out_dir / path.name)
+    for path, data in first:
+        (out_dir / path.name).write_bytes(data)
         written.append(out_dir / path.name)
 
     report = {"config": cfg.to_json_dict(), "records": [r.to_json_dict() for r in records]}

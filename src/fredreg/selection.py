@@ -428,9 +428,11 @@ class SelectionReport:
         series = AutocorrSeries(delta=_every_lag(record, head), n_count=n_count)
         n_cells, threshold0 = _fixed_autocorr_cells(n_count, self.significance)
         band = self.significance * bartlett_stderr(series, self.n0, np.arange(self.n0 + 1, n_count))
-        # lags up to the hypothesized cut have no threshold: empty cells
-        threshold_n0 = [None] * (self.n0 + 1) + band.tolist()
-        delta = [d if math.isfinite(d) else None for d in series.delta.tolist()]
+        # lags up to the hypothesized cut have no threshold, and undefined lags no delta: empty cells
+        threshold_n0 = [""] * (self.n0 + 1) + csv_cells(band)
+        delta = csv_cells(series.delta)
+        for n in np.flatnonzero(~np.isfinite(series.delta)).tolist():
+            delta[n] = ""
         return write_table(path, ("n", "delta", "threshold0", "threshold_n0"), n_cells, delta, threshold0, threshold_n0)
 
 

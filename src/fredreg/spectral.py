@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensystem import EigenSystem
-from .synthesis import NoisyDataset, write_table
+from .synthesis import NoisyDataset, _index_cells, write_table
 from .variational import RegularizedSolution, truncated_expansion
 
 __all__ = [
@@ -41,7 +41,7 @@ class CumulativeProfile:
             raise ValueError("M(m) must be non-decreasing")
 
     def write_csv(self, path: str) -> str:
-        return write_table(path, ("m", "M"), range(1, self.values.size + 1), self.values)
+        return write_table(path, ("m", "M"), _index_cells(self.values.size), self.values)
 
 
 def cumulative_profile(data: NoisyDataset, es: EigenSystem) -> CumulativeProfile:

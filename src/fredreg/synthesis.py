@@ -17,6 +17,7 @@ seeded PCG64 generator (numpy default_rng) and can be injected in two ways:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -290,7 +291,7 @@ def noise_dispersion(epsilon: float) -> float:
 
 
 def write_coeffs_csv(path: str, coeffs: np.ndarray) -> str:
-    return write_table(path, ("k", "g_bar_k"), range(1, len(coeffs) + 1), np.asarray(coeffs, dtype=float))
+    return write_table(path, ("k", "g_bar_k"), _index_cells(len(coeffs)), np.asarray(coeffs, dtype=float))
 
 
 def read_coeffs_csv(path: str) -> np.ndarray:
@@ -313,13 +314,22 @@ def read_coeffs_csv(path: str) -> np.ndarray:
 def csv_cells(column, i: int = 0) -> list[str]:
     """The CSV cells of a 1-D column of numbers; a column that is not 1-D raises, naming it column i.
 
-    Each cell is the repr of a Python int or float (numpy values are
-    converted first, so the digits round-trip); None is an empty cell.
+    Each cell is the repr of a Python int or float: a numeric array converts
+    as a whole, and a numpy scalar in an object column (one holding None) by
+    its .item(), so the digits round-trip; None is an empty cell.
     """
     col = np.asarray(column)
     if col.ndim != 1:
         raise ValueError(f"column {i} must be 1-D, got shape {col.shape}")
-    return repr(col.tolist())[1:-1].replace("None", "").split(", ") if col.size else []
+    if col.dtype != object:
+        return list(map(repr, col.tolist()))
+    return ["" if v is None else repr(v.item() if isinstance(v, np.generic) else v) for v in col.tolist()]
+
+
+@functools.lru_cache(maxsize=16)
+def _index_cells(n: int) -> tuple[str, ...]:
+    """The cells 1..n of an index column (k of coefficients.csv, m of profile.csv), formatted once per n."""
+    return tuple(csv_cells(range(1, n + 1)))
 
 
 def write_table(path: str, header: Sequence[str], *columns) -> str:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fredreg as fr
+from fredreg import cli
 from fredreg.cli import main
 
 
@@ -65,6 +66,15 @@ class TestRun:
     def test_run_no_out_prints_summary_only(self, capsys):
         assert main(["run", "--preset", "example1", "--seeds", "1"]) == 0
         assert "median" in capsys.readouterr().out
+
+    def test_one_parser_per_process_keeps_no_arguments(self, tmp_path, capsys):
+        # main reuses its parser: an option given to one call must not reach the next
+        assert cli._parser() is cli._parser() and cli.build_parser() is not cli.build_parser()
+        out = tmp_path / "run"
+        assert main(["run", "--preset", "example1", "--seeds", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["run", "--preset", "example1", "--seeds", "1"]) == 0
+        assert "files in" not in capsys.readouterr().out
 
 
 class TestAnalyze:

@@ -22,6 +22,10 @@ reduce) against the term-by-term loop, both to the byte.  autocorr.csv's
 lags past the selection window, from window sums and one rFFT, are checked
 against the per-lag loop: blank where it is NaN and within TAIL_TOL
 elsewhere, with the window's cells and every threshold cell to the byte.
+csv_cells is checked against the former formula that split the repr of the
+whole column, autocorr.csv against the former writer that built its delta and
+threshold_n0 cells one element at a time, and the summary quartiles, one
+np.percentile call, against one call per quartile, each to the byte.
 """
 
 import math
@@ -35,8 +39,8 @@ from scipy.stats import chi2
 import fredreg as fr
 from fredreg.cli import main
 from fredreg.eigensystem import _expansion_sum
-from fredreg.harness import METHODS
-from fredreg.selection import _admissible_bounds, _every_lag
+from fredreg.harness import METHODS, _median_iqr
+from fredreg.selection import _admissible_bounds, _every_lag, _fixed_autocorr_cells
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -1116,12 +1120,14 @@ class TestEveryLag:
 
 
 SCORE_TOL = 1e-13
+# run_context refuses a nonzero signal whose ||f||^2 underflows, so no drawn amplitude is that small
+amplitudes = st.floats(-50, 50).filter(lambda a: not 0 < abs(a) < 1e-150)
 scoring_configs = st.builds(
     fr.ExperimentConfig,
     signal=st.one_of(
         st.sampled_from(fr.NAMED_SIGNALS).map(fr.SignalSpec.named),
         st.lists(
-            st.tuples(st.floats(-50, 50), st.integers(1, 40)), min_size=1, max_size=4, unique_by=lambda t: t[1],
+            st.tuples(amplitudes, st.integers(1, 40)), min_size=1, max_size=4, unique_by=lambda t: t[1],
         ).map(fr.SignalSpec.sines),
     ),
     epsilon=st.sampled_from([0.0, 1e-4, 1e-3, 3e-3]),
@@ -1209,3 +1215,66 @@ class TestScoringTable:
         # solutions.csv still takes the grid values from to_grid
         with pytest.raises(AssertionError, match="to_grid called"):
             fr.run_experiment(fr.preset("example1", output_dir=str(tmp_path)))
+
+
+def former_csv_cells(column):
+    """The former formula: the repr of the whole column as a list, cut at each ", "."""
+    col = np.asarray(column)
+    return repr(col.tolist())[1:-1].replace("None", "").split(", ") if col.size else []
+
+
+def comprehension_autocorr_csv(report, record):
+    """Text of the writer whose delta and threshold_n0 cells came from per-element comprehensions."""
+    n_count, n0, significance = record.size, report.n0, report.significance
+    head = fr.autocorr_estimate(record, max(report.max_lag, n0)).delta
+    series = fr.AutocorrSeries(delta=_every_lag(record, head), n_count=n_count)
+    n_cells, threshold0 = _fixed_autocorr_cells(n_count, significance)
+    band = significance * fr.bartlett_stderr(series, n0, np.arange(n0 + 1, n_count))
+    threshold_n0 = [None] * (n0 + 1) + band.tolist()
+    delta = [d if math.isfinite(d) else None for d in series.delta.tolist()]
+    rows = zip(n_cells, former_csv_cells(delta), threshold0, former_csv_cells(threshold_n0), strict=True)
+    return "\n".join(["n,delta,threshold0,threshold_n0", *map(",".join, rows), ""])
+
+
+class TestEmissionCells:
+    @SETTINGS
+    @given(column=st.one_of(
+        st.lists(st.integers(-(2**62), 2**62), max_size=40).map(np.array),
+        st.lists(st.floats() | st.sampled_from(EDGE_FLOATS), max_size=40).map(np.array),
+        st.lists(st.none() | st.floats() | st.sampled_from(EDGE_FLOATS), max_size=40),
+    ))
+    @example(column=np.array(EDGE_FLOATS))
+    @example(column=[None, *EDGE_FLOATS, None])
+    def test_csv_cells_match_the_split_repr(self, column):
+        assert fr.csv_cells(column) == former_csv_cells(column)
+
+    def test_numpy_scalars_beside_none_are_their_python_values(self):
+        assert fr.csv_cells([np.float64(0.1), None, 2]) == ["0.1", "", "2"]
+        column = [np.float32(0.1), np.int64(-3), None, np.float64(5e-324), np.float64(np.nan)]
+        assert fr.csv_cells(column) == fr.csv_cells([float(np.float32(0.1)), -3, None, 5e-324, math.nan])
+
+    @SETTINGS
+    @given(g=selection_records(), significance=significances, data=st.data())
+    def test_autocorr_csv_matches_the_comprehension_writer(self, g, significance, data, tmp_path_factory):
+        # constant runs and repeated integers leave undefined lags; n0 at 0 or at the window's end
+        last_lag = data.draw(st.integers(1, g.size - 1), label="last_lag")
+        series = fr.autocorr_estimate(g, last_lag)
+        n0 = data.draw(st.sampled_from([0, last_lag]), label="n0")
+        report = fr.SelectionReport(n0=n0, Q=[], pairs=[], series=series, significance=significance)
+        path = tmp_path_factory.mktemp("csv") / "autocorr.csv"
+        text = report.write_autocorr_csv(str(path), g)
+        assert text == path.read_text() == comprehension_autocorr_csv(report, g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324]), min_size=1, max_size=300))
+    def test_summary_quartiles_match_one_call_each(self, values):
+        arr = np.asarray(values, dtype=float)
+        want = [arr.size, float(np.median(arr)), float(np.percentile(arr, 25)), float(np.percentile(arr, 75))]
+        got = _median_iqr(values)
+        got = [got["n"], got["median"], got["q25"], got["q75"]]
+        assert got == want
+        # bit for bit, signs included, unless 0.0 and -0.0 both occur: the partition that one call
+        # shares between both quartiles can order those equal values differently.  A run's errors
+        # are >= +0.0 and its cutoffs integers, so no summary of a run holds both
+        if not (np.any(np.signbit(arr) & (arr == 0)) and np.any(~np.signbit(arr) & (arr == 0))):
+            assert list(map(float.hex, got[1:])) == list(map(float.hex, want[1:]))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +193,23 @@ class TestRunExperiment:
         rec = fr.run_experiment(cfg)[0]
         assert rec.rel_l2 and all(np.isfinite(e) for e in rec.rel_l2.values())
 
+    @pytest.mark.parametrize("amplitude", [1e-170, 1e-160, 1e-155])
+    def test_a_nonzero_signal_whose_squared_norm_underflows_is_refused(self, amplitude):
+        # at 1e-170 ||f||^2 rounded to 0 and the run took the zero signal's ||f|| = 1 (rel_l2 read 0.0);
+        # at 1e-160 it was subnormal and ||f|| lost its third digit
+        cfg = ExperimentConfig(
+            signal=fr.SignalSpec.sines([(amplitude, 3)]), epsilon=0.0, n_coeff=32, grid_size=65, n_max=16,
+        )
+        with pytest.raises(ValueError, match=r"signal norm \|\|f\|\| = \S+ is too small") as info:
+            fr.run_context(cfg)
+        # the message names ||f|| itself: amplitude / sqrt(2) for one sine, to its last digits
+        named = float(re.search(r"= (\S+) is", str(info.value))[1])
+        assert named == pytest.approx(amplitude / np.sqrt(2.0), rel=1e-12)
+        with pytest.raises(ValueError, match=r"\|\|f\|\|\^2 must be a normal float"):
+            fr.run_experiment(cfg)
+        zero = dataclasses.replace(cfg, signal=fr.SignalSpec.sines([(0.0, 3)]))
+        assert fr.run_context(zero).f_norm == 1.0  # the zero signal keeps its fallback
+
     def test_noiseless_exactness_bandlimited(self):
         cfg = ExperimentConfig(
             signal=fr.SignalSpec.named("f2"), epsilon=0.0, n_coeff=512, seeds=(0,),
@@ -323,6 +341,20 @@ class TestEmitOutputs:
             assert (out / name).read_bytes() == first.read_bytes()
             assert files.count(out / name) == 1
 
+    def test_each_seed_file_is_read_once_and_the_first_records_bytes_are_copied(self, tmp_path, monkeypatch):
+        cfg = preset("example1", seeds=(3, 1), output_dir=str(tmp_path))
+        records = fr.run_experiment(cfg)
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+        files = fr.emit_outputs(records, fr.summarize(records), cfg)
+        seed_files = [p for p in files if p.parent.parent == tmp_path / "seeds"]
+        assert len(seed_files) == 8 and sorted(reads) == sorted(seed_files)
+        monkeypatch.undo()
+        for name in ("autocorr.csv", "profile.csv", "solutions.csv", "coefficients.csv"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / "seeds" / "3" / name).read_bytes()
+        assert (tmp_path / "coefficients.csv").read_bytes() != (tmp_path / "seeds" / "1" / "coefficients.csv").read_bytes()
+
     def test_stale_files_stay_out_of_the_manifest(self, tmp_path):
         (tmp_path / "seeds" / "0").mkdir(parents=True)
         (tmp_path / "stale.csv").write_text("old\n")
@@ -396,10 +428,12 @@ def _records_and_csvs(cfg, out):
     return json.dumps([r.to_json_dict() for r in records]), csvs
 
 
+# run_context refuses a nonzero signal whose ||f||^2 underflows, so no drawn amplitude is that small
+amplitudes = st.floats(-50, 50).filter(lambda a: not 0 < abs(a) < 1e-150)
 small_signals = st.one_of(
     st.sampled_from(fr.NAMED_SIGNALS).map(fr.SignalSpec.named),
     st.lists(
-        st.tuples(st.floats(-50, 50), st.integers(1, 40)),
+        st.tuples(amplitudes, st.integers(1, 40)),
         min_size=1, max_size=4, unique_by=lambda t: t[1],
     ).map(fr.SignalSpec.sines),
 )
@@ -430,6 +464,23 @@ class TestTableCache:
             cold[name] = _records_and_csvs(cfg, tmp_path_factory.mktemp("cold"))
         for name, cfg in (("a", a), ("b", b), ("a", a)):
             assert _records_and_csvs(cfg, tmp_path_factory.mktemp("warm")) == cold[name]
+
+    def test_solutions_cells_follow_the_tables(self, tmp_path):
+        # x and f_true are formatted once per table-cache entry: A, then B (a miss), then A again
+        a = ExperimentConfig(signal=fr.SignalSpec.named("f1"), epsilon=1e-3, n_coeff=32, grid_size=65, n_max=16)
+        b = dataclasses.replace(a, signal=fr.SignalSpec.named("f4"))
+        harness._TABLES.clear()
+        fr.run_experiment(a)
+        assert fr.run_context(a)._cells == {}  # a run without an output dir formats nothing
+        solutions = {}
+        for i, cfg in enumerate((a, b, a)):
+            fr.run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path / str(i))))
+            solutions[i] = (tmp_path / str(i) / "seeds" / "0" / "solutions.csv").read_text()
+        ctx = fr.run_context(a)
+        columns = [line.split(",")[:2] for line in solutions[2].splitlines()[1:]]
+        assert columns == [list(row) for row in zip(fr.csv_cells(ctx.data.grid.points), fr.csv_cells(ctx.data.f_vals))]
+        assert solutions[2] == solutions[0] != solutions[1]
+        assert ctx._cells == {"x": tuple(columns_i[0] for columns_i in columns), "f_true": tuple(c[1] for c in columns)}
 
     def test_only_the_signal_and_table_sizes_pick_the_tables(self):
         base = ExperimentConfig(signal=fr.SignalSpec.named("f2"), epsilon=1e-3, n_coeff=64, grid_size=129, n_max=16)
@@ -516,7 +567,7 @@ class TestFlatProfile:
 
     def test_run_context_fields(self):
         ctx = fr.run_context(preset("example1"))
-        assert [f.name for f in dataclasses.fields(ctx)] == ["data", "es", "f_norm", "cs", "c1", "vp", "_gram"]
+        assert [f.name for f in dataclasses.fields(ctx)] == ["data", "es", "f_norm", "cs", "c1", "vp", "_gram", "_cells"]
         assert ctx.f_norm == ctx.data.grid.norm(ctx.data.f_vals) and ctx._gram.gram.shape == (ctx.es.count,) * 2
         assert ctx.cs.E == ctx.f_norm and ctx.cs.eps == ctx.vp.eps == fr.noise_dispersion(1e-4) and ctx.cs.c is None
         assert np.all(ctx.vp.rho == ctx.cs.E) and np.all(ctx.vp.nu == 1.0) and ctx.vp.rho.size == ctx.es.count
