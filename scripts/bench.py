@@ -11,9 +11,9 @@ The file holds, for the checkout under --root (default: this repository):
 - wall times of fresh `fredreg run` processes: `--preset example1 --seeds 100`
   with and without `--out`, and `--preset example3 --seeds 100`;
 - the emission floor of the `--out` run: the number of float cells in its
-  `seeds/*/*.csv`, without the seed-invariant x and f_true columns, and the
-  seconds that `repr` takes over those floats, parsed back (the least that
-  writing them as round-trip digits costs);
+  `seeds/*/*.csv`, without the seed-invariant columns (x, f_true and
+  threshold0), and the seconds that `repr` takes over those floats, parsed
+  back (the least that writing them as round-trip digits costs);
 - the wall time of `scripts/null_control.py`, and of `scripts/noise_sweep.py
   --seeds 20` (every preset over its ladder of eps in one process, so all
   but the first rung of a preset reuse its tables);
@@ -80,7 +80,8 @@ TIER1_NOT_PASSED = re.compile(r"^(FAILED|ERROR) (.+?)(?: - .*)?$", re.MULTILINE)
 HEADER = re.compile(r"^(\S+) seed \d+: (\d+) operations, (\d+) records, (\d+) failed")
 METRIC = re.compile(r"^\s+(\S+)\s+(\S+)\s+(\S+)$")
 INT_CELL = re.compile(r"-?\d+")
-SEED_INVARIANT = {"x", "f_true"}  # solutions.csv columns formatted once per run, not per seed
+# columns a run formats once, not once per seed: x and f_true of solutions.csv, threshold0 of autocorr.csv
+SEED_INVARIANT = {"x", "f_true", "threshold0"}
 
 
 def perfbench(root: Path, workload: str, seconds: float, trace: int) -> tuple[dict, int]:
@@ -124,7 +125,7 @@ def wall_time(argv: list[str], root: Path, inspect=None):
 
 
 def float_cells(out_dir: Path) -> list[float]:
-    """The float cells of out_dir/seeds/*/*.csv, parsed back; int cells, empty cells and the x and f_true columns are left out."""
+    """The float cells of out_dir/seeds/*/*.csv, parsed back; int cells, empty cells and seed-invariant columns are left out."""
     values = []
     for path in sorted(out_dir.glob("seeds/*/*.csv")):
         header, *rows = path.read_text().splitlines()

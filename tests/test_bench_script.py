@@ -63,13 +63,14 @@ def test_float_cells_count_the_per_seed_floats(tmp_path):
     files = {
         "seeds/0/coefficients.csv": "k,g_bar_k\n1,0.5\n2,-1e-05\n",
         "seeds/0/solutions.csv": "x,f_true,bhat\n0.0,1.0,\n0.5,2.0,3.5\n",
-        "seeds/1/autocorr.csv": "n,delta,threshold0\n0,1.0,\n1,,nan\n",
+        "seeds/1/autocorr.csv": "n,delta,threshold0\n0,1.0,\n1,,0.25\n2,nan,0.5\n",
         "solutions.csv": "x,f_true,bhat\n0.0,1.0,7.5\n",  # a top-level copy: not a seed's file
     }
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text)
-    # ints (k, n) are not counted, x and f_true are left out, and empty cells are skipped
+    # ints (k, n) are not counted, the seed-invariant x, f_true and threshold0 are left out, and empty
+    # cells are skipped
     got = bench.float_cells(tmp_path)
     assert got[:4] == [0.5, -1e-05, 3.5, 1.0] and len(got) == 5 and got[4] != got[4]
     count, seconds = bench.emission_floor(tmp_path)

@@ -480,7 +480,8 @@ class TestTableCache:
         columns = [line.split(",")[:2] for line in solutions[2].splitlines()[1:]]
         assert columns == [list(row) for row in zip(fr.csv_cells(ctx.data.grid.points), fr.csv_cells(ctx.data.f_vals))]
         assert solutions[2] == solutions[0] != solutions[1]
-        assert ctx._cells == {"x": tuple(columns_i[0] for columns_i in columns), "f_true": tuple(c[1] for c in columns)}
+        x_cells, f_cells = zip(*columns)
+        assert ctx._cells == {"x": x_cells, "f_true": f_cells}
 
     def test_only_the_signal_and_table_sizes_pick_the_tables(self):
         base = ExperimentConfig(signal=fr.SignalSpec.named("f2"), epsilon=1e-3, n_coeff=64, grid_size=129, n_max=16)
