@@ -124,24 +124,34 @@ def wall_time(argv: list[str], root: Path, inspect=None):
         return wall if inspect is None else (wall, inspect(Path(tmp)))
 
 
-def float_cells(out_dir: Path) -> list[float]:
-    """The float cells of out_dir/seeds/*/*.csv, parsed back; int cells, empty cells and seed-invariant columns are left out."""
-    values = []
+def float_cells(out_dir: Path):
+    """Per file of out_dir/seeds/*/*.csv, in path order, its float cells parsed back.
+
+    Int cells, empty cells and the seed-invariant columns are left out.
+    """
     for path in sorted(out_dir.glob("seeds/*/*.csv")):
         header, *rows = path.read_text().splitlines()
         keep = [i for i, name in enumerate(header.split(",")) if name not in SEED_INVARIANT]
+        values = []
         for row in rows:
             cells = row.split(",")
             values.extend(float(cells[i]) for i in keep if cells[i] and not INT_CELL.fullmatch(cells[i]))
-    return values
+        yield values
 
 
 def emission_floor(out_dir: Path) -> tuple[int, float]:
-    """The number of float cells of an output directory and the seconds repr takes over them."""
-    values = float_cells(out_dir)
-    t0 = time.perf_counter()
-    collections.deque(map(repr, values), maxlen=0)
-    return len(values), time.perf_counter() - t0
+    """The number of float cells of an output directory and the seconds repr takes over them.
+
+    One file's floats at a time: a child's ru_maxrss starts from its parent's
+    peak, so holding every float here would raise the RSS probes run after it.
+    """
+    count, seconds = 0, 0.0
+    for values in float_cells(out_dir):
+        t0 = time.perf_counter()
+        collections.deque(map(repr, values), maxlen=0)
+        seconds += time.perf_counter() - t0
+        count += len(values)
+    return count, seconds
 
 
 def summary_ids(output: str) -> dict[str, list[str]]:

@@ -1,6 +1,7 @@
 """scripts/bench.py counts src/ code lines as the simplicity tally reads them, and names failing tests."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location("bench", Path(__file__).resolve().parent.parent / "scripts" / "bench.py")
@@ -71,7 +72,7 @@ def test_float_cells_count_the_per_seed_floats(tmp_path):
         (tmp_path / name).write_text(text)
     # ints (k, n) are not counted, the seed-invariant x, f_true and threshold0 are left out, and empty
     # cells are skipped
-    got = bench.float_cells(tmp_path)
-    assert got[:4] == [0.5, -1e-05, 3.5, 1.0] and len(got) == 5 and got[4] != got[4]
+    coefficients, solutions, (delta_0, delta_2) = bench.float_cells(tmp_path)
+    assert coefficients == [0.5, -1e-05] and solutions == [3.5] and delta_0 == 1.0 and math.isnan(delta_2)
     count, seconds = bench.emission_floor(tmp_path)
     assert count == 5 and seconds >= 0.0
