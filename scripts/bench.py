@@ -24,6 +24,12 @@ The file holds, for the checkout under --root (default: this repository):
 - the peak RSS (`ru_maxrss`) of fresh processes that each run `import
   fredreg`, or `run_experiment(preset("example1", seeds=range(n)))` in
   process, for n in 100 and 3000;
+- the autocorrelation window estimator, in one fresh process: for uniform
+  noise records of N in 32, 64, 512, 1024, 4096 and 16384, and for each
+  preset's noisy records, all from fixed seeds, the median microseconds of
+  `autocorr_estimate` over the default window, the median microseconds of
+  the per-lag loop (`_lag_delta` at every lag) over the same window, and
+  the share of lags that `autocorr_estimate` sends to that loop;
 - the `src/` line count, and its code lines: those that are not blank, not
   comment-only and not inside a module, class or function docstring;
 - the git sha, the numpy and scipy versions and nproc.
@@ -74,6 +80,14 @@ RSS_PROBES = {
     "import_fredreg": "import fredreg",
     **{f"run_experiment_example1_{n}": RUN_EXAMPLE1.format(n=n) for n in (100, 3000)},
 }
+WINDOW_SIZES = (32, 64, 512, 1024, 4096, 16384)
+PRESET_NAMES = ("example1", "example2", "example3", "example4")
+# a fresh process loads this script by path and prints window_estimator() as JSON
+WINDOW_PROBE = """import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("bench", sys.argv[1])
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+print(json.dumps(bench.window_estimator()))"""
 TIER1_COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
 # "FAILED <node id> - <message>" or "ERROR <node id>" in pytest's short test summary
 TIER1_NOT_PASSED = re.compile(r"^(FAILED|ERROR) (.+?)(?: - .*)?$", re.MULTILINE)
@@ -152,6 +166,63 @@ def emission_floor(out_dir: Path) -> tuple[int, float]:
         seconds += time.perf_counter() - t0
         count += len(values)
     return count, seconds
+
+
+def window_estimator(sizes=WINDOW_SIZES, presets=PRESET_NAMES, seeds=range(10), repeats=5) -> dict:
+    """The window estimator against the per-lag loop, from the fredreg on sys.path.
+
+    Per uniform-noise record length N, and per preset (its records, at its
+    N), over the default window 0..default_max_lag(N): the median of
+    `repeats` timed calls on each seed's record of autocorr_estimate
+    (`new_us`) and of the loop (`loop_us`), the two alternating, and the
+    share of the window's lags that autocorr_estimate hands to the loop
+    (`loop_share`, counted in a separate untimed pass).
+    """
+    import fredreg as fr
+    from fredreg import selection
+
+    def loop(g, last_lag):
+        scaled = selection._peak_scaled(g)
+        return [selection._lag_delta(scaled, n) for n in range(last_lag + 1)]
+
+    def measure(records):
+        window = fr.default_max_lag(records[0].size)
+        new_s, loop_s = [], []
+        for g in records:
+            for _ in range(repeats):
+                for f, times in ((fr.autocorr_estimate, new_s), (loop, loop_s)):
+                    t0 = time.perf_counter()
+                    f(g, window)
+                    times.append(time.perf_counter() - t0)
+        lag_delta, fell = selection._lag_delta, []
+        selection._lag_delta = lambda g, n: fell.append(n) or lag_delta(g, n)
+        try:
+            for g in records:
+                fr.autocorr_estimate(g, window)
+        finally:
+            selection._lag_delta = lag_delta
+        return {
+            "n_count": int(records[0].size), "window": window,
+            "new_us": statistics.median(new_s) * 1e6, "loop_us": statistics.median(loop_s) * 1e6,
+            "loop_share": len(fell) / (len(records) * (window + 1)),
+        }
+
+    out = {"uniform": {}, "presets": {}}
+    for n_count in sizes:
+        out["uniform"][str(n_count)] = measure(
+            [numpy.random.default_rng(seed).uniform(-1.0, 1.0, n_count) for seed in seeds])
+    for name in presets:
+        cfg = fr.preset(name)
+        data = fr.run_context(cfg).data
+        out["presets"][name] = measure([fr.add_noise(data, cfg.epsilon, seed, cfg.noise_mode).coeffs for seed in seeds])
+    return out
+
+
+def window_probe(root: Path) -> dict:
+    """window_estimator() run by a fresh process on the checkout's own src/."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = [sys.executable, "-c", WINDOW_PROBE, str(Path(__file__).resolve())]
+    return json.loads(subprocess.run(argv, cwd=root, env=env, stdout=subprocess.PIPE, text=True, check=True).stdout)
 
 
 def summary_ids(output: str) -> dict[str, list[str]]:
@@ -286,6 +357,7 @@ def main() -> int:
         for name, argv in probes.items()
     }
     rss = {name: peak_rss(code, each, args.repeats) for name, code in RSS_PROBES.items()}
+    window = each(window_probe)
     suites = [list(r) for r in zip(*(each(tier1) for _ in range(args.repeats)))]
     status = 0
     for i, (tag, root, sha) in enumerate(checkouts):
@@ -309,6 +381,7 @@ def main() -> int:
             },
             "wall": {name: runs[i] for name, runs in wall.items()},
             "rss": {name: runs[i] for name, runs in rss.items()},
+            "window_estimator": window[i],
             "tier1": {"median_s": statistics.median(r["wall_s"] for r in suites[i]), "runs": suites[i]},
         }
         path = HERE / f"BENCH_{tag}.json"

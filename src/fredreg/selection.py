@@ -25,6 +25,12 @@ min(N-8, N//2, floor(10 log10 N)), and before leaving nbar = 0 the
 completely-random hypothesis is verified with a portmanteau (Ljung-Box
 style) statistic at the same confidence level; if the window is compatible
 with randomness, n0 = 0.  Set randomness_test="none" for the bare recursion.
+
+Step 1 is one pass over the record (see autocorr_estimate): window sums
+from running sums of the record centered once, and one inner product per
+lag.  A lag whose estimated rounding error exceeds 64 N u (u = 2**-53), or
+whose window has no spread, comes from the per-lag loop (_lag_delta), which
+centers each window by its own mean; that loop is also the test oracle.
 """
 
 from __future__ import annotations
@@ -86,6 +92,10 @@ def _peak_scaled(g: np.ndarray) -> np.ndarray:
     return np.ldexp(g, -math.frexp(float(np.max(np.abs(g))))[1])
 
 
+# a window whose centered sum of squares lies below this may have lost digits to subnormal products
+_TINY = 2.0**-960
+
+
 def _lag_delta(g: np.ndarray, n: int) -> float:
     """delta(n) of a peak-scaled record from its two centered windows; NaN for an undefined lag."""
     m = g.size - n  # pairs in the scatter window
@@ -97,13 +107,46 @@ def _lag_delta(g: np.ndarray, n: int) -> float:
     xc = xs - np.add.reduce(xs) / m
     yc = ys - np.add.reduce(ys) / m
     sxx, syy = float(xc.dot(xc)), float(yc.dot(yc))
-    if sxx < 2.0**-960 or syy < 2.0**-960:  # digits lost to subnormal products: rescale exactly
+    if sxx < _TINY or syy < _TINY:  # digits lost to subnormal products: rescale exactly
         xc, yc = _peak_scaled(xc), _peak_scaled(yc)
         sxx, syy = float(xc.dot(xc)), float(yc.dot(yc))
     den = math.sqrt(sxx) * math.sqrt(syy)
     if den <= 0:
         return math.nan  # constant window: undefined
     return float(xc.dot(yc)) / den
+
+
+def _centered_sums(h: np.ndarray, m: np.ndarray):
+    """Per lag, rows (x, y) of the windows x = h[:m] and y = h[N-m:]: their sums s and centered sums c = q - s^2 / m.
+
+    q is a window's sum of squares.  Each window is summed by a running sum
+    started at its own end of the record: a total minus a partial sum would
+    cancel.  Returns (s, q, c), each of shape (2, len(m)).
+    """
+    rows = np.empty((4, h.size), h.dtype)
+    rows[0] = h
+    rows[1] = h[::-1]
+    np.multiply(h, h, out=rows[2])
+    rows[3] = rows[2, ::-1]
+    sums = np.cumsum(rows, axis=1)[:, m - 1]  # each row a running sum, as np.cumsum(row) adds it
+    s, q = sums[:2], sums[2:]
+    return s, q, q - s * s / m
+
+
+def _from_the_loop(g: np.ndarray, lags: np.ndarray, delta: np.ndarray, summed: np.ndarray) -> np.ndarray:
+    """delta with every lag not `summed` taken from the loop, clipped to [-1, 1]."""
+    for i in np.flatnonzero(~summed).tolist():
+        delta[i] = _lag_delta(g, int(lags[i]))
+    # rounding can push |delta| a hair past 1
+    return np.clip(delta, -1.0, 1.0, out=delta)
+
+
+_U = 2.0**-53  # the unit roundoff of float64
+
+
+def _window_tol(n_count: int) -> float:
+    """The bound on a summed lag's estimated error: 64 N u."""
+    return 64.0 * _U * n_count
 
 
 def autocorr_estimate(coeffs: np.ndarray, last_lag: int | None = None) -> AutocorrSeries:
@@ -113,21 +156,45 @@ def autocorr_estimate(coeffs: np.ndarray, last_lag: int | None = None) -> Autoco
     centered by its own window mean.  Lags whose centered sums vanish
     (constant windows) are undefined and reported as NaN; they are excluded
     from all significance testing downstream.  Lags 0..last_lag are computed
-    (all N lags when last_lag is None or >= N-1).
+    (all N lags when last_lag is None or >= N-1; a bool, a non-integer or a
+    negative last_lag raises ValueError).
+
+    One pass (Box, Jenkins and Reinsel, Time Series Analysis, ch. 2): h is
+    the peak-scaled record centered once by its own mean.  Each window
+    x = h[:m] and y = h[n:] (m = N - n) takes its sum s and sum of squares q
+    from a running sum started at its own end of the record, each lag takes
+    one inner product S_xy = h[:m].dot(h[n:]), and with c = q - s^2 / m,
+    delta(n) = (S_xy - s_x s_y / m) / sqrt(c_xx c_yy).  To first order,
+    rounding moves that value by at most 6 (m + 1) u max(q_x / c_xx,
+    q_y / c_yy), u = 2**-53: the cancellation of each centered sum.  A lag
+    whose estimate exceeds 64 N u (_window_tol), a lag with m < 2, and a
+    window with c < 2**-960 (no spread, or products that may have lost
+    digits in the subnormals) come from the per-lag loop instead
+    (_lag_delta, which centers both windows by their own means), so
+    undefined, constant and subnormal windows read as the loop gives them.
+    Nothing here depends on last_lag, so a window is the bit-for-bit head of
+    the all-lag series.
     """
     g = _record(coeffs)
     n_count = g.size
     if n_count < 2:
         raise DegenerateSequenceError("autocorrelation needs at least 2 coefficients")
     last_lag = n_count - 1 if last_lag is None else last_lag
-    if not isinstance(last_lag, (int, np.integer)) or last_lag < 0:
+    if isinstance(last_lag, bool) or not isinstance(last_lag, (int, np.integer)) or last_lag < 0:
         raise ValueError(f"last_lag must be an integer >= 0, got {last_lag!r}")
     g = _peak_scaled(g)
-    delta = np.full(min(last_lag, n_count - 1) + 1, np.nan)
-    for n in range(delta.size):
-        delta[n] = _lag_delta(g, n)
-    # rounding can push |delta| a hair past 1; a constant record leaves even delta(0) undefined
-    np.clip(delta, -1.0, 1.0, out=delta)
+    lags = np.arange(min(last_lag, n_count - 1) + 1)
+    m = n_count - lags
+    h = g - np.add.reduce(g) / n_count
+    s, q, c = _centered_sums(h, m)
+    sxy = np.array([h[:k].dot(h[n:]) for n, k in zip(lags.tolist(), m.tolist())])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(c)
+        delta = (sxy - s[0] * s[1] / m) / (root[0] * root[1])
+    # the estimate 6 (m + 1) u q / c within the bound for both windows, written without the division
+    summed = ((c >= _TINY) & ((m + 1) * (6.0 * _U) * q <= _window_tol(n_count) * c)).all(axis=0) & (m >= 2)
+    delta = _from_the_loop(g, lags, delta, summed)
+    # a constant record leaves even delta(0) undefined
     if np.isfinite(delta[0]):
         delta[0] = 1.0
     return AutocorrSeries(delta=delta, n_count=n_count)
@@ -140,20 +207,18 @@ _TAIL_TOL = 1e-15
 
 
 def _every_lag(coeffs: np.ndarray, head: np.ndarray) -> np.ndarray:
-    """delta(n) for every lag 0..N-1 of a record whose loop estimate over lags 0..L is `head`.
+    """delta(n) for every lag 0..N-1 of a record whose estimate over lags 0..L is `head`.
 
     The lags past L come from window sums and one zero-padded rFFT
     (Wiener-Khinchin; Box, Jenkins and Reinsel, Time Series Analysis, ch. 2),
     in extended precision.  With h the peak-scaled record centered by its
-    global mean, the windows h[:m] and h[n:] (m = N - n) take their sums s
-    and sums of squares q from running sums started at their own end of the
-    record, and sum_k h_k h_{k+n} is the inverse rFFT of |rFFT(h)|^2.  Each
-    centered sum is c = S - s_x s_y / m.  A lag whose error estimate -- the
-    cancellation m * max(q_x/c_xx, q_y/c_yy) plus the cross term's rounding
-    sum(h^2) / sqrt(c_xx c_yy), in units of longdouble's eps -- exceeds
-    _TAIL_TOL, and every lag with m < 2 or a window with c <= 0, comes from
-    the loop (_lag_delta), so undefined, constant and subnormal windows read
-    as the loop gives them.
+    global mean, the windows take their sums from _centered_sums, and
+    sum_k h_k h_{k+n} is the inverse rFFT of |rFFT(h)|^2.  A lag whose error
+    estimate -- the cancellation m * max(q_x/c_xx, q_y/c_yy) plus the cross
+    term's rounding sum(h^2) / sqrt(c_xx c_yy), in units of longdouble's
+    eps -- exceeds _TAIL_TOL, and every lag with m < 2 or a window with
+    c <= 0, comes from the loop (_lag_delta), so undefined, constant and
+    subnormal windows read as the loop gives them.
     """
     g = _peak_scaled(_record(coeffs))
     n_count, first = g.size, head.size
@@ -163,24 +228,16 @@ def _every_lag(coeffs: np.ndarray, head: np.ndarray) -> np.ndarray:
     m = n_count - lags
     h = g.astype(np.longdouble)
     h -= np.add.reduce(h) / n_count
-    h2 = h * h
-    # each window summed from its own end of the record: a total minus a prefix would cancel
-    sx, qx = np.cumsum(h)[m - 1], np.cumsum(h2)[m - 1]
-    sy, qy = np.cumsum(h[::-1])[m - 1], np.cumsum(h2[::-1])[m - 1]
+    s, q, c = _centered_sums(h, m)
     size = 1 << (2 * n_count - 2).bit_length()  # >= 2N - 1: no lag wraps around
     spectrum = rfft(h, size)
     sxy = irfft(spectrum.real**2 + spectrum.imag**2, size)[first:n_count]
     with np.errstate(divide="ignore", invalid="ignore"):
-        cxx = qx - sx * sx / m
-        cyy = qy - sy * sy / m
-        den = np.sqrt(cxx) * np.sqrt(cyy)
-        tail = ((sxy - sx * sy / m) / den).astype(float)
-        err = (m * np.maximum(qx / cxx, qy / cyy) + np.add.reduce(h2) / den) * np.finfo(np.longdouble).eps
-    summed = (m >= 2) & (cxx > 0) & (cyy > 0) & (err <= _TAIL_TOL)
-    for i in np.flatnonzero(~summed):
-        tail[i] = _lag_delta(g, first + i)
-    np.clip(tail, -1.0, 1.0, out=tail)
-    return np.concatenate([head, tail])
+        den = np.sqrt(c[0]) * np.sqrt(c[1])
+        tail = ((sxy - s[0] * s[1] / m) / den).astype(float)
+        err = (m * (q / c).max(axis=0) + np.add.reduce(h * h) / den) * np.finfo(np.longdouble).eps
+    summed = (m >= 2) & (c > 0).all(axis=0) & (err <= _TAIL_TOL)
+    return np.concatenate([head, _from_the_loop(g, lags, tail, summed)])
 
 
 def bartlett_stderr(series: AutocorrSeries, n0: int, n: int | np.ndarray) -> float | np.ndarray:
@@ -218,7 +275,7 @@ def _scan_lags(n_count: int, max_lag: int | None, significance: float) -> int:
 
 def _check_significance(significance: float) -> None:
     # a scalar check: numpy's ufuncs cost more than the whole rule on this per-record path
-    if not (math.isfinite(significance) and significance > 0):
+    if isinstance(significance, (bool, np.bool_)) or not (math.isfinite(significance) and significance > 0):
         raise ValueError(f"significance must be finite and > 0, got {significance!r}")
 
 
@@ -334,18 +391,42 @@ def build_Q(series: AutocorrSeries, n0: int, significance: float = SIGNIFICANCE)
     return lags[hits].tolist()
 
 
+def _check_finite(g: np.ndarray) -> None:
+    if not np.isfinite(g).all():
+        bad = int(np.flatnonzero(~np.isfinite(g))[0])
+        raise ValueError(f"record is not finite at index {bad} (k={bad + 1})")
+
+
 def select_pairs(coeffs: np.ndarray, Q: list[int]) -> list[tuple[int, int]]:
-    """For each lag the pair (k*, k*+n) maximizing |gbar_k gbar_{k+n}|; ties take the smallest k."""
+    """For each lag the pair (k*, k*+n) maximizing |gbar_k gbar_{k+n}|; ties take the smallest k.
+
+    The record must be finite, and Q must hold integer lags 0 < n < N (not
+    bools); a ValueError names the first bad value otherwise.  One pass: row
+    j of a table holds |gbar_k| |gbar_{k+n_j}| (the bits of |gbar_k gbar_{k+n_j}|)
+    for k = 1..N-n_j and zeros past them, and its argmax is the first
+    largest product, because no product is below zero and the zeros come last.
+    """
     g = _record(coeffs)
     n_count = g.size
-    pairs = []
-    for n in sorted(Q):
+    _check_finite(g)
+    for n in Q:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"Q must hold integer lags, got {n!r}")
         if not 0 < n < n_count:
-            raise ValueError(f"lag {n} outside record of length {n_count}")
-        products = np.abs(g[: n_count - n] * g[n:])
-        k_star = int(np.argmax(products)) + 1  # argmax returns the first (smallest k) maximum
-        pairs.append((k_star, k_star + n))
-    return pairs
+            raise ValueError(f"lag {n} in Q outside record of length {n_count}")
+    if not Q:
+        return []
+    lags = np.array(sorted(Q))
+    width = n_count - int(lags[0])  # the widest window, at the smallest lag
+    a = np.zeros(width + int(lags[-1]))
+    np.abs(g, out=a[:n_count])
+    # row n of `shifted` starts at a[n] (a strided view, as sliding_window_view makes, without its checks);
+    # row j of `products` is |gbar_{k+n_j}|, zero past the record, times |gbar_k|
+    shifted = np.ndarray((a.size - width + 1, width), a.dtype, a, strides=(a.itemsize, a.itemsize))
+    products = shifted[lags]
+    products *= a[:width]
+    k_star = products.argmax(axis=1) + 1  # argmax returns the first (smallest k) maximum
+    return list(zip(k_star.tolist(), (k_star + lags).tolist()))
 
 
 def _admissible_bounds(n_c: int) -> tuple[float, int]:
@@ -450,9 +531,7 @@ def build_selection(
     coeffs = data.coeffs if isinstance(data, NoisyDataset) else _record(data)
     if coeffs.size < 8:
         raise DegenerateSequenceError("selection needs a record of at least 8 coefficients")
-    bad = np.flatnonzero(~np.isfinite(coeffs))
-    if bad.size:
-        raise ValueError(f"record is not finite at index {bad[0]} (k={bad[0] + 1})")
+    _check_finite(coeffs)
     top = _scan_lags(coeffs.size, max_lag, significance)
     series = autocorr_estimate(coeffs, top)  # every lag the selection reads
     n0 = detect_n0(series, significance, max_lag, randomness_test)

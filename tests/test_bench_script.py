@@ -76,3 +76,20 @@ def test_float_cells_count_the_per_seed_floats(tmp_path):
     assert coefficients == [0.5, -1e-05] and solutions == [3.5] and delta_0 == 1.0 and math.isnan(delta_2)
     count, seconds = bench.emission_floor(tmp_path)
     assert count == 5 and seconds >= 0.0
+
+
+def test_window_estimator_times_both_paths_and_counts_the_lags_sent_to_the_loop(monkeypatch):
+    import fredreg as fr
+    from fredreg import selection
+
+    table = bench.window_estimator(sizes=(32, 64), presets=("example2",), seeds=range(2), repeats=1)
+    assert sorted(table) == ["presets", "uniform"] and sorted(table["uniform"]) == ["32", "64"]
+    for row in [*table["uniform"].values(), *table["presets"].values()]:
+        assert row["window"] == fr.default_max_lag(row["n_count"])
+        assert row["new_us"] > 0 and row["loop_us"] > 0 and row["loop_share"] == 0.0
+    assert table["presets"]["example2"]["n_count"] == 512
+    # with a bound no estimate meets, every lag of the window goes to the loop, and the loop is restored
+    monkeypatch.setattr(selection, "_window_tol", lambda n_count: -1.0)
+    lag_delta = selection._lag_delta
+    table = bench.window_estimator(sizes=(32,), presets=(), seeds=range(2), repeats=1)
+    assert table["uniform"]["32"]["loop_share"] == 1.0 and selection._lag_delta is lag_delta

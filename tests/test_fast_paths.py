@@ -8,11 +8,19 @@ summed over a fresh basis build) for every seed, the selection steps
 time with one scalar Bartlett standard error per lag, the seven spectral
 methods each dividing gbar_k by lam_k on its own, and each CSV written by
 its own row loop (solutions.csv from a fresh to_grid per method).  The
-windowed selection is checked against the former all-lag path, the rescaled
-autocorrelation against the former unscaled loop, its lag loop against the
-former one centering each window by ndarray.mean, write_table against the
-former writer formatting one cell at a time, and expansions from rows of the
-run's basis table against reconstruct evaluating each eigenfunction anew.
+windowed selection is checked against the former all-lag path.
+autocorr_estimate, one pass of window sums and one inner product per lag, is
+checked against the per-lag loop (_lag_delta at every lag), which stays its
+fallback and oracle: NaN exactly where the loop gives NaN, within the bound
+64 N u (_window_tol) elsewhere, the loop's bytes at every lag it hands to
+the loop (heavy cancellation, constant runs, subnormal scale), and the
+loop-built n0, Q and pairs unless some |delta(n)| lies within that bound of
+its band; also within that bound against the former unscaled loop.  The
+per-lag loop is checked against the former loop centering each window by
+ndarray.mean, and select_pairs' one-pass argmax against the per-lag argmax,
+to the byte.  write_table is checked against the former writer formatting
+one cell at a time, and expansions from rows of the run's basis table
+against reconstruct evaluating each eigenfunction anew.
 A run's scores, from each method's coefficients through the run's Gram form,
 are checked against the grid norm of its expansion within SCORE_TOL: that
 identity is exact algebra but rounds differently.
@@ -40,7 +48,15 @@ import fredreg as fr
 from fredreg.cli import main
 from fredreg.eigensystem import _expansion_sum
 from fredreg.harness import METHODS, _median_iqr
-from fredreg.selection import _admissible_bounds, _every_lag, _fixed_autocorr_cells
+from fredreg import selection
+from fredreg.selection import (
+    _admissible_bounds,
+    _every_lag,
+    _fixed_autocorr_cells,
+    _lag_delta,
+    _peak_scaled,
+    _window_tol,
+)
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -926,6 +942,25 @@ def former_autocorr_estimate(coeffs, last_lag=None, rescale=True):
     return delta, tiny
 
 
+def lag_loop(coeffs, last_lag=None):
+    """The per-lag loop autocorr_estimate ran before it summed windows: every lag from _lag_delta."""
+    g = _peak_scaled(np.asarray(coeffs, dtype=float))
+    top = g.size - 1 if last_lag is None else min(last_lag, g.size - 1)
+    delta = np.array([_lag_delta(g, n) for n in range(top + 1)])
+    np.clip(delta, -1.0, 1.0, out=delta)
+    if np.isfinite(delta[0]):
+        delta[0] = 1.0
+    return delta
+
+
+def assert_within_the_bound(got, want, n_count=None):
+    """NaN exactly where the loop's delta is NaN, and within the window bound 64 N u elsewhere."""
+    tol = _window_tol(got.size if n_count is None else n_count)
+    assert got.shape == want.shape and np.array_equal(np.isnan(got), np.isnan(want))
+    defined = ~np.isnan(want)
+    assert np.max(np.abs(got - want)[defined], initial=0.0) <= tol
+
+
 def former_build_selection(coeffs, significance, max_lag, randomness_test):
     """Every lag estimated, then the same steps: (all-lag series, selection fields)."""
     series = fr.autocorr_estimate(coeffs)
@@ -1038,7 +1073,8 @@ class TestLagWindowSelection:
     def test_rescaled_record_keeps_the_bits(self, seed, size, exponent):
         g = np.random.default_rng(seed).uniform(-1.0, 1.0, size) * 10.0**exponent
         want, tiny = former_autocorr_estimate(g, rescale=False)
-        assert not tiny.any() and np.array_equal(fr.autocorr_estimate(g).delta, want, equal_nan=True)
+        assert not tiny.any()
+        assert_within_the_bound(fr.autocorr_estimate(g).delta, want)
 
     @settings(max_examples=60, deadline=None)
     @given(g=lag_records(), data=st.data())
@@ -1046,7 +1082,8 @@ class TestLagWindowSelection:
         last_lag = data.draw(st.sampled_from([None, 0, fr.default_max_lag(g.size), g.size + 5]))
         got = fr.autocorr_estimate(g, last_lag).delta
         want, tiny = former_autocorr_estimate(g, last_lag)
-        assert np.array_equal(got[~tiny], want[~tiny], equal_nan=True)
+        assert np.array_equal(lag_loop(g, last_lag)[~tiny], want[~tiny], equal_nan=True)
+        assert_within_the_bound(got[~tiny], want[~tiny], g.size)
 
     @pytest.mark.parametrize("scale", [1.0, 1.5, 1e-6, 1e6])
     def test_windows_with_subnormal_products_keep_their_digits(self, scale):
@@ -1094,14 +1131,16 @@ class TestEveryLag:
     def test_matches_the_loop(self, preset_contexts, data):
         g = data.draw(every_lag_records(preset_contexts))
         head = data.draw(st.sampled_from([1, 2, fr.default_max_lag(g.size) + 1, g.size - 1, g.size]))
-        want = fr.autocorr_estimate(g).delta  # the loop over every lag
+        want = lag_loop(g)  # the loop over every lag
         former, tiny = former_autocorr_estimate(g)
         assert np.array_equal(want[~tiny], former[~tiny], equal_nan=True)
-        got = _every_lag(g, want[:head])
-        assert got.size == g.size and np.array_equal(got[:head], want[:head], equal_nan=True)
+        summed = fr.autocorr_estimate(g).delta
+        assert_within_the_bound(summed, want)
+        got = _every_lag(g, summed[:head])
+        assert got.size == g.size and np.array_equal(got[:head], summed[:head], equal_nan=True)
         assert np.array_equal(np.isnan(got), np.isnan(want))
         defined = ~np.isnan(want)
-        assert np.max(np.abs(got - want)[defined], initial=0.0) <= TAIL_TOL
+        assert np.max(np.abs(got - want)[head:][defined[head:]], initial=0.0) <= TAIL_TOL
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
@@ -1117,6 +1156,142 @@ class TestEveryLag:
     def test_degenerate_windows_come_from_the_loop(self, g):
         want = fr.autocorr_estimate(g).delta
         assert np.array_equal(_every_lag(g, want[:1]), want, equal_nan=True)
+
+
+def former_select_pairs(coeffs, Q):
+    """The former per-lag argmax: one product array and one np.argmax per lag."""
+    g = np.asarray(coeffs, dtype=float)
+    pairs = []
+    for n in sorted(Q):
+        k_star = int(np.argmax(np.abs(g[: g.size - n] * g[n:]))) + 1
+        pairs.append((k_star, k_star + n))
+    return pairs
+
+
+def near_a_band(series, significance, max_lag, tol):
+    """Whether some comparison of the selection could turn on a change of at most tol in each delta(n).
+
+    That is |delta(n)| within tol of significance * sigma(n; nbar) for some
+    nbar < n in the scan window, or the portmanteau statistic within what
+    such a change moves it of its critical value.
+    """
+    n_count = series.n_count
+    top = min(max_lag or fr.default_max_lag(n_count), n_count - 1)
+    delta = series.delta
+    size = np.abs(delta[1 : top + 1])
+    lags = np.arange(1, top + 1)
+    for nbar in range(top):
+        band = significance * fr.bartlett_stderr(series, nbar, lags[nbar:])
+        if np.any(np.abs(size[nbar:] - band) <= 4 * tol):
+            return True
+    defined = np.isfinite(size)
+    z = size[defined] * np.sqrt(n_count - lags[defined])
+    crit = selection._chi2_critical(selection._coverage(significance), z.size)
+    return bool(abs(float(np.sum(z * z)) - crit) <= 4 * tol * float(np.sum((2 * z + 1) * np.sqrt(n_count - lags[defined]))))
+
+
+def preset_records(contexts, seeds):
+    return {
+        name: [fr.add_noise(ctx.data, cfg.epsilon, seed, cfg.noise_mode).coeffs for seed in seeds]
+        for name, (cfg, ctx) in contexts.items()
+    }
+
+
+class TestWindowSums:
+    """The window's lags from window sums and one inner product per lag, against the per-lag loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        g=selection_records(),
+        significance=significances,
+        mode=st.sampled_from(["portmanteau", "none"]),
+        data=st.data(),
+    )
+    def test_selection_matches_the_loop_pipeline(self, g, significance, mode, data):
+        max_lag = data.draw(st.none() | st.integers(1, 12) | st.integers(g.size - 2, g.size + 5))
+        report = fr.build_selection(g, significance, max_lag, mode)
+        top = report.max_lag
+        loop = fr.AutocorrSeries(delta=lag_loop(g, top), n_count=g.size)
+        assert_within_the_bound(report.series.delta, loop.delta)
+        n0 = fr.detect_n0(loop, significance, max_lag, mode)
+        Q = fr.build_Q(loop, n0, significance)
+        want = (n0, Q, former_select_pairs(g, Q))
+        if (report.n0, report.Q, report.pairs) != want:
+            assert near_a_band(loop, significance, max_lag, _window_tol(g.size)), (report, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_preset_selections_match_the_loop_pipeline(self, preset_contexts, data):
+        cfg, ctx = preset_contexts[data.draw(st.sampled_from(fr.PRESETS))]
+        g = fr.add_noise(ctx.data, cfg.epsilon, data.draw(st.integers(0, 2**32 - 1)), cfg.noise_mode).coeffs
+        report = fr.build_selection(g)
+        loop = fr.AutocorrSeries(delta=lag_loop(g, report.max_lag), n_count=g.size)
+        assert_within_the_bound(report.series.delta, loop.delta)
+        n0 = fr.detect_n0(loop)
+        Q = fr.build_Q(loop, n0)
+        if (report.n0, report.Q, report.pairs) != (n0, Q, former_select_pairs(g, Q)):
+            assert near_a_band(loop, fr.SIGNIFICANCE, None, _window_tol(g.size))
+
+    @pytest.mark.parametrize(
+        "kind", ["one_plus_tiny_noise", "constant_head", "constant_tail", "subnormal_ints", "subnormal_noise", "spike"]
+    )
+    @pytest.mark.parametrize("n_count", [8, 64, 512])
+    def test_heavy_cancellation_falls_back_to_the_loop(self, kind, n_count, monkeypatch):
+        rng = np.random.default_rng(n_count)
+        noise = rng.normal(size=n_count)
+        g = {
+            "one_plus_tiny_noise": 1.0 + 1e-9 * noise,
+            "constant_head": np.r_[np.full(n_count - 3, 0.1), noise[:3]],
+            "constant_tail": np.r_[noise[:3], np.full(n_count - 3, 0.1)],
+            "subnormal_ints": 2.0**-1074 * rng.integers(-3, 4, n_count).astype(float),
+            "subnormal_noise": 1e-310 * noise,
+            "spike": np.r_[np.zeros(n_count - 2), 1.617691314167889e-155, 1024.0],
+        }[kind]
+        fell = []
+
+        def recording(record, n):
+            fell.append(n)
+            return _lag_delta(record, n)
+
+        monkeypatch.setattr(selection, "_lag_delta", recording)
+        got = fr.autocorr_estimate(g).delta
+        monkeypatch.undo()
+        want = lag_loop(g)
+        assert np.array_equal(got[fell], want[fell], equal_nan=True)
+        assert_within_the_bound(got, want)
+        # the last lag (m < 2) and every lag the loop leaves undefined come from the loop
+        assert n_count - 1 in fell and set(np.flatnonzero(np.isnan(want)).tolist()) <= set(fell)
+        if kind in ("constant_head", "constant_tail", "spike"):  # windows with no spread
+            assert len(fell) >= n_count - 3
+
+    def test_few_lags_go_to_the_loop(self, preset_contexts, monkeypatch):
+        records = preset_records(preset_contexts, range(5))
+        for n_count in (32, 64, 512, 1024, 4096):
+            records[f"uniform {n_count}"] = [np.random.default_rng(s).uniform(-1.0, 1.0, n_count) for s in range(5)]
+        fell = []
+        monkeypatch.setattr(selection, "_lag_delta", lambda record, n: fell.append(n) or _lag_delta(record, n))
+        for name, gs in records.items():
+            fell.clear()
+            window = fr.default_max_lag(gs[0].size)
+            for g in gs:
+                fr.autocorr_estimate(g, window)
+            assert len(fell) <= 0.01 * len(gs) * (window + 1), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_select_pairs_matches_the_per_lag_argmax(self, data):
+        n_count = data.draw(st.integers(2, 300))
+        kind = data.draw(st.sampled_from(["noise", "ties", "zeros", "tiny"]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        g = {
+            "noise": rng.normal(size=n_count),
+            "ties": rng.integers(-2, 3, n_count).astype(float),
+            "zeros": np.where(rng.random(n_count) < 0.8, 0.0, rng.normal(size=n_count)),
+            "tiny": 1e-170 * rng.normal(size=n_count),
+        }[kind]
+        lag = st.integers(1, n_count - 1)
+        Q = data.draw(st.lists(lag | lag.map(np.int64), max_size=40))
+        assert fr.select_pairs(g, Q) == former_select_pairs(g, Q)
 
 
 SCORE_TOL = 1e-13

@@ -87,6 +87,11 @@ class TestLagWindow:
         with pytest.raises(ValueError, match="last_lag"):
             fr.autocorr_estimate(self.g, last_lag)
 
+    @pytest.mark.parametrize("last_lag", [True, False, np.True_])
+    def test_a_bool_last_lag_is_refused(self, last_lag):
+        with pytest.raises(ValueError, match=re.escape(f"last_lag must be an integer >= 0, got {last_lag!r}")):
+            fr.autocorr_estimate(self.g, last_lag)
+
     @pytest.mark.parametrize("last_lag", [0, 5, 62])
     def test_window_is_the_head_of_all_lags(self, last_lag):
         window = fr.autocorr_estimate(self.g, last_lag)
@@ -308,6 +313,18 @@ class TestSelectPairs:
         with pytest.raises(ValueError):
             fr.select_pairs(np.ones(8), [8])
 
+    @pytest.mark.parametrize("lag", [True, False, np.True_, 2.0, np.float64(3.0), "2"])
+    def test_a_lag_that_is_not_an_integer_is_refused(self, lag):
+        with pytest.raises(ValueError, match=re.escape(f"Q must hold integer lags, got {lag!r}")):
+            fr.select_pairs(np.arange(8.0), [1, lag])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_record_that_is_not_finite_is_refused(self, bad):
+        g = np.arange(8.0)
+        g[[3, 6]] = bad
+        with pytest.raises(ValueError, match=re.escape("record is not finite at index 3 (k=4)")):
+            fr.select_pairs(g, [1])
+
 
 class TestBuildSelection:
     def test_nc2_bound_is_three_exactly(self):
@@ -357,6 +374,15 @@ class TestBuildSelection:
         series = fr.autocorr_estimate(np.random.default_rng(0).normal(size=200).cumsum(), 20)
         with pytest.raises(ValueError, match=re.escape(f"significance must be finite and > 0, got {significance!r}")):
             fr.SelectionReport(n0=0, Q=[], pairs=[], series=series, significance=significance)
+
+    @pytest.mark.parametrize("significance", [True, np.True_])
+    def test_a_bool_significance_is_refused(self, significance):
+        g = np.random.default_rng(0).normal(size=64)
+        message = re.escape(f"significance must be finite and > 0, got {significance!r}")
+        with pytest.raises(ValueError, match=message):
+            fr.build_selection(g, significance=significance)
+        with pytest.raises(ValueError, match=message):
+            fr.build_Q(fr.autocorr_estimate(g, 10), 2, significance)
 
     def test_diagnostics_follow_from_the_pairs(self):
         series = AutocorrSeries(delta=np.array([1.0, 0.0, 0.0]), n_count=8)
