@@ -1185,16 +1185,10 @@ def near_a_band(series, significance, max_lag, tol):
         if np.any(np.abs(size[nbar:] - band) <= 4 * tol):
             return True
     defined = np.isfinite(size)
-    z = size[defined] * np.sqrt(n_count - lags[defined])
+    root_dof = np.sqrt(n_count - lags[defined])
+    z = size[defined] * root_dof
     crit = selection._chi2_critical(selection._coverage(significance), z.size)
-    return bool(abs(float(np.sum(z * z)) - crit) <= 4 * tol * float(np.sum((2 * z + 1) * np.sqrt(n_count - lags[defined]))))
-
-
-def preset_records(contexts, seeds):
-    return {
-        name: [fr.add_noise(ctx.data, cfg.epsilon, seed, cfg.noise_mode).coeffs for seed in seeds]
-        for name, (cfg, ctx) in contexts.items()
-    }
+    return bool(abs(float(np.sum(z * z)) - crit) <= 4 * tol * float(np.sum((2 * z + 1) * root_dof)))
 
 
 class TestWindowSums:
@@ -1265,7 +1259,10 @@ class TestWindowSums:
             assert len(fell) >= n_count - 3
 
     def test_few_lags_go_to_the_loop(self, preset_contexts, monkeypatch):
-        records = preset_records(preset_contexts, range(5))
+        records = {
+            name: [fr.add_noise(ctx.data, cfg.epsilon, seed, cfg.noise_mode).coeffs for seed in range(5)]
+            for name, (cfg, ctx) in preset_contexts.items()
+        }
         for n_count in (32, 64, 512, 1024, 4096):
             records[f"uniform {n_count}"] = [np.random.default_rng(s).uniform(-1.0, 1.0, n_count) for s in range(5)]
         fell = []
