@@ -391,6 +391,9 @@ def build_Q(series: AutocorrSeries, n0: int, significance: float = SIGNIFICANCE)
     return lags[hits].tolist()
 
 
+_TABLE_CELLS = 1 << 18  # products held at once by select_pairs: 2 MB
+
+
 def _check_finite(g: np.ndarray) -> None:
     if not np.isfinite(g).all():
         bad = int(np.flatnonzero(~np.isfinite(g))[0])
@@ -405,6 +408,8 @@ def select_pairs(coeffs: np.ndarray, Q: list[int]) -> list[tuple[int, int]]:
     j of a table holds |gbar_k| |gbar_{k+n_j}| (the bits of |gbar_k gbar_{k+n_j}|)
     for k = 1..N-n_j and zeros past them, and its argmax is the first
     largest product, because no product is below zero and the zeros come last.
+    A long Q is taken a block of rows at a time, so at most _TABLE_CELLS
+    products are held at once.
     """
     g = _record(coeffs)
     n_count = g.size
@@ -423,9 +428,13 @@ def select_pairs(coeffs: np.ndarray, Q: list[int]) -> list[tuple[int, int]]:
     # row n of `shifted` starts at a[n] (a strided view, as sliding_window_view makes, without its checks);
     # row j of `products` is |gbar_{k+n_j}|, zero past the record, times |gbar_k|
     shifted = np.ndarray((a.size - width + 1, width), a.dtype, a, strides=(a.itemsize, a.itemsize))
-    products = shifted[lags]
-    products *= a[:width]
-    k_star = products.argmax(axis=1) + 1  # argmax returns the first (smallest k) maximum
+    k_star = np.empty(lags.size, dtype=np.intp)
+    rows = max(1, _TABLE_CELLS // width)  # the table of a long Q is taken a block of rows at a time
+    for i in range(0, lags.size, rows):
+        products = shifted[lags[i : i + rows]]
+        products *= a[:width]
+        k_star[i : i + rows] = products.argmax(axis=1)  # argmax returns the first (smallest k) maximum
+    k_star += 1
     return list(zip(k_star.tolist(), (k_star + lags).tolist()))
 
 

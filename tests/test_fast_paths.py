@@ -1290,6 +1290,14 @@ class TestWindowSums:
         Q = data.draw(st.lists(lag | lag.map(np.int64), max_size=40))
         assert fr.select_pairs(g, Q) == former_select_pairs(g, Q)
 
+    @pytest.mark.parametrize("cells", [1, 300, 5000])
+    def test_select_pairs_takes_a_long_table_in_blocks_of_rows(self, cells, monkeypatch):
+        monkeypatch.setattr(selection, "_TABLE_CELLS", cells)
+        rng = np.random.default_rng(cells)
+        for g in (rng.normal(size=400), rng.integers(-2, 3, 400).astype(float)):
+            Q = list(range(1, 400, 3)) + [5, 5, 399]
+            assert fr.select_pairs(g, Q) == former_select_pairs(g, Q)
+
 
 SCORE_TOL = 1e-13
 # run_context refuses a nonzero signal whose ||f||^2 underflows, so no drawn amplitude is that small
