@@ -7,7 +7,10 @@ The file holds, for the checkout under --root (default: this repository):
   the per-layer metrics of the same command with `--trace 1`, for each
   workload W of BENCHMARK.json, together with the operations attempted and
   failed;
-- the wall time of a fresh `python -c "import fredreg"`, which every run pays;
+- the wall time of a fresh `python -c "import fredreg"`, which every run pays,
+  and of a fresh `import fredreg` plus the 64-pair numeric eigensystem of the
+  sample kernel on the default 513-point grid (the `numeric-kernel`
+  workload's set-up);
 - wall times of fresh `fredreg run` processes: `--preset example1 --seeds 100`
   with and without `--out`, and `--preset example3 --seeds 100`;
 - the emission floor of the `--out` run: the number of float cells in its
@@ -22,8 +25,9 @@ The file holds, for the checkout under --root (default: this repository):
   (documented failing tests make pytest exit 1), and the node IDs of its
   short summary's FAILED and ERROR lines;
 - the peak RSS (`ru_maxrss`) of fresh processes that each run `import
-  fredreg`, or `run_experiment(preset("example1", seeds=range(n)))` in
-  process, for n in 100 and 3000;
+  fredreg`, that 513-point numeric eigensystem, or
+  `run_experiment(preset("example1", seeds=range(n)))` in process, for n in
+  100 and 3000;
 - the autocorrelation window estimator, in one fresh process: for uniform
   noise records of N in 32, 64, 512, 1024, 4096 and 16384, and for each
   preset's noisy records, all from fixed seeds, the median microseconds of
@@ -75,10 +79,24 @@ import scipy
 HERE = Path(__file__).resolve().parents[1]
 RUN_EXAMPLE1 = """from fredreg.harness import preset, run_experiment
 run_experiment(preset("example1", seeds=range({n})))"""
+NUMERIC_513 = """import fredreg as fr
+fr.numeric_eigensystem(fr.sample_kernel_matrix(fr.simpson_grid(513)), 64)"""
 # rss key -> the code a fresh process runs before it prints its own peak RSS
 RSS_PROBES = {
     "import_fredreg": "import fredreg",
+    "numeric_eigensystem_513": NUMERIC_513,
     **{f"run_experiment_example1_{n}": RUN_EXAMPLE1.format(n=n) for n in (100, 3000)},
+}
+CLI = [sys.executable, "-m", "fredreg.cli", "run", "--seeds", "100", "--preset"]
+# wall key -> the argv of a fresh process, run from the checkout's root; "{tmp}" is a fresh directory
+WALL_PROBES = {
+    "import_fredreg": [sys.executable, "-c", "import fredreg"],
+    "numeric_eigensystem_513": [sys.executable, "-c", NUMERIC_513],
+    "run_example1": [*CLI, "example1"],
+    "run_example1_out": [*CLI, "example1", "--out", "{tmp}"],
+    "run_example3": [*CLI, "example3"],
+    "null_control": [sys.executable, "scripts/null_control.py"],
+    "noise_sweep": [sys.executable, "scripts/noise_sweep.py", "--seeds", "20", "--out", "{tmp}/sweep.json"],
 }
 WINDOW_SIZES = (32, 64, 512, 1024, 4096, 16384)
 PRESET_NAMES = ("example1", "example2", "example3", "example4")
@@ -333,7 +351,6 @@ def main() -> int:
             sys.exit(f"error: no fredreg sources under {root / 'src'}")
 
     each = Alternation([root for _, root, _ in checkouts])
-    cli = [sys.executable, "-m", "fredreg.cli", "run", "--seeds", "100", "--preset"]
     workloads = [w["name"] for w in json.loads((HERE / "BENCHMARK.json").read_text())["workloads"]]
     # per checkout: workload metrics and the first non-zero exit code, for trace 0 and trace 1
     metrics = [({}, {}) for _ in checkouts]
@@ -343,18 +360,10 @@ def main() -> int:
             for i, (out, code) in enumerate(each(lambda root: perfbench(root, name, args.seconds, trace))):
                 metrics[i][trace].update(out)
                 codes[i][trace] = codes[i][trace] or code
-    probes = {
-        "import_fredreg": [sys.executable, "-c", "import fredreg"],
-        "run_example1": [*cli, "example1"],
-        "run_example1_out": [*cli, "example1", "--out", "{tmp}"],
-        "run_example3": [*cli, "example3"],
-        "null_control": [sys.executable, "scripts/null_control.py"],
-        "noise_sweep": [sys.executable, "scripts/noise_sweep.py", "--seeds", "20", "--out", "{tmp}/sweep.json"],
-    }
     wall = {
         name: emission_times(argv, each, args.repeats) if name == "run_example1_out"
         else wall_times(argv, each, args.repeats)
-        for name, argv in probes.items()
+        for name, argv in WALL_PROBES.items()
     }
     rss = {name: peak_rss(code, each, args.repeats) for name, code in RSS_PROBES.items()}
     window = each(window_probe)

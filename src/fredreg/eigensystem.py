@@ -9,6 +9,8 @@ decreasing eigenvalues {lam_k}.  This module supplies
     K(x,y) = (1-x)y for y <= x, x(1-y) for y >= x on [0,1], whose
     eigenpairs are psi_k = sqrt(2) sin(k pi x), lam_k = 1/(k^2 pi^2),
   * a Nystrom-style numeric eigensystem for tabulated symmetric kernels,
+    solved by numpy's dense eigh up to the default grid size (ARPACK's
+    Lanczos, from scipy, only for a few eigenpairs of a larger grid),
   * coefficients (f, psi_k) for k = 1..upto in one product with the psi_k
     table, and reconstruction from the eigenbasis.
 
@@ -198,27 +200,29 @@ def numeric_eigensystem(kernel: TabulatedKernel, n_max: int) -> EigenSystem:
     linearly, one row at a time.
     Raises EigenDecompositionError on non-convergence, on eigenvalues <= 1e-14
     (rank deficiency), and on numerically repeated eigenvalues.
-    """
-    # imported on first use: only this function needs an eigensolver, and
-    # `import fredreg` should not pay for loading one
-    import scipy.linalg
-    import scipy.sparse.linalg
 
+    Solver: numpy's dense eigh on grids up to DEFAULT_GRID_SIZE points, and on
+    larger grids when n_max > npts // 8; ARPACK's Lanczos (scipy's eigsh,
+    from a fixed start vector, so deterministic) only on a larger grid with
+    n_max <= npts // 8.  Loading scipy.sparse costs more than a dense solve
+    of the default grid, so only the Lanczos branch imports it, on first use.
+    """
     grid = kernel.grid
     npts = grid.size
     if not 1 <= n_max <= npts:
         raise ValueError(f"n_max must be in 1..{npts}")
     sw = np.sqrt(grid.weights)
     sym = sw[:, None] * kernel.values * sw[None, :]
+    failures = (np.linalg.LinAlgError,)  # read by the except clause when an error reaches it
     try:
-        if n_max <= npts // 8:
-            # Lanczos with a fixed start vector keeps large grids fast and deterministic
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                sym, k=n_max, which="LA", v0=np.ones(npts)
-            )
+        if npts > DEFAULT_GRID_SIZE and n_max <= npts // 8:
+            import scipy.sparse.linalg
+
+            failures += (scipy.sparse.linalg.ArpackError,)
+            vals, vecs = scipy.sparse.linalg.eigsh(sym, k=n_max, which="LA", v0=np.ones(npts))
         else:
-            vals, vecs = scipy.linalg.eigh(sym)
-    except (np.linalg.LinAlgError, scipy.sparse.linalg.ArpackError) as exc:
+            vals, vecs = np.linalg.eigh(sym)
+    except failures as exc:
         raise EigenDecompositionError(f"eigendecomposition failed: {exc}") from exc
     order = np.argsort(vals)[::-1][:n_max]
     vals = vals[order]

@@ -180,7 +180,7 @@ def autocorr_estimate(coeffs: np.ndarray, last_lag: int | None = None) -> Autoco
     if n_count < 2:
         raise DegenerateSequenceError("autocorrelation needs at least 2 coefficients")
     last_lag = n_count - 1 if last_lag is None else last_lag
-    if isinstance(last_lag, bool) or not isinstance(last_lag, (int, np.integer)) or last_lag < 0:
+    if not _is_int_at_least(last_lag, 0):
         raise ValueError(f"last_lag must be an integer >= 0, got {last_lag!r}")
     g = _peak_scaled(g)
     lags = np.arange(min(last_lag, n_count - 1) + 1)
@@ -267,10 +267,15 @@ def default_max_lag(n_count: int) -> int:
 def _scan_lags(n_count: int, max_lag: int | None, significance: float) -> int:
     if max_lag is None:
         max_lag = default_max_lag(n_count)
-    if isinstance(max_lag, bool) or not isinstance(max_lag, (int, np.integer)) or max_lag < 1:
+    if not _is_int_at_least(max_lag, 1):
         raise ValueError(f"max_lag must be None or an integer >= 1, got {max_lag!r}")
     _check_significance(significance)
     return min(max_lag, n_count - 1)
+
+
+def _is_int_at_least(value, least: int) -> bool:
+    """True for an integer (not a bool) >= least."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
 
 
 def _check_significance(significance: float) -> None:
@@ -368,23 +373,28 @@ def detect_n0(
             return 0
         if float(np.sum(z * z)) <= _chi2_critical(_coverage(significance), z.size):
             return 0
-    nbar = 0
-    while nbar < top:
-        # bartlett_stderr's band over lags nbar+1..top, without its wrappers
-        s = float(np.add.reduce(square[:nbar]))
-        band = significance * np.sqrt((1.0 + 2.0 * s) / dof[nbar:])
-        # undefined (NaN) lags compare False and are never promoted
-        hits = size[nbar:] > band
-        first = int(hits.argmax())  # the first lag past its threshold
-        if not hits[first]:
-            break
-        nbar += first + 1
+    # each scan starts past the last promotion, so one pass tests every lag at most once;
+    # Python scalars round each threshold as bartlett_stderr's band does, and undefined
+    # (NaN) lags compare False and are never promoted
+    nbar, numerator = 0, 1.0  # numerator: 1 + 2 s, s the head sum of squares through nbar
+    for n, (d, m) in enumerate(zip(size.tolist(), dof.tolist()), start=1):
+        if d > significance * math.sqrt(numerator / m):
+            nbar = n
+            # s as bartlett_stderr's nansum adds it: one pairwise sum
+            numerator = 1.0 + 2.0 * float(np.add.reduce(square[:nbar]))
     return nbar
 
 
 def build_Q(series: AutocorrSeries, n0: int, significance: float = SIGNIFICANCE) -> list[int]:
-    """Lags 0 < n <= n0 whose |delta(n)| exceeds the fully-random threshold sigma(n; 0)."""
+    """Lags 0 < n <= n0 whose |delta(n)| exceeds the fully-random threshold sigma(n; 0).
+
+    n0 is an integer >= 0 (not a bool); a ValueError names it otherwise.
+    """
     _check_significance(significance)
+    if not _is_int_at_least(n0, 0):
+        raise ValueError(f"n0 must be an integer >= 0, got {n0!r}")
+    if n0 == 0:
+        return []
     lags = np.arange(1, n0 + 1)
     band = significance * bartlett_stderr(series, 0, lags)
     hits = np.abs(series.delta[lags]) > band

@@ -1,4 +1,4 @@
-"""scripts/bench.py counts src/ code lines as the simplicity tally reads them, and names failing tests."""
+"""scripts/bench.py counts src/ code lines as the simplicity tally reads them, names failing tests and runs its probes."""
 
 import importlib.util
 import math
@@ -93,3 +93,13 @@ def test_window_estimator_times_both_paths_and_counts_the_lags_sent_to_the_loop(
     lag_delta = selection._lag_delta
     table = bench.window_estimator(sizes=(32,), presets=(), seeds=range(2), repeats=1)
     assert table["uniform"]["32"]["loop_share"] == 1.0 and selection._lag_delta is lag_delta
+
+
+def test_numeric_eigensystem_probe_times_and_measures_the_workload_set_up():
+    # one code for both probes: a fresh `import fredreg` and the numeric-kernel workload's eigensystem
+    code = bench.RSS_PROBES["numeric_eigensystem_513"]
+    assert bench.WALL_PROBES["numeric_eigensystem_513"][1:] == ["-c", code]
+    assert "simpson_grid(513)), 64)" in code
+    root = Path(bench.__file__).resolve().parents[1]
+    assert bench.wall_time(bench.WALL_PROBES["numeric_eigensystem_513"], root) > 0.0
+    assert bench.peak_rss_mb(code, root) > 0.0

@@ -176,7 +176,72 @@ class TestTabulatedKernel:
             fr.TabulatedKernel(values=vals, grid=grid513)
 
 
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Names of the solvers numeric_eigensystem calls: numpy's dense "eigh" or scipy's Lanczos "eigsh"."""
+    import scipy.sparse.linalg
+
+    calls = []
+    for module, name in ((np.linalg, "eigh"), (scipy.sparse.linalg, "eigsh")):
+
+        def counted(*args, _solve=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# (grid size, n_max) of every numeric eigensystem the suite builds, with the solver each takes, and
+# the n_max <= npts // 8 edge at 1025 points; 4097 points is test_eigenvalues_relative_error_k10's
+SUITE_SOLVES = [
+    (129, 12, "eigh"), (129, 20, "eigh"), (401, 8, "eigh"), (513, 2, "eigh"), (513, 3, "eigh"),
+    (513, 64, "eigh"), (1025, 5, "eigsh"), (1025, 128, "eigsh"), (1025, 129, "eigh"),
+]
+
+
 class TestNumericEigensystem:
+    @pytest.mark.parametrize("npts, n_max, solver", SUITE_SOLVES)
+    def test_solver_dispatch(self, npts, n_max, solver, monkeypatch):
+        # dense up to the default grid; Lanczos only for n_max <= npts // 8 on a larger one.
+        # Each stub fails as its solver can, and both failures read as EigenDecompositionError
+        import scipy.sparse.linalg
+
+        calls = []
+
+        def failing(name, error):
+            def solve(*args, **kwargs):
+                calls.append(name)
+                raise error
+
+            return solve
+
+        monkeypatch.setattr(np.linalg, "eigh", failing("eigh", np.linalg.LinAlgError("stub")))
+        no_convergence = scipy.sparse.linalg.ArpackNoConvergence("stub", [], [])
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing("eigsh", no_convergence))
+        kernel = fr.sample_kernel_matrix(fr.simpson_grid(npts))
+        message = "eigendecomposition failed: " + ("stub" if solver == "eigh" else "ARPACK error -1: stub")
+        with pytest.raises(EigenDecompositionError, match=f"^{message}$"):
+            fr.numeric_eigensystem(kernel, n_max)
+        assert calls == [solver]
+
+    def test_dense_eigh_matches_lanczos_at_513(self, solver_calls):
+        # the workload's 513 points and 64 pairs, against the Lanczos solve that served them before
+        import scipy.sparse.linalg
+
+        grid = fr.simpson_grid(513)
+        kernel = fr.sample_kernel_matrix(grid)
+        nes = fr.numeric_eigensystem(kernel, 64)
+        assert solver_calls == ["eigh"]
+        sw = np.sqrt(grid.weights)
+        vals, vecs = scipy.sparse.linalg.eigsh(sw[:, None] * kernel.values * sw, k=64, which="LA", v0=np.ones(513))
+        order = np.argsort(vals)[::-1]
+        funcs = (vecs[:, order] / sw[:, None]).T
+        for row in funcs:  # the sign rule: the first nonzero grid value is positive
+            row *= np.sign(row[np.flatnonzero(np.abs(row) > 1e-12 * np.abs(row).max())[0]])
+        assert np.max(np.abs(nes.eigenvalues / vals[order] - 1.0)) <= 1e-12
+        assert np.max(np.abs(nes.basis_matrix(grid.points) - funcs)) <= 1e-9
+
     def test_first_eigenvalue_401(self):
         grid = fr.simpson_grid(401)
         nes = fr.numeric_eigensystem(fr.sample_kernel_matrix(grid), 8)
@@ -188,11 +253,13 @@ class TestNumericEigensystem:
         truth = np.sqrt(2) * np.sin(3 * np.pi * grid.points)
         assert grid.norm(nes.basis_matrix(grid.points, 3)[2] - truth) < 1e-5
 
-    def test_eigenvalues_relative_error_k10(self):
+    def test_eigenvalues_relative_error_k10(self, solver_calls):
         # the kernel slope jump across the diagonal biases Nystrom eigenvalues
-        # by ~h^2/9, so the 1e-5 relative target needs a fine grid
+        # by ~h^2/9, so the 1e-5 relative target needs a fine grid, where Lanczos
+        # takes a tenth of a dense solve's time
         grid = fr.simpson_grid(4097)
         nes = fr.numeric_eigensystem(fr.sample_kernel_matrix(grid), 10)
+        assert solver_calls == ["eigsh"]
         ks = np.arange(1, 11)
         rel = np.abs(nes.eigenvalues - 1.0 / (ks * np.pi) ** 2) * (ks * np.pi) ** 2
         assert rel.max() < 1e-5
@@ -213,17 +280,15 @@ class TestNumericEigensystem:
             fr.numeric_eigensystem(kern, 2)
 
     def test_dense_branch(self, monkeypatch):
-        # n_max = 20 > 129 // 8 takes scipy.linalg.eigh, not Lanczos
-        import scipy.linalg
-
+        # 129 points, within the default grid size, take numpy's dense eigh, not Lanczos
         calls = []
-        eigh = scipy.linalg.eigh
+        eigh = np.linalg.eigh
 
         def counted_eigh(*args, **kwargs):
             calls.append(1)
             return eigh(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         grid = fr.simpson_grid(129)
         nes = fr.numeric_eigensystem(fr.sample_kernel_matrix(grid), 20)
         assert calls == [1] and nes.count == 20

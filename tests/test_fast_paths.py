@@ -349,6 +349,25 @@ def former_autocorr_csv(series, n0, significance):
 
 
 TAIL_TOL = 1e-13  # ten times under the 1e-12 floor of the benchmark's reference comparison
+# preset records (preset, noise seed) whose one-pass estimate strays past TAIL_TOL from the loop
+# at its last lags (example1 lag 510, example3 lag 1022), while autocorr.csv stays within 1e-15
+ONE_PASS_TAIL_RECORDS = [("example1", 1648), ("example1", 296), ("example3", 375)]
+
+
+def preset_record(contexts, name, seed):
+    cfg, ctx = contexts[name]
+    return fr.add_noise(ctx.data, cfg.epsilon, seed, cfg.noise_mode).coeffs
+
+
+def loop_tail(g, head):
+    """The series autocorr.csv should hold: `head`, the estimate the report reads, then the loop's lags.
+
+    Past the head the loop is the oracle: the one-pass estimate is only
+    within 64 N u of it (3.6e-12 at N = 512), wider than TAIL_TOL.
+    """
+    delta = lag_loop(g)
+    delta[: head.size] = head
+    return fr.AutocorrSeries(delta=delta, n_count=g.size)
 
 
 def assert_autocorr_csv(text, want, exact_lags):
@@ -512,16 +531,29 @@ class TestBartlettBand:
         assert [fr.detect_n0(gapped_series(), z, None, "none") for z in (1.0, fr.SIGNIFICANCE, 2.576)] == [10, 10, 6]
         assert fr.detect_n0(gapped_series(), max_lag=2, randomness_test="none") == 2
 
+    @staticmethod
+    def check_autocorr_csv_rows(g, last_lag, n0, significance, path):
+        window = fr.autocorr_estimate(g, last_lag)
+        report = fr.SelectionReport(n0=n0, Q=[], pairs=[], series=window, significance=significance)
+        report.write_autocorr_csv(str(path), g)
+        # the file's head: the report's window and, past it, the lags up to n0 that its bands read
+        exact_lags = max(window.delta.size, n0 + 1)
+        want = former_autocorr_csv(loop_tail(g, fr.autocorr_estimate(g, exact_lags - 1).delta), n0, significance)
+        assert_autocorr_csv(path.read_text(), want, exact_lags)
+
     @SETTINGS
     @given(g=coeff_records, significance=significances, data=st.data())
     def test_autocorr_csv_rows(self, g, significance, data, tmp_path_factory):
         n0 = data.draw(st.integers(0, g.size - 1))
-        window = fr.autocorr_estimate(g, data.draw(st.integers(0, g.size - 1)))
-        report = fr.SelectionReport(n0=n0, Q=[], pairs=[], series=window, significance=significance)
-        path = tmp_path_factory.mktemp("csv") / "autocorr.csv"
-        report.write_autocorr_csv(str(path), g)
-        want = former_autocorr_csv(fr.autocorr_estimate(g), n0, significance)
-        assert_autocorr_csv(path.read_text(), want, max(window.delta.size, n0 + 1))
+        last_lag = data.draw(st.integers(0, g.size - 1))
+        self.check_autocorr_csv_rows(g, last_lag, n0, significance, tmp_path_factory.mktemp("csv") / "autocorr.csv")
+
+    @pytest.mark.parametrize("last_lag, n0", [(None, 0), (None, 3), (5, 40)])
+    @pytest.mark.parametrize("name, seed", ONE_PASS_TAIL_RECORDS)
+    def test_autocorr_csv_rows_where_the_one_pass_tail_strays(self, preset_contexts, name, seed, last_lag, n0, tmp_path):
+        g = preset_record(preset_contexts, name, seed)
+        last_lag = fr.default_max_lag(g.size) if last_lag is None else last_lag
+        self.check_autocorr_csv_rows(g, last_lag, n0, fr.SIGNIFICANCE, tmp_path / "autocorr.csv")
 
 
 def former_tikhonov_full(data, es, cs):
@@ -1029,7 +1061,7 @@ class TestLagWindowSelection:
         assert window.size == report.max_lag + 1 <= g.size
         assert np.array_equal(window, series.delta[: window.size], equal_nan=True)
         report.write_autocorr_csv(str(path), g)
-        want = former_autocorr_csv(series, report.n0, significance)
+        want = former_autocorr_csv(loop_tail(g, window), report.n0, significance)
         assert_autocorr_csv(path.read_text(), want, report.max_lag + 1)
         return report
 
@@ -1066,7 +1098,8 @@ class TestLagWindowSelection:
         csv = out.with_suffix(".autocorr.csv").read_text()
         assert series.delta.size == 512
         max_lag = fr.default_max_lag(512)
-        assert_autocorr_csv(csv, former_autocorr_csv(series, want["n0"], fr.SIGNIFICANCE), max_lag + 1)
+        want_csv = former_autocorr_csv(loop_tail(ds.coeffs, series.delta[: max_lag + 1]), want["n0"], fr.SIGNIFICANCE)
+        assert_autocorr_csv(csv, want_csv, max_lag + 1)
 
     @SETTINGS
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 200), exponent=st.integers(-8, 8))
@@ -1105,8 +1138,7 @@ def every_lag_records(draw, contexts):
     kind = draw(st.sampled_from(["preset", "offset", "block", "constant_run", "subnormal"]))
     seed = draw(st.integers(0, 2**32 - 1))
     if kind == "preset":
-        cfg, ctx = contexts[draw(st.sampled_from(fr.PRESETS))]
-        return fr.add_noise(ctx.data, cfg.epsilon, seed, cfg.noise_mode).coeffs
+        return preset_record(contexts, draw(st.sampled_from(fr.PRESETS)), seed)
     rng = np.random.default_rng(seed)
     n = draw(st.integers(8, 2049))
     noise = rng.normal(size=n)
@@ -1142,15 +1174,24 @@ class TestEveryLag:
         defined = ~np.isnan(want)
         assert np.max(np.abs(got - want)[head:][defined[head:]], initial=0.0) <= TAIL_TOL
 
+    @staticmethod
+    def check_autocorr_csv(g, path):
+        report = fr.build_selection(g)
+        report.write_autocorr_csv(str(path), g)
+        want = former_autocorr_csv(loop_tail(g, report.series.delta), report.n0, report.significance)
+        assert_autocorr_csv(path.read_text(), want, report.max_lag + 1)
+
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_autocorr_csv(self, preset_contexts, data, tmp_path_factory):
-        g = data.draw(every_lag_records(preset_contexts))
-        report = fr.build_selection(g)
-        path = tmp_path_factory.mktemp("csv") / "autocorr.csv"
-        report.write_autocorr_csv(str(path), g)
-        want = former_autocorr_csv(fr.autocorr_estimate(g), report.n0, report.significance)
-        assert_autocorr_csv(path.read_text(), want, report.max_lag + 1)
+        self.check_autocorr_csv(data.draw(every_lag_records(preset_contexts)), tmp_path_factory.mktemp("csv") / "autocorr.csv")
+
+    @pytest.mark.parametrize("name, seed", ONE_PASS_TAIL_RECORDS)
+    def test_autocorr_csv_where_the_one_pass_tail_strays(self, preset_contexts, name, seed, tmp_path):
+        g = preset_record(preset_contexts, name, seed)
+        # the one-pass estimate's last lags lie past TAIL_TOL from the loop here; the file's do not
+        assert np.nanmax(np.abs(fr.autocorr_estimate(g).delta - lag_loop(g))) > TAIL_TOL
+        self.check_autocorr_csv(g, tmp_path / "autocorr.csv")
 
     @pytest.mark.parametrize("g", [np.full(40, 2.5), np.r_[1.0, np.zeros(30)], np.r_[np.zeros(20), 1e-300, 1.0]])
     def test_degenerate_windows_come_from_the_loop(self, g):

@@ -1,10 +1,11 @@
-"""`import fredreg` and a default run load numpy and numpy.fft, and no scipy module.
+"""`import fredreg`, a default run and a 513-point numeric eigensystem load no scipy module.
 
 The portmanteau gate's chi-square quantile comes from a table at the default
-level, so scipy.special loads only for another significance or a larger df,
-and scipy.linalg and scipy.sparse on the first numeric_eigensystem call.  The
-checks run in a fresh interpreter because other test modules import scipy
-into this one.
+level, so scipy.special loads only for another significance or a larger df.
+numeric_eigensystem solves grids up to the default 513 points with numpy's
+dense eigh, so scipy.sparse loads only on the first Lanczos solve, for a few
+eigenpairs of a larger grid.  The checks run in a fresh interpreter because
+other test modules import scipy into this one.
 """
 
 import os
@@ -43,3 +44,13 @@ def test_a_chi2_level_off_the_table_loads_scipy_special_only():
     loaded = scipy_modules_after("from fredreg.selection import _chi2_critical\n_chi2_critical(0.99, 5)")
     assert "scipy.special" in loaded
     assert not [m for m in loaded if m.startswith(("scipy.stats", "scipy.linalg", "scipy.sparse"))]
+
+
+def test_a_default_size_numeric_eigensystem_loads_no_scipy():
+    # the numeric-kernel benchmark's set-up: 64 eigenpairs of the sampled kernel on 513 points
+    assert scipy_modules_after("fr.numeric_eigensystem(fr.sample_kernel_matrix(fr.simpson_grid(513)), 64)") == []
+
+
+def test_a_lanczos_solve_loads_scipy_sparse():
+    loaded = scipy_modules_after("fr.numeric_eigensystem(fr.sample_kernel_matrix(fr.simpson_grid(1025)), 5)")
+    assert "scipy.sparse.linalg" in loaded and not [m for m in loaded if m.startswith("scipy.stats")]

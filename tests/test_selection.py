@@ -271,6 +271,22 @@ class TestBuildQ:
     def test_empty_for_zero_n0(self):
         assert fr.build_Q(null_series(256), 0) == []
 
+    def test_zero_n0_builds_no_band(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("bartlett_stderr called")
+
+        monkeypatch.setattr(selection, "bartlett_stderr", refuse)
+        assert fr.build_Q(null_series(256), 0) == [] and fr.build_Q(null_series(256), np.int64(0)) == []
+        with pytest.raises(ValueError, match="significance"):
+            fr.build_Q(null_series(256), 0, -1.0)  # the significance is still checked first
+
+    @pytest.mark.parametrize("n0", [-1, -3, True, False, 2.5, 3.0, "3", None, np.float64(2.0)])
+    def test_bad_n0_named(self, n0):
+        # -3 gave [], True gave [1] and 2.5 raised numpy's bare IndexError
+        series = null_series(256, spikes={1: 0.5})
+        with pytest.raises(ValueError, match=re.escape(f"n0 must be an integer >= 0, got {n0!r}")):
+            fr.build_Q(series, n0)
+
     @pytest.mark.parametrize("significance", [-1.0, 0.0, math.nan, math.inf])
     def test_bad_significance_named(self, significance):
         # on a random walk, -1 gave every lag 1..15 and nan gave none
