@@ -550,7 +550,9 @@ class TestBartlettBand:
 
     @pytest.mark.parametrize("last_lag, n0", [(None, 0), (None, 3), (5, 40)])
     @pytest.mark.parametrize("name, seed", ONE_PASS_TAIL_RECORDS)
-    def test_autocorr_csv_rows_where_the_one_pass_tail_strays(self, preset_contexts, name, seed, last_lag, n0, tmp_path):
+    def test_autocorr_csv_rows_where_the_one_pass_tail_strays(
+        self, preset_contexts, name, seed, last_lag, n0, tmp_path
+    ):
         g = preset_record(preset_contexts, name, seed)
         last_lag = fr.default_max_lag(g.size) if last_lag is None else last_lag
         self.check_autocorr_csv_rows(g, last_lag, n0, fr.SIGNIFICANCE, tmp_path / "autocorr.csv")
@@ -1184,7 +1186,8 @@ class TestEveryLag:
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_autocorr_csv(self, preset_contexts, data, tmp_path_factory):
-        self.check_autocorr_csv(data.draw(every_lag_records(preset_contexts)), tmp_path_factory.mktemp("csv") / "autocorr.csv")
+        g = data.draw(every_lag_records(preset_contexts))
+        self.check_autocorr_csv(g, tmp_path_factory.mktemp("csv") / "autocorr.csv")
 
     @pytest.mark.parametrize("name, seed", ONE_PASS_TAIL_RECORDS)
     def test_autocorr_csv_where_the_one_pass_tail_strays(self, preset_contexts, name, seed, tmp_path):

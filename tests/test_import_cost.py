@@ -49,8 +49,3 @@ def test_a_chi2_level_off_the_table_loads_scipy_special_only():
 def test_a_default_size_numeric_eigensystem_loads_no_scipy():
     # the numeric-kernel benchmark's set-up: 64 eigenpairs of the sampled kernel on 513 points
     assert scipy_modules_after("fr.numeric_eigensystem(fr.sample_kernel_matrix(fr.simpson_grid(513)), 64)") == []
-
-
-def test_a_lanczos_solve_loads_scipy_sparse():
-    loaded = scipy_modules_after("fr.numeric_eigensystem(fr.sample_kernel_matrix(fr.simpson_grid(1025)), 5)")
-    assert "scipy.sparse.linalg" in loaded and not [m for m in loaded if m.startswith("scipy.stats")]
