@@ -201,11 +201,11 @@ def numeric_eigensystem(kernel: TabulatedKernel, n_max: int) -> EigenSystem:
     Raises EigenDecompositionError on non-convergence, on eigenvalues <= 1e-14
     (rank deficiency), and on numerically repeated eigenvalues.
 
-    Solver: numpy's dense eigh on grids up to DEFAULT_GRID_SIZE points, and on
-    larger grids when n_max > npts // 8; ARPACK's Lanczos (scipy's eigsh,
-    from a fixed start vector, so deterministic) only on a larger grid with
-    n_max <= npts // 8.  Loading scipy.sparse costs more than a dense solve
-    of the default grid, so only the Lanczos branch imports it, on first use.
+    Solver: ARPACK's Lanczos (scipy's eigsh, from a fixed start vector, so
+    deterministic) on a grid of more than DEFAULT_GRID_SIZE points with
+    n_max <= npts // 8, numpy's dense eigh otherwise.  Loading scipy.sparse
+    costs more than a dense solve of the default grid, so only the Lanczos
+    branch imports it, on first use.
     """
     grid = kernel.grid
     npts = grid.size

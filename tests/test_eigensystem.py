@@ -279,19 +279,11 @@ class TestNumericEigensystem:
         with pytest.raises(EigenDecompositionError):
             fr.numeric_eigensystem(kern, 2)
 
-    def test_dense_branch(self, monkeypatch):
+    def test_dense_branch(self, solver_calls):
         # 129 points, within the default grid size, take numpy's dense eigh, not Lanczos
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counted_eigh(*args, **kwargs):
-            calls.append(1)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         grid = fr.simpson_grid(129)
         nes = fr.numeric_eigensystem(fr.sample_kernel_matrix(grid), 20)
-        assert calls == [1] and nes.count == 20
+        assert solver_calls == ["eigh"] and nes.count == 20
         # within the Nystrom bias ~(k pi h)^2 / 9 of the kernel's slope jump
         ks = np.arange(1, 21)
         bias = (ks * np.pi / 128) ** 2 / 9
@@ -307,7 +299,7 @@ class TestNumericEigensystem:
         rank_one = fr.TabulatedKernel(values=np.outer(psi1, psi1), grid=grid)
         with pytest.raises(EigenDecompositionError, match="smallest eigenvalue"):
             fr.numeric_eigensystem(rank_one, 20)
-        assert len(calls) == 2
+        assert solver_calls == ["eigh", "eigh"]
 
     def test_matches_analytic_at_513(self, grid513):
         nes = fr.numeric_eigensystem(fr.sample_kernel_matrix(grid513), 3)
