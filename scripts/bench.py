@@ -25,9 +25,9 @@ The file holds, for the checkout under --root (default: this repository):
   (documented failing tests make pytest exit 1), and the node IDs of its
   short summary's FAILED and ERROR lines;
 - the peak RSS (`ru_maxrss`) of fresh processes that each run `import
-  fredreg`, that 513-point numeric eigensystem, or
+  fredreg`, that 513-point numeric eigensystem,
   `run_experiment(preset("example1", seeds=range(n)))` in process, for n in
-  100 and 3000;
+  100 and 3000, or `run_experiment(preset("example3", seeds=range(100)))`;
 - the autocorrelation window estimator, in one fresh process: for uniform
   noise records of N in 32, 64, 512, 1024, 4096 and 16384, and for each
   preset's noisy records, all from fixed seeds, the median microseconds of
@@ -77,15 +77,16 @@ import numpy
 import scipy
 
 HERE = Path(__file__).resolve().parents[1]
-RUN_EXAMPLE1 = """from fredreg.harness import preset, run_experiment
-run_experiment(preset("example1", seeds=range({n})))"""
+RUN_PRESET = """from fredreg.harness import preset, run_experiment
+run_experiment(preset("{name}", seeds=range({n})))"""
 NUMERIC_513 = """import fredreg as fr
 fr.numeric_eigensystem(fr.sample_kernel_matrix(fr.simpson_grid(513)), 64)"""
 # rss key -> the code a fresh process runs before it prints its own peak RSS
 RSS_PROBES = {
     "import_fredreg": "import fredreg",
     "numeric_eigensystem_513": NUMERIC_513,
-    **{f"run_experiment_example1_{n}": RUN_EXAMPLE1.format(n=n) for n in (100, 3000)},
+    **{f"run_experiment_example1_{n}": RUN_PRESET.format(name="example1", n=n) for n in (100, 3000)},
+    "run_experiment_example3_100": RUN_PRESET.format(name="example3", n=100),
 }
 CLI = [sys.executable, "-m", "fredreg.cli", "run", "--seeds", "100", "--preset"]
 # wall key -> the argv of a fresh process, run from the checkout's root; "{tmp}" is a fresh directory

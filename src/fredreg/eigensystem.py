@@ -174,6 +174,11 @@ def sample_kernel_matrix(grid: QuadratureGrid) -> TabulatedKernel:
     return TabulatedKernel(values=vals, grid=grid)
 
 
+def _is_int_at_least(value, least: int) -> bool:
+    """True for an integer (not a bool) >= least."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
+
+
 def _sine_evaluator(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
     # (k pi) x, not k (pi x): the rounding then matches sin(k * pi * x) row by row
     return np.sqrt(2.0) * np.sin(np.outer(ks * np.pi, x))
@@ -209,8 +214,8 @@ def numeric_eigensystem(kernel: TabulatedKernel, n_max: int) -> EigenSystem:
     """
     grid = kernel.grid
     npts = grid.size
-    if not 1 <= n_max <= npts:
-        raise ValueError(f"n_max must be in 1..{npts}")
+    if not (_is_int_at_least(n_max, 1) and n_max <= npts):
+        raise ValueError(f"n_max must be an integer in 1..{npts}, got {n_max!r}")
     sw = np.sqrt(grid.weights)
     sym = sw[:, None] * kernel.values * sw[None, :]
     failures = (np.linalg.LinAlgError,)  # read by the except clause when an error reaches it

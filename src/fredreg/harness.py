@@ -4,17 +4,24 @@ Presets example1..example4 encode the reference experiments (signal, noise
 bound, record length); each run builds its seed-invariant context once,
 draws a dataset per seed, applies the requested reconstruction methods, and
 records relative L2 errors together with the cutoff indices and the
-selection report.  An error is the Simpson norm of the method's expansion
-minus f on the grid, computed from its <= n_max coefficients alone: with
-d = c - f_k it is sqrt(d^T G d - 2 d^T h + ||r||^2) / ||f||, where G is the
-Gram matrix of the psi_k rows under the weights and r = f - sum_k f_k psi_k
-(see _GramForm).  The identity is exact algebra on any grid; it rounds
-differently from the grid sum, and the squared errors of the two agree to
-1e-13 (relative beyond 1).  Only solutions.csv needs grid values: each
-method's to_grid on the context's reconstruction eigensystem, whose psi_k on
-the grid are rows of the one psi_k table.
-The context's tables (grid, eigensystems, psi_k table, f, g_k and the Gram
-form) depend only on the signal, n_coeff, grid_size and n_max, so repeated
+selection report.  An error is computed from the method's <= n_max
+coefficients alone, with d = c - f_k:
+  * a sine combination (f2, f3, SignalSpec.sines) has f_k = a_j / sqrt(2) in
+    closed form, and its error is the exact L2 norm
+    sqrt(|d|^2 + sum_{k>n} f_k^2) / ||f||, ||f||^2 = sum_j a_j^2 / 2;
+  * any other signal (f1, f4, tabulated) is projected on the grid, and its
+    error is the Simpson norm of the expansion minus f on the grid,
+    sqrt(d^T G d - 2 d^T h + ||r||^2) / ||f||, where G is the Gram matrix of
+    the psi_k rows under the weights and r = f - sum_k f_k psi_k.  That
+    identity is exact algebra on any grid; it rounds differently from the
+    grid sum, and the squared errors of the two agree to 1e-13 (relative
+    beyond 1).
+See _GramForm.  Only solutions.csv needs grid values: each method's to_grid
+on the context's reconstruction eigensystem, whose psi_k on the grid are
+rows of a psi_k table: the record's where g_k took one, else n_max rows
+tabulated by the first run that emits.
+The context's tables (grid, eigensystems, psi_k tables, f, g_k and the
+scoring form) depend only on the signal, n_coeff, grid_size and n_max, so repeated
 calls on one signal share them: a process-wide cache holds the tables of the
 last such key (one entry), its arrays are read-only, and it keeps them after
 the call returns, until a call on another key replaces them.  The methods'
@@ -39,7 +46,7 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -51,6 +58,8 @@ from .spectral import cumulative_profile, f0_approximation
 from .synthesis import (  # noqa: F401  synthesize_dataset stays importable from here
     SignalContext,
     SignalSpec,
+    _closed_form_terms,
+    _sine_coeffs,
     add_noise,
     csv_cells,
     noise_dispersion,
@@ -87,10 +96,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class _GramForm:
-    """The squared grid error of an expansion over psi_1..psi_n, from its coefficients alone.
+    """The squared error of an expansion over psi_1..psi_n, from its coefficients alone.
 
-    With B the first n rows of the psi_k table, W the quadrature weights,
-    f_k = B W f and r = f - B^T f_k, coefficients c over k = 1..n and
+    On the grid: with B the first n rows of the psi_k table, W the quadrature
+    weights, f_k = B W f and r = f - B^T f_k, coefficients c over k = 1..n and
     d = c - f_k give
 
         ||B^T c - f||_W^2 = ||B^T d - r||_W^2 = d^T G d - 2 d^T h + ||r||_W^2,
@@ -98,13 +107,15 @@ class _GramForm:
 
     That is exact algebra, so it holds on any grid, whether W makes the rows
     orthonormal or not, and costs O(n^2) instead of O(n x grid size).
+    In exact L^2 (`exact`), where the psi_k are orthonormal and f_k are known,
+    G is the identity and h = 0 (both None), and ||r||^2 = sum_{k>n} f_k^2.
     """
 
     f_k: np.ndarray
-    gram: np.ndarray
-    h: np.ndarray
+    gram: np.ndarray | None
+    h: np.ndarray | None
     r_sq: float
-    f_sq: float  # ||f||_W^2, the error of the empty expansion, and the square of ||f||
+    f_sq: float  # ||f||^2, the error of the empty expansion, and the square of ||f||
 
     @staticmethod
     def build(basis: np.ndarray, weights: np.ndarray, f_vals: np.ndarray) -> "_GramForm":
@@ -116,12 +127,21 @@ class _GramForm:
             r_sq, f_sq = float(np.sum(weights * r**2)), float(np.sum(weights * f_vals**2))
         return _GramForm(f_k=f_k, gram=weighted @ basis.T, h=weighted @ r, r_sq=r_sq, f_sq=f_sq)
 
+    @staticmethod
+    def exact(terms: tuple[tuple[float, int], ...], n: int) -> "_GramForm":
+        """The exact L^2 form of f = sum_j a_j sin(k_j pi x) over psi_1..psi_n: ||f||^2 = sum_j a_j^2 / 2."""
+        halves = [(k, a * a / 2.0) for a, k in terms]  # a float square past the range is inf, not an error
+        r_sq, f_sq = sum(sq for k, sq in halves if k > n), sum(sq for _, sq in halves)
+        return _GramForm(f_k=_sine_coeffs(terms, n), gram=None, h=None, r_sq=r_sq, f_sq=f_sq)
+
     def error_sq(self, indices: np.ndarray, values: np.ndarray) -> float:
-        """||sum_i values[i] psi_{indices[i]} - f||_W^2 for distinct indices in 1..n."""
+        """||sum_i values[i] psi_{indices[i]} - f||^2 for distinct indices in 1..n."""
         if not indices.size:
             return self.f_sq  # exactly, so an empty expansion scores ||f|| / ||f|| = 1
         d = -self.f_k
         d[indices - 1] += values
+        if self.gram is None:
+            return float(d @ d) + self.r_sq
         # where W leaves the rows not orthonormal (2n >= grid size - 1), r is not small and an expansion
         # equal to f up to rounding cancels terms of size ||f||^2: the sum can round below zero
         return max(0.0, float(d @ (self.gram @ d) - 2.0 * (d @ self.h) + self.r_sq))
@@ -131,9 +151,9 @@ class _GramForm:
 class RunContext:
     """Seed-invariant half of a run, shared by its records; its arrays are read-only."""
 
-    data: SignalContext  # grid, record eigensystem (k <= n_coeff), psi_k table, f, g_k
-    # reconstruction basis, k <= n_max (coefficients beyond it are noise-dominated):
-    # on grid.points its psi_k are the first rows of data.basis, elsewhere data.es's
+    data: SignalContext  # grid, record eigensystem (k <= n_coeff), psi_k table (on first read), f, g_k
+    # reconstruction basis, k <= n_max (coefficients beyond it are noise-dominated): on grid.points its
+    # psi_k are rows of data.basis, or of its own n-row table for a sine combination; elsewhere data.es's
     es: EigenSystem
     f_norm: float
     cs: ConstraintSpec  # the a priori bounds of the variational filters: E and the noise dispersion
@@ -317,42 +337,57 @@ class RunRecord:
 # n_max) -> the read-only (data, es, gram) of run_context and the dict of
 # solutions.csv's x and f_true cells, empty until a run on it emits.  It is
 # emptied before a miss builds, so two entries never coexist, but the last
-# key's tables outlive the call: the n_coeff x grid_size psi_k table (8 bytes
-# a value) stays in memory until a call on another key replaces it.
+# key's tables outlive the call: a psi_k table (n_coeff x grid_size, 8 bytes a
+# value) stays in memory until a call on another key replaces it.  A sine
+# combination builds one only when a read needs it: pointwise noise reads the
+# record's, and emission its reconstruction basis's n_max rows.
 _TABLES: dict = {}
 
 
 def _seed_invariant_tables(cfg: ExperimentConfig) -> tuple[SignalContext, EigenSystem, _GramForm, dict]:
-    """The grid, both eigensystems, the psi_k table, f, g_k and the scoring form of cfg, built on a miss."""
+    """The grid, both eigensystems, f, g_k and the scoring form of cfg, built on a miss.
+
+    A sine combination takes f_k in closed form and scores in exact L^2, so
+    no psi_k table is built until a read needs one; any other signal projects
+    f on the grid through the table and scores on the grid.
+    """
     signal = json.dumps(cfg.signal.to_json_dict(), sort_keys=True, separators=(",", ":"))
     key = (signal, cfg.n_coeff, cfg.grid_size, cfg.n_max)
     tables = _TABLES.get(key)
     if tables is None:
         _TABLES.clear()
         grid = simpson_grid(cfg.grid_size)
-        data = signal_context(cfg.signal, analytic_eigensystem(cfg.n_coeff), grid, cfg.n_coeff)
-        # a grid-tabulated f is the caller's own array: freeze a copy of it
-        data = replace(data, f_vals=np.array(data.f_vals))
+        spec = cfg.signal
+        if spec.values is not None:  # a grid-tabulated f is the caller's own array: tabulate a copy of it
+            spec = SignalSpec.tabulated(np.array(spec.values))
+        data = signal_context(spec, analytic_eigensystem(cfg.n_coeff), grid, cfg.n_coeff)
         n = min(cfg.n_max, cfg.n_coeff)
-        gram = _GramForm.build(data.basis[:n], grid.weights, data.f_vals)
-        for a in (
-            grid.points, grid.weights, data.es.eigenvalues, data.basis, data.f_vals, data.g_coeffs,
-            gram.f_k, gram.gram, gram.h,
-        ):
+        terms = _closed_form_terms(spec, data.es)
+        frozen = [grid.points, grid.weights, data.es.eigenvalues, data.f_vals, data.g_coeffs]
+        if terms is None:
+            gram = _GramForm.build(data.basis[:n], grid.weights, data.f_vals)
+            frozen += [data.basis, gram.gram, gram.h]
+        else:
+            gram = _GramForm.exact(terms, n)
+        for a in (*frozen, gram.f_k):
             a.flags.writeable = False
-        # psi_k depends on k and x alone, so on the grid's own points the
-        # reconstruction basis is a gather (a copy) of the table's first rows;
-        # anywhere else it is the record eigensystem's, whose rows the table holds
+        # psi_k depends on k and x alone, so on the grid's own points the reconstruction basis is a
+        # gather (a copy) of the rows of a table: the record's first n where g_k took it, else n rows
+        # tabulated on first read; anywhere else it is the record eigensystem's
+        rows = SignalContext(
+            grid=grid, es=data.es, basis=data.basis[:n] if terms is None else None,
+            f_vals=data.f_vals, g_coeffs=data.g_coeffs[:n],
+        )
         es = EigenSystem(
             eigenvalues=data.es.eigenvalues[:n],  # a view, read-only as its base
-            evaluator=lambda ks, x: data.basis[ks - 1] if x is grid.points else data.es.evaluator(ks, x),
+            evaluator=lambda ks, x: rows.basis[ks - 1] if x is grid.points else data.es.evaluator(ks, x),
         )
         tables = _TABLES[key] = (data, es, gram, {})
     return tables
 
 
 def run_context(cfg: ExperimentConfig) -> RunContext:
-    """Grid, both eigensystems, the psi_k table, f, ||f||, g_k, the scoring form and the methods' bounds.
+    """Grid, both eigensystems, f, ||f||, g_k, the scoring form and the methods' bounds.
 
     The tables depend only on the signal, n_coeff, grid_size and n_max: calls
     that share them share one read-only copy (see _TABLES), so the arrays of

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .eigensystem import EigenSystem
+from .eigensystem import EigenSystem, _is_int_at_least
 from .synthesis import NoisyDataset, _record, csv_cells, write_table
 from .variational import RegularizedSolution, truncated_expansion
 
@@ -273,9 +273,9 @@ def _scan_lags(n_count: int, max_lag: int | None, significance: float) -> int:
     return min(max_lag, n_count - 1)
 
 
-def _is_int_at_least(value, least: int) -> bool:
-    """True for an integer (not a bool) >= least."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
+def _check_n0(n0) -> None:
+    if not _is_int_at_least(n0, 0):
+        raise ValueError(f"n0 must be an integer >= 0, got {n0!r}")
 
 
 def _check_significance(significance: float) -> None:
@@ -391,8 +391,7 @@ def build_Q(series: AutocorrSeries, n0: int, significance: float = SIGNIFICANCE)
     n0 is an integer >= 0 (not a bool); a ValueError names it otherwise.
     """
     _check_significance(significance)
-    if not _is_int_at_least(n0, 0):
-        raise ValueError(f"n0 must be an integer >= 0, got {n0!r}")
+    _check_n0(n0)
     if n0 == 0:
         return []
     lags = np.arange(1, n0 + 1)
@@ -469,6 +468,7 @@ class SelectionReport:
     significance: float = SIGNIFICANCE
 
     def __post_init__(self):
+        _check_n0(self.n0)
         _check_significance(self.significance)
 
     @property

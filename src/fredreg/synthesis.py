@@ -1,8 +1,11 @@
 """Test signals, forward data g = Af, and seeded noisy datasets.
 
 The data record handed to every regularizer is the coefficient sequence
-gbar_k = (gbar, psi_k), k = 1..N.  Noise is uniform on [-eps, eps] from a
-seeded PCG64 generator (numpy default_rng) and can be injected in two ways:
+gbar_k = (gbar, psi_k), k = 1..N.  The noiseless g_k = lam_k (f, psi_k) are
+exact for a sine combination on the sines psi_k = sqrt(2) sin(k pi x), and
+a Simpson projection through the psi_k table otherwise.  Noise is uniform
+on [-eps, eps] from a seeded PCG64 generator (numpy default_rng) and can be
+injected in two ways:
 
   * "coefficient" (default): gbar_k = g_k + u_k with i.i.d. u_k.  This is the
     model whose signal-to-noise ratios and selection behavior match the
@@ -18,12 +21,12 @@ seeded PCG64 generator (numpy default_rng) and can be injected in two ways:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .eigensystem import EigenSystem, QuadratureGrid, project_all
+from .eigensystem import EigenSystem, QuadratureGrid, _sine_evaluator, project_all
 
 __all__ = [
     "SignalSpec",
@@ -187,33 +190,91 @@ def forward_coeffs(
     return es.eigenvalues[:upto] * f_k
 
 
+class _TableOnFirstRead:
+    """A dataclass field whose None (its default) stands for a table built from the instance on first read.
+
+    Reading the field returns build(instance), made read-only and kept for
+    later reads; a table passed in is kept as given.
+    """
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.slot = f"_{name}"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the field's default
+        table = obj.__dict__.get(self.slot)
+        if table is None:
+            table = obj.__dict__[self.slot] = self.build(obj)
+            table.flags.writeable = False
+        return table
+
+    def __set__(self, obj, table):
+        obj.__dict__[self.slot] = table
+
+
 @dataclass(frozen=True)
 class SignalContext:
     """Seed-invariant half of the noise model gbar_k = g_k + u_k, g_k = lam_k f_k.
 
     Built once per signal, eigensystem, grid and record length n_coeff:
-    `basis` is the table psi_k(x_i) (row k-1, k = 1..n_coeff) and `g_coeffs`
-    the noiseless g_k.  Only the noise depends on the seed: `add_noise` draws it.
+    `g_coeffs` holds the noiseless g_k, and `basis` the table psi_k(x_i) (row
+    k-1, k = 1..n_coeff).  Left out, the table is tabulated on its first read
+    and read-only.  Only the noise depends on the seed: `add_noise` draws it.
     """
 
     grid: QuadratureGrid
     es: EigenSystem
-    basis: np.ndarray
-    f_vals: np.ndarray
-    g_coeffs: np.ndarray
+    basis: np.ndarray = _TableOnFirstRead(lambda ctx: ctx.es.basis_matrix(ctx.grid.points, ctx.g_coeffs.size))
+    f_vals: np.ndarray = field(kw_only=True)
+    g_coeffs: np.ndarray = field(kw_only=True)
 
     def __post_init__(self):
         n_coeff, points = self.g_coeffs.size, self.grid.size
-        if self.basis.shape != (n_coeff, points):
-            raise ValueError(f"basis table {self.basis.shape} must have {n_coeff} rows on {points} points")
+        given = vars(self)["_basis"]  # the table passed in, or None where it is left to the first read
+        if given is not None and given.shape != (n_coeff, points):
+            raise ValueError(f"basis table {given.shape} must have {n_coeff} rows on {points} points")
+
+
+def _closed_form_terms(signal: SignalSpec, es: EigenSystem) -> tuple[tuple[float, int], ...] | None:
+    """The (a_j, k_j) terms of signal where its f_k have a closed form on es's psi_k, else None.
+
+    That is a sine combination on the sines psi_k = sqrt(2) sin(k pi x).
+    """
+    return _sine_terms(signal) if es.evaluator is _sine_evaluator else None
+
+
+def _sine_coeffs(terms: tuple[tuple[float, int], ...], n: int) -> np.ndarray:
+    """f_k = (f, psi_k), k = 1..n, of f = sum_j a_j sin(k_j pi x) on psi_k = sqrt(2) sin(k pi x).
+
+    That is a_j / sqrt(2) at k = k_j and 0 elsewhere.
+    """
+    f_k = np.zeros(n)
+    for a, k in terms:
+        if k <= n:
+            f_k[k - 1] = a / np.sqrt(2.0)
+    return f_k
 
 
 def signal_context(
     signal: SignalSpec, es: EigenSystem, grid: QuadratureGrid, n_coeff: int
 ) -> SignalContext:
-    """Evaluate f, tabulate psi_k once, and apply the operator: g_k."""
-    basis = es.basis_matrix(grid.points, n_coeff)  # IndexError beyond es.count
+    """Evaluate f and apply the operator: g_k.
+
+    A sine combination on the sine eigenfunctions takes f_k in closed form and
+    leaves the psi_k table to its first read; any other signal or eigensystem
+    projects f on the grid through the table, tabulated here.
+    """
+    es._check_index(n_coeff)  # IndexError beyond es.count
+    terms = _closed_form_terms(signal, es)
     f_vals = evaluate_signal(signal, grid)
+    if terms is not None:
+        g_coeffs = es.eigenvalues[:n_coeff] * _sine_coeffs(terms, n_coeff)
+        return SignalContext(grid=grid, es=es, f_vals=f_vals, g_coeffs=g_coeffs)
+    basis = es.basis_matrix(grid.points, n_coeff)
     g_coeffs = es.eigenvalues[:n_coeff] * (basis @ (grid.weights * f_vals))
     return SignalContext(grid=grid, es=es, basis=basis, f_vals=f_vals, g_coeffs=g_coeffs)
 
@@ -228,11 +289,12 @@ def add_noise(
     grid Nyquist index), which is then projected.
     """
     noise_dispersion(epsilon)  # rejects an epsilon that is not finite and >= 0
-    g_coeffs, basis, grid = ctx.g_coeffs, ctx.basis, ctx.grid
+    g_coeffs, grid = ctx.g_coeffs, ctx.grid
     rng = np.random.default_rng(seed)
     if noise_mode == "coefficient":
         coeffs = g_coeffs + rng.uniform(-epsilon, epsilon, g_coeffs.size)
     elif noise_mode == "pointwise":
+        basis = ctx.basis
         upto = min(g_coeffs.size, grid.size - 2)
         g_bar = g_coeffs[:upto] @ basis[:upto] + rng.uniform(-epsilon, epsilon, grid.size)
         coeffs = basis @ (grid.weights * g_bar)

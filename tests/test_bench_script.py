@@ -103,3 +103,10 @@ def test_numeric_eigensystem_probe_times_and_measures_the_workload_set_up():
     root = Path(bench.__file__).resolve().parents[1]
     assert bench.wall_time(bench.WALL_PROBES["numeric_eigensystem_513"], root) > 0.0
     assert bench.peak_rss_mb(code, root) > 0.0
+
+
+def test_example3_probe_measures_a_sine_combination_run():
+    for name in ("example1", "example3"):
+        code = bench.RSS_PROBES[f"run_experiment_{name}_100"]
+        assert code.endswith(f'run_experiment(preset("{name}", seeds=range(100)))')
+    assert bench.peak_rss_mb(code, Path(bench.__file__).resolve().parents[1]) > 0.0

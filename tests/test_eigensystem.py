@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -300,6 +301,17 @@ class TestNumericEigensystem:
         with pytest.raises(EigenDecompositionError, match="smallest eigenvalue"):
             fr.numeric_eigensystem(rank_one, 20)
         assert solver_calls == ["eigh", "eigh"]
+
+    @pytest.mark.parametrize("n_max", [True, 2.0, np.float64(3.0), 0, 66])
+    def test_bad_n_max_named(self, n_max):
+        # True gave a 1-pair system; 2.0 and np.float64(3.0) raised a bare TypeError (slice indices)
+        kernel = fr.sample_kernel_matrix(fr.simpson_grid(65))
+        with pytest.raises(ValueError, match=re.escape(f"n_max must be an integer in 1..65, got {n_max!r}")):
+            fr.numeric_eigensystem(kernel, n_max)
+
+    def test_a_numpy_integer_n_max_is_accepted(self):
+        kernel = fr.sample_kernel_matrix(fr.simpson_grid(65))
+        assert fr.numeric_eigensystem(kernel, np.int64(3)).count == 3
 
     def test_matches_analytic_at_513(self, grid513):
         nes = fr.numeric_eigensystem(fr.sample_kernel_matrix(grid513), 3)

@@ -450,6 +450,20 @@ small_configs = st.builds(
 )
 
 
+@pytest.fixture
+def tables_built(monkeypatch):
+    """Every table EigenSystem.basis_matrix returns from here on, in call order."""
+    tables = []
+    basis_matrix = fr.EigenSystem.basis_matrix
+
+    def recorded(self, x, upto=None):
+        tables.append(basis_matrix(self, x, upto))
+        return tables[-1]
+
+    monkeypatch.setattr(fr.EigenSystem, "basis_matrix", recorded)
+    return tables
+
+
 class TestTableCache:
     """run_context shares one read-only copy of a signal's tables between calls."""
 
@@ -523,32 +537,65 @@ class TestTableCache:
         with pytest.raises(dataclasses.FrozenInstanceError):
             gram.r_sq = 0.0
 
-    def test_one_sine_table_per_grid(self):
-        cfg = preset("example3")
+    @pytest.mark.parametrize("name", ["example2", "example3"])
+    def test_a_sine_combination_run_tabulates_no_psi_k(self, name, tables_built):
+        harness._TABLES.clear()
+        records = fr.run_experiment(preset(name, seeds=(0, 1)))
+        assert all(sorted(rec.rel_l2) == sorted(fr.ALL_METHODS) for rec in records)
+        # g_k in closed form and scores in exact L^2: no psi_k row, no Gram matrix
+        ctx = fr.run_context(preset(name))
+        assert tables_built == [] and ctx._gram.gram is None and ctx._gram.h is None
+
+    def test_emission_tabulates_n_max_rows_once_per_table_cache_entry(self, tables_built, tmp_path):
+        harness._TABLES.clear()
+        runs = [preset("example3", seeds=(0, 1)), preset("example3", seeds=(2,)), preset("example2")]
+        for i, cfg in enumerate(runs):
+            fr.run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path / str(i))))
+        # the reconstruction basis's rows, once for example3's entry and once for example2's
+        assert [table.shape for table in tables_built] == [(64, 513), (64, 513)]
+        assert not any(table.flags.writeable for table in tables_built)
+
+    def test_pointwise_noise_tabulates_the_record_basis_on_first_read(self, tables_built):
+        harness._TABLES.clear()
+        cfg = dataclasses.replace(preset("example2", seeds=(0, 1)), noise_mode="pointwise")
         ctx = fr.run_context(cfg)
-        # the record's psi_k table is the only one: scoring reads its first n_max rows
-        assert [f.name for f in dataclasses.fields(ctx) if isinstance(getattr(ctx, f.name), np.ndarray)] == []
-        assert ctx.data.basis.shape == (cfg.n_coeff, ctx.data.grid.size)
-        assert ctx.es.count == cfg.n_max < cfg.n_coeff
+        assert tables_built == []
+        fr.run_experiment(cfg)
+        assert [table.shape for table in tables_built] == [(cfg.n_coeff, 513)]
+        assert ctx.data.basis is tables_built[0] and not ctx.data.basis.flags.writeable
+        fr.run_experiment(cfg)
+        assert len(tables_built) == 1
+
+    def test_a_sine_context_tabulates_its_basis_on_first_read(self, tables_built, es512, grid513):
+        ctx = fr.signal_context(fr.SignalSpec.named("f3"), es512, grid513, 256)
+        assert tables_built == []
+        table = ctx.basis
+        assert len(tables_built) == 1 and tables_built[0] is table is ctx.basis and not table.flags.writeable
+        assert table.tobytes() == es512.basis_matrix(grid513.points, 256).tobytes()
+        # a grid-form signal's table is the one g_k was projected through
+        grid_form = fr.signal_context(fr.SignalSpec.named("f1"), es512, grid513, 256)
+        assert grid_form.basis is tables_built[-1]
 
     @pytest.mark.parametrize("name", fr.PRESETS)
-    def test_reconstruction_basis_reads_the_table_on_the_grid(self, name, monkeypatch):
+    def test_reconstruction_basis_gathers_a_table_on_the_grid(self, name, monkeypatch):
+        harness._TABLES.clear()
         ctx = fr.run_context(preset(name))
         n, grid = ctx.es.count, ctx.data.grid
         exact = fr.analytic_eigensystem(n)
         assert ctx.es.eigenvalues.tobytes() == exact.eigenvalues.tobytes()
-        for x in (grid.points.copy(), grid.points[1:], np.linspace(0.0, 1.0, 100), np.array([0.3])):
+        for x in (grid.points, grid.points.copy(), grid.points[1:], np.linspace(0.0, 1.0, 100), np.array([0.3])):
             assert ctx.es.basis_matrix(x).tobytes() == exact.basis_matrix(x).tobytes()
         sol = fr.RegularizedSolution(indices=np.array([3, 1]), values=np.array([0.5, -2.0]), method="any")
         want = fr.reconstruct(sol.coeffs, exact, grid)
+        want_rows = exact.basis_matrix(grid.points)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a sine evaluated on the grid")
 
         monkeypatch.setattr(np, "sin", refuse)
         on_grid = ctx.es.basis_matrix(grid.points)
-        assert on_grid.tobytes() == ctx.data.basis[:n].tobytes()
-        assert not np.shares_memory(on_grid, ctx.data.basis)  # a gather: scoring scales its rows in place
+        on_grid[:] = 7.0  # a gather, a copy: scoring scales its rows in place
+        assert ctx.es.basis_matrix(grid.points).tobytes() == want_rows.tobytes()
         assert sol.to_grid(ctx.es, grid).tobytes() == want.tobytes()
 
 

@@ -391,6 +391,13 @@ class TestBuildSelection:
         with pytest.raises(ValueError, match=re.escape(f"significance must be finite and > 0, got {significance!r}")):
             fr.SelectionReport(n0=0, Q=[], pairs=[], series=series, significance=significance)
 
+    @pytest.mark.parametrize("n0", [True, -3, 2.5])
+    def test_report_refuses_a_bad_n0(self, n0):
+        # each built, and serialized its n0 as given
+        series = fr.autocorr_estimate(np.random.default_rng(0).normal(size=200), 10)
+        with pytest.raises(ValueError, match=re.escape(f"n0 must be an integer >= 0, got {n0!r}")):
+            fr.SelectionReport(n0=n0, Q=[], pairs=[], series=series)
+
     @pytest.mark.parametrize("significance", [True, np.True_])
     def test_a_bool_significance_is_refused(self, significance):
         g = np.random.default_rng(0).normal(size=64)

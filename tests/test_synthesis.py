@@ -110,10 +110,9 @@ class TestForwardApply:
 
 
 def precomputed(g, es, grid, n_coeff):
-    """A signal context for the record g on the grid: g_k by projection and the psi_k table."""
+    """A signal context for the record g on the grid: g_k by projection, the psi_k table on first read."""
     return fr.SignalContext(
-        grid=grid, es=es, basis=es.basis_matrix(grid.points, n_coeff), f_vals=np.zeros(grid.size),
-        g_coeffs=fr.project_all(g, es, grid, n_coeff),
+        grid=grid, es=es, f_vals=np.zeros(grid.size), g_coeffs=fr.project_all(g, es, grid, n_coeff),
     )
 
 
@@ -165,6 +164,25 @@ class TestSignalContext:
         ctx = fr.signal_context(fr.SignalSpec.named("f1"), es64, grid513, 40)
         assert [f.name for f in dataclasses.fields(ctx)] == ["grid", "es", "basis", "f_vals", "g_coeffs"]
         assert not hasattr(ctx, "draw")
+
+    def test_a_sine_combination_takes_closed_form_coefficients(self, es512, grid513):
+        ctx = fr.signal_context(fr.SignalSpec.sines([(5.0, 3), (-2.0, 40)]), es512, grid513, 32)
+        f_k = np.zeros(32)
+        f_k[2] = 5.0 / np.sqrt(2.0)
+        assert ctx.g_coeffs.tobytes() == (es512.eigenvalues[:32] * f_k).tobytes()
+
+    def test_other_eigensystems_project_on_the_grid(self):
+        grid = fr.simpson_grid(129)
+        nes = fr.numeric_eigensystem(fr.sample_kernel_matrix(grid), 12)
+        signal = fr.SignalSpec.named("f2")
+        ctx = fr.signal_context(signal, nes, grid, 12)
+        want = fr.forward_coeffs(fr.evaluate_signal(signal, grid), nes, grid, 12)
+        assert ctx.g_coeffs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["f1", "f2"])
+    def test_a_record_past_the_eigensystem_raises(self, es64, grid513, name):
+        with pytest.raises(IndexError, match="eigenpair index 65 outside 1..64"):
+            fr.signal_context(fr.SignalSpec.named(name), es64, grid513, 65)
 
     @pytest.mark.parametrize("rows, points", [(39, 513), (41, 513), (40, 129)])
     def test_mismatched_basis_rejected(self, es64, grid513, rows, points):
