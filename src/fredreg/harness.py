@@ -18,9 +18,9 @@ coefficients alone, with d = c - f_k:
     beyond 1).
 See _GramForm.  Only solutions.csv needs grid values: each method's to_grid
 on the context's reconstruction eigensystem, whose psi_k on the grid are
-rows of a psi_k table: the record's where g_k took one, else n_max rows
-tabulated by the first run that emits.
-The context's tables (grid, eigensystems, psi_k tables, f, g_k and the
+the first rows of the record's psi_k table, which a sine combination
+tabulates the first time a run emits.
+The context's tables (grid, eigensystems, psi_k table, f, g_k and the
 scoring form) depend only on the signal, n_coeff, grid_size and n_max, so repeated
 calls on one signal share them: a process-wide cache holds the tables of the
 last such key (one entry), its arrays are read-only, and it keeps them after
@@ -58,7 +58,6 @@ from .spectral import cumulative_profile, f0_approximation
 from .synthesis import (  # noqa: F401  synthesize_dataset stays importable from here
     SignalContext,
     SignalSpec,
-    _closed_form_terms,
     _sine_coeffs,
     add_noise,
     csv_cells,
@@ -152,8 +151,8 @@ class RunContext:
     """Seed-invariant half of a run, shared by its records; its arrays are read-only."""
 
     data: SignalContext  # grid, record eigensystem (k <= n_coeff), psi_k table (on first read), f, g_k
-    # reconstruction basis, k <= n_max (coefficients beyond it are noise-dominated): on grid.points its
-    # psi_k are rows of data.basis, or of its own n-row table for a sine combination; elsewhere data.es's
+    # reconstruction basis, k <= n_max (coefficients beyond it are noise-dominated):
+    # on grid.points its psi_k are the first rows of data.basis, elsewhere data.es's
     es: EigenSystem
     f_norm: float
     cs: ConstraintSpec  # the a priori bounds of the variational filters: E and the noise dispersion
@@ -339,8 +338,7 @@ class RunRecord:
 # emptied before a miss builds, so two entries never coexist, but the last
 # key's tables outlive the call: a psi_k table (n_coeff x grid_size, 8 bytes a
 # value) stays in memory until a call on another key replaces it.  A sine
-# combination builds one only when a read needs it: pointwise noise reads the
-# record's, and emission its reconstruction basis's n_max rows.
+# combination builds it only when a read needs it: pointwise noise or emission.
 _TABLES: dict = {}
 
 
@@ -362,25 +360,20 @@ def _seed_invariant_tables(cfg: ExperimentConfig) -> tuple[SignalContext, EigenS
             spec = SignalSpec.tabulated(np.array(spec.values))
         data = signal_context(spec, analytic_eigensystem(cfg.n_coeff), grid, cfg.n_coeff)
         n = min(cfg.n_max, cfg.n_coeff)
-        terms = _closed_form_terms(spec, data.es)
         frozen = [grid.points, grid.weights, data.es.eigenvalues, data.f_vals, data.g_coeffs]
-        if terms is None:
+        if data._exact_terms is None:
             gram = _GramForm.build(data.basis[:n], grid.weights, data.f_vals)
             frozen += [data.basis, gram.gram, gram.h]
         else:
-            gram = _GramForm.exact(terms, n)
+            gram = _GramForm.exact(data._exact_terms, n)
         for a in (*frozen, gram.f_k):
             a.flags.writeable = False
-        # psi_k depends on k and x alone, so on the grid's own points the reconstruction basis is a
-        # gather (a copy) of the rows of a table: the record's first n where g_k took it, else n rows
-        # tabulated on first read; anywhere else it is the record eigensystem's
-        rows = SignalContext(
-            grid=grid, es=data.es, basis=data.basis[:n] if terms is None else None,
-            f_vals=data.f_vals, g_coeffs=data.g_coeffs[:n],
-        )
+        # psi_k depends on k and x alone, so on the grid's own points the
+        # reconstruction basis is a gather (a copy) of the table's first rows;
+        # anywhere else it is the record eigensystem's, whose rows the table holds
         es = EigenSystem(
             eigenvalues=data.es.eigenvalues[:n],  # a view, read-only as its base
-            evaluator=lambda ks, x: rows.basis[ks - 1] if x is grid.points else data.es.evaluator(ks, x),
+            evaluator=lambda ks, x: data.basis[ks - 1] if x is grid.points else data.es.evaluator(ks, x),
         )
         tables = _TABLES[key] = (data, es, gram, {})
     return tables

@@ -191,7 +191,7 @@ def forward_coeffs(
 
 
 class _TableOnFirstRead:
-    """A dataclass field whose None (its default) stands for a table built from the instance on first read.
+    """A dataclass field's default that stands for a table built from the instance on first read.
 
     Reading the field returns build(instance), made read-only and kept for
     later reads; a table passed in is kept as given.
@@ -205,7 +205,7 @@ class _TableOnFirstRead:
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            return None  # the field's default
+            return self
         table = obj.__dict__.get(self.slot)
         if table is None:
             table = obj.__dict__[self.slot] = self.build(obj)
@@ -213,7 +213,7 @@ class _TableOnFirstRead:
         return table
 
     def __set__(self, obj, table):
-        obj.__dict__[self.slot] = table
+        obj.__dict__[self.slot] = None if table is self else table  # the default: built on first read
 
 
 @dataclass(frozen=True)
@@ -223,28 +223,26 @@ class SignalContext:
     Built once per signal, eigensystem, grid and record length n_coeff:
     `g_coeffs` holds the noiseless g_k, and `basis` the table psi_k(x_i) (row
     k-1, k = 1..n_coeff).  Left out, the table is tabulated on its first read
-    and read-only.  Only the noise depends on the seed: `add_noise` draws it.
+    and read-only; repr and == leave it out, so they do not build it.  Only
+    the noise depends on the seed: `add_noise` draws it.
     """
 
     grid: QuadratureGrid
     es: EigenSystem
-    basis: np.ndarray = _TableOnFirstRead(lambda ctx: ctx.es.basis_matrix(ctx.grid.points, ctx.g_coeffs.size))
+    basis: np.ndarray = field(
+        default=_TableOnFirstRead(lambda ctx: ctx.es.basis_matrix(ctx.grid.points, ctx.g_coeffs.size)),
+        repr=False, compare=False,
+    )
     f_vals: np.ndarray = field(kw_only=True)
     g_coeffs: np.ndarray = field(kw_only=True)
+    # the (a_j, k_j) of a sine combination whose g_k took the closed form, None where g_k were projected
+    _exact_terms: tuple[tuple[float, int], ...] | None = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
         n_coeff, points = self.g_coeffs.size, self.grid.size
         given = vars(self)["_basis"]  # the table passed in, or None where it is left to the first read
         if given is not None and given.shape != (n_coeff, points):
             raise ValueError(f"basis table {given.shape} must have {n_coeff} rows on {points} points")
-
-
-def _closed_form_terms(signal: SignalSpec, es: EigenSystem) -> tuple[tuple[float, int], ...] | None:
-    """The (a_j, k_j) terms of signal where its f_k have a closed form on es's psi_k, else None.
-
-    That is a sine combination on the sines psi_k = sqrt(2) sin(k pi x).
-    """
-    return _sine_terms(signal) if es.evaluator is _sine_evaluator else None
 
 
 def _sine_coeffs(terms: tuple[tuple[float, int], ...], n: int) -> np.ndarray:
@@ -269,11 +267,11 @@ def signal_context(
     projects f on the grid through the table, tabulated here.
     """
     es._check_index(n_coeff)  # IndexError beyond es.count
-    terms = _closed_form_terms(signal, es)
+    terms = _sine_terms(signal) if es.evaluator is _sine_evaluator else None
     f_vals = evaluate_signal(signal, grid)
     if terms is not None:
         g_coeffs = es.eigenvalues[:n_coeff] * _sine_coeffs(terms, n_coeff)
-        return SignalContext(grid=grid, es=es, f_vals=f_vals, g_coeffs=g_coeffs)
+        return SignalContext(grid=grid, es=es, f_vals=f_vals, g_coeffs=g_coeffs, _exact_terms=terms)
     basis = es.basis_matrix(grid.points, n_coeff)
     g_coeffs = es.eigenvalues[:n_coeff] * (basis @ (grid.weights * f_vals))
     return SignalContext(grid=grid, es=es, basis=basis, f_vals=f_vals, g_coeffs=g_coeffs)

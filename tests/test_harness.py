@@ -546,16 +546,18 @@ class TestTableCache:
         ctx = fr.run_context(preset(name))
         assert tables_built == [] and ctx._gram.gram is None and ctx._gram.h is None
 
-    def test_emission_tabulates_n_max_rows_once_per_table_cache_entry(self, tables_built, tmp_path):
+    def test_emission_tabulates_the_record_basis_once_per_table_cache_entry(self, tables_built, tmp_path):
         harness._TABLES.clear()
         runs = [preset("example3", seeds=(0, 1)), preset("example3", seeds=(2,)), preset("example2")]
         for i, cfg in enumerate(runs):
             fr.run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path / str(i))))
-        # the reconstruction basis's rows, once for example3's entry and once for example2's
-        assert [table.shape for table in tables_built] == [(64, 513), (64, 513)]
+        # the reconstruction basis gathers its rows from the record's table: once for example3's entry and
+        # once for example2's
+        assert [table.shape for table in tables_built] == [(1024, 513), (512, 513)]
+        assert fr.run_context(runs[-1]).data.basis is tables_built[-1]
         assert not any(table.flags.writeable for table in tables_built)
 
-    def test_pointwise_noise_tabulates_the_record_basis_on_first_read(self, tables_built):
+    def test_pointwise_noise_tabulates_the_record_basis_on_first_read(self, tables_built, tmp_path):
         harness._TABLES.clear()
         cfg = dataclasses.replace(preset("example2", seeds=(0, 1)), noise_mode="pointwise")
         ctx = fr.run_context(cfg)
@@ -563,11 +565,13 @@ class TestTableCache:
         fr.run_experiment(cfg)
         assert [table.shape for table in tables_built] == [(cfg.n_coeff, 513)]
         assert ctx.data.basis is tables_built[0] and not ctx.data.basis.flags.writeable
-        fr.run_experiment(cfg)
+        # emission reads the same table
+        fr.run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path)))
         assert len(tables_built) == 1
 
     def test_a_sine_context_tabulates_its_basis_on_first_read(self, tables_built, es512, grid513):
         ctx = fr.signal_context(fr.SignalSpec.named("f3"), es512, grid513, 256)
+        assert "basis" not in repr(ctx) and ctx == ctx  # repr and == leave the table out
         assert tables_built == []
         table = ctx.basis
         assert len(tables_built) == 1 and tables_built[0] is table is ctx.basis and not table.flags.writeable

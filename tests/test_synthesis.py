@@ -162,14 +162,16 @@ class TestAddNoise:
 class TestSignalContext:
     def test_fields_are_the_seed_invariant_tables(self, es64, grid513):
         ctx = fr.signal_context(fr.SignalSpec.named("f1"), es64, grid513, 40)
-        assert [f.name for f in dataclasses.fields(ctx)] == ["grid", "es", "basis", "f_vals", "g_coeffs"]
-        assert not hasattr(ctx, "draw")
+        fields = ["grid", "es", "basis", "f_vals", "g_coeffs", "_exact_terms"]
+        assert [f.name for f in dataclasses.fields(ctx)] == fields
+        assert not hasattr(ctx, "draw") and ctx._exact_terms is None
 
     def test_a_sine_combination_takes_closed_form_coefficients(self, es512, grid513):
         ctx = fr.signal_context(fr.SignalSpec.sines([(5.0, 3), (-2.0, 40)]), es512, grid513, 32)
         f_k = np.zeros(32)
         f_k[2] = 5.0 / np.sqrt(2.0)
         assert ctx.g_coeffs.tobytes() == (es512.eigenvalues[:32] * f_k).tobytes()
+        assert ctx._exact_terms == ((5.0, 3), (-2.0, 40))  # the terms the scores are taken from
 
     def test_other_eigensystems_project_on_the_grid(self):
         grid = fr.simpson_grid(129)
@@ -177,7 +179,7 @@ class TestSignalContext:
         signal = fr.SignalSpec.named("f2")
         ctx = fr.signal_context(signal, nes, grid, 12)
         want = fr.forward_coeffs(fr.evaluate_signal(signal, grid), nes, grid, 12)
-        assert ctx.g_coeffs.tobytes() == want.tobytes()
+        assert ctx.g_coeffs.tobytes() == want.tobytes() and ctx._exact_terms is None
 
     @pytest.mark.parametrize("name", ["f1", "f2"])
     def test_a_record_past_the_eigensystem_raises(self, es64, grid513, name):
