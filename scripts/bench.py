@@ -27,7 +27,9 @@ The file holds, for the checkout under --root (default: this repository):
 - the peak RSS (`ru_maxrss`) of fresh processes that each run `import
   fredreg`, that 513-point numeric eigensystem,
   `run_experiment(preset("example1", seeds=range(n)))` in process, for n in
-  100 and 3000, or `run_experiment(preset("example3", seeds=range(100)))`;
+  100 and 3000, or `run_experiment(preset("example3", seeds=range(100)))`,
+  and which optional heavy modules each loaded: hashlib, numpy.fft,
+  numpy.random, scipy and its public subpackages;
 - the autocorrelation window estimator, in one fresh process: for uniform
   noise records of N in 32, 64, 512, 1024, 4096 and 16384, and for each
   preset's noisy records, all from fixed seeds, the median microseconds of
@@ -88,6 +90,8 @@ RSS_PROBES = {
     **{f"run_experiment_example1_{n}": RUN_PRESET.format(name="example1", n=n) for n in (100, 3000)},
     "run_experiment_example3_100": RUN_PRESET.format(name="example3", n=100),
 }
+# optional modules an RSS probe reports when its process loaded them (scipy's public subpackages as well)
+HEAVY_MODULES = {"hashlib", "numpy.fft", "numpy.random", "scipy"}
 CLI = [sys.executable, "-m", "fredreg.cli", "run", "--seeds", "100", "--preset"]
 # wall key -> the argv of a fresh process, run from the checkout's root; "{tmp}" is a fresh directory
 WALL_PROBES = {
@@ -138,12 +142,19 @@ def perfbench(root: Path, workload: str, seconds: float, trace: int) -> tuple[di
     return workloads, out.returncode
 
 
-def peak_rss_mb(code: str, root: Path) -> float:
-    """Peak RSS in MB (ru_maxrss / 1024, as perfbench reads it) of a fresh process running code."""
+def heavy_modules(names) -> list[str]:
+    """The optional heavy modules among names: those of HEAVY_MODULES, and scipy and its public subpackages."""
+    return sorted(m for m in names if m in HEAVY_MODULES or re.fullmatch(r"scipy(\.[a-z]\w*)?", m))
+
+
+def rss_probe(code: str, root: Path) -> tuple[float, list[str]]:
+    """Peak RSS in MB (ru_maxrss / 1024, as perfbench reads it) and heavy_modules of a fresh process running code."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    report = "import resource\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)"
+    report = "import resource, sys\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, *sys.modules)"
     argv = [sys.executable, "-c", f"{code}\n{report}"]
-    return float(subprocess.run(argv, cwd=root, env=env, stdout=subprocess.PIPE, text=True, check=True).stdout)
+    out = subprocess.run(argv, cwd=root, env=env, stdout=subprocess.PIPE, text=True, check=True).stdout
+    mb, *names = out.splitlines()[-1].split()
+    return float(mb), heavy_modules(names)
 
 
 def wall_time(argv: list[str], root: Path, inspect=None):
@@ -280,16 +291,10 @@ class Alternation:
         return out
 
 
-def repeated(probe, each: Alternation, repeats: int) -> list[tuple[float, list[float]]]:
-    """Per checkout: the median and every value of `repeats` alternated calls of probe(root)."""
-    runs = list(zip(*(each(probe) for _ in range(repeats))))
-    return [(statistics.median(r), list(r)) for r in runs]
-
-
 def wall_times(argv: list[str], each: Alternation, repeats: int) -> list[dict]:
     """Per checkout: the median and every run of `repeats` fresh processes."""
-    runs = repeated(lambda root: wall_time(argv, root), each, repeats)
-    return [{"command": " ".join(argv[1:]), "median_s": median, "runs_s": r} for median, r in runs]
+    runs = zip(*(each(lambda root: wall_time(argv, root)) for _ in range(repeats)))
+    return [{"command": " ".join(argv[1:]), "median_s": statistics.median(r), "runs_s": list(r)} for r in runs]
 
 
 def emission_times(argv: list[str], each: Alternation, repeats: int) -> list[dict]:
@@ -306,9 +311,13 @@ def emission_times(argv: list[str], each: Alternation, repeats: int) -> list[dic
 
 
 def peak_rss(code: str, each: Alternation, repeats: int) -> list[dict]:
-    """Per checkout: the median and every peak RSS of `repeats` fresh processes running code."""
-    runs = repeated(lambda root: peak_rss_mb(code, root), each, repeats)
-    return [{"code": code, "median_mb": median, "runs_mb": r} for median, r in runs]
+    """Per checkout: the median and every peak RSS of `repeats` fresh processes running code, and what they loaded."""
+    out = []
+    for runs in zip(*(each(lambda root: rss_probe(code, root)) for _ in range(repeats))):
+        mbs = [mb for mb, _ in runs]
+        out.append({"code": code, "median_mb": statistics.median(mbs), "runs_mb": mbs,
+                    "heavy_modules": sorted({m for _, loaded in runs for m in loaded})})
+    return out
 
 
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,

@@ -88,10 +88,15 @@ class QuadratureGrid:
         return math.ldexp(float(np.sqrt(np.sum(self.weights * np.ldexp(f, -exp) ** 2))), exp)
 
 
+def _is_int_at_least(value, least: int) -> bool:
+    """True for an integer (not a bool) >= least."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
+
+
 def simpson_grid(n: int = DEFAULT_GRID_SIZE, a: float = 0.0, b: float = 1.0) -> QuadratureGrid:
-    """Composite Simpson rule on a uniform grid; n must be odd and >= 3."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"composite Simpson needs an odd point count >= 3, got {n}")
+    """Composite Simpson rule on a uniform grid; n must be an odd integer >= 3."""
+    if not _is_int_at_least(n, 3) or n % 2 == 0:
+        raise ValueError(f"n must be an odd integer >= 3 for composite Simpson, got {n!r}")
     pts = np.linspace(a, b, n)
     h = (b - a) / (n - 1)
     w = np.full(n, 2.0)
@@ -169,14 +174,10 @@ def sample_kernel_matrix(grid: QuadratureGrid) -> TabulatedKernel:
     x = grid.points
     if x[0] < 0.0 or x[-1] > 1.0:
         raise ValueError(f"sample kernel is defined on [0, 1]; grid spans [{x[0]}, {x[-1]}]")
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    vals = np.where(Y <= X, (1.0 - X) * Y, X * (1.0 - Y))
+    # both branches are (1 - max(x, y)) min(x, y): two outer products, no meshgrid or np.where temporaries
+    vals = np.subtract(1.0, np.maximum.outer(x, x))
+    vals *= np.minimum.outer(x, x)
     return TabulatedKernel(values=vals, grid=grid)
-
-
-def _is_int_at_least(value, least: int) -> bool:
-    """True for an integer (not a bool) >= least."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
 
 
 def _sine_evaluator(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -186,8 +187,8 @@ def _sine_evaluator(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def analytic_eigensystem(n_max: int = DEFAULT_N_MAX) -> EigenSystem:
     """Closed-form eigensystem of the sample kernel: lam_k = 1/(k pi)^2."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    if not _is_int_at_least(n_max, 1):
+        raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
     ks = np.arange(1, n_max + 1)
     return EigenSystem(
         eigenvalues=1.0 / (ks * np.pi) ** 2,

@@ -38,11 +38,13 @@ records' run wrote, writes the first seed's checked bytes to the top level
 and writes the JSON files.  The x and f_true cells of solutions.csv are
 formatted once per table-cache entry, by the first run on it that emits.
 Outputs are plain CSV/JSON and byte-deterministic for a fixed config.
+hashlib loads on the first digest (_sha256: config_hash and the seed files'
+sha256), not on import; a run that draws noise loads it anyway, through
+numpy.random.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from collections import Counter
@@ -52,7 +54,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .eigensystem import DEFAULT_GRID_SIZE, DEFAULT_N_MAX, EigenSystem, analytic_eigensystem, simpson_grid
+from .eigensystem import (
+    DEFAULT_GRID_SIZE, DEFAULT_N_MAX, EigenSystem, _is_int_at_least, analytic_eigensystem, simpson_grid,
+)
 from .selection import SelectionReport, build_selection, reconstruct_bhat
 from .spectral import cumulative_profile, f0_approximation
 from .synthesis import (  # noqa: F401  synthesize_dataset stays importable from here
@@ -212,10 +216,13 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be None or finite and > 0, got {value}")
-        if self.grid_size < 65 or self.grid_size % 2 == 0:
-            raise ValueError("grid_size must be odd and >= 65")
-        if self.n_coeff < 1 or self.n_max < 1:
-            raise ValueError("n_coeff and n_max must be >= 1")
+        for name, least in (("grid_size", 65), ("n_coeff", 1), ("n_max", 1)):
+            value = getattr(self, name)
+            if not _is_int_at_least(value, least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))  # an np.int64 serializes, and hashes, as the int
+        if self.grid_size % 2 == 0:
+            raise ValueError(f"grid_size must be odd, got {self.grid_size}")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
         for seed in self.seeds:
@@ -266,13 +273,10 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown ExperimentConfig keys {unknown}")
         # JSON gives lists and may give ints for floats: normalize the types
-        # that the config hash sees
+        # that the config hash sees (integer fields are checked, not converted)
         convert = {
             "signal": SignalSpec.from_json_dict,
             "epsilon": float,
-            "n_coeff": int,
-            "grid_size": int,
-            "n_max": int,
             "seeds": tuple,
             "methods": tuple,
         }
@@ -420,6 +424,8 @@ def run_context(cfg: ExperimentConfig) -> RunContext:
 
 
 def _sha256(data: bytes) -> str:
+    import hashlib  # here, not at module level: loading it maps OpenSSL's libcrypto into every process
+
     return hashlib.sha256(data).hexdigest()
 
 

@@ -31,6 +31,8 @@ from running sums of the record centered once, and one inner product per
 lag.  A lag whose estimated rounding error exceeds 64 N u (u = 2**-53), or
 whose window has no spread, comes from the per-lag loop (_lag_delta), which
 centers each window by its own mean; that loop is also the test oracle.
+Only autocorr.csv reads the lags past the window, from one FFT
+(_every_lag), so numpy.fft loads there, on the first record written.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.fft import irfft, rfft
 
 from .eigensystem import EigenSystem, _is_int_at_least
 from .synthesis import NoisyDataset, _record, csv_cells, write_table
@@ -229,6 +230,8 @@ def _every_lag(coeffs: np.ndarray, head: np.ndarray) -> np.ndarray:
     h = g.astype(np.longdouble)
     h -= np.add.reduce(h) / n_count
     s, q, c = _centered_sums(h, m)
+    from numpy.fft import irfft, rfft  # loaded on first use, as the module docstring says
+
     size = 1 << (2 * n_count - 2).bit_length()  # >= 2N - 1: no lag wraps around
     spectrum = rfft(h, size)
     sxy = irfft(spectrum.real**2 + spectrum.imag**2, size)[first:n_count]

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .eigensystem import EigenSystem, QuadratureGrid, _sine_evaluator, project_all
+from .eigensystem import EigenSystem, QuadratureGrid, _is_int_at_least, _sine_evaluator, project_all
 
 __all__ = [
     "SignalSpec",
@@ -86,11 +86,14 @@ class SignalSpec:
         elif self.kind == "sine-combination":
             if not self.terms:
                 raise ValueError("sine-combination needs at least one (amplitude, index) term")
+            for _, k in self.terms:
+                if not _is_int_at_least(k, 1):
+                    raise ValueError(f"sine index {k!r} is not an integer >= 1")
             terms = tuple((float(a), int(k)) for a, k in self.terms)
             object.__setattr__(self, "terms", terms)
             ks = [k for _, k in terms]
-            if any(k < 1 for k in ks) or len(set(ks)) != len(ks):
-                raise ValueError("sine indices must be distinct integers >= 1")
+            if len(set(ks)) != len(ks):
+                raise ValueError(f"sine indices must be distinct, got {ks}")
             if not all(np.isfinite(a) for a, _ in terms):
                 raise ValueError("sine amplitudes must be finite")
         elif self.kind == "grid-tabulated":
@@ -135,7 +138,7 @@ class SignalSpec:
         if kind == "named-example":
             return SignalSpec.named(d["name"])
         if kind == "sine-combination":
-            return SignalSpec.sines([(float(a), int(k)) for a, k in d["terms"]])
+            return SignalSpec.sines([(a, k) for a, k in d["terms"]])
         return SignalSpec.tabulated(np.asarray(d["values"], dtype=float))
 
 

@@ -1,4 +1,7 @@
-"""scripts/bench.py counts src/ code lines as the simplicity tally reads them, names failing tests and runs its probes."""
+"""scripts/bench.py counts src/ code lines as the simplicity tally reads them, names failing tests and runs its probes.
+
+Each RSS probe also reports the optional heavy modules its process loaded.
+"""
 
 import importlib.util
 import math
@@ -102,11 +105,21 @@ def test_numeric_eigensystem_probe_times_and_measures_the_workload_set_up():
     assert "simpson_grid(513)), 64)" in code
     root = Path(bench.__file__).resolve().parents[1]
     assert bench.wall_time(bench.WALL_PROBES["numeric_eigensystem_513"], root) > 0.0
-    assert bench.peak_rss_mb(code, root) > 0.0
+    mb, loaded = bench.rss_probe(code, root)
+    assert mb > 0.0 and loaded == []
 
 
 def test_example3_probe_measures_a_sine_combination_run():
     for name in ("example1", "example3"):
         code = bench.RSS_PROBES[f"run_experiment_{name}_100"]
         assert code.endswith(f'run_experiment(preset("{name}", seeds=range(100)))')
-    assert bench.peak_rss_mb(code, Path(bench.__file__).resolve().parents[1]) > 0.0
+    mb, loaded = bench.rss_probe(code, Path(bench.__file__).resolve().parents[1])
+    # the noise draws load numpy.random, which loads hashlib; without --out no autocorr.csv tail needs numpy.fft
+    assert mb > 0.0 and loaded == ["hashlib", "numpy.random"]
+
+
+def test_heavy_modules_are_the_listed_ones_and_scipy_public_subpackages():
+    names = ["sys", "hashlib", "_hashlib", "numpy", "numpy.fft", "numpy.fft._pocketfft", "numpy.random",
+             "scipy", "scipy.sparse", "scipy.sparse.linalg", "scipy._lib", "scipy.special", "scipyx"]
+    assert bench.heavy_modules(names) == [
+        "hashlib", "numpy.fft", "numpy.random", "scipy", "scipy.sparse", "scipy.special"]

@@ -28,6 +28,8 @@ identity is exact algebra but rounds differently.  A sine combination's
 closed-form f_k and exact L2 scores are checked against the Simpson
 projection and the grid norms where Simpson leaves the rows orthonormal: f_k
 within 1e-13 of the largest |f_k|, squared scores within SCORE_TOL.
+sample_kernel_matrix, (1 - max(x, y)) min(x, y) from two outer products, is
+checked against the former meshgrid and np.where formula, to the byte.
 The Nystrom basis on its own nodes, a gather of its table's rows, is checked
 against the per-row np.interp path, and every expansion sum (one ordered
 reduce) against the term-by-term loop, both to the byte.  autocorr.csv's
@@ -145,6 +147,25 @@ class TestBasisTable:
         assert fr.reconstruct([(3, 0.5), (1, -2.0)], es, grid).tobytes() == want_sum.tobytes()
         with pytest.raises(AssertionError, match="np.interp called"):
             es.basis_matrix(grid.points[:-1])  # off the nodes it interpolates
+
+
+def former_sample_kernel(x):
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    return np.where(Y <= X, (1.0 - X) * Y, X * (1.0 - Y))
+
+
+class TestSampleKernel:
+    @SETTINGS
+    @given(
+        n=st.integers(1, 512).map(lambda i: 2 * i + 1),
+        ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(lambda ab: abs(ab[0] - ab[1]) > 1e-3),
+        whole=st.booleans(),
+    )
+    @example(n=1025, ends=(0.0, 1.0), whole=True)
+    def test_matches_the_meshgrid_formula(self, n, ends, whole):
+        grid = fr.simpson_grid(n) if whole else fr.simpson_grid(n, *sorted(ends))
+        want = former_sample_kernel(grid.points)
+        assert np.array_equal(fr.sample_kernel_matrix(grid).values.view(np.uint64), want.view(np.uint64))
 
 
 def sequential_sum(coeffs, row, size):

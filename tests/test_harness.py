@@ -120,6 +120,59 @@ class TestExperimentConfig:
         b = preset("example1", output_dir="/tmp/b")
         assert config_hash(a) == config_hash(b)
 
+def _config(**integers):
+    kwargs = {"n_coeff": 128, "grid_size": 129, **integers}
+    return ExperimentConfig(signal=fr.SignalSpec.named("f2"), epsilon=1e-3, **kwargs)
+
+
+def _json_config(**integers):
+    return ExperimentConfig.from_json_dict({**_config().to_json_dict(), **integers})
+
+
+def _fingerprint(built):
+    """What a build yields, comparable across the int and the np.int64 it was given."""
+    if isinstance(built, ExperimentConfig):
+        return config_hash(built)
+    if isinstance(built, fr.SignalSpec):
+        return json.dumps(built.to_json_dict())
+    if isinstance(built, fr.EigenSystem):
+        return built.eigenvalues.tobytes()
+    return built.points.tobytes() + built.weights.tobytes()
+
+
+# (build from one integer argument, the pattern its ValueError must match to name that argument)
+INTEGER_ARGUMENTS = {
+    "analytic_eigensystem(n_max)": (fr.analytic_eigensystem, r"^n_max must"),
+    "simpson_grid(n)": (fr.simpson_grid, r"^n must"),
+    "ExperimentConfig(n_coeff)": (lambda v: _config(n_coeff=v), r"^n_coeff must"),
+    "ExperimentConfig(n_max)": (lambda v: _config(n_max=v), r"^n_max must"),
+    "ExperimentConfig(grid_size)": (lambda v: _config(grid_size=v), r"^grid_size must"),
+    "ExperimentConfig.from_json_dict(n_coeff)": (lambda v: _json_config(n_coeff=v), r"^n_coeff must"),
+    "ExperimentConfig.from_json_dict(n_max)": (lambda v: _json_config(n_max=v), r"^n_max must"),
+    "ExperimentConfig.from_json_dict(grid_size)": (lambda v: _json_config(grid_size=v), r"^grid_size must"),
+    "SignalSpec.sines(index)": (lambda v: fr.SignalSpec.sines([(1.0, 2), (0.5, v)]), r"^sine index"),
+    "SignalSpec.from_json_dict(index)": (
+        lambda v: fr.SignalSpec.from_json_dict({"kind": "sine-combination", "terms": [[1.0, 2], [0.5, v]]}),
+        r"^sine index",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5, np.float64(3.0), 64.5, 0, -1], ids=repr)
+@pytest.mark.parametrize("case", INTEGER_ARGUMENTS)
+def test_integer_arguments_refuse_bools_floats_and_small_values(case, value):
+    # analytic_eigensystem(True) gave 1 pair and (2.5) 3; from_json_dict read 64.5 as 64; sines read 2.7 as 2
+    build, names = INTEGER_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=names):
+        build(value)
+
+
+@pytest.mark.parametrize("case", INTEGER_ARGUMENTS)
+def test_numpy_integer_arguments_build_what_ints_build(case):
+    build, _ = INTEGER_ARGUMENTS[case]
+    assert _fingerprint(build(np.int64(65))) == _fingerprint(build(65))
+
+
 
 @pytest.fixture(scope="module")
 def example1_records():
