@@ -151,7 +151,10 @@ def rss_probe(code: str, root: Path) -> tuple[float, list[str]]:
     """Peak RSS in MB (ru_maxrss / 1024, as perfbench reads it) and heavy_modules of a fresh process running code."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     report = "import resource, sys\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, *sys.modules)"
-    argv = [sys.executable, "-c", f"{code}\n{report}"]
+    # ru_maxrss survives exec and starts a spawned process at its spawner's RSS, which for this script
+    # exceeds a bare `import fredreg`; sh forks the probe (a command that is not its last is not exec'd),
+    # so the floor is sh's few MB
+    argv = ["sh", "-c", '"$@"; exit $?', "sh", sys.executable, "-c", f"{code}\n{report}"]
     out = subprocess.run(argv, cwd=root, env=env, stdout=subprocess.PIPE, text=True, check=True).stdout
     mb, *names = out.splitlines()[-1].split()
     return float(mb), heavy_modules(names)

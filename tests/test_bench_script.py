@@ -118,6 +118,13 @@ def test_example3_probe_measures_a_sine_combination_run():
     assert mb > 0.0 and loaded == ["hashlib", "numpy.random"]
 
 
+def test_an_rss_probe_reads_its_own_peak_not_the_spawners():
+    ballast = bytearray(64 << 20)
+    ballast[::4096] = b"x" * len(ballast[::4096])  # touch every page: this process's RSS is now > 64 MB
+    mb, loaded = bench.rss_probe("", Path(bench.__file__).resolve().parents[1])
+    assert mb < 48.0 and loaded == []
+
+
 def test_heavy_modules_are_the_listed_ones_and_scipy_public_subpackages():
     names = ["sys", "hashlib", "_hashlib", "numpy", "numpy.fft", "numpy.fft._pocketfft", "numpy.random",
              "scipy", "scipy.sparse", "scipy.sparse.linalg", "scipy._lib", "scipy.special", "scipyx"]
