@@ -29,7 +29,8 @@ The file holds, for the checkout under --root (default: this repository):
   `run_experiment(preset("example1", seeds=range(n)))` in process, for n in
   100 and 3000, or `run_experiment(preset("example3", seeds=range(100)))`,
   and which optional heavy modules each loaded: hashlib, numpy.fft,
-  numpy.random, scipy and its public subpackages;
+  numpy.random, scipy and its public subpackages (each probe runs under
+  sh, which forks it, so its peak is not this script's);
 - the autocorrelation window estimator, in one fresh process: for uniform
   noise records of N in 32, 64, 512, 1024, 4096 and 16384, and for each
   preset's noisy records, all from fixed seeds, the median microseconds of
@@ -90,8 +91,8 @@ RSS_PROBES = {
     **{f"run_experiment_example1_{n}": RUN_PRESET.format(name="example1", n=n) for n in (100, 3000)},
     "run_experiment_example3_100": RUN_PRESET.format(name="example3", n=100),
 }
-# optional modules an RSS probe reports when its process loaded them (scipy's public subpackages as well)
-HEAVY_MODULES = {"hashlib", "numpy.fft", "numpy.random", "scipy"}
+# optional modules an RSS probe reports when its process loaded them, beside scipy and its public subpackages
+HEAVY_MODULES = {"hashlib", "numpy.fft", "numpy.random"}
 CLI = [sys.executable, "-m", "fredreg.cli", "run", "--seeds", "100", "--preset"]
 # wall key -> the argv of a fresh process, run from the checkout's root; "{tmp}" is a fresh directory
 WALL_PROBES = {

@@ -88,11 +88,6 @@ class QuadratureGrid:
         return math.ldexp(float(np.sqrt(np.sum(self.weights * np.ldexp(f, -exp) ** 2))), exp)
 
 
-def _is_int_at_least(value, least: int) -> bool:
-    """True for an integer (not a bool) >= least."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
-
-
 def simpson_grid(n: int = DEFAULT_GRID_SIZE, a: float = 0.0, b: float = 1.0) -> QuadratureGrid:
     """Composite Simpson rule on a uniform grid; n must be an odd integer >= 3."""
     if not _is_int_at_least(n, 3) or n % 2 == 0:
@@ -174,10 +169,15 @@ def sample_kernel_matrix(grid: QuadratureGrid) -> TabulatedKernel:
     x = grid.points
     if x[0] < 0.0 or x[-1] > 1.0:
         raise ValueError(f"sample kernel is defined on [0, 1]; grid spans [{x[0]}, {x[-1]}]")
-    # both branches are (1 - max(x, y)) min(x, y): two outer products, no meshgrid or np.where temporaries
+    # both branches are (1 - max(x, y)) min(x, y); two outer products keep one n x n temporary alive at a time
     vals = np.subtract(1.0, np.maximum.outer(x, x))
     vals *= np.minimum.outer(x, x)
     return TabulatedKernel(values=vals, grid=grid)
+
+
+def _is_int_at_least(value, least: int) -> bool:
+    """True for an integer (not a bool) >= least."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
 
 
 def _sine_evaluator(ks: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -120,6 +120,7 @@ class TestExperimentConfig:
         b = preset("example1", output_dir="/tmp/b")
         assert config_hash(a) == config_hash(b)
 
+
 def _config(**integers):
     kwargs = {"n_coeff": 128, "grid_size": 129, **integers}
     return ExperimentConfig(signal=fr.SignalSpec.named("f2"), epsilon=1e-3, **kwargs)
@@ -171,7 +172,6 @@ def test_integer_arguments_refuse_bools_floats_and_small_values(case, value):
 def test_numpy_integer_arguments_build_what_ints_build(case):
     build, _ = INTEGER_ARGUMENTS[case]
     assert _fingerprint(build(np.int64(65))) == _fingerprint(build(65))
-
 
 
 @pytest.fixture(scope="module")
