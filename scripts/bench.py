@@ -27,10 +27,12 @@ The file holds, for the checkout under --root (default: this repository):
 - the peak RSS (`ru_maxrss`) of fresh processes that each run `import
   fredreg`, that 513-point numeric eigensystem,
   `run_experiment(preset("example1", seeds=range(n)))` in process, for n in
-  100 and 3000, or `run_experiment(preset("example3", seeds=range(100)))`,
-  and which optional heavy modules each loaded: hashlib, numpy.fft,
-  numpy.random, scipy and its public subpackages (each probe runs under
-  sh, which forks it, so its peak is not this script's);
+  100 and 3000, `run_experiment(preset("example3", seeds=range(100)))`,
+  `fredreg.cli.main` for `run --preset example1 --seeds 100 --out` a fresh
+  directory, or `run_experiment` of f1 with n_coeff 2048 on a 4097-point
+  grid for 5 seeds, and which optional heavy modules each loaded: hashlib,
+  numpy.fft, numpy.ma, numpy.random, scipy and its public subpackages (each
+  probe runs under sh, which forks it, so its peak is not this script's);
 - the autocorrelation window estimator, in one fresh process: for uniform
   noise records of N in 32, 64, 512, 1024, 4096 and 16384, and for each
   preset's noisy records, all from fixed seeds, the median microseconds of
@@ -84,15 +86,25 @@ RUN_PRESET = """from fredreg.harness import preset, run_experiment
 run_experiment(preset("{name}", seeds=range({n})))"""
 NUMERIC_513 = """import fredreg as fr
 fr.numeric_eigensystem(fr.sample_kernel_matrix(fr.simpson_grid(513)), 64)"""
+RUN_EXAMPLE1_OUT = """import tempfile
+from fredreg.cli import main
+with tempfile.TemporaryDirectory() as out:
+    main(["run", "--preset", "example1", "--seeds", "100", "--out", out])"""
+# a record long enough that its n_coeff x grid_size psi_k table (67 MB) outweighs the rest of the run
+RUN_F1_2048_4097 = """import fredreg as fr
+cfg = fr.ExperimentConfig(signal=fr.SignalSpec.named("f1"), epsilon=1e-4, n_coeff=2048, grid_size=4097, seeds=range(5))
+fr.run_experiment(cfg)"""
 # rss key -> the code a fresh process runs before it prints its own peak RSS
 RSS_PROBES = {
     "import_fredreg": "import fredreg",
     "numeric_eigensystem_513": NUMERIC_513,
     **{f"run_experiment_example1_{n}": RUN_PRESET.format(name="example1", n=n) for n in (100, 3000)},
     "run_experiment_example3_100": RUN_PRESET.format(name="example3", n=100),
+    "run_example1_out_100": RUN_EXAMPLE1_OUT,
+    "run_experiment_f1_2048_4097": RUN_F1_2048_4097,
 }
 # optional modules an RSS probe reports when its process loaded them, beside scipy and its public subpackages
-HEAVY_MODULES = {"hashlib", "numpy.fft", "numpy.random"}
+HEAVY_MODULES = {"hashlib", "numpy.fft", "numpy.ma", "numpy.random"}
 CLI = [sys.executable, "-m", "fredreg.cli", "run", "--seeds", "100", "--preset"]
 # wall key -> the argv of a fresh process, run from the checkout's root; "{tmp}" is a fresh directory
 WALL_PROBES = {

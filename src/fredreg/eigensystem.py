@@ -181,8 +181,12 @@ def _is_int_at_least(value, least: int) -> bool:
 
 
 def _sine_evaluator(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # (k pi) x, not k (pi x): the rounding then matches sin(k * pi * x) row by row
-    return np.sqrt(2.0) * np.sin(np.outer(ks * np.pi, x))
+    # (k pi) x, not k (pi x): the rounding then matches sin(k * pi * x) row by row; sin and the
+    # scaling fill the one table in place, so no second table is alive while it is built
+    table = np.outer(ks * np.pi, x)
+    np.sin(table, out=table)
+    table *= np.sqrt(2.0)
+    return table
 
 
 def analytic_eigensystem(n_max: int = DEFAULT_N_MAX) -> EigenSystem:

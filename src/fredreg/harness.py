@@ -17,10 +17,14 @@ coefficients alone, with d = c - f_k:
     grid sum, and the squared errors of the two agree to 1e-13 (relative
     beyond 1).
 See _GramForm.  Only solutions.csv needs grid values: each method's to_grid
-on the context's reconstruction eigensystem, whose psi_k on the grid are
-the first rows of the record's psi_k table, which a sine combination
-tabulates the first time a run emits.
-The context's tables (grid, eigensystems, psi_k table, f, g_k and the
+on the context's reconstruction eigensystem, whose psi_k on the grid are a
+gather from the n x grid_size table of psi_1..psi_n, n = min(n_max,
+n_coeff).  That table is built on its first read: the Gram form of a
+projected signal reads it when the context is built, and a sine combination
+reads it the first time a run emits.  No table of all n_coeff rows outlives
+the projection of g_k; pointwise noise alone builds one, the record's, on
+its first read.
+The context's tables (grid, eigensystems, psi_k tables, f, g_k and the
 scoring form) depend only on the signal, n_coeff, grid_size and n_max, so repeated
 calls on one signal share them: a process-wide cache holds the tables of the
 last such key (one entry), its arrays are read-only, and it keeps them after
@@ -45,6 +49,7 @@ numpy.random.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -155,8 +160,8 @@ class RunContext:
     """Seed-invariant half of a run, shared by its records; its arrays are read-only."""
 
     data: SignalContext  # grid, record eigensystem (k <= n_coeff), psi_k table (on first read), f, g_k
-    # reconstruction basis, k <= n_max (coefficients beyond it are noise-dominated):
-    # on grid.points its psi_k are the first rows of data.basis, elsewhere data.es's
+    # reconstruction basis, k <= n_max (coefficients beyond it are noise-dominated): on grid.points
+    # its psi_k are gathered from the table-cache entry's n-row table, elsewhere data.es's
     es: EigenSystem
     f_norm: float
     cs: ConstraintSpec  # the a priori bounds of the variational filters: E and the noise dispersion
@@ -340,9 +345,11 @@ class RunRecord:
 # n_max) -> the read-only (data, es, gram) of run_context and the dict of
 # solutions.csv's x and f_true cells, empty until a run on it emits.  It is
 # emptied before a miss builds, so two entries never coexist, but the last
-# key's tables outlive the call: a psi_k table (n_coeff x grid_size, 8 bytes a
-# value) stays in memory until a call on another key replaces it.  A sine
-# combination builds it only when a read needs it: pointwise noise or emission.
+# key's tables outlive the call until a call on another key replaces them.
+# Its psi_k tables (8 bytes a value) are each built on their first read:
+# psi_1..psi_n, n = min(n_max, n_coeff), on the grid (n x grid_size), by a
+# projected signal's Gram form or by emission's gather, and the record's
+# n_coeff x grid_size data.basis by pointwise noise alone.
 _TABLES: dict = {}
 
 
@@ -351,7 +358,8 @@ def _seed_invariant_tables(cfg: ExperimentConfig) -> tuple[SignalContext, EigenS
 
     A sine combination takes f_k in closed form and scores in exact L^2, so
     no psi_k table is built until a read needs one; any other signal projects
-    f on the grid through the table and scores on the grid.
+    f on the grid through a transient table and scores on the grid through
+    the n-row table.
     """
     signal = json.dumps(cfg.signal.to_json_dict(), sort_keys=True, separators=(",", ":"))
     key = (signal, cfg.n_coeff, cfg.grid_size, cfg.n_max)
@@ -364,20 +372,28 @@ def _seed_invariant_tables(cfg: ExperimentConfig) -> tuple[SignalContext, EigenS
             spec = SignalSpec.tabulated(np.array(spec.values))
         data = signal_context(spec, analytic_eigensystem(cfg.n_coeff), grid, cfg.n_coeff)
         n = min(cfg.n_max, cfg.n_coeff)
+
+        @functools.cache
+        def rows() -> np.ndarray:
+            """psi_1..psi_n on the grid, read-only, built on the first read."""
+            table = data.es.basis_matrix(grid.points, n)
+            table.flags.writeable = False
+            return table
+
         frozen = [grid.points, grid.weights, data.es.eigenvalues, data.f_vals, data.g_coeffs]
         if data._exact_terms is None:
-            gram = _GramForm.build(data.basis[:n], grid.weights, data.f_vals)
-            frozen += [data.basis, gram.gram, gram.h]
+            gram = _GramForm.build(rows(), grid.weights, data.f_vals)
+            frozen += [gram.gram, gram.h]
         else:
             gram = _GramForm.exact(data._exact_terms, n)
         for a in (*frozen, gram.f_k):
             a.flags.writeable = False
         # psi_k depends on k and x alone, so on the grid's own points the
-        # reconstruction basis is a gather (a copy) of the table's first rows;
-        # anywhere else it is the record eigensystem's, whose rows the table holds
+        # reconstruction basis is a gather (a copy) of the n-row table;
+        # anywhere else it is the record eigensystem's
         es = EigenSystem(
             eigenvalues=data.es.eigenvalues[:n],  # a view, read-only as its base
-            evaluator=lambda ks, x: data.basis[ks - 1] if x is grid.points else data.es.evaluator(ks, x),
+            evaluator=lambda ks, x: rows()[ks - 1] if x is grid.points else data.es.evaluator(ks, x),
         )
         tables = _TABLES[key] = (data, es, gram, {})
     return tables
@@ -500,9 +516,38 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
 
 
 def _median_iqr(values: list[float]) -> dict:
-    arr = np.asarray(values, dtype=float)
-    q25, q75 = np.percentile(arr, [25, 75]).tolist()
-    return {"n": int(arr.size), "median": float(np.median(arr)), "q25": q25, "q75": q75}
+    """The count, np.median and the quartiles np.percentile(values, [25, 75]) gives, from one sorted list.
+
+    np.percentile reaches np.unique, which loads numpy.ma; this reads the
+    same floats without numpy, by numpy's arithmetic: NaN anywhere gives NaN,
+    the median is the mean of the middle one or two values, summed from +0.0
+    as np.mean sums, and each quartile is _linear_quantile's.
+    """
+    ordered = sorted(map(float, values))
+    n = len(ordered)
+    if any(math.isnan(v) for v in ordered):
+        return {"n": n, "median": math.nan, "q25": math.nan, "q75": math.nan}
+    half = n // 2
+    median = 0.0 + ordered[half] if n % 2 else (0.0 + ordered[half - 1] + ordered[half]) / 2
+    return {"n": n, "median": median, "q25": _linear_quantile(ordered, 0.25), "q75": _linear_quantile(ordered, 0.75)}
+
+
+def _linear_quantile(ordered: list[float], q: float) -> float:
+    """np.percentile's default (linear) method at q of a sorted nonempty list, rounding as numpy's _lerp.
+
+    The virtual index (n - 1) q lies between neighbours a and b; at or past the
+    last index both are the last value, with the weight t counted from index
+    -1 (so t = 1 for one value), as numpy's _get_indexes leaves them.  _lerp
+    returns a + (b - a) t, or b - (b - a) (1 - t) where t >= 0.5.
+    """
+    n = len(ordered)
+    virtual = (n - 1) * q
+    lo = math.floor(virtual) if virtual < n - 1 else -1
+    hi = lo + 1 if lo >= 0 else -1
+    t = virtual - lo
+    a, b = ordered[lo], ordered[hi]
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 def _modal(items: list[tuple]) -> tuple[tuple, float]:

@@ -226,8 +226,10 @@ class SignalContext:
     Built once per signal, eigensystem, grid and record length n_coeff:
     `g_coeffs` holds the noiseless g_k, and `basis` the table psi_k(x_i) (row
     k-1, k = 1..n_coeff).  Left out, the table is tabulated on its first read
-    and read-only; repr and == leave it out, so they do not build it.  Only
-    the noise depends on the seed: `add_noise` draws it.
+    and read-only; repr and == leave it out, so they do not build it.  In a
+    run only pointwise noise reads it: `signal_context` projects g_k through
+    a table of its own and leaves this one out.  Only the noise depends on the seed:
+    `add_noise` draws it.
     """
 
     grid: QuadratureGrid
@@ -263,21 +265,23 @@ def _sine_coeffs(terms: tuple[tuple[float, int], ...], n: int) -> np.ndarray:
 def signal_context(
     signal: SignalSpec, es: EigenSystem, grid: QuadratureGrid, n_coeff: int
 ) -> SignalContext:
-    """Evaluate f and apply the operator: g_k.
+    """Evaluate f and apply the operator: g_k, k = 1..n_coeff.
 
-    A sine combination on the sine eigenfunctions takes f_k in closed form and
-    leaves the psi_k table to its first read; any other signal or eigensystem
-    projects f on the grid through the table, tabulated here.
+    A sine combination on the sine eigenfunctions takes f_k in closed form;
+    any other signal or eigensystem projects f on the grid through a psi_k
+    table that is dropped on return.  Either way the context's table is left
+    to its first read.
     """
+    if not _is_int_at_least(n_coeff, 1):
+        raise ValueError(f"n_coeff must be an integer >= 1, got {n_coeff!r}")
     es._check_index(n_coeff)  # IndexError beyond es.count
     terms = _sine_terms(signal) if es.evaluator is _sine_evaluator else None
     f_vals = evaluate_signal(signal, grid)
     if terms is not None:
         g_coeffs = es.eigenvalues[:n_coeff] * _sine_coeffs(terms, n_coeff)
-        return SignalContext(grid=grid, es=es, f_vals=f_vals, g_coeffs=g_coeffs, _exact_terms=terms)
-    basis = es.basis_matrix(grid.points, n_coeff)
-    g_coeffs = es.eigenvalues[:n_coeff] * (basis @ (grid.weights * f_vals))
-    return SignalContext(grid=grid, es=es, basis=basis, f_vals=f_vals, g_coeffs=g_coeffs)
+    else:
+        g_coeffs = es.eigenvalues[:n_coeff] * project_all(f_vals, es, grid, n_coeff)
+    return SignalContext(grid=grid, es=es, f_vals=f_vals, g_coeffs=g_coeffs, _exact_terms=terms)
 
 
 def add_noise(
@@ -290,6 +294,9 @@ def add_noise(
     grid Nyquist index), which is then projected.
     """
     noise_dispersion(epsilon)  # rejects an epsilon that is not finite and >= 0
+    # numpy's default_rng draws seed 1 for True and refuses 2.5 or np.float64(3.0) with a TypeError naming no argument
+    if not _is_int_at_least(seed, 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     g_coeffs, grid = ctx.g_coeffs, ctx.grid
     rng = np.random.default_rng(seed)
     if noise_mode == "coefficient":

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensystem import EigenSystem, QuadratureGrid, _expansion_on
+from .eigensystem import EigenSystem, QuadratureGrid, _expansion_on, _is_int_at_least
 from .synthesis import NoisyDataset
 
 __all__ = [
@@ -143,7 +143,17 @@ def _active_range(data: NoisyDataset, es: EigenSystem) -> int:
 def truncated_expansion(
     data: NoisyDataset, es: EigenSystem, ks: np.ndarray | list[int], method: str, params: dict
 ) -> RegularizedSolution:
-    """Raw expansion gbar_k/lam_k on the index set ks, zero elsewhere."""
+    """Raw expansion gbar_k/lam_k on the index set ks, zero elsewhere.
+
+    Each index is an integer (not a bool) in 1..es.count: one that is not an
+    integer >= 1 raises ValueError, one past es.count IndexError.
+    """
+    if isinstance(ks, np.ndarray) and ks.dtype.kind in "iu":
+        bad = ks[ks < 1].tolist()  # an integer array holds no bool and no float
+    else:  # item by item: asarray(dtype=int) read 1.5 as 1, and asarray read [True, 2] as [1, 2]
+        bad = [k for k in (ks.tolist() if isinstance(ks, np.ndarray) else ks) if not _is_int_at_least(k, 1)]
+    if bad:
+        raise ValueError(f"indices must be integers >= 1, got {bad[0]!r}")
     idx = np.asarray(ks, dtype=int)
     es._check_index(idx)
     vals = data.coeffs[idx - 1] / es.eigenvalues[idx - 1]

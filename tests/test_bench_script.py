@@ -118,6 +118,22 @@ def test_example3_probe_measures_a_sine_combination_run():
     assert mb > 0.0 and loaded == ["hashlib", "numpy.random"]
 
 
+def test_emitting_cli_probe_writes_100_seeds_and_loads_no_numpy_ma():
+    code = bench.RSS_PROBES["run_example1_out_100"]
+    assert 'main(["run", "--preset", "example1", "--seeds", "100", "--out", out])' in code
+    mb, loaded = bench.rss_probe(code, Path(bench.__file__).resolve().parents[1])
+    # autocorr.csv's tail loads numpy.fft; the summary's quartiles load no numpy.ma
+    assert mb > 0.0 and loaded == ["hashlib", "numpy.fft", "numpy.random"]
+
+
+def test_long_record_probe_holds_no_second_record_table():
+    code = bench.RSS_PROBES["run_experiment_f1_2048_4097"]
+    assert "n_coeff=2048, grid_size=4097, seeds=range(5)" in code
+    mb, loaded = bench.rss_probe(code, Path(bench.__file__).resolve().parents[1])
+    # the 2048 x 4097 table is 67 MB: one transient copy of it fits, two (about 160 MB) do not
+    assert 67.0 < mb < 125.0 and loaded == ["hashlib", "numpy.random"]
+
+
 def test_an_rss_probe_reads_its_own_peak_not_the_spawners():
     ballast = bytearray(64 << 20)
     ballast[::4096] = b"x" * len(ballast[::4096])  # touch every page: this process's RSS is now > 64 MB
@@ -126,7 +142,7 @@ def test_an_rss_probe_reads_its_own_peak_not_the_spawners():
 
 
 def test_heavy_modules_are_the_listed_ones_and_scipy_public_subpackages():
-    names = ["sys", "hashlib", "_hashlib", "numpy", "numpy.fft", "numpy.fft._pocketfft", "numpy.random",
-             "scipy", "scipy.sparse", "scipy.sparse.linalg", "scipy._lib", "scipy.special", "scipyx"]
+    names = ["sys", "hashlib", "_hashlib", "numpy", "numpy.fft", "numpy.fft._pocketfft", "numpy.ma", "numpy.ma.core",
+             "numpy.random", "scipy", "scipy.sparse", "scipy.sparse.linalg", "scipy._lib", "scipy.special", "scipyx"]
     assert bench.heavy_modules(names) == [
-        "hashlib", "numpy.fft", "numpy.random", "scipy", "scipy.sparse", "scipy.special"]
+        "hashlib", "numpy.fft", "numpy.ma", "numpy.random", "scipy", "scipy.sparse", "scipy.special"]

@@ -29,7 +29,9 @@ closed-form f_k and exact L2 scores are checked against the Simpson
 projection and the grid norms where Simpson leaves the rows orthonormal: f_k
 within 1e-13 of the largest |f_k|, squared scores within SCORE_TOL.
 sample_kernel_matrix, (1 - max(x, y)) min(x, y) from two outer products, is
-checked against the former meshgrid and np.where formula, to the byte.
+checked against the former meshgrid and np.where formula, and the sine
+evaluator, filled in place, against the former out-of-place formula, both
+to the byte.
 The Nystrom basis on its own nodes, a gather of its table's rows, is checked
 against the per-row np.interp path, and every expansion sum (one ordered
 reduce) against the term-by-term loop, both to the byte.  autocorr.csv's
@@ -38,8 +40,9 @@ against the per-lag loop: blank where it is NaN and within TAIL_TOL
 elsewhere, with the window's cells and every threshold cell to the byte.
 csv_cells is checked against the former formula that split the repr of the
 whole column, autocorr.csv against the former writer that built its delta and
-threshold_n0 cells one element at a time, and the summary quartiles, one
-np.percentile call, against one call per quartile, each to the byte.
+threshold_n0 cells one element at a time, and the summary's median and
+quartiles, from one sorted list, against np.median and one np.percentile
+call per quartile, each to the byte.
 """
 
 import math
@@ -52,7 +55,7 @@ from scipy.stats import chi2
 
 import fredreg as fr
 from fredreg.cli import main
-from fredreg.eigensystem import _expansion_sum
+from fredreg.eigensystem import _expansion_sum, _sine_evaluator
 from fredreg.harness import METHODS, _median_iqr
 from fredreg.synthesis import _sine_terms
 from fredreg import selection
@@ -147,6 +150,23 @@ class TestBasisTable:
         assert fr.reconstruct([(3, 0.5), (1, -2.0)], es, grid).tobytes() == want_sum.tobytes()
         with pytest.raises(AssertionError, match="np.interp called"):
             es.basis_matrix(grid.points[:-1])  # off the nodes it interpolates
+
+
+def former_sine_evaluator(ks, x):
+    return np.sqrt(2.0) * np.sin(np.outer(ks * np.pi, x))
+
+
+class TestSineEvaluator:
+    @SETTINGS
+    @given(
+        ks=st.lists(st.integers(1, 4096), max_size=40).map(np.array),
+        x=st.lists(st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0, 1.0]), max_size=80).map(np.array),
+    )
+    @example(ks=np.arange(1, 513), x=np.linspace(0.0, 1.0, 513))
+    def test_fills_in_place_what_the_out_of_place_formula_gave(self, ks, x):
+        got = _sine_evaluator(ks, x)
+        want = former_sine_evaluator(ks, x)
+        assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def former_sample_kernel(x):
@@ -1580,6 +1600,14 @@ class TestEmissionCells:
 
     @settings(max_examples=60, deadline=None)
     @given(values=st.lists(st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324]), min_size=1, max_size=300))
+    @example(values=[-0.0])  # one value: both quartiles take the last from index -1, where _lerp keeps its sign
+    @example(values=[0.1])
+    @example(values=[0.7, 0.1])
+    @example(values=[-0.0, -0.0])  # the median sums from +0.0; q25 rounds to +0.0 and q75 keeps -0.0
+    @example(values=[0.3, 0.1, 0.2])
+    @example(values=[0.1, 0.2, 0.2, 0.2, 0.9])  # ties
+    @example(values=[1.0, 1.0, 3.0, 3.0])
+    @example(values=[1e300, -1e300, 1e300, 5e-324])
     def test_summary_quartiles_match_one_call_each(self, values):
         arr = np.asarray(values, dtype=float)
         want = [arr.size, float(np.median(arr)), float(np.percentile(arr, 25)), float(np.percentile(arr, 75))]

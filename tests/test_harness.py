@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -138,7 +140,18 @@ def _fingerprint(built):
         return json.dumps(built.to_json_dict())
     if isinstance(built, fr.EigenSystem):
         return built.eigenvalues.tobytes()
+    if isinstance(built, fr.SignalContext):
+        return built.g_coeffs.tobytes()
+    if isinstance(built, fr.NoisyDataset):
+        return built.coeffs.tobytes()
+    if isinstance(built, fr.RegularizedSolution):
+        return built.indices.tobytes() + built.values.tobytes()
     return built.points.tobytes() + built.weights.tobytes()
+
+
+ES128, GRID129 = fr.analytic_eigensystem(128), fr.simpson_grid(129)
+CTX128 = fr.signal_context(fr.SignalSpec.named("f1"), ES128, GRID129, 128)
+DATA128 = fr.add_noise(CTX128, 1e-3, 0)
 
 
 # (build from one integer argument, the pattern its ValueError must match to name that argument)
@@ -156,14 +169,28 @@ INTEGER_ARGUMENTS = {
         lambda v: fr.SignalSpec.from_json_dict({"kind": "sine-combination", "terms": [[1.0, 2], [0.5, v]]}),
         r"^sine index",
     ),
+    "signal_context(n_coeff)": (
+        lambda v: fr.signal_context(fr.SignalSpec.named("f1"), ES128, GRID129, v), r"^n_coeff must",
+    ),
+    "add_noise(seed)": (lambda v: fr.add_noise(CTX128, 1e-3, v), r"^seed must"),
+    "truncated_expansion(index)": (
+        lambda v: fr.truncated_expansion(DATA128, ES128, [1, v], "any", {}), r"^indices must",
+    ),
 }
+# arguments whose least value is 0, not 1
+ZERO_IS_VALID = {"add_noise(seed)"}
 
 
 @pytest.mark.parametrize("value", [True, 2.5, np.float64(3.0), 64.5, 0, -1], ids=repr)
 @pytest.mark.parametrize("case", INTEGER_ARGUMENTS)
 def test_integer_arguments_refuse_bools_floats_and_small_values(case, value):
-    # analytic_eigensystem(True) gave 1 pair and (2.5) 3; from_json_dict read 64.5 as 64; sines read 2.7 as 2
+    # analytic_eigensystem(True) gave 1 pair and (2.5) 3; from_json_dict read 64.5 as 64; sines read 2.7 as 2;
+    # signal_context(True) built a 1-row record, add_noise drew seed 1 for True, and truncated_expansion
+    # kept index 1 for 1.5
     build, names = INTEGER_ARGUMENTS[case]
+    if value == 0 and case in ZERO_IS_VALID:
+        build(value)  # builds: 0 is the least seed
+        return
     with pytest.raises(ValueError, match=names):
         build(value)
 
@@ -517,6 +544,29 @@ def tables_built(monkeypatch):
     return tables
 
 
+def arrays_held(root) -> list[np.ndarray]:
+    """Every ndarray that root holds, and their bases, through containers, instances and closures.
+
+    A function is followed into its closure and defaults only, and a module
+    or a class not at all, so what the code can reach through globals is
+    not counted.
+    """
+    seen, stack, arrays = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            stack.append(obj.base)
+        elif isinstance(obj, types.FunctionType):
+            stack += [*(obj.__closure__ or ()), obj.__defaults__]
+        else:
+            stack += gc.get_referents(obj)
+    return arrays
+
+
 class TestTableCache:
     """run_context shares one read-only copy of a signal's tables between calls."""
 
@@ -599,16 +649,30 @@ class TestTableCache:
         ctx = fr.run_context(preset(name))
         assert tables_built == [] and ctx._gram.gram is None and ctx._gram.h is None
 
-    def test_emission_tabulates_the_record_basis_once_per_table_cache_entry(self, tables_built, tmp_path):
+    def test_a_projected_run_keeps_no_record_table(self, tables_built):
         harness._TABLES.clear()
-        runs = [preset("example3", seeds=(0, 1)), preset("example3", seeds=(2,)), preset("example2")]
+        cfg = preset("example1", seeds=(0, 1))
+        fr.run_experiment(cfg)
+        # g_k projected through an n_coeff-row table, the Gram form built from the n_max-row one
+        assert [table.shape for table in tables_built] == [(512, 513), (64, 513)]
+        (entry,) = harness._TABLES.values()
+        held = arrays_held(entry)
+        assert (512, 513) not in {a.shape for a in held}
+        assert any(a is tables_built[1] for a in held) and not tables_built[1].flags.writeable
+        assert vars(fr.run_context(cfg).data)["_basis"] is None  # the record's table is left to its first read
+
+    def test_emission_gathers_from_the_n_max_row_table_once_per_table_cache_entry(self, tables_built, tmp_path):
+        harness._TABLES.clear()
+        runs = [preset("example3", seeds=(0, 1)), preset("example3", seeds=(2,)), preset("example1")]
         for i, cfg in enumerate(runs):
             fr.run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path / str(i))))
-        # the reconstruction basis gathers its rows from the record's table: once for example3's entry and
-        # once for example2's
-        assert [table.shape for table in tables_built] == [(1024, 513), (512, 513)]
-        assert fr.run_context(runs[-1]).data.basis is tables_built[-1]
-        assert not any(table.flags.writeable for table in tables_built)
+        # example3's entry builds its table on the first emission and its second run reuses it; example1's
+        # projects g_k through a transient table and emits from the table its Gram form read
+        assert [table.shape for table in tables_built] == [(64, 513), (512, 513), (64, 513)]
+        assert not tables_built[0].flags.writeable and not tables_built[-1].flags.writeable
+        ctx = fr.run_context(runs[-1])
+        assert vars(ctx.data)["_basis"] is None
+        assert ctx.es.basis_matrix(ctx.data.grid.points).tobytes() == tables_built[2].tobytes()
 
     def test_pointwise_noise_tabulates_the_record_basis_on_first_read(self, tables_built, tmp_path):
         harness._TABLES.clear()
@@ -618,9 +682,9 @@ class TestTableCache:
         fr.run_experiment(cfg)
         assert [table.shape for table in tables_built] == [(cfg.n_coeff, 513)]
         assert ctx.data.basis is tables_built[0] and not ctx.data.basis.flags.writeable
-        # emission reads the same table
+        # emission gathers from the n_max-row table, not the record's
         fr.run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path)))
-        assert len(tables_built) == 1
+        assert [table.shape for table in tables_built] == [(cfg.n_coeff, 513), (cfg.n_max, 513)]
 
     def test_a_sine_context_tabulates_its_basis_on_first_read(self, tables_built, es512, grid513):
         ctx = fr.signal_context(fr.SignalSpec.named("f3"), es512, grid513, 256)
@@ -629,9 +693,11 @@ class TestTableCache:
         table = ctx.basis
         assert len(tables_built) == 1 and tables_built[0] is table is ctx.basis and not table.flags.writeable
         assert table.tobytes() == es512.basis_matrix(grid513.points, 256).tobytes()
-        # a grid-form signal's table is the one g_k was projected through
+        # a grid-form signal projects g_k through a table of its own and leaves the context's to its first read
         grid_form = fr.signal_context(fr.SignalSpec.named("f1"), es512, grid513, 256)
-        assert grid_form.basis is tables_built[-1]
+        assert len(tables_built) == 3 and vars(grid_form)["_basis"] is None
+        assert grid_form.basis is tables_built[3] is not tables_built[2]
+        assert grid_form.basis.tobytes() == table.tobytes()
 
     @pytest.mark.parametrize("name", fr.PRESETS)
     def test_reconstruction_basis_gathers_a_table_on_the_grid(self, name, monkeypatch):

@@ -10,6 +10,8 @@ Neither `import fredreg` nor the numeric eigensystem loads hashlib (which
 maps OpenSSL's libcrypto) or numpy.fft: hashlib loads on the first digest
 (config_hash, a seed file's sha256), and numpy.fft on the first autocorr.csv
 tail.  A run that draws noise still loads hashlib, through numpy.random.
+A CLI run that emits loads no numpy.ma: the summary's median and quartiles
+come from one sorted list, not np.percentile, which reaches np.unique.
 The checks run in a fresh interpreter because other test modules import
 these modules into this one.
 """
@@ -31,6 +33,13 @@ for record in (noise, noise.cumsum()):  # the gate passes the first and consults
 # the numeric-kernel benchmark's set-up: 64 eigenpairs of the sampled kernel on 513 points
 NUMERIC_513 = "fr.numeric_eigensystem(fr.sample_kernel_matrix(fr.simpson_grid(513)), 64)"
 HASHLIB_OR_FFT = ("hashlib", "_hashlib", "numpy.fft")
+# `fredreg run --preset example1 --seeds 3 --out D`, its printed summary discarded
+CLI_RUN_OUT = """
+import contextlib, io, tempfile
+from fredreg.cli import main
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    main(["run", "--preset", "example1", "--seeds", "3", "--out", out])
+"""
 
 
 def modules_after(code: str, packages: tuple[str, ...] = ("scipy",)) -> list[str]:
@@ -74,3 +83,7 @@ def test_config_hash_loads_hashlib_and_keeps_its_digest():
     digest, *loaded = modules_after(code, ("hashlib",))
     assert digest == "ca838af5d571080b56ff04ccd491a45ecf5197115e63e8dc875f90e670cbe628"
     assert loaded == ["hashlib"]
+
+
+def test_a_cli_run_that_emits_loads_no_numpy_ma():
+    assert modules_after(CLI_RUN_OUT, ("numpy.ma",)) == []
