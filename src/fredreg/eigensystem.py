@@ -112,7 +112,10 @@ class EigenSystem:
     integer array ks (values in 1..count, already checked) and a 1-d array x
     it returns a new array of shape (len(ks), len(x)) whose row i is
     psi_{ks[i]}(x).  Every evaluation goes through one call to it:
-    `basis_matrix` for the rows 1..upto, `reconstruct` for the rows it sums.
+    `basis_matrix` for the rows 1..upto, `reconstruct` for the rows it sums
+    in one einsum contraction, which adds the terms in order from +0.0 with
+    one rounding per product and per sum (einsum does not fuse them on this
+    numpy build), so it is the term-by-term loop to the bit.
     """
 
     eigenvalues: np.ndarray
@@ -178,6 +181,19 @@ def sample_kernel_matrix(grid: QuadratureGrid) -> TabulatedKernel:
 def _is_int_at_least(value, least: int) -> bool:
     """True for an integer (not a bool) >= least."""
     return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
+
+
+def _finite_real(value, name: str, positive: bool = False) -> float:
+    """value as a float when it is a real number (not a bool or str), finite and >= 0 (> 0 if positive).
+
+    Anything else raises a ValueError that names it: True would read as 1.0,
+    and a str would reach numpy's ufuncs as a bare TypeError.
+    """
+    real = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+    if not (real and math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r} ({type(value).__name__})")
+    return float(value)
 
 
 def _sine_evaluator(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -271,16 +287,19 @@ def project_all(f: np.ndarray, es: EigenSystem, grid: QuadratureGrid, upto: int 
 
 
 def _expansion_sum(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_i values[i] * rows[i] over the rows of a new (K, M) array, K >= 0, which it scales in place.
+    """sum_i values[i] * rows[i] over the rows of a (K, M) array, K >= 0, M >= 2, in one einsum contraction.
 
-    The terms are added one at a time in row order, starting from +0.0, as the
-    loop `out = np.zeros(M); out += values[i] * rows[i]` adds them: the reduce
-    runs over the outer axis of a C-ordered array, so numpy adds row by row
-    (no pairwise summation).  A dense mat-vec would round differently.
+    It rounds as the loop `out = np.zeros(M); out += values[i] * rows[i]`
+    does: numpy's C einsum (optimize=False, so never BLAS) walks the C-ordered
+    rows with the grid axis innermost, so each output starts from +0.0, each
+    product is rounded once and the products are added in row order (a dense
+    mat-vec, or a one-point row, takes a dot kernel that sums in another
+    order).  The rows are read, never scaled in place.  The bit identity rests
+    on einsum's kernels not fusing multiply and add, as on numpy 2.4.6 built
+    for the x86-64-v2 baseline (no FMA); on a build that fuses, the exact
+    oracle tests fail, and this goes back to the ordered reduce.
     """
-    terms = np.ascontiguousarray(rows, dtype=float)
-    terms *= np.asarray(values, dtype=float)[:, None]
-    return np.add.reduce(terms, axis=0, initial=0.0)
+    return np.einsum("k,kj->j", np.asarray(values, dtype=float), np.ascontiguousarray(rows, dtype=float))
 
 
 def reconstruct(
@@ -290,7 +309,10 @@ def reconstruct(
 
     The psi_k come from one evaluation of the listed rows on grid.points.  For
     a Nystrom eigensystem built on this grid that is an exact gather of its
-    table's rows; on any other grid its rows are interpolated linearly.
+    table's rows; on any other grid its rows are interpolated linearly.  The
+    sum is one einsum contraction (_expansion_sum) that rounds as the loop
+    `out += coeff_k * psi_k` does, bit for bit, since einsum's kernels do not
+    fuse the multiply and the add on this numpy build.
     """
     ks = np.array([int(k) for k, _ in coeffs], dtype=int)
     values = np.array([float(value) for _, value in coeffs], dtype=float)

@@ -60,7 +60,7 @@ from typing import Iterable
 import numpy as np
 
 from .eigensystem import (
-    DEFAULT_GRID_SIZE, DEFAULT_N_MAX, EigenSystem, _is_int_at_least, analytic_eigensystem, simpson_grid,
+    DEFAULT_GRID_SIZE, DEFAULT_N_MAX, EigenSystem, _finite_real, _is_int_at_least, analytic_eigensystem, simpson_grid,
 )
 from .selection import SelectionReport, build_selection, reconstruct_bhat
 from .spectral import cumulative_profile, f0_approximation
@@ -210,17 +210,17 @@ class ExperimentConfig:
     name: str = "experiment"
 
     def __post_init__(self):
-        noise_dispersion(self.epsilon)  # rejects an epsilon that is not finite and >= 0
+        # stored as floats: an np.float32 serializes, and an int hashes, as its JSON round trip does
+        object.__setattr__(self, "epsilon", _finite_real(self.epsilon, "epsilon"))
+        for name in ("E_override", "c1_override"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _finite_real(getattr(self, name), name, positive=True))
         variance = self.epsilon * self.epsilon / 3.0
         if self.epsilon > 0 and not np.finfo(float).smallest_normal <= variance < np.inf:
             raise ValueError(
                 f"epsilon = {self.epsilon!r} is out of range: its noise variance epsilon^2/3 = {variance!r} "
                 "is not a normal float"
             )
-        for name in ("E_override", "c1_override"):
-            value = getattr(self, name)
-            if value is not None and not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be None or finite and > 0, got {value}")
         for name, least in (("grid_size", 65), ("n_coeff", 1), ("n_max", 1)):
             value = getattr(self, name)
             if not _is_int_at_least(value, least):
@@ -281,7 +281,6 @@ class ExperimentConfig:
         # that the config hash sees (integer fields are checked, not converted)
         convert = {
             "signal": SignalSpec.from_json_dict,
-            "epsilon": float,
             "seeds": tuple,
             "methods": tuple,
         }

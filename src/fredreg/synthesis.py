@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .eigensystem import EigenSystem, QuadratureGrid, _is_int_at_least, _sine_evaluator, project_all
+from .eigensystem import EigenSystem, QuadratureGrid, _finite_real, _is_int_at_least, _sine_evaluator, project_all
 
 __all__ = [
     "SignalSpec",
@@ -293,7 +293,7 @@ def add_noise(
     pointwise mode it enters g on the grid (g_k summed over psi_k below the
     grid Nyquist index), which is then projected.
     """
-    noise_dispersion(epsilon)  # rejects an epsilon that is not finite and >= 0
+    noise_dispersion(epsilon)  # rejects an epsilon that is not a finite real number >= 0
     # numpy's default_rng draws seed 1 for True and refuses 2.5 or np.float64(3.0) with a TypeError naming no argument
     if not _is_int_at_least(seed, 0):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
@@ -355,9 +355,7 @@ def snr_db(g: np.ndarray, epsilon: float) -> float:
 
 def noise_dispersion(epsilon: float) -> float:
     """Standard deviation eps/sqrt(3) of uniform noise on [-eps, eps]."""
-    if not (np.isfinite(epsilon) and epsilon >= 0):
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-    return epsilon / np.sqrt(3.0)
+    return _finite_real(epsilon, "epsilon") / np.sqrt(3.0)
 
 
 def write_coeffs_csv(path: str, coeffs: np.ndarray) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensystem import EigenSystem, QuadratureGrid, _expansion_on, _is_int_at_least
+from .eigensystem import EigenSystem, QuadratureGrid, _expansion_on, _finite_real, _is_int_at_least
 from .synthesis import NoisyDataset
 
 __all__ = [
@@ -53,10 +53,8 @@ class ConstraintSpec:
     c: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.E) and self.E > 0):
-            raise ValueError(f"constraint bound E must be finite and > 0, got {self.E!r}")
-        if not (math.isfinite(self.eps) and self.eps >= 0):
-            raise ValueError(f"noise bound eps must be finite and >= 0, got {self.eps!r}")
+        _finite_real(self.E, "constraint bound E", positive=True)
+        _finite_real(self.eps, "noise bound eps")
         if self.c is not None:
             c = np.asarray(self.c, dtype=float)
             object.__setattr__(self, "c", c)
@@ -95,8 +93,7 @@ class VarianceProfile:
         object.__setattr__(self, "nu", nu)
         if rho.shape != nu.shape:
             raise ValueError("rho and nu must have matching length")
-        if not (math.isfinite(self.eps) and self.eps >= 0):
-            raise ValueError(f"noise scale eps must be finite and >= 0, got {self.eps!r}")
+        _finite_real(self.eps, "noise scale eps")
         if np.any(~np.isfinite(rho)) or np.any(~np.isfinite(nu)):
             raise ValueError("variance profile entries must be finite")
         if np.any(rho < 0) or np.any(nu < 0):
@@ -145,8 +142,9 @@ def truncated_expansion(
 ) -> RegularizedSolution:
     """Raw expansion gbar_k/lam_k on the index set ks, zero elsewhere.
 
-    Each index is an integer (not a bool) in 1..es.count: one that is not an
-    integer >= 1 raises ValueError, one past es.count IndexError.
+    Each index is an integer (not a bool) in 1..es.count and 1..data.n_coeff:
+    one that is not an integer >= 1 raises ValueError, one past either bound
+    an IndexError that names it and the bound.
     """
     if isinstance(ks, np.ndarray) and ks.dtype.kind in "iu":
         bad = ks[ks < 1].tolist()  # an integer array holds no bool and no float
@@ -156,7 +154,10 @@ def truncated_expansion(
         raise ValueError(f"indices must be integers >= 1, got {bad[0]!r}")
     idx = np.asarray(ks, dtype=int)
     es._check_index(idx)
-    vals = data.coeffs[idx - 1] / es.eigenvalues[idx - 1]
+    try:
+        vals = data.coeffs[idx - 1] / es.eigenvalues[idx - 1]
+    except IndexError:  # every index is >= 1 and <= es.count here, so one lies past the record
+        raise IndexError(f"coefficient index {idx.max()} outside 1..{data.n_coeff} of the record") from None
     return RegularizedSolution(indices=idx, values=vals, method=method, params=params)
 
 

@@ -33,8 +33,12 @@ checked against the former meshgrid and np.where formula, and the sine
 evaluator, filled in place, against the former out-of-place formula, both
 to the byte.
 The Nystrom basis on its own nodes, a gather of its table's rows, is checked
-against the per-row np.interp path, and every expansion sum (one ordered
-reduce) against the term-by-term loop, both to the byte.  autocorr.csv's
+against the per-row np.interp path, and every expansion sum against the
+term-by-term loop, both to the byte.  The expansion sum is one einsum
+contraction: numpy's C einsum adds the rounded products row by row from
++0.0, as the loop does, and does not fuse multiply and add on this build
+(numpy 2.4.6, x86-64-v2 baseline); these tests are the guard on a build that
+fuses, and a failure there withdraws the contraction rather than forking it.  autocorr.csv's
 lags past the selection window, from window sums and one rFFT, are checked
 against the per-lag loop: blank where it is NaN and within TAIL_TOL
 elsewhere, with the window's cells and every threshold cell to the byte.
@@ -246,25 +250,54 @@ signed_values = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
 
 
 class TestExpansionSum:
+    @staticmethod
+    def loop(values, rows):
+        out = np.zeros(rows.shape[1])
+        for value, row in zip(values.tolist(), rows):
+            out += value * row
+        return out
+
     @settings(max_examples=60, deadline=None)
     @given(
         count=st.integers(0, 130) | st.sampled_from([0, 1]),
         points=st.integers(3, 140),
         seed=st.integers(0, 2**32 - 1),
         zeros=st.sampled_from([0.0, 0.2, 0.9]),
-        order=st.sampled_from("CF"),
+        layout=st.sampled_from(["C", "F", "reversed", "read-only"]),
+        exponent=st.sampled_from([6, 300]),  # at 300 some products overflow to +-inf, and inf - inf is NaN
     )
-    def test_matches_the_term_by_term_loop(self, count, points, seed, zeros, order):
+    @example(count=5, points=3, seed=0, zeros=0.0, layout="C", exponent=6)  # 3-point rows, the least grid
+    @example(count=1, points=513, seed=1, zeros=0.2, layout="C", exponent=6)  # a single row
+    @example(count=27, points=513, seed=2, zeros=0.2, layout="reversed", exponent=6)  # negative strides
+    @example(count=64, points=1025, seed=3, zeros=0.2, layout="read-only", exponent=6)
+    @example(count=64, points=513, seed=4, zeros=0.0, layout="C", exponent=300)  # inf and NaN cells
+    def test_matches_the_term_by_term_loop(self, count, points, seed, zeros, layout, exponent):
         rng = np.random.default_rng(seed)
-        rows = rng.normal(size=(count, points)) * 10.0 ** rng.uniform(-6, 6, (count, 1))
-        values = rng.normal(size=count) * 10.0 ** rng.uniform(-6, 6, count)
+        rows = rng.normal(size=(count, points)) * 10.0 ** rng.uniform(-exponent, exponent, (count, 1))
+        values = rng.normal(size=count) * 10.0 ** rng.uniform(-exponent, exponent, count)
         for a in (rows, values):  # signed zeros of both signs
             a[rng.random(a.shape) < zeros] = -0.0
             a[rng.random(a.shape) < zeros / 2] = 0.0
-        want = np.zeros(points)
-        for value, row in zip(values.tolist(), rows):
-            want += value * row
-        assert _expansion_sum(values, np.array(rows, order=order)).tobytes() == want.tobytes()
+        if layout == "F":
+            rows = np.asfortranarray(rows)
+        elif layout == "reversed":
+            rows, values = rows[::-1], values[::-1]
+        elif layout == "read-only":
+            rows.flags.writeable = values.flags.writeable = False
+        before = rows.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = self.loop(values, rows)
+            got = _expansion_sum(values, rows)
+        assert got.tobytes() == want.tobytes()
+        assert rows.tobytes() == before  # the rows are read, not scaled in place
+
+    def test_overflowing_terms_give_the_loops_inf_and_nan(self):
+        values = np.array([1e300, -1e300, 1e300, 2.0])
+        rows = np.array([[1e10, 1.0, -1e10], [1e10, 1.0, 3.0], [5.0, -1e300, 1.0], [1.0, 1.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want, got = self.loop(values, rows), _expansion_sum(values, rows)
+        assert np.isnan(want[0]) and np.isneginf(want[1:]).all()  # inf - inf, then -inf + finite
+        assert got.tobytes() == want.tobytes()
 
     def test_signed_zeros_sum_to_positive_zero(self):
         # the loop starts from +0.0, so -0.0 terms (and a one-term -0.0 expansion) sum to +0.0

@@ -14,6 +14,8 @@ import fredreg as fr
 from fredreg import harness
 from fredreg.harness import ExperimentConfig, config_hash, preset
 
+NAN, INF = float("nan"), float("inf")
+
 
 class TestExperimentConfig:
     def test_presets_encode_legend_parameters(self):
@@ -123,13 +125,13 @@ class TestExperimentConfig:
         assert config_hash(a) == config_hash(b)
 
 
-def _config(**integers):
-    kwargs = {"n_coeff": 128, "grid_size": 129, **integers}
-    return ExperimentConfig(signal=fr.SignalSpec.named("f2"), epsilon=1e-3, **kwargs)
+def _config(**arguments):
+    kwargs = {"epsilon": 1e-3, "n_coeff": 128, "grid_size": 129, **arguments}
+    return ExperimentConfig(signal=fr.SignalSpec.named("f2"), **kwargs)
 
 
-def _json_config(**integers):
-    return ExperimentConfig.from_json_dict({**_config().to_json_dict(), **integers})
+def _json_config(**arguments):
+    return ExperimentConfig.from_json_dict({**_config().to_json_dict(), **arguments})
 
 
 def _fingerprint(built):
@@ -146,6 +148,12 @@ def _fingerprint(built):
         return built.coeffs.tobytes()
     if isinstance(built, fr.RegularizedSolution):
         return built.indices.tobytes() + built.values.tobytes()
+    if isinstance(built, fr.ConstraintSpec):
+        return json.dumps([built.E, built.eps, built.alpha])  # as a run's params dict serializes them
+    if isinstance(built, fr.VarianceProfile):
+        return json.dumps(built.eps)
+    if isinstance(built, float):
+        return float(built).hex()
     return built.points.tobytes() + built.weights.tobytes()
 
 
@@ -181,7 +189,7 @@ INTEGER_ARGUMENTS = {
 ZERO_IS_VALID = {"add_noise(seed)"}
 
 
-@pytest.mark.parametrize("value", [True, 2.5, np.float64(3.0), 64.5, 0, -1], ids=repr)
+@pytest.mark.parametrize("value", [True, 2.5, np.float64(3.0), 64.5, 0, -1, NAN, INF, -INF], ids=repr)
 @pytest.mark.parametrize("case", INTEGER_ARGUMENTS)
 def test_integer_arguments_refuse_bools_floats_and_small_values(case, value):
     # analytic_eigensystem(True) gave 1 pair and (2.5) 3; from_json_dict read 64.5 as 64; sines read 2.7 as 2;
@@ -199,6 +207,46 @@ def test_integer_arguments_refuse_bools_floats_and_small_values(case, value):
 def test_numpy_integer_arguments_build_what_ints_build(case):
     build, _ = INTEGER_ARGUMENTS[case]
     assert _fingerprint(build(np.int64(65))) == _fingerprint(build(65))
+
+
+# (build from one real argument, the pattern its ValueError must match to name that argument)
+REAL_ARGUMENTS = {
+    "ExperimentConfig(epsilon)": (lambda v: _config(epsilon=v), r"^epsilon must"),
+    "ExperimentConfig(E_override)": (lambda v: _config(E_override=v), r"^E_override must"),
+    "ExperimentConfig(c1_override)": (lambda v: _config(c1_override=v), r"^c1_override must"),
+    "ExperimentConfig.from_json_dict(epsilon)": (lambda v: _json_config(epsilon=v), r"^epsilon must"),
+    "ExperimentConfig.from_json_dict(E_override)": (lambda v: _json_config(E_override=v), r"^E_override must"),
+    "ExperimentConfig.from_json_dict(c1_override)": (lambda v: _json_config(c1_override=v), r"^c1_override must"),
+    "ConstraintSpec(E)": (lambda v: fr.ConstraintSpec(E=v, eps=1e-3), r"^constraint bound E must"),
+    "ConstraintSpec(eps)": (lambda v: fr.ConstraintSpec(E=1.0, eps=v), r"^noise bound eps must"),
+    "VarianceProfile(eps)": (
+        lambda v: fr.VarianceProfile(rho=np.ones(4), nu=np.ones(4), eps=v), r"^noise scale eps must",
+    ),
+    "add_noise(epsilon)": (lambda v: fr.add_noise(CTX128, v, 0), r"^epsilon must"),
+    "noise_dispersion(epsilon)": (fr.noise_dispersion, r"^epsilon must"),
+}
+
+
+@pytest.mark.parametrize("value", [True, "1e-3", NAN, INF, -INF, -1e-3], ids=repr)
+@pytest.mark.parametrize("case", REAL_ARGUMENTS)
+def test_real_arguments_refuse_bools_strs_and_values_out_of_range(case, value):
+    # True built as 1.0 at each of them, and "1e-3" raised numpy's bare TypeError
+    build, names = REAL_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=names):
+        build(value)
+
+
+@pytest.mark.parametrize("case", REAL_ARGUMENTS)
+def test_numpy_float_arguments_build_what_floats_build(case):
+    build, _ = REAL_ARGUMENTS[case]
+    assert _fingerprint(build(np.float64(1e-3))) == _fingerprint(build(1e-3))
+
+
+def test_real_config_fields_are_stored_as_floats():
+    # an np.float32 epsilon made to_json_dict unserializable; an int one hashed apart from its JSON round trip
+    cfg = _config(epsilon=np.float32(0.25), E_override=2, c1_override=np.float64(3.0))
+    assert [type(v) for v in (cfg.epsilon, cfg.E_override, cfg.c1_override)] == [float, float, float]
+    assert config_hash(ExperimentConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))) == config_hash(cfg)
 
 
 @pytest.fixture(scope="module")

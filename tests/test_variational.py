@@ -132,6 +132,15 @@ class TestTruncations:
         ]
         assert kbs_E == sorted(kbs_E)
 
+    @pytest.mark.parametrize("ks", [[600], [1, 513, 2], np.array([3, 1024])], ids=repr)
+    def test_index_past_the_record_names_it_and_the_record_length(self, ks):
+        # a 1024-pair eigensystem over a 512-coefficient record gave numpy's bare "index 599 is out of bounds"
+        es, ds = fr.analytic_eigensystem(1024), fr.NoisyDataset(np.ones(512))
+        with pytest.raises(IndexError, match=rf"^coefficient index {max(ks)} outside 1\.\.512 of the record$"):
+            fr.truncated_expansion(ds, es, ks, "any", {})
+        sol = fr.truncated_expansion(ds, es, [1, 512], "any", {})  # the record's last index is in range
+        npt.assert_array_equal(sol.values, 1.0 / es.eigenvalues[[0, 511]])
+
 
 class TestTikhonovIdentity:
     def test_noiseless(self, small_setup):
