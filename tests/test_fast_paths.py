@@ -38,8 +38,8 @@ term-by-term loop, both to the byte.  The expansion sum is one einsum
 contraction: numpy's C einsum adds the rounded products row by row from
 +0.0, as the loop does, and does not fuse multiply and add on this build
 (numpy 2.4.6, x86-64-v2 baseline); these tests are the guard on a build that
-fuses, and a failure there withdraws the contraction rather than forking it.  autocorr.csv's
-lags past the selection window, from window sums and one rFFT, are checked
+fuses, and a failure there withdraws the contraction rather than forking it.
+autocorr.csv's lags past the selection window, from window sums and one rFFT, are checked
 against the per-lag loop: blank where it is NaN and within TAIL_TOL
 elsewhere, with the window's cells and every threshold cell to the byte.
 csv_cells is checked against the former formula that split the repr of the
