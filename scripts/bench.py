@@ -39,10 +39,6 @@ The file holds, for the checkout under --root (default: this repository):
   `autocorr_estimate` over the default window, the median microseconds of
   the per-lag loop (`_lag_delta` at every lag) over the same window, and
   the share of lags that `autocorr_estimate` sends to that loop;
-- the expansion sum, in one fresh process: for K in 1, 5, 27 and 64 rows of
-  513 and 1025 points, from a fixed seed, the median microseconds of
-  `eigensystem._expansion_sum` and of the term-by-term loop `out += c_k *
-  psi_k` that is its oracle, and whether the two give the same bytes;
 - the `src/` line count, and its code lines: those that are not blank, not
   comment-only and not inside a module, class or function docstring;
 - the git sha, the numpy and scipy versions and nproc.
@@ -122,14 +118,12 @@ WALL_PROBES = {
 }
 WINDOW_SIZES = (32, 64, 512, 1024, 4096, 16384)
 PRESET_NAMES = ("example1", "example2", "example3", "example4")
-EXPANSION_ROWS = (1, 5, 27, 64)
-EXPANSION_POINTS = (513, 1025)
-# a fresh process loads this script by path and prints the table of the function named by argv[2] as JSON
-FRESH_PROBE = """import importlib.util, json, sys
+# a fresh process loads this script by path and prints window_estimator() as JSON
+WINDOW_PROBE = """import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("bench", sys.argv[1])
 bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench)
-print(json.dumps(getattr(bench, sys.argv[2])()))"""
+print(json.dumps(bench.window_estimator()))"""
 TIER1_COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
 # "FAILED <node id> - <message>" or "ERROR <node id>" in pytest's short test summary
 TIER1_NOT_PASSED = re.compile(r"^(FAILED|ERROR) (.+?)(?: - .*)?$", re.MULTILINE)
@@ -270,46 +264,10 @@ def window_estimator(sizes=WINDOW_SIZES, presets=PRESET_NAMES, seeds=range(10), 
     return out
 
 
-def expansion_sum(rows=EXPANSION_ROWS, points=EXPANSION_POINTS, repeats=201) -> dict:
-    """eigensystem._expansion_sum against the term-by-term loop, from the fredreg on sys.path.
-
-    Per K rows of M points ("KxM"; normal values and rows from a fixed seed):
-    the median of `repeats` timed calls of _expansion_sum (`new_us`) and of
-    the loop (`loop_us`), the two alternating, each on a fresh copy of the
-    rows made before its timer starts (an older _expansion_sum scaled its
-    rows in place), and whether the two give the same bytes (`bits_equal`).
-    """
-    from fredreg.eigensystem import _expansion_sum
-
-    def loop(values, table):
-        out = numpy.zeros(table.shape[1])
-        for value, row in zip(values.tolist(), table):
-            out += value * row
-        return out
-
-    out = {}
-    for m in points:
-        for k in rows:
-            rng = numpy.random.default_rng(k * m)
-            values, table = rng.normal(size=k), rng.normal(size=(k, m))
-            times = {"new_us": [], "loop_us": []}
-            for _ in range(repeats):
-                for f, key in ((_expansion_sum, "new_us"), (loop, "loop_us")):
-                    fresh = table.copy()
-                    t0 = time.perf_counter()
-                    f(values, fresh)
-                    times[key].append(time.perf_counter() - t0)
-            out[f"{k}x{m}"] = {
-                "rows": k, "points": m, **{key: statistics.median(t) * 1e6 for key, t in times.items()},
-                "bits_equal": _expansion_sum(values, table.copy()).tobytes() == loop(values, table).tobytes(),
-            }
-    return out
-
-
-def fresh_probe(name: str, root: Path) -> dict:
-    """The table of this script's `name` (window_estimator or expansion_sum), from a fresh process on its src/."""
+def window_probe(root: Path) -> dict:
+    """window_estimator() run by a fresh process on the checkout's own src/."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    argv = [sys.executable, "-c", FRESH_PROBE, str(Path(__file__).resolve()), name]
+    argv = [sys.executable, "-c", WINDOW_PROBE, str(Path(__file__).resolve())]
     return json.loads(subprocess.run(argv, cwd=root, env=env, stdout=subprocess.PIPE, text=True, check=True).stdout)
 
 
@@ -434,8 +392,7 @@ def main() -> int:
         for name, argv in WALL_PROBES.items()
     }
     rss = {name: peak_rss(code, each, args.repeats) for name, code in RSS_PROBES.items()}
-    window = each(lambda root: fresh_probe("window_estimator", root))
-    expansion = each(lambda root: fresh_probe("expansion_sum", root))
+    window = each(window_probe)
     suites = [list(r) for r in zip(*(each(tier1) for _ in range(args.repeats)))]
     status = 0
     for i, (tag, root, sha) in enumerate(checkouts):
@@ -460,7 +417,6 @@ def main() -> int:
             "wall": {name: runs[i] for name, runs in wall.items()},
             "rss": {name: runs[i] for name, runs in rss.items()},
             "window_estimator": window[i],
-            "expansion_sum": expansion[i],
             "tier1": {"median_s": statistics.median(r["wall_s"] for r in suites[i]), "runs": suites[i]},
         }
         path = HERE / f"BENCH_{tag}.json"

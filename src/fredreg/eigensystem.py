@@ -113,9 +113,7 @@ class EigenSystem:
     it returns a new array of shape (len(ks), len(x)) whose row i is
     psi_{ks[i]}(x).  Every evaluation goes through one call to it:
     `basis_matrix` for the rows 1..upto, `reconstruct` for the rows it sums
-    in one einsum contraction, which adds the terms in order from +0.0 with
-    one rounding per product and per sum (einsum does not fuse them on this
-    numpy build), so it is the term-by-term loop to the bit.
+    (see _expansion_sum).
     """
 
     eigenvalues: np.ndarray
@@ -286,20 +284,41 @@ def project_all(f: np.ndarray, es: EigenSystem, grid: QuadratureGrid, upto: int 
     return basis @ (grid.weights * np.asarray(f, dtype=float))
 
 
-def _expansion_sum(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_i values[i] * rows[i] over the rows of a (K, M) array, K >= 0, M >= 2, in one einsum contraction.
+def _contraction_rounds_as_loop(contract=np.einsum) -> bool:
+    """Whether contract("k,kj->j", values, rows) rounds each product before it adds it, in every lane.
 
-    It rounds as the loop `out = np.zeros(M); out += values[i] * rows[i]`
-    does: numpy's C einsum (optimize=False, so never BLAS) walks the C-ordered
-    rows with the grid axis innermost, so each output starts from +0.0, each
-    product is rounded once and the products are added in row order (a dense
-    mat-vec, or a one-point row, takes a dot kernel that sums in another
-    order).  The rows are read, never scaled in place.  The bit identity rests
-    on einsum's kernels not fusing multiply and add, as on numpy 2.4.6 built
-    for the x86-64-v2 baseline (no FMA); on a build that fuses, the exact
-    oracle tests fail, and this goes back to the ordered reduce.
+    After a first row of -1.0, the product (1 + 2**-27) * (1 - 2**-27) =
+    1 - 2**-54 rounds to 1.0, so the loop gives +0.0; a fused multiply-add
+    keeps it exact and gives -2**-54.  Each of the 35 points holds that sum:
+    32 fill an unrolled step of four vectors of 2, 4 or 8 doubles, and 3 are
+    a tail.
     """
-    return np.einsum("k,kj->j", np.asarray(values, dtype=float), np.ascontiguousarray(rows, dtype=float))
+    return not contract("k,kj->j", np.array([1.0, 1.0 + 2.0**-27]), np.array([[-1.0] * 35, [1.0 - 2.0**-27] * 35])).any()
+
+
+_EINSUM_ROUNDS_AS_LOOP = _contraction_rounds_as_loop()
+
+
+def _expansion_sum(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_i values[i] * rows[i] over the rows of a (K, M) array, K >= 0, M >= 2, as the term-by-term loop.
+
+    The loop `out = np.zeros(M); out += values[i] * rows[i]` starts from +0.0,
+    rounds each product and adds the products in row order.  numpy's C einsum
+    (optimize=False, so never BLAS) does the same in one pass when its kernel
+    does not fuse multiply and add: it walks the C-ordered rows with the grid
+    axis innermost (a dense mat-vec, or a one-point row, takes a dot kernel
+    that sums in another order).  Whether it fuses depends on the numpy build:
+    einsum's kernels use the build's baseline SIMD, whose multiply-add is
+    fused on aarch64 and on an x86-64-v3 baseline, not on x86-64-v2.  So
+    _contraction_rounds_as_loop asks once, at import, and where einsum fuses
+    the sum is the ordered reduce, which multiplies and adds in separate
+    ufunc passes and so rounds as the loop on every build.  The rows are
+    read, never scaled in place.
+    """
+    values, terms = np.asarray(values, dtype=float), np.ascontiguousarray(rows, dtype=float)
+    if _EINSUM_ROUNDS_AS_LOOP:
+        return np.einsum("k,kj->j", values, terms)
+    return np.add.reduce(terms * values[:, None], axis=0, initial=0.0)
 
 
 def reconstruct(
@@ -310,9 +329,7 @@ def reconstruct(
     The psi_k come from one evaluation of the listed rows on grid.points.  For
     a Nystrom eigensystem built on this grid that is an exact gather of its
     table's rows; on any other grid its rows are interpolated linearly.  The
-    sum is one einsum contraction (_expansion_sum) that rounds as the loop
-    `out += coeff_k * psi_k` does, bit for bit, since einsum's kernels do not
-    fuse the multiply and the add on this numpy build.
+    sum rounds as the loop `out += coeff_k * psi_k` does (see _expansion_sum).
     """
     ks = np.array([int(k) for k, _ in coeffs], dtype=int)
     values = np.array([float(value) for _, value in coeffs], dtype=float)

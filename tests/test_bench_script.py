@@ -98,25 +98,6 @@ def test_window_estimator_times_both_paths_and_counts_the_lags_sent_to_the_loop(
     assert table["uniform"]["32"]["loop_share"] == 1.0 and selection._lag_delta is lag_delta
 
 
-def test_expansion_sum_times_both_paths_and_flags_equal_bits(monkeypatch):
-    from fredreg import eigensystem
-
-    table = bench.expansion_sum(rows=(1, 27), points=(513,), repeats=2)
-    assert sorted(table) == ["1x513", "27x513"]
-    for key, row in table.items():
-        assert f"{row['rows']}x{row['points']}" == key
-        assert row["new_us"] > 0 and row["loop_us"] > 0 and row["bits_equal"] is True
-    # a sum that rounds otherwise is flagged: a mat-vec adds 27 products in another order
-    monkeypatch.setattr(eigensystem, "_expansion_sum", lambda values, rows: values @ rows)
-    assert bench.expansion_sum(rows=(27,), points=(513,), repeats=1)["27x513"]["bits_equal"] is False
-
-
-def test_fresh_probe_prints_the_named_table_of_the_checkouts_own_src():
-    table = bench.fresh_probe("expansion_sum", Path(bench.__file__).resolve().parents[1])
-    assert sorted(table) == sorted(f"{k}x{m}" for k in bench.EXPANSION_ROWS for m in bench.EXPANSION_POINTS)
-    assert all(row["bits_equal"] for row in table.values())
-
-
 def test_numeric_eigensystem_probe_times_and_measures_the_workload_set_up():
     # one code for both probes: a fresh `import fredreg` and the numeric-kernel workload's eigensystem
     code = bench.RSS_PROBES["numeric_eigensystem_513"]

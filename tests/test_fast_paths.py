@@ -33,14 +33,10 @@ checked against the former meshgrid and np.where formula, and the sine
 evaluator, filled in place, against the former out-of-place formula, both
 to the byte.
 The Nystrom basis on its own nodes, a gather of its table's rows, is checked
-against the per-row np.interp path, and every expansion sum against the
-term-by-term loop, both to the byte.  The expansion sum is one einsum
-contraction: numpy's C einsum adds the rounded products row by row from
-+0.0, as the loop does, and does not fuse multiply and add on this build
-(numpy 2.4.6, x86-64-v2 baseline); these tests are the guard on a build that
-fuses, and a failure there withdraws the contraction rather than forking it.
-autocorr.csv's lags past the selection window, from window sums and one rFFT, are checked
-against the per-lag loop: blank where it is NaN and within TAIL_TOL
+against the per-row np.interp path, and every expansion sum, by both of
+_expansion_sum's paths (see its docstring), against the term-by-term loop,
+both to the byte.  autocorr.csv's lags past the selection window, from
+window sums and one rFFT, are checked against the per-lag loop: blank where it is NaN and within TAIL_TOL
 elsewhere, with the window's cells and every threshold cell to the byte.
 csv_cells is checked against the former formula that split the repr of the
 whole column, autocorr.csv against the former writer that built its delta and
@@ -50,6 +46,8 @@ call per quartile, each to the byte.
 """
 
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -59,7 +57,8 @@ from scipy.stats import chi2
 
 import fredreg as fr
 from fredreg.cli import main
-from fredreg.eigensystem import _expansion_sum, _sine_evaluator
+from fredreg import eigensystem
+from fredreg.eigensystem import _contraction_rounds_as_loop, _expansion_sum, _sine_evaluator
 from fredreg.harness import METHODS, _median_iqr
 from fredreg.synthesis import _sine_terms
 from fredreg import selection
@@ -250,12 +249,19 @@ signed_values = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
 
 
 class TestExpansionSum:
+    """_expansion_sum on both paths: einsum (where it rounds as the loop) and the ordered reduce."""
+
     @staticmethod
     def loop(values, rows):
         out = np.zeros(rows.shape[1])
         for value, row in zip(values.tolist(), rows):
             out += value * row
         return out
+
+    @staticmethod
+    def summed(values, rows, einsum):
+        with mock.patch.object(eigensystem, "_EINSUM_ROUNDS_AS_LOOP", einsum and eigensystem._EINSUM_ROUNDS_AS_LOOP):
+            return _expansion_sum(values, rows)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -265,13 +271,15 @@ class TestExpansionSum:
         zeros=st.sampled_from([0.0, 0.2, 0.9]),
         layout=st.sampled_from(["C", "F", "reversed", "read-only"]),
         exponent=st.sampled_from([6, 300]),  # at 300 some products overflow to +-inf, and inf - inf is NaN
+        einsum=st.booleans(),
     )
-    @example(count=5, points=3, seed=0, zeros=0.0, layout="C", exponent=6)  # 3-point rows, the least grid
-    @example(count=1, points=513, seed=1, zeros=0.2, layout="C", exponent=6)  # a single row
-    @example(count=27, points=513, seed=2, zeros=0.2, layout="reversed", exponent=6)  # negative strides
-    @example(count=64, points=1025, seed=3, zeros=0.2, layout="read-only", exponent=6)
-    @example(count=64, points=513, seed=4, zeros=0.0, layout="C", exponent=300)  # inf and NaN cells
-    def test_matches_the_term_by_term_loop(self, count, points, seed, zeros, layout, exponent):
+    @example(count=5, points=3, seed=0, zeros=0.0, layout="C", exponent=6, einsum=True)  # 3-point rows, the least grid
+    @example(count=1, points=513, seed=1, zeros=0.2, layout="C", exponent=6, einsum=True)  # a single row
+    @example(count=27, points=513, seed=2, zeros=0.2, layout="reversed", exponent=6, einsum=True)  # negative strides
+    @example(count=64, points=1025, seed=3, zeros=0.2, layout="read-only", exponent=6, einsum=True)
+    @example(count=64, points=513, seed=4, zeros=0.0, layout="C", exponent=300, einsum=True)  # inf and NaN cells
+    @example(count=64, points=513, seed=4, zeros=0.2, layout="read-only", exponent=300, einsum=False)
+    def test_matches_the_term_by_term_loop(self, count, points, seed, zeros, layout, exponent, einsum):
         rng = np.random.default_rng(seed)
         rows = rng.normal(size=(count, points)) * 10.0 ** rng.uniform(-exponent, exponent, (count, 1))
         values = rng.normal(size=count) * 10.0 ** rng.uniform(-exponent, exponent, count)
@@ -287,25 +295,38 @@ class TestExpansionSum:
         before = rows.tobytes()
         with np.errstate(over="ignore", invalid="ignore"):
             want = self.loop(values, rows)
-            got = _expansion_sum(values, rows)
+            got = self.summed(values, rows, einsum)
         assert got.tobytes() == want.tobytes()
         assert rows.tobytes() == before  # the rows are read, not scaled in place
 
-    def test_overflowing_terms_give_the_loops_inf_and_nan(self):
+    @pytest.mark.parametrize("einsum", [True, False])
+    def test_overflowing_terms_give_the_loops_inf_and_nan(self, einsum):
         values = np.array([1e300, -1e300, 1e300, 2.0])
         rows = np.array([[1e10, 1.0, -1e10], [1e10, 1.0, 3.0], [5.0, -1e300, 1.0], [1.0, 1.0, 1.0]])
         with np.errstate(over="ignore", invalid="ignore"):
-            want, got = self.loop(values, rows), _expansion_sum(values, rows)
+            want, got = self.loop(values, rows), self.summed(values, rows, einsum)
         assert np.isnan(want[0]) and np.isneginf(want[1:]).all()  # inf - inf, then -inf + finite
         assert got.tobytes() == want.tobytes()
 
-    def test_signed_zeros_sum_to_positive_zero(self):
+    @pytest.mark.parametrize("einsum", [True, False])
+    def test_signed_zeros_sum_to_positive_zero(self, einsum):
         # the loop starts from +0.0, so -0.0 terms (and a one-term -0.0 expansion) sum to +0.0
         rows = np.array([[-0.0, 1.0, -0.0], [-0.0, -0.0, 2.0]])
         for k in (1, 2):
-            got = _expansion_sum(np.ones(k), rows[:k].copy())
+            got = self.summed(np.ones(k), rows[:k].copy(), einsum)
             assert not np.signbit(got[0]) and got[0] == 0.0
-        assert _expansion_sum(np.empty(0), np.empty((0, 5))).tobytes() == np.zeros(5).tobytes()
+        assert self.summed(np.empty(0), np.empty((0, 5)), einsum).tobytes() == np.zeros(5).tobytes()
+
+    def test_the_probe_refuses_a_contraction_that_fuses_multiply_and_add(self):
+        def fused(subscripts, values, rows):  # out = round(value * x + out), one rounding per term, as an FMA
+            out = [0.0] * rows.shape[1]
+            for value, row in zip(values.tolist(), rows.tolist()):
+                out = [float(Fraction(value) * Fraction(x) + Fraction(o)) for x, o in zip(row, out)]
+            return np.array(out)
+
+        assert not _contraction_rounds_as_loop(fused)
+        assert _contraction_rounds_as_loop(lambda subscripts, values, rows: self.loop(values, rows))
+        assert eigensystem._EINSUM_ROUNDS_AS_LOOP == _contraction_rounds_as_loop(np.einsum)
 
 
 def synthesize_from_scratch(signal, es, grid, epsilon, seed, n_coeff, noise_mode):
