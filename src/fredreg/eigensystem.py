@@ -22,6 +22,7 @@ is exact (to rounding) for i + j < 512.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -284,6 +285,7 @@ def project_all(f: np.ndarray, es: EigenSystem, grid: QuadratureGrid, upto: int 
     return basis @ (grid.weights * np.asarray(f, dtype=float))
 
 
+@functools.cache
 def _contraction_rounds_as_loop(contract=np.einsum) -> bool:
     """Whether contract("k,kj->j", values, rows) rounds each product before it adds it, in every lane.
 
@@ -295,8 +297,6 @@ def _contraction_rounds_as_loop(contract=np.einsum) -> bool:
     """
     return not contract("k,kj->j", np.array([1.0, 1.0 + 2.0**-27]), np.array([[-1.0] * 35, [1.0 - 2.0**-27] * 35])).any()
 
-
-_EINSUM_ROUNDS_AS_LOOP = _contraction_rounds_as_loop()
 
 
 def _expansion_sum(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -310,13 +310,13 @@ def _expansion_sum(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     that sums in another order).  Whether it fuses depends on the numpy build:
     einsum's kernels use the build's baseline SIMD, whose multiply-add is
     fused on aarch64 and on an x86-64-v3 baseline, not on x86-64-v2.  So
-    _contraction_rounds_as_loop asks once, at import, and where einsum fuses
+    _contraction_rounds_as_loop asks once, on first use, and where einsum fuses
     the sum is the ordered reduce, which multiplies and adds in separate
     ufunc passes and so rounds as the loop on every build.  The rows are
     read, never scaled in place.
     """
     values, terms = np.asarray(values, dtype=float), np.ascontiguousarray(rows, dtype=float)
-    if _EINSUM_ROUNDS_AS_LOOP:
+    if _contraction_rounds_as_loop():
         return np.einsum("k,kj->j", values, terms)
     return np.add.reduce(terms * values[:, None], axis=0, initial=0.0)
 

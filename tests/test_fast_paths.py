@@ -260,7 +260,8 @@ class TestExpansionSum:
 
     @staticmethod
     def summed(values, rows, einsum):
-        with mock.patch.object(eigensystem, "_EINSUM_ROUNDS_AS_LOOP", einsum and eigensystem._EINSUM_ROUNDS_AS_LOOP):
+        exact = einsum and _contraction_rounds_as_loop()
+        with mock.patch.object(eigensystem, "_contraction_rounds_as_loop", lambda: exact):
             return _expansion_sum(values, rows)
 
     @settings(max_examples=60, deadline=None)
@@ -326,7 +327,6 @@ class TestExpansionSum:
 
         assert not _contraction_rounds_as_loop(fused)
         assert _contraction_rounds_as_loop(lambda subscripts, values, rows: self.loop(values, rows))
-        assert eigensystem._EINSUM_ROUNDS_AS_LOOP == _contraction_rounds_as_loop(np.einsum)
 
 
 def synthesize_from_scratch(signal, es, grid, epsilon, seed, n_coeff, noise_mode):
