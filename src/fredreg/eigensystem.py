@@ -298,7 +298,6 @@ def _contraction_rounds_as_loop(contract=np.einsum) -> bool:
     return not contract("k,kj->j", np.array([1.0, 1.0 + 2.0**-27]), np.array([[-1.0] * 35, [1.0 - 2.0**-27] * 35])).any()
 
 
-
 def _expansion_sum(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """sum_i values[i] * rows[i] over the rows of a (K, M) array, K >= 0, M >= 2, as the term-by-term loop.
 
