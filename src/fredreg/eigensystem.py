@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -64,6 +65,8 @@ class QuadratureGrid:
         wts = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
+        object.__setattr__(self, "a", _finite_real(self.a, "a", signed=True))
+        object.__setattr__(self, "b", _finite_real(self.b, "b", signed=True))
         if pts.ndim != 1 or pts.shape != wts.shape or pts.size < 3:
             raise ValueError("grid needs matching 1-d points/weights with >= 3 nodes")
         if not np.all(np.diff(pts) > 0):
@@ -91,8 +94,9 @@ class QuadratureGrid:
 
 def simpson_grid(n: int = DEFAULT_GRID_SIZE, a: float = 0.0, b: float = 1.0) -> QuadratureGrid:
     """Composite Simpson rule on a uniform grid; n must be an odd integer >= 3."""
-    if not _is_int_at_least(n, 3) or n % 2 == 0:
-        raise ValueError(f"n must be an odd integer >= 3 for composite Simpson, got {n!r}")
+    n, a, b = _integer(n, "n", 3), _finite_real(a, "a", signed=True), _finite_real(b, "b", signed=True)
+    if n % 2 == 0:
+        raise ValueError(f"n must be odd for composite Simpson, got {n!r}")
     pts = np.linspace(a, b, n)
     h = (b - a) / (n - 1)
     w = np.full(n, 2.0)
@@ -135,8 +139,8 @@ class EigenSystem:
         return self.eigenvalues.size
 
     def basis_matrix(self, x: np.ndarray, upto: int | None = None) -> np.ndarray:
-        """psi_k(x) stacked row-wise for k = 1..upto."""
-        upto = self.count if upto is None else upto
+        """psi_k(x) stacked row-wise for k = 1..upto; upto is an integer, and one outside 1..count an IndexError."""
+        upto = self.count if upto is None else _integer(upto, "upto")
         self._check_index(upto)
         return self.evaluator(np.arange(1, upto + 1), np.asarray(x, dtype=float))
 
@@ -177,22 +181,39 @@ def sample_kernel_matrix(grid: QuadratureGrid) -> TabulatedKernel:
     return TabulatedKernel(values=vals, grid=grid)
 
 
-def _is_int_at_least(value, least: int) -> bool:
-    """True for an integer (not a bool) >= least."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
+_FLOAT_MAX = sys.float_info.max
 
 
-def _finite_real(value, name: str, positive: bool = False) -> float:
-    """value as a float when it is a real number (not a bool or str), finite and >= 0 (> 0 if positive).
+def _integer(value, name: str, least: int | None = None, most: int | None = None) -> int:
+    """value as an int when it is an integer (not a bool) in least..most; None leaves that side open.
+
+    Anything else raises a ValueError that names it: True would read as 1, and
+    int() would truncate 2.5 to 2.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not (
+        (least is None or value >= least) and (most is None or value <= most)
+    ):
+        bound = "" if least is None else f" >= {least}" if most is None else f" in {least}..{most}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def _finite_real(value, name: str, positive: bool = False, signed: bool = False) -> float:
+    """value as a float when it is a real number (not a bool or str), finite and >= 0 (> 0 if positive, any sign if signed).
 
     Anything else raises a ValueError that names it: True would read as 1.0,
-    and a str would reach numpy's ufuncs as a bare TypeError.
+    a str would reach numpy's ufuncs as a bare TypeError, and an int past the
+    float range would raise float()'s bare OverflowError.  Only a Python int is
+    compared before its conversion: an np.float32 compared with a Python float
+    warns on the cast.  The rule is scalar Python, with no numpy ufunc, which
+    would cost more than the whole rule on the per-record selection path.
     """
     real = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
-    if not (real and math.isfinite(value) and (value > 0 if positive else value >= 0)):
-        bound = "> 0" if positive else ">= 0"
-        raise ValueError(f"{name} must be finite and {bound}, got {value!r} ({type(value).__name__})")
-    return float(value)
+    number = float(value) if real and (not isinstance(value, int) or abs(value) <= _FLOAT_MAX) else math.nan
+    if not (math.isfinite(number) and (signed or (number > 0 if positive else number >= 0))):
+        bound = "" if signed else " and > 0" if positive else " and >= 0"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r} ({type(value).__name__})")
+    return number
 
 
 def _sine_evaluator(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -206,9 +227,7 @@ def _sine_evaluator(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def analytic_eigensystem(n_max: int = DEFAULT_N_MAX) -> EigenSystem:
     """Closed-form eigensystem of the sample kernel: lam_k = 1/(k pi)^2."""
-    if not _is_int_at_least(n_max, 1):
-        raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
-    ks = np.arange(1, n_max + 1)
+    ks = np.arange(1, _integer(n_max, "n_max", 1) + 1)
     return EigenSystem(
         eigenvalues=1.0 / (ks * np.pi) ** 2,
         evaluator=_sine_evaluator,
@@ -234,8 +253,7 @@ def numeric_eigensystem(kernel: TabulatedKernel, n_max: int) -> EigenSystem:
     """
     grid = kernel.grid
     npts = grid.size
-    if not (_is_int_at_least(n_max, 1) and n_max <= npts):
-        raise ValueError(f"n_max must be an integer in 1..{npts}, got {n_max!r}")
+    n_max = _integer(n_max, "n_max", 1, npts)
     sw = np.sqrt(grid.weights)
     sym = sw[:, None] * kernel.values * sw[None, :]
     failures = (np.linalg.LinAlgError,)  # read by the except clause when an error reaches it
@@ -325,12 +343,15 @@ def reconstruct(
 ) -> np.ndarray:
     """Sum of coeff_k * psi_k on the grid, term by term in list order; an empty list gives the zero function.
 
+    Each k is an integer (not a bool): a ValueError names any other, and an
+    IndexError one outside 1..es.count.
+
     The psi_k come from one evaluation of the listed rows on grid.points.  For
     a Nystrom eigensystem built on this grid that is an exact gather of its
     table's rows; on any other grid its rows are interpolated linearly.  The
     sum rounds as the loop `out += coeff_k * psi_k` does (see _expansion_sum).
     """
-    ks = np.array([int(k) for k, _ in coeffs], dtype=int)
+    ks = np.array([_integer(k, "eigenpair index") for k, _ in coeffs], dtype=int)
     values = np.array([float(value) for _, value in coeffs], dtype=float)
     return _expansion_on(ks, values, es, grid)
 

@@ -60,7 +60,7 @@ from typing import Iterable
 import numpy as np
 
 from .eigensystem import (
-    DEFAULT_GRID_SIZE, DEFAULT_N_MAX, EigenSystem, _finite_real, _is_int_at_least, analytic_eigensystem, simpson_grid,
+    DEFAULT_GRID_SIZE, DEFAULT_N_MAX, EigenSystem, _finite_real, _integer, analytic_eigensystem, simpson_grid,
 )
 from .selection import SelectionReport, build_selection, reconstruct_bhat
 from .spectral import cumulative_profile, f0_approximation
@@ -222,19 +222,14 @@ class ExperimentConfig:
                 "is not a normal float"
             )
         for name, least in (("grid_size", 65), ("n_coeff", 1), ("n_max", 1)):
-            value = getattr(self, name)
-            if not _is_int_at_least(value, least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-            object.__setattr__(self, name, int(value))  # an np.int64 serializes, and hashes, as the int
+            # stored as an int: an np.int64 serializes, and hashes, as the int
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
         if self.grid_size % 2 == 0:
             raise ValueError(f"grid_size must be odd, got {self.grid_size}")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
-        for seed in self.seeds:
-            # numpy's generators refuse a negative seed, with a message that names neither it nor the argument
-            if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-                raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        # numpy's generators refuse a negative seed, with a message that names neither it nor the argument
+        object.__setattr__(self, "seeds", tuple(_integer(s, f"seeds[{i}]", 0) for i, s in enumerate(self.seeds)))
         bad = set(self.methods) - set(ALL_METHODS)
         if bad:
             raise ValueError(f"unknown methods {sorted(bad)}; choose from {ALL_METHODS}")
@@ -245,7 +240,7 @@ class ExperimentConfig:
 
     @staticmethod
     def seed_range(base_seed: int, count: int) -> tuple[int, ...]:
-        return tuple(range(base_seed, base_seed + count))
+        return tuple(range(_integer(base_seed, "base_seed", 0), base_seed + _integer(count, "count", 0)))
 
     def dispersion(self) -> float:
         if self.dispersion_mode == "eps":

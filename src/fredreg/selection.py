@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensystem import EigenSystem, _is_int_at_least
+from .eigensystem import EigenSystem, _finite_real, _integer
 from .synthesis import NoisyDataset, _record, csv_cells, write_table
 from .variational import RegularizedSolution, truncated_expansion
 
@@ -79,6 +79,7 @@ class AutocorrSeries:
     def __post_init__(self):
         d = np.asarray(self.delta, dtype=float)
         object.__setattr__(self, "delta", d)
+        object.__setattr__(self, "n_count", _integer(self.n_count, "n_count", 1))
         if not 1 <= d.size <= self.n_count:
             raise ValueError("delta must have one entry per lag 0..L, L <= N-1")
         finite = d[np.isfinite(d)]
@@ -180,9 +181,7 @@ def autocorr_estimate(coeffs: np.ndarray, last_lag: int | None = None) -> Autoco
     n_count = g.size
     if n_count < 2:
         raise DegenerateSequenceError("autocorrelation needs at least 2 coefficients")
-    last_lag = n_count - 1 if last_lag is None else last_lag
-    if not _is_int_at_least(last_lag, 0):
-        raise ValueError(f"last_lag must be an integer >= 0, got {last_lag!r}")
+    last_lag = n_count - 1 if last_lag is None else _integer(last_lag, "last_lag", 0)
     g = _peak_scaled(g)
     lags = np.arange(min(last_lag, n_count - 1) + 1)
     m = n_count - lags
@@ -251,9 +250,11 @@ def bartlett_stderr(series: AutocorrSeries, n0: int, n: int | np.ndarray) -> flo
     array of lags (the band over them is returned).  Estimated autocorrelations
     stand in for the theoretical ones; undefined lags add nothing to the sum.
     """
-    lags = np.asarray(n)
-    if n0 < 0 or np.any(lags <= n0):
-        raise ValueError(f"large-lag standard error needs n > n0 >= 0, got n={n}, n0={n0}")
+    n0, lags = _integer(n0, "n0", 0), np.asarray(n)
+    if lags.dtype.kind not in "iu":  # True would read as lag 1, and 2.5 would take N - 2.5 pairs
+        raise ValueError(f"lag n must be an integer or an integer array, got {n!r}")
+    if np.any(lags <= n0):
+        raise ValueError(f"lag n must be > n0 for the large-lag standard error, got n={n}, n0={n0}")
     if np.any(lags >= series.delta.size):
         raise ValueError(f"lag {n} outside lag window 0..{series.delta.size - 1} (N={series.n_count})")
     head = series.delta[1 : n0 + 1]
@@ -264,27 +265,14 @@ def bartlett_stderr(series: AutocorrSeries, n0: int, n: int | np.ndarray) -> flo
 
 def default_max_lag(n_count: int) -> int:
     """Largest lag scanned for significance: min(N-8, N//2, floor(10 log10 N))."""
+    n_count = _integer(n_count, "n_count", 1)
     return max(1, min(n_count - 8, n_count // 2, int(math.floor(10.0 * math.log10(n_count)))))
 
 
 def _scan_lags(n_count: int, max_lag: int | None, significance: float) -> int:
-    if max_lag is None:
-        max_lag = default_max_lag(n_count)
-    if not _is_int_at_least(max_lag, 1):
-        raise ValueError(f"max_lag must be None or an integer >= 1, got {max_lag!r}")
-    _check_significance(significance)
+    max_lag = default_max_lag(n_count) if max_lag is None else _integer(max_lag, "max_lag", 1)
+    _finite_real(significance, "significance", positive=True)
     return min(max_lag, n_count - 1)
-
-
-def _check_n0(n0) -> None:
-    if not _is_int_at_least(n0, 0):
-        raise ValueError(f"n0 must be an integer >= 0, got {n0!r}")
-
-
-def _check_significance(significance: float) -> None:
-    # a scalar check: numpy's ufuncs cost more than the whole rule on this per-record path
-    if isinstance(significance, (bool, np.bool_)) or not (math.isfinite(significance) and significance > 0):
-        raise ValueError(f"significance must be finite and > 0, got {significance!r}")
 
 
 def _coverage(significance: float) -> float:
@@ -393,9 +381,8 @@ def build_Q(series: AutocorrSeries, n0: int, significance: float = SIGNIFICANCE)
 
     n0 is an integer >= 0 (not a bool); a ValueError names it otherwise.
     """
-    _check_significance(significance)
-    _check_n0(n0)
-    if n0 == 0:
+    _finite_real(significance, "significance", positive=True)
+    if _integer(n0, "n0", 0) == 0:
         return []
     lags = np.arange(1, n0 + 1)
     band = significance * bartlett_stderr(series, 0, lags)
@@ -427,10 +414,7 @@ def select_pairs(coeffs: np.ndarray, Q: list[int]) -> list[tuple[int, int]]:
     n_count = g.size
     _check_finite(g)
     for n in Q:
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError(f"Q must hold integer lags, got {n!r}")
-        if not 0 < n < n_count:
-            raise ValueError(f"lag {n} in Q outside record of length {n_count}")
+        _integer(n, "each lag in Q", 1, n_count - 1)
     if not Q:
         return []
     lags = np.array(sorted(Q))
@@ -471,8 +455,8 @@ class SelectionReport:
     significance: float = SIGNIFICANCE
 
     def __post_init__(self):
-        _check_n0(self.n0)
-        _check_significance(self.significance)
+        object.__setattr__(self, "n0", _integer(self.n0, "n0", 0))  # an np.int64 serializes as the int
+        _finite_real(self.significance, "significance", positive=True)
 
     @property
     def max_lag(self) -> int:

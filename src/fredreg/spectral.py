@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensystem import EigenSystem
+from .eigensystem import EigenSystem, _finite_real, _integer
 from .synthesis import NoisyDataset, _index_cells, write_table
 from .variational import RegularizedSolution, truncated_expansion
 
@@ -52,8 +52,7 @@ def cumulative_profile(data: NoisyDataset, es: EigenSystem) -> CumulativeProfile
 
 def k0_cutoff(data: NoisyDataset, es: EigenSystem, c1: float) -> int:
     """Largest m with M(m) <= c1; 0 when even M(1) exceeds the budget."""
-    if not (np.isfinite(c1) and c1 > 0):
-        raise ValueError(f"norm budget c1 must be finite and > 0, got {c1!r}")
+    c1 = _finite_real(c1, "norm budget c1", positive=True)
     profile = cumulative_profile(data, es)
     return int(np.searchsorted(profile.values, c1, side="right"))
 
@@ -73,10 +72,7 @@ def detect_plateau(
     ranges may overlap.  Returns (start, end, level) with level the mean of M
     over the range, sorted by start.
     """
-    if window < 2:
-        raise ValueError("window must be >= 2")
-    if flatness <= 0:
-        raise ValueError("flatness must be > 0")
+    window, flatness = _integer(window, "window", 2), _finite_real(flatness, "flatness", positive=True)
     m = profile.values
     n = m.size
 

@@ -21,12 +21,12 @@ injected in two ways:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .eigensystem import EigenSystem, QuadratureGrid, _finite_real, _is_int_at_least, _sine_evaluator, project_all
+from .eigensystem import EigenSystem, QuadratureGrid, _finite_real, _integer, _sine_evaluator, project_all
 
 __all__ = [
     "SignalSpec",
@@ -86,16 +86,13 @@ class SignalSpec:
         elif self.kind == "sine-combination":
             if not self.terms:
                 raise ValueError("sine-combination needs at least one (amplitude, index) term")
-            for _, k in self.terms:
-                if not _is_int_at_least(k, 1):
-                    raise ValueError(f"sine index {k!r} is not an integer >= 1")
-            terms = tuple((float(a), int(k)) for a, k in self.terms)
+            terms = tuple(
+                (_finite_real(a, "sine amplitude", signed=True), _integer(k, "sine index", 1)) for a, k in self.terms
+            )
             object.__setattr__(self, "terms", terms)
             ks = [k for _, k in terms]
             if len(set(ks)) != len(ks):
                 raise ValueError(f"sine indices must be distinct, got {ks}")
-            if not all(np.isfinite(a) for a, _ in terms):
-                raise ValueError("sine amplitudes must be finite")
         elif self.kind == "grid-tabulated":
             if self.values is None:
                 raise ValueError("grid-tabulated signal needs values")
@@ -193,61 +190,32 @@ def forward_coeffs(
     return es.eigenvalues[:upto] * f_k
 
 
-class _TableOnFirstRead:
-    """A dataclass field's default that stands for a table built from the instance on first read.
-
-    Reading the field returns build(instance), made read-only and kept for
-    later reads; a table passed in is kept as given.
-    """
-
-    def __init__(self, build):
-        self.build = build
-
-    def __set_name__(self, owner, name):
-        self.slot = f"_{name}"
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        table = obj.__dict__.get(self.slot)
-        if table is None:
-            table = obj.__dict__[self.slot] = self.build(obj)
-            table.flags.writeable = False
-        return table
-
-    def __set__(self, obj, table):
-        obj.__dict__[self.slot] = None if table is self else table  # the default: built on first read
-
-
 @dataclass(frozen=True)
 class SignalContext:
     """Seed-invariant half of the noise model gbar_k = g_k + u_k, g_k = lam_k f_k.
 
     Built once per signal, eigensystem, grid and record length n_coeff:
     `g_coeffs` holds the noiseless g_k, and `basis` the table psi_k(x_i) (row
-    k-1, k = 1..n_coeff).  Left out, the table is tabulated on its first read
-    and read-only; repr and == leave it out, so they do not build it.  In a
-    run only pointwise noise reads it: `signal_context` projects g_k through
-    a table of its own and leaves this one out.  Only the noise depends on the seed:
-    `add_noise` draws it.
+    k-1, k = 1..n_coeff), tabulated on its first read and read-only; repr and
+    == leave it out, so they do not build it.  In a run only pointwise noise
+    reads it: `signal_context` projects g_k through a table of its own and
+    leaves this one out.  Only the noise depends on the seed: `add_noise`
+    draws it.
     """
 
     grid: QuadratureGrid
     es: EigenSystem
-    basis: np.ndarray = field(
-        default=_TableOnFirstRead(lambda ctx: ctx.es.basis_matrix(ctx.grid.points, ctx.g_coeffs.size)),
-        repr=False, compare=False,
-    )
-    f_vals: np.ndarray = field(kw_only=True)
-    g_coeffs: np.ndarray = field(kw_only=True)
+    _: KW_ONLY
+    f_vals: np.ndarray
+    g_coeffs: np.ndarray
     # the (a_j, k_j) of a sine combination whose g_k took the closed form, None where g_k were projected
-    _exact_terms: tuple[tuple[float, int], ...] | None = field(default=None, kw_only=True, repr=False)
+    _exact_terms: tuple[tuple[float, int], ...] | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        n_coeff, points = self.g_coeffs.size, self.grid.size
-        given = vars(self)["_basis"]  # the table passed in, or None where it is left to the first read
-        if given is not None and given.shape != (n_coeff, points):
-            raise ValueError(f"basis table {given.shape} must have {n_coeff} rows on {points} points")
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        table = self.es.basis_matrix(self.grid.points, self.g_coeffs.size)
+        table.flags.writeable = False
+        return table
 
 
 def _sine_coeffs(terms: tuple[tuple[float, int], ...], n: int) -> np.ndarray:
@@ -272,9 +240,7 @@ def signal_context(
     table that is dropped on return.  Either way the context's table is left
     to its first read.
     """
-    if not _is_int_at_least(n_coeff, 1):
-        raise ValueError(f"n_coeff must be an integer >= 1, got {n_coeff!r}")
-    es._check_index(n_coeff)  # IndexError beyond es.count
+    es._check_index(_integer(n_coeff, "n_coeff", 1))  # IndexError beyond es.count
     terms = _sine_terms(signal) if es.evaluator is _sine_evaluator else None
     f_vals = evaluate_signal(signal, grid)
     if terms is not None:
@@ -294,11 +260,9 @@ def add_noise(
     grid Nyquist index), which is then projected.
     """
     noise_dispersion(epsilon)  # rejects an epsilon that is not a finite real number >= 0
-    # numpy's default_rng draws seed 1 for True and refuses 2.5 or np.float64(3.0) with a TypeError naming no argument
-    if not _is_int_at_least(seed, 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     g_coeffs, grid = ctx.g_coeffs, ctx.grid
-    rng = np.random.default_rng(seed)
+    # numpy's default_rng draws seed 1 for True and refuses 2.5 or np.float64(3.0) with a TypeError naming no argument
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     if noise_mode == "coefficient":
         coeffs = g_coeffs + rng.uniform(-epsilon, epsilon, g_coeffs.size)
     elif noise_mode == "pointwise":
@@ -340,8 +304,7 @@ def snr_db(g: np.ndarray, epsilon: float) -> float:
     so does an epsilon whose eps^2/3 underflows to zero or makes the ratio
     overflow or underflow.
     """
-    if epsilon <= 0:
-        raise ValueError("snr_db needs epsilon > 0")
+    epsilon = _finite_real(epsilon, "epsilon", positive=True)
     power = np.mean(np.asarray(g, dtype=float) ** 2)
     if power == 0:
         raise ValueError("snr_db needs a record of nonzero power")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensystem import EigenSystem, QuadratureGrid, _expansion_on, _finite_real, _is_int_at_least
+from .eigensystem import EigenSystem, QuadratureGrid, _expansion_on, _finite_real, _integer
 from .synthesis import NoisyDataset
 
 __all__ = [
@@ -67,6 +67,7 @@ class ConstraintSpec:
                 )
 
     def spectrum(self, n: int) -> np.ndarray:
+        n = _integer(n, "n", 0)
         if self.c is None:
             return np.arange(1, n + 1, dtype=float)
         if self.c.size < n:
@@ -100,7 +101,7 @@ class VarianceProfile:
             raise ValueError("variance profile entries must be >= 0")
 
     def check_covers(self, n: int) -> None:
-        if self.rho.size < n:
+        if self.rho.size < _integer(n, "n", 0):
             raise ValueError(f"variance profile covers {self.rho.size} components, need {n}")
 
 
@@ -143,15 +144,12 @@ def truncated_expansion(
     """Raw expansion gbar_k/lam_k on the index set ks, zero elsewhere.
 
     Each index is an integer (not a bool) in 1..es.count and 1..data.n_coeff:
-    one that is not an integer >= 1 raises ValueError, one past either bound
-    an IndexError that names it and the bound.
+    one that is not an integer raises ValueError, one outside either range an
+    IndexError that names it and the range.
     """
-    if isinstance(ks, np.ndarray) and ks.dtype.kind in "iu":
-        bad = ks[ks < 1].tolist()  # an integer array holds no bool and no float
-    else:  # item by item: asarray(dtype=int) read 1.5 as 1, and asarray read [True, 2] as [1, 2]
-        bad = [k for k in (ks.tolist() if isinstance(ks, np.ndarray) else ks) if not _is_int_at_least(k, 1)]
-    if bad:
-        raise ValueError(f"indices must be integers >= 1, got {bad[0]!r}")
+    if not (isinstance(ks, np.ndarray) and ks.dtype.kind in "iu"):  # an integer array holds no bool and no float
+        # item by item: asarray(dtype=int) read 1.5 as 1, and asarray read [True, 2] as [1, 2]
+        ks = [_integer(k, "eigenpair index") for k in (ks.tolist() if isinstance(ks, np.ndarray) else ks)]
     idx = np.asarray(ks, dtype=int)
     es._check_index(idx)
     try:

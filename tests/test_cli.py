@@ -59,7 +59,7 @@ class TestRun:
 
     def test_negative_base_seed_is_named(self, tmp_path):
         # the run failed inside numpy with "expected non-negative integer", naming neither the seed nor the flag
-        with pytest.raises(ValueError, match=r"^seeds must be integers >= 0, got -1$"):
+        with pytest.raises(ValueError, match=r"^base_seed must be an integer >= 0, got -1$"):
             main(["run", "--preset", "example1", "--base-seed", "-1", "--out", str(tmp_path / "run")])
         assert not (tmp_path / "run").exists()
 

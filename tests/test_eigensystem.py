@@ -57,6 +57,17 @@ class TestQuadratureGrid:
         with pytest.raises(ValueError):
             fr.QuadratureGrid(points=np.array([0.0, 0.5, 0.4]), weights=np.full(3, 1 / 3), a=0, b=1)
 
+    @pytest.mark.parametrize(
+        "value", [True, "0", float("nan"), float("inf"), 10**400], ids=["True", "'0'", "nan", "inf", "10**400"]
+    )
+    @pytest.mark.parametrize("bound", ["a", "b"])
+    def test_bounds_are_finite_real_numbers(self, bound, value):
+        # a = nan passed every check on the points and weights; True read as 1
+        grid = fr.simpson_grid(5)
+        bounds = {"a": 0.0, "b": 1.0, bound: value}
+        with pytest.raises(ValueError, match=f"^{bound} must be finite, got"):
+            fr.QuadratureGrid(points=grid.points, weights=grid.weights, **bounds)
+
     @settings(max_examples=200, deadline=None)
     @given(
         size=st.sampled_from([5, 65, 129, 513]), seed=st.integers(0, 2**32 - 1),

@@ -46,13 +46,13 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("seed", [1.7, 2.0, True, "3"])
     def test_seeds_must_be_integers(self, seed):
         # int(1.7) ran seed 1 under the name of a seed that was never asked for
-        with pytest.raises(ValueError, match=re.escape(f"seeds must be integers >= 0, got {seed!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"seeds[1] must be an integer >= 0, got {seed!r}")):
             ExperimentConfig(signal=fr.SignalSpec.named("f1"), epsilon=1e-4, seeds=(0, seed))
 
     @pytest.mark.parametrize("seed", [-1, np.int64(-5)])
     def test_seeds_must_be_nonnegative(self, seed):
         # preset("example1", seeds=(-1,)) built, and run_experiment then failed inside numpy naming no seed
-        with pytest.raises(ValueError, match=re.escape(f"seeds must be integers >= 0, got {seed!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"seeds[1] must be an integer >= 0, got {seed!r}")):
             preset("example1", seeds=(0, seed))
 
     def test_numpy_integer_seeds_run_as_ints(self):
@@ -135,10 +135,10 @@ def _json_config(**arguments):
 
 
 def _fingerprint(built):
-    """What a build yields, comparable across the int and the np.int64 it was given."""
+    """What a build yields, comparable across the int and the np.int64 (or float and np.float64) it was given."""
     if isinstance(built, ExperimentConfig):
         return config_hash(built)
-    if isinstance(built, fr.SignalSpec):
+    if isinstance(built, (fr.SignalSpec, fr.SelectionReport)):
         return json.dumps(built.to_json_dict())
     if isinstance(built, fr.EigenSystem):
         return built.eigenvalues.tobytes()
@@ -152,52 +152,107 @@ def _fingerprint(built):
         return json.dumps([built.E, built.eps, built.alpha])  # as a run's params dict serializes them
     if isinstance(built, fr.VarianceProfile):
         return json.dumps(built.eps)
-    if isinstance(built, float):
-        return float(built).hex()
-    return built.points.tobytes() + built.weights.tobytes()
+    if isinstance(built, fr.AutocorrSeries):
+        return built.delta.tobytes() + json.dumps(built.n_count).encode()
+    if isinstance(built, fr.QuadratureGrid):
+        return built.points.tobytes() + built.weights.tobytes() + json.dumps([built.a, built.b]).encode()
+    if isinstance(built, np.ndarray):
+        return built.tobytes()
+    return json.dumps(built)  # a float, an int, None, or lists and tuples of them
 
 
 ES128, GRID129 = fr.analytic_eigensystem(128), fr.simpson_grid(129)
 CTX128 = fr.signal_context(fr.SignalSpec.named("f1"), ES128, GRID129, 128)
 DATA128 = fr.add_noise(CTX128, 1e-3, 0)
+KERNEL129 = fr.sample_kernel_matrix(GRID129)
+SERIES128 = fr.autocorr_estimate(DATA128.coeffs)
+PROFILE128 = fr.cumulative_profile(DATA128, ES128)
+PROFILE_FOR_128 = fr.VarianceProfile(rho=np.ones(128), nu=np.ones(128), eps=1e-3)
+F1 = fr.SignalSpec.named("f1")
 
 
-# (build from one integer argument, the pattern its ValueError must match to name that argument)
+def _sines(term):
+    return fr.SignalSpec(kind="sine-combination", terms=((1.0, 2), term))
+
+
+def _json_sines(term):
+    return fr.SignalSpec.from_json_dict({"kind": "sine-combination", "terms": [[1.0, 2], list(term)]})
+
+
+# "callable(parameter)" -> (build from one integer argument, the pattern its ValueError must match to name it)
 INTEGER_ARGUMENTS = {
     "analytic_eigensystem(n_max)": (fr.analytic_eigensystem, r"^n_max must"),
+    "numeric_eigensystem(n_max)": (lambda v: fr.numeric_eigensystem(KERNEL129, v), r"^n_max must"),
     "simpson_grid(n)": (fr.simpson_grid, r"^n must"),
+    "EigenSystem.basis_matrix(upto)": (lambda v: ES128.basis_matrix(GRID129.points, v), r"^upto must"),
+    "project_all(upto)": (lambda v: fr.project_all(CTX128.f_vals, ES128, GRID129, v), r"^upto must"),
+    "forward_coeffs(upto)": (lambda v: fr.forward_coeffs(CTX128.f_vals, ES128, GRID129, v), r"^upto must"),
+    "reconstruct(coeffs)": (lambda v: fr.reconstruct([(1, 1.0), (v, 0.5)], ES128, GRID129), r"^eigenpair index must"),
     "ExperimentConfig(n_coeff)": (lambda v: _config(n_coeff=v), r"^n_coeff must"),
     "ExperimentConfig(n_max)": (lambda v: _config(n_max=v), r"^n_max must"),
     "ExperimentConfig(grid_size)": (lambda v: _config(grid_size=v), r"^grid_size must"),
+    "ExperimentConfig(seeds)": (lambda v: _config(seeds=(0, v)), r"^seeds\[1\] must"),
     "ExperimentConfig.from_json_dict(n_coeff)": (lambda v: _json_config(n_coeff=v), r"^n_coeff must"),
     "ExperimentConfig.from_json_dict(n_max)": (lambda v: _json_config(n_max=v), r"^n_max must"),
     "ExperimentConfig.from_json_dict(grid_size)": (lambda v: _json_config(grid_size=v), r"^grid_size must"),
-    "SignalSpec.sines(index)": (lambda v: fr.SignalSpec.sines([(1.0, 2), (0.5, v)]), r"^sine index"),
-    "SignalSpec.from_json_dict(index)": (
-        lambda v: fr.SignalSpec.from_json_dict({"kind": "sine-combination", "terms": [[1.0, 2], [0.5, v]]}),
-        r"^sine index",
-    ),
-    "signal_context(n_coeff)": (
-        lambda v: fr.signal_context(fr.SignalSpec.named("f1"), ES128, GRID129, v), r"^n_coeff must",
-    ),
+    "ExperimentConfig.from_json_dict(seeds)": (lambda v: _json_config(seeds=[0, v]), r"^seeds\[1\] must"),
+    "ExperimentConfig.seed_range(base_seed)": (lambda v: ExperimentConfig.seed_range(v, 2), r"^base_seed must"),
+    "ExperimentConfig.seed_range(count)": (lambda v: ExperimentConfig.seed_range(0, v), r"^count must"),
+    "preset(seeds)": (lambda v: preset("example1", seeds=(0, v)), r"^seeds\[1\] must"),
+    "SignalSpec(terms)": (lambda v: _sines((0.5, v)), r"^sine index must"),
+    "SignalSpec.sines(terms)": (lambda v: fr.SignalSpec.sines([(1.0, 2), (0.5, v)]), r"^sine index must"),
+    "SignalSpec.from_json_dict(terms)": (lambda v: _json_sines((0.5, v)), r"^sine index must"),
+    "signal_context(n_coeff)": (lambda v: fr.signal_context(F1, ES128, GRID129, v), r"^n_coeff must"),
     "add_noise(seed)": (lambda v: fr.add_noise(CTX128, 1e-3, v), r"^seed must"),
-    "truncated_expansion(index)": (
-        lambda v: fr.truncated_expansion(DATA128, ES128, [1, v], "any", {}), r"^indices must",
+    "synthesize_dataset(seed)": (lambda v: fr.synthesize_dataset(F1, ES128, GRID129, 1e-3, v, 128)[0], r"^seed must"),
+    "synthesize_dataset(n_coeff)": (
+        lambda v: fr.synthesize_dataset(F1, ES128, GRID129, 1e-3, 0, v)[0], r"^n_coeff must",
     ),
+    "ConstraintSpec.spectrum(n)": (lambda v: fr.ConstraintSpec(E=1.0, eps=1e-3).spectrum(v), r"^n must"),
+    "VarianceProfile.check_covers(n)": (PROFILE_FOR_128.check_covers, r"^n must"),
+    "truncated_expansion(ks)": (
+        lambda v: fr.truncated_expansion(DATA128, ES128, [1, v], "any", {}), r"^eigenpair index must",
+    ),
+    "detect_plateau(window)": (lambda v: fr.detect_plateau(PROFILE128, v), r"^window must"),
+    "AutocorrSeries(n_count)": (lambda v: fr.AutocorrSeries(delta=np.array([1.0, 0.5]), n_count=v), r"^n_count must"),
+    "autocorr_estimate(last_lag)": (lambda v: fr.autocorr_estimate(DATA128.coeffs, v), r"^last_lag must"),
+    "bartlett_stderr(n0)": (lambda v: fr.bartlett_stderr(SERIES128, v, 100), r"^n0 must"),
+    "bartlett_stderr(n)": (lambda v: fr.bartlett_stderr(SERIES128, 2, v), r"^lag n must"),
+    "default_max_lag(n_count)": (fr.default_max_lag, r"^n_count must"),
+    "detect_n0(max_lag)": (lambda v: fr.detect_n0(SERIES128, max_lag=v), r"^max_lag must"),
+    "build_Q(n0)": (lambda v: fr.build_Q(SERIES128, v), r"^n0 must"),
+    "select_pairs(Q)": (lambda v: fr.select_pairs(DATA128.coeffs, [1, v]), r"^each lag in Q must"),
+    "build_selection(max_lag)": (lambda v: fr.build_selection(DATA128, max_lag=v), r"^max_lag must"),
+    "SelectionReport(n0)": (lambda v: fr.SelectionReport(n0=v, Q=[], pairs=[], series=SERIES128), r"^n0 must"),
 }
 # arguments whose least value is 0, not 1
-ZERO_IS_VALID = {"add_noise(seed)"}
+ZERO_IS_VALID = {
+    "ExperimentConfig(seeds)", "ExperimentConfig.from_json_dict(seeds)", "ExperimentConfig.seed_range(base_seed)",
+    "ExperimentConfig.seed_range(count)", "preset(seeds)", "add_noise(seed)", "synthesize_dataset(seed)",
+    "ConstraintSpec.spectrum(n)", "VarianceProfile.check_covers(n)", "autocorr_estimate(last_lag)",
+    "bartlett_stderr(n0)", "build_Q(n0)", "SelectionReport(n0)",
+}
+# eigenpair indices: an integer outside 1..count raises EigenSystem's IndexError, which names it
+INDEX_ARGUMENTS = {
+    "EigenSystem.basis_matrix(upto)", "project_all(upto)", "forward_coeffs(upto)", "reconstruct(coeffs)",
+    "truncated_expansion(ks)",
+}
 
 
 @pytest.mark.parametrize("value", [True, 2.5, np.float64(3.0), 64.5, 0, -1, NAN, INF, -INF], ids=repr)
 @pytest.mark.parametrize("case", INTEGER_ARGUMENTS)
 def test_integer_arguments_refuse_bools_floats_and_small_values(case, value):
     # analytic_eigensystem(True) gave 1 pair and (2.5) 3; from_json_dict read 64.5 as 64; sines read 2.7 as 2;
-    # signal_context(True) built a 1-row record, add_noise drew seed 1 for True, and truncated_expansion
-    # kept index 1 for 1.5
+    # signal_context(True) built a 1-row record, add_noise drew seed 1 for True, truncated_expansion and
+    # reconstruct kept index 1 for 1.5, basis_matrix gave 3 rows for upto=2.5 and 1 for True, spectrum(2.5)
+    # 3 entries, bartlett_stderr took n0=True and window=2.5 was accepted
     build, names = INTEGER_ARGUMENTS[case]
     if value == 0 and case in ZERO_IS_VALID:
-        build(value)  # builds: 0 is the least seed
+        build(value)  # builds: 0 is the least value
+        return
+    if value in (0, -1) and case in INDEX_ARGUMENTS:
+        with pytest.raises(IndexError, match=f"^eigenpair index {value} outside 1..128$"):
+            build(value)
         return
     with pytest.raises(ValueError, match=names):
         build(value)
@@ -209,29 +264,64 @@ def test_numpy_integer_arguments_build_what_ints_build(case):
     assert _fingerprint(build(np.int64(65))) == _fingerprint(build(65))
 
 
-# (build from one real argument, the pattern its ValueError must match to name that argument)
+# "callable(parameter)" -> (build from one real argument, the pattern its ValueError must match to name it)
 REAL_ARGUMENTS = {
+    "simpson_grid(a)": (lambda v: fr.simpson_grid(65, v, 2.0), r"^a must"),
+    "simpson_grid(b)": (lambda v: fr.simpson_grid(65, -1.0, v), r"^b must"),
     "ExperimentConfig(epsilon)": (lambda v: _config(epsilon=v), r"^epsilon must"),
     "ExperimentConfig(E_override)": (lambda v: _config(E_override=v), r"^E_override must"),
     "ExperimentConfig(c1_override)": (lambda v: _config(c1_override=v), r"^c1_override must"),
     "ExperimentConfig.from_json_dict(epsilon)": (lambda v: _json_config(epsilon=v), r"^epsilon must"),
     "ExperimentConfig.from_json_dict(E_override)": (lambda v: _json_config(E_override=v), r"^E_override must"),
     "ExperimentConfig.from_json_dict(c1_override)": (lambda v: _json_config(c1_override=v), r"^c1_override must"),
+    "SignalSpec(terms)": (lambda v: _sines((v, 3)), r"^sine amplitude must"),
+    "SignalSpec.sines(terms)": (lambda v: fr.SignalSpec.sines([(1.0, 2), (v, 3)]), r"^sine amplitude must"),
+    "SignalSpec.from_json_dict(terms)": (lambda v: _json_sines((v, 3)), r"^sine amplitude must"),
     "ConstraintSpec(E)": (lambda v: fr.ConstraintSpec(E=v, eps=1e-3), r"^constraint bound E must"),
     "ConstraintSpec(eps)": (lambda v: fr.ConstraintSpec(E=1.0, eps=v), r"^noise bound eps must"),
+    "tikhonov_identity(E)": (lambda v: fr.tikhonov_identity(DATA128, ES128, v, 1e-3), r"^constraint bound E must"),
+    "tikhonov_identity(eps)": (lambda v: fr.tikhonov_identity(DATA128, ES128, 1.0, v), r"^noise bound eps must"),
+    "truncated_k_beta(E)": (lambda v: fr.truncated_k_beta(DATA128, ES128, v, 1e-3), r"^constraint bound E must"),
+    "truncated_k_beta(eps)": (lambda v: fr.truncated_k_beta(DATA128, ES128, 1.0, v), r"^noise bound eps must"),
     "VarianceProfile(eps)": (
         lambda v: fr.VarianceProfile(rho=np.ones(4), nu=np.ones(4), eps=v), r"^noise scale eps must",
     ),
     "add_noise(epsilon)": (lambda v: fr.add_noise(CTX128, v, 0), r"^epsilon must"),
+    "synthesize_dataset(epsilon)": (
+        lambda v: fr.synthesize_dataset(F1, ES128, GRID129, v, 0, 128)[0], r"^epsilon must",
+    ),
+    "snr_db(epsilon)": (lambda v: fr.snr_db(CTX128.g_coeffs, v), r"^epsilon must"),
     "noise_dispersion(epsilon)": (fr.noise_dispersion, r"^epsilon must"),
+    "k0_cutoff(c1)": (lambda v: fr.k0_cutoff(DATA128, ES128, v), r"^norm budget c1 must"),
+    "f0_approximation(c1)": (lambda v: fr.f0_approximation(DATA128, ES128, v), r"^norm budget c1 must"),
+    "detect_plateau(flatness)": (lambda v: fr.detect_plateau(PROFILE128, 3, v), r"^flatness must"),
+    "detect_n0(significance)": (lambda v: fr.detect_n0(SERIES128, v), r"^significance must"),
+    "build_Q(significance)": (lambda v: fr.build_Q(SERIES128, 3, v), r"^significance must"),
+    "build_selection(significance)": (lambda v: fr.build_selection(DATA128, v), r"^significance must"),
+    "SelectionReport(significance)": (
+        lambda v: fr.SelectionReport(n0=0, Q=[], pairs=[], series=SERIES128, significance=v), r"^significance must",
+    ),
 }
+# arguments of either sign
+NEGATIVE_IS_VALID = {
+    "simpson_grid(a)", "simpson_grid(b)", "SignalSpec(terms)", "SignalSpec.sines(terms)",
+    "SignalSpec.from_json_dict(terms)",
+}
+HUGE = 10**400  # an int past the float range: float() raised a bare OverflowError
 
 
-@pytest.mark.parametrize("value", [True, "1e-3", NAN, INF, -INF, -1e-3], ids=repr)
+@pytest.mark.parametrize(
+    "value", [True, "1e-3", NAN, INF, -INF, -1e-3, HUGE], ids=lambda v: "10**400" if v is HUGE else repr(v)
+)
 @pytest.mark.parametrize("case", REAL_ARGUMENTS)
 def test_real_arguments_refuse_bools_strs_and_values_out_of_range(case, value):
-    # True built as 1.0 at each of them, and "1e-3" raised numpy's bare TypeError
+    # True built as 1.0 at each of them, and "1e-3" raised numpy's bare TypeError; sines built (True, 2) and
+    # ("1.0", 2) as (1.0, 2), f0_approximation ran with c1=True, detect_plateau(flatness=nan) returned [],
+    # and snr_db(g, True) read epsilon as 1.0
     build, names = REAL_ARGUMENTS[case]
+    if value == -1e-3 and case in NEGATIVE_IS_VALID:
+        build(value)  # builds: any finite sign is valid
+        return
     with pytest.raises(ValueError, match=names):
         build(value)
 
@@ -707,7 +797,7 @@ class TestTableCache:
         held = arrays_held(entry)
         assert (512, 513) not in {a.shape for a in held}
         assert any(a is tables_built[1] for a in held) and not tables_built[1].flags.writeable
-        assert vars(fr.run_context(cfg).data)["_basis"] is None  # the record's table is left to its first read
+        assert "basis" not in vars(fr.run_context(cfg).data)  # the record's table is left to its first read
 
     def test_emission_gathers_from_the_n_max_row_table_once_per_table_cache_entry(self, tables_built, tmp_path):
         harness._TABLES.clear()
@@ -719,7 +809,7 @@ class TestTableCache:
         assert [table.shape for table in tables_built] == [(64, 513), (512, 513), (64, 513)]
         assert not tables_built[0].flags.writeable and not tables_built[-1].flags.writeable
         ctx = fr.run_context(runs[-1])
-        assert vars(ctx.data)["_basis"] is None
+        assert "basis" not in vars(ctx.data)
         assert ctx.es.basis_matrix(ctx.data.grid.points).tobytes() == tables_built[2].tobytes()
 
     def test_pointwise_noise_tabulates_the_record_basis_on_first_read(self, tables_built, tmp_path):
@@ -740,10 +830,12 @@ class TestTableCache:
         assert tables_built == []
         table = ctx.basis
         assert len(tables_built) == 1 and tables_built[0] is table is ctx.basis and not table.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.basis = table  # read-only: neither passed in nor replaced
         assert table.tobytes() == es512.basis_matrix(grid513.points, 256).tobytes()
         # a grid-form signal projects g_k through a table of its own and leaves the context's to its first read
         grid_form = fr.signal_context(fr.SignalSpec.named("f1"), es512, grid513, 256)
-        assert len(tables_built) == 3 and vars(grid_form)["_basis"] is None
+        assert len(tables_built) == 3 and "basis" not in vars(grid_form)
         assert grid_form.basis is tables_built[3] is not tables_built[2]
         assert grid_form.basis.tobytes() == table.tobytes()
 

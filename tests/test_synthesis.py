@@ -162,7 +162,7 @@ class TestAddNoise:
 class TestSignalContext:
     def test_fields_are_the_seed_invariant_tables(self, es64, grid513):
         ctx = fr.signal_context(fr.SignalSpec.named("f1"), es64, grid513, 40)
-        fields = ["grid", "es", "basis", "f_vals", "g_coeffs", "_exact_terms"]
+        fields = ["grid", "es", "f_vals", "g_coeffs", "_exact_terms"]  # the psi_k table is a property
         assert [f.name for f in dataclasses.fields(ctx)] == fields
         assert not hasattr(ctx, "draw") and ctx._exact_terms is None
 
@@ -185,14 +185,6 @@ class TestSignalContext:
     def test_a_record_past_the_eigensystem_raises(self, es64, grid513, name):
         with pytest.raises(IndexError, match="eigenpair index 65 outside 1..64"):
             fr.signal_context(fr.SignalSpec.named(name), es64, grid513, 65)
-
-    @pytest.mark.parametrize("rows, points", [(39, 513), (41, 513), (40, 129)])
-    def test_mismatched_basis_rejected(self, es64, grid513, rows, points):
-        ctx = fr.signal_context(fr.SignalSpec.named("f1"), es64, grid513, 40)
-        basis = es64.basis_matrix(fr.simpson_grid(points).points, rows)
-        message = f"basis table ({rows}, {points}) must have 40 rows on 513 points"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            dataclasses.replace(ctx, basis=basis)
 
 
 class TestNoisyDataset:
