@@ -17,9 +17,10 @@ The file holds, for the checkout under --root (default: this repository):
   `seeds/*/*.csv`, without the seed-invariant columns (x, f_true and
   threshold0), and the seconds that `repr` takes over those floats, parsed
   back (the least that writing them as round-trip digits costs);
-- the wall time of `scripts/null_control.py`, and of `scripts/noise_sweep.py
-  --seeds 20` (every preset over its ladder of eps in one process, so all
-  but the first rung of a preset reuse its tables);
+- the wall time of `scripts/evidence.py null_control`, and of
+  `scripts/evidence.py noise_sweep --seeds 20` (every preset over its ladder
+  of eps in one process, so all but the first rung of a preset reuse its
+  tables), each writing its document into a fresh directory;
 - the wall time of the tier-1 suite, a fresh `python -m pytest -q -p
   no:cacheprovider`, with its passed and failed counts whatever its exit code
   (documented failing tests make pytest exit 1), and the node IDs of its
@@ -113,8 +114,8 @@ WALL_PROBES = {
     "run_example1": [*CLI, "example1"],
     "run_example1_out": [*CLI, "example1", "--out", "{tmp}"],
     "run_example3": [*CLI, "example3"],
-    "null_control": [sys.executable, "scripts/null_control.py"],
-    "noise_sweep": [sys.executable, "scripts/noise_sweep.py", "--seeds", "20", "--out", "{tmp}/sweep.json"],
+    "null_control": [sys.executable, "scripts/evidence.py", "null_control", "--out", "{tmp}/null.json"],
+    "noise_sweep": [sys.executable, "scripts/evidence.py", "noise_sweep", "--seeds", "20", "--out", "{tmp}/sweep.json"],
 }
 WINDOW_SIZES = (32, 64, 512, 1024, 4096, 16384)
 PRESET_NAMES = ("example1", "example2", "example3", "example4")

@@ -216,6 +216,28 @@ def _finite_real(value, name: str, positive: bool = False, signed: bool = False)
     return number
 
 
+def _integers(values, name: str) -> np.ndarray:
+    """values as an int array: an integer ndarray by one dtype check, anything else item by item through _integer.
+
+    asarray(dtype=int) would read 1.5 as 1, and asarray [True, 2] as [1, 2].
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):  # an integer array holds no bool and no float
+        values = [_integer(v, name) for v in (values.tolist() if isinstance(values, np.ndarray) else values)]
+    return np.asarray(values, dtype=int)
+
+
+def _finite_reals(values, name: str) -> np.ndarray:
+    """values as a float array: a float ndarray by one dtype check, anything else item by item through _finite_real.
+
+    A float ndarray is left for its caller to check as a whole; each other
+    item must be finite and >= 0.  asarray(dtype=float) would read
+    [True, "1"] as [1.0, 1.0].
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype.kind == "f"):
+        values = [_finite_real(v, name) for v in (values.tolist() if isinstance(values, np.ndarray) else values)]
+    return np.asarray(values, dtype=float)
+
+
 def _sine_evaluator(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
     # (k pi) x, not k (pi x): the rounding then matches sin(k * pi * x) row by row; sin and the
     # scaling fill the one table in place, so no second table is alive while it is built
@@ -343,8 +365,9 @@ def reconstruct(
 ) -> np.ndarray:
     """Sum of coeff_k * psi_k on the grid, term by term in list order; an empty list gives the zero function.
 
-    Each k is an integer (not a bool): a ValueError names any other, and an
-    IndexError one outside 1..es.count.
+    Each k is an integer (not a bool) and each coefficient a finite real
+    number (not a bool or str): a ValueError names any other, and an
+    IndexError a k outside 1..es.count.
 
     The psi_k come from one evaluation of the listed rows on grid.points.  For
     a Nystrom eigensystem built on this grid that is an exact gather of its
@@ -352,7 +375,7 @@ def reconstruct(
     sum rounds as the loop `out += coeff_k * psi_k` does (see _expansion_sum).
     """
     ks = np.array([_integer(k, "eigenpair index") for k, _ in coeffs], dtype=int)
-    values = np.array([float(value) for _, value in coeffs], dtype=float)
+    values = np.array([_finite_real(value, "expansion coefficient", signed=True) for _, value in coeffs], dtype=float)
     return _expansion_on(ks, values, es, grid)
 
 

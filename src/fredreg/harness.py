@@ -230,9 +230,17 @@ class ExperimentConfig:
             raise ValueError("seeds must be nonempty")
         # numpy's generators refuse a negative seed, with a message that names neither it nor the argument
         object.__setattr__(self, "seeds", tuple(_integer(s, f"seeds[{i}]", 0) for i, s in enumerate(self.seeds)))
+        if not self.methods:
+            raise ValueError(f"methods must be nonempty; choose from {ALL_METHODS}")
         bad = set(self.methods) - set(ALL_METHODS)
         if bad:
             raise ValueError(f"unknown methods {sorted(bad)}; choose from {ALL_METHODS}")
+        for name in ("seeds", "methods"):
+            # a repeated seed lists one draw twice in the manifest and the summary; a repeated method runs twice
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                repeated = next(v for i, v in enumerate(values) if v in values[:i])
+                raise ValueError(f"{name} must be distinct, got {repeated!r} more than once")
         if self.dispersion_mode not in ("eps_over_sqrt3", "eps"):
             raise ValueError("dispersion_mode must be 'eps_over_sqrt3' or 'eps'")
         if self.noise_mode not in ("coefficient", "pointwise"):

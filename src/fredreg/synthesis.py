@@ -331,14 +331,20 @@ def read_coeffs_csv(path: str) -> np.ndarray:
         if header != "k,g_bar_k":
             raise ValueError(f"{path}: expected header 'k,g_bar_k', got {header!r}")
         vals = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            k, c = line.split(",", 1)
-            if int(k) != len(vals) + 1:
-                raise ValueError(f"{path}: expected k={len(vals) + 1}, got k={k}")
-            vals.append(float(c))
+            try:
+                k, c = line.split(",")
+                k, c = int(k), float(c)
+            except ValueError:  # a row of one or three cells, a k that is not an integer, a g_bar_k not a number
+                raise ValueError(
+                    f"{path}, line {lineno}: expected a row 'k,g_bar_k' of an integer and a number, got {line!r}"
+                ) from None
+            if k != len(vals) + 1:
+                raise ValueError(f"{path}, line {lineno}: expected k={len(vals) + 1}, got k={k}")
+            vals.append(c)
     return np.asarray(vals)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensystem import EigenSystem, QuadratureGrid, _expansion_on, _finite_real, _integer
+from .eigensystem import EigenSystem, QuadratureGrid, _expansion_on, _finite_real, _finite_reals, _integer, _integers
 from .synthesis import NoisyDataset
 
 __all__ = [
@@ -88,8 +88,8 @@ class VarianceProfile:
     eps: float
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
-        nu = np.asarray(self.nu, dtype=float)
+        rho = _finite_reals(self.rho, "variance profile rho")
+        nu = _finite_reals(self.nu, "variance profile nu")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "nu", nu)
         if rho.shape != nu.shape:
@@ -107,7 +107,10 @@ class VarianceProfile:
 
 @dataclass(frozen=True)
 class RegularizedSolution:
-    """Sparse coefficient expansion plus provenance of the producing filter."""
+    """Sparse coefficient expansion plus provenance of the producing filter.
+
+    The indices are distinct integers (not bools) >= 1: a ValueError names any other.
+    """
 
     indices: np.ndarray
     values: np.ndarray
@@ -115,7 +118,7 @@ class RegularizedSolution:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
+        idx = _integers(self.indices, "eigenpair index")
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", vals)
@@ -147,10 +150,7 @@ def truncated_expansion(
     one that is not an integer raises ValueError, one outside either range an
     IndexError that names it and the range.
     """
-    if not (isinstance(ks, np.ndarray) and ks.dtype.kind in "iu"):  # an integer array holds no bool and no float
-        # item by item: asarray(dtype=int) read 1.5 as 1, and asarray read [True, 2] as [1, 2]
-        ks = [_integer(k, "eigenpair index") for k in (ks.tolist() if isinstance(ks, np.ndarray) else ks)]
-    idx = np.asarray(ks, dtype=int)
+    idx = _integers(ks, "eigenpair index")
     es._check_index(idx)
     try:
         vals = data.coeffs[idx - 1] / es.eigenvalues[idx - 1]

@@ -226,7 +226,8 @@ class TestReconstruct:
             fr.reconstruct([(2, 1.0), (0, 1.0), (-3, 1.0), (99, 1.0)], es64, grid513)
 
     def test_a_missing_value_raises(self, es64, grid513):
-        with pytest.raises(TypeError):
+        # float(None) raised a bare TypeError; the real rule names the coefficient
+        with pytest.raises(ValueError, match="^expansion coefficient must be finite, got None"):
             fr.reconstruct([(1, None)], es64, grid513)
 
     @SETTINGS

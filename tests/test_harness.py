@@ -59,6 +59,23 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(signal=fr.SignalSpec.named("f1"), epsilon=1e-4, seeds=tuple(np.arange(2)))
         assert cfg.seeds == (0, 1) and all(type(s) is int for s in cfg.seeds)
 
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            ({"seeds": (0, 0)}, "seeds must be distinct, got 0 more than once"),
+            ({"seeds": (3, np.int64(1), 1)}, "seeds must be distinct, got 1 more than once"),
+            ({"methods": ("bhat", "k_alpha", "bhat")}, "methods must be distinct, got 'bhat' more than once"),
+            ({"methods": ()}, "methods must be nonempty"),
+        ],
+    )
+    def test_seeds_and_methods_must_be_distinct_and_methods_nonempty(self, arguments, message):
+        # seeds=(0, 0) wrote a manifest of 14 files, 10 distinct, and summarized n_seeds 2 from one draw;
+        # ("bhat", "bhat") ran the selection twice under a hash apart from ("bhat",); () summarized no method
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _config(**arguments)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _json_config(**{name: list(values) for name, values in arguments.items()})
+
     @pytest.mark.parametrize("epsilon", [-1.0, float("nan"), float("inf")])
     def test_epsilon_must_be_finite_and_nonnegative(self, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
@@ -151,7 +168,7 @@ def _fingerprint(built):
     if isinstance(built, fr.ConstraintSpec):
         return json.dumps([built.E, built.eps, built.alpha])  # as a run's params dict serializes them
     if isinstance(built, fr.VarianceProfile):
-        return json.dumps(built.eps)
+        return built.rho.tobytes() + built.nu.tobytes() + json.dumps(built.eps).encode()
     if isinstance(built, fr.AutocorrSeries):
         return built.delta.tobytes() + json.dumps(built.n_count).encode()
     if isinstance(built, fr.QuadratureGrid):
@@ -191,14 +208,14 @@ INTEGER_ARGUMENTS = {
     "ExperimentConfig(n_coeff)": (lambda v: _config(n_coeff=v), r"^n_coeff must"),
     "ExperimentConfig(n_max)": (lambda v: _config(n_max=v), r"^n_max must"),
     "ExperimentConfig(grid_size)": (lambda v: _config(grid_size=v), r"^grid_size must"),
-    "ExperimentConfig(seeds)": (lambda v: _config(seeds=(0, v)), r"^seeds\[1\] must"),
+    "ExperimentConfig(seeds)": (lambda v: _config(seeds=(1, v)), r"^seeds\[1\] must"),
     "ExperimentConfig.from_json_dict(n_coeff)": (lambda v: _json_config(n_coeff=v), r"^n_coeff must"),
     "ExperimentConfig.from_json_dict(n_max)": (lambda v: _json_config(n_max=v), r"^n_max must"),
     "ExperimentConfig.from_json_dict(grid_size)": (lambda v: _json_config(grid_size=v), r"^grid_size must"),
-    "ExperimentConfig.from_json_dict(seeds)": (lambda v: _json_config(seeds=[0, v]), r"^seeds\[1\] must"),
+    "ExperimentConfig.from_json_dict(seeds)": (lambda v: _json_config(seeds=[1, v]), r"^seeds\[1\] must"),
     "ExperimentConfig.seed_range(base_seed)": (lambda v: ExperimentConfig.seed_range(v, 2), r"^base_seed must"),
     "ExperimentConfig.seed_range(count)": (lambda v: ExperimentConfig.seed_range(0, v), r"^count must"),
-    "preset(seeds)": (lambda v: preset("example1", seeds=(0, v)), r"^seeds\[1\] must"),
+    "preset(seeds)": (lambda v: preset("example1", seeds=(1, v)), r"^seeds\[1\] must"),
     "SignalSpec(terms)": (lambda v: _sines((0.5, v)), r"^sine index must"),
     "SignalSpec.sines(terms)": (lambda v: fr.SignalSpec.sines([(1.0, 2), (0.5, v)]), r"^sine index must"),
     "SignalSpec.from_json_dict(terms)": (lambda v: _json_sines((0.5, v)), r"^sine index must"),
@@ -213,6 +230,11 @@ INTEGER_ARGUMENTS = {
     "truncated_expansion(ks)": (
         lambda v: fr.truncated_expansion(DATA128, ES128, [1, v], "any", {}), r"^eigenpair index must",
     ),
+    # 0 and -1 are integers, which the distinct-and->=-1 check refuses under the name "coefficient indices"
+    "RegularizedSolution(indices)": (
+        lambda v: fr.RegularizedSolution(indices=[v, 70], values=[0.5, 0.25], method="any"),
+        r"^(eigenpair index|coefficient indices) must",
+    ),
     "detect_plateau(window)": (lambda v: fr.detect_plateau(PROFILE128, v), r"^window must"),
     "AutocorrSeries(n_count)": (lambda v: fr.AutocorrSeries(delta=np.array([1.0, 0.5]), n_count=v), r"^n_count must"),
     "autocorr_estimate(last_lag)": (lambda v: fr.autocorr_estimate(DATA128.coeffs, v), r"^last_lag must"),
@@ -225,7 +247,7 @@ INTEGER_ARGUMENTS = {
     "build_selection(max_lag)": (lambda v: fr.build_selection(DATA128, max_lag=v), r"^max_lag must"),
     "SelectionReport(n0)": (lambda v: fr.SelectionReport(n0=v, Q=[], pairs=[], series=SERIES128), r"^n0 must"),
 }
-# arguments whose least value is 0, not 1
+# arguments whose least value is 0, not 1 (the seed rows list seed 1 first, since a repeated seed is refused)
 ZERO_IS_VALID = {
     "ExperimentConfig(seeds)", "ExperimentConfig.from_json_dict(seeds)", "ExperimentConfig.seed_range(base_seed)",
     "ExperimentConfig.seed_range(count)", "preset(seeds)", "add_noise(seed)", "synthesize_dataset(seed)",
@@ -245,7 +267,8 @@ def test_integer_arguments_refuse_bools_floats_and_small_values(case, value):
     # analytic_eigensystem(True) gave 1 pair and (2.5) 3; from_json_dict read 64.5 as 64; sines read 2.7 as 2;
     # signal_context(True) built a 1-row record, add_noise drew seed 1 for True, truncated_expansion and
     # reconstruct kept index 1 for 1.5, basis_matrix gave 3 rows for upto=2.5 and 1 for True, spectrum(2.5)
-    # 3 entries, bartlett_stderr took n0=True and window=2.5 was accepted
+    # 3 entries, bartlett_stderr took n0=True and window=2.5 was accepted; RegularizedSolution built [1, 2] from
+    # indices [1.5, 2.7] and from [True, 2]
     build, names = INTEGER_ARGUMENTS[case]
     if value == 0 and case in ZERO_IS_VALID:
         build(value)  # builds: 0 is the least value
@@ -286,6 +309,15 @@ REAL_ARGUMENTS = {
     "VarianceProfile(eps)": (
         lambda v: fr.VarianceProfile(rho=np.ones(4), nu=np.ones(4), eps=v), r"^noise scale eps must",
     ),
+    "VarianceProfile(rho)": (
+        lambda v: fr.VarianceProfile(rho=[1.0, v], nu=np.ones(2), eps=1e-3), r"^variance profile rho must",
+    ),
+    "VarianceProfile(nu)": (
+        lambda v: fr.VarianceProfile(rho=np.ones(2), nu=[1.0, v], eps=1e-3), r"^variance profile nu must",
+    ),
+    "reconstruct(coeffs)": (
+        lambda v: fr.reconstruct([(1, 1.0), (2, v)], ES128, GRID129), r"^expansion coefficient must",
+    ),
     "add_noise(epsilon)": (lambda v: fr.add_noise(CTX128, v, 0), r"^epsilon must"),
     "synthesize_dataset(epsilon)": (
         lambda v: fr.synthesize_dataset(F1, ES128, GRID129, v, 0, 128)[0], r"^epsilon must",
@@ -305,7 +337,7 @@ REAL_ARGUMENTS = {
 # arguments of either sign
 NEGATIVE_IS_VALID = {
     "simpson_grid(a)", "simpson_grid(b)", "SignalSpec(terms)", "SignalSpec.sines(terms)",
-    "SignalSpec.from_json_dict(terms)",
+    "SignalSpec.from_json_dict(terms)", "reconstruct(coeffs)",
 }
 HUGE = 10**400  # an int past the float range: float() raised a bare OverflowError
 
@@ -317,7 +349,8 @@ HUGE = 10**400  # an int past the float range: float() raised a bare OverflowErr
 def test_real_arguments_refuse_bools_strs_and_values_out_of_range(case, value):
     # True built as 1.0 at each of them, and "1e-3" raised numpy's bare TypeError; sines built (True, 2) and
     # ("1.0", 2) as (1.0, 2), f0_approximation ran with c1=True, detect_plateau(flatness=nan) returned [],
-    # and snr_db(g, True) read epsilon as 1.0
+    # and snr_db(g, True) read epsilon as 1.0; reconstruct built an expansion from the coefficients True and "2.0",
+    # and VarianceProfile built rho = [True, "1"] as [1.0, 1.0]
     build, names = REAL_ARGUMENTS[case]
     if value == -1e-3 and case in NEGATIVE_IS_VALID:
         build(value)  # builds: any finite sign is valid

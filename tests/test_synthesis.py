@@ -274,6 +274,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="expected k="):
             fr.read_coeffs_csv(str(path))
 
+    @pytest.mark.parametrize("row", ["2.0,0.25", "1,0.5,9", "1,", "1 0.5"])
+    def test_coeffs_csv_names_the_file_and_line_of_a_malformed_row(self, tmp_path, row):
+        # each raised a bare ValueError that named neither: invalid literal for int(), could not convert
+        # '0.5,9' or '' to float, not enough values to unpack
+        path = tmp_path / "c.csv"
+        path.write_text(f"k,g_bar_k\n1,0.5\n\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 4: expected a row 'k,g_bar_k'")) as info:
+            fr.read_coeffs_csv(str(path))
+        assert str(info.value).endswith(f"got {row!r}")
+
     def test_coeffs_csv_roundtrip(self, tmp_path):
         coeffs = np.array([1.5, -2.25, 3.125e-7])
         path = tmp_path / "c.csv"
