@@ -23,19 +23,23 @@ from .harness import (
     run_experiment,
     summarize,
 )
+from .eigensystem import EigenDecompositionError
 from .selection import build_selection
 from .synthesis import noise_dispersion, read_coeffs_csv
 
 
 def _cmd_run(args) -> int:
     if args.config:
-        cfg = ExperimentConfig.from_json_dict(json.loads(Path(args.config).read_text()))
+        try:
+            payload = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:  # its message names the line but not the file
+            raise ValueError(f"{args.config}: not JSON: {exc}") from None
+        cfg = ExperimentConfig.from_json_dict(payload)
         if args.out:
             cfg = dataclasses.replace(cfg, output_dir=args.out)
     else:
         if not args.preset:
-            print("error: run needs --preset or --config", file=sys.stderr)
-            return 2
+            raise ValueError("run needs --preset or --config")
         seeds = ExperimentConfig.seed_range(args.base_seed, args.seeds)
         cfg = preset(args.preset, seeds=seeds, output_dir=args.out)
     records = run_experiment(cfg)
@@ -128,9 +132,19 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# bad input: a file that cannot be read, a record (DegenerateSequenceError is a ValueError) or an argument out of
+# its domain, a kernel without a reliable eigensystem; any other exception is a bug and keeps its traceback
+_INPUT_ERRORS = (ValueError, IndexError, OSError, EigenDecompositionError)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; bad input prints `fredreg <command>: error: <message>` to stderr and returns 2, as argparse does."""
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _INPUT_ERRORS as exc:
+        print(f"fredreg {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -61,8 +61,8 @@ class QuadratureGrid:
     b: float
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        wts = np.asarray(self.weights, dtype=float)
+        pts = _finite_reals(self.points, "grid points", signed=True)
+        wts = _finite_reals(self.weights, "quadrature weights", signed=True)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
         object.__setattr__(self, "a", _finite_real(self.a, "a", signed=True))
@@ -83,7 +83,7 @@ class QuadratureGrid:
     def norm(self, f: np.ndarray) -> float:
         f = np.asarray(f)
         with np.errstate(over="ignore"):
-            sq = float(np.sum(self.weights * f**2))
+            sq = float(np.add.reduce(self.weights * (f * f), axis=None))  # np.sum's bits, without its dispatch
         if 2.0**-960 <= sq < math.inf:
             return math.sqrt(sq)
         # a square overflowed or lost digits to the subnormals (or f is zero or not finite):
@@ -112,20 +112,21 @@ def simpson_grid(n: int = DEFAULT_GRID_SIZE, a: float = 0.0, b: float = 1.0) -> 
 class EigenSystem:
     """Ordered eigenpairs {psi_k, lam_k}, k = 1..count, of a symmetric kernel.
 
-    `eigenvalues` is the 1-d array lam_1 > lam_2 > ... > 0; its size is the
-    eigenpair count.  `evaluator(ks, x)` tabulates the eigenfunctions: for an
-    integer array ks (values in 1..count, already checked) and a 1-d array x
-    it returns a new array of shape (len(ks), len(x)) whose row i is
-    psi_{ks[i]}(x).  Every evaluation goes through one call to it:
-    `basis_matrix` for the rows 1..upto, `reconstruct` for the rows it sums
-    (see _expansion_sum).
+    `eigenvalues` is the 1-d array lam_1 > lam_2 > ... > 0 of finite reals;
+    its size is the eigenpair count.  `evaluator(ks, x)` tabulates the
+    eigenfunctions: for an integer array ks (values in 1..count, already
+    checked) and a 1-d array x it returns an array of shape (len(ks), len(x))
+    whose row i is psi_{ks[i]}(x), an array the caller only reads: it may be a
+    read-only view of a table the evaluator keeps (see _rows).  Every
+    evaluation goes through one call to it: `basis_matrix` for the rows
+    1..upto, `reconstruct` for the rows it sums (see _expansion_sum).
     """
 
     eigenvalues: np.ndarray
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=float)
+        vals = _finite_reals(self.eigenvalues, "eigenvalues")
         object.__setattr__(self, "eigenvalues", vals)
         if vals.ndim != 1:
             raise ValueError(f"eigenvalues must be a 1-d array, got shape {vals.shape}")
@@ -139,10 +140,11 @@ class EigenSystem:
         return self.eigenvalues.size
 
     def basis_matrix(self, x: np.ndarray, upto: int | None = None) -> np.ndarray:
-        """psi_k(x) stacked row-wise for k = 1..upto; upto is an integer, and one outside 1..count an IndexError."""
+        """psi_k(x) stacked row-wise for k = 1..upto, a new writable array; upto is an integer, and one outside 1..count an IndexError."""
         upto = self.count if upto is None else _integer(upto, "upto")
         self._check_index(upto)
-        return self.evaluator(np.arange(1, upto + 1), np.asarray(x, dtype=float))
+        table = self.evaluator(np.arange(1, upto + 1), np.asarray(x, dtype=float))
+        return table if table.flags.writeable else table.copy()
 
     def _check_index(self, k: int | np.ndarray) -> None:
         """Raise IndexError naming the first of k (one index or an array) outside 1..count."""
@@ -226,16 +228,35 @@ def _integers(values, name: str) -> np.ndarray:
     return np.asarray(values, dtype=int)
 
 
-def _finite_reals(values, name: str) -> np.ndarray:
-    """values as a float array: a float ndarray by one dtype check, anything else item by item through _finite_real.
+def _finite_reals(values, name: str, signed: bool = False) -> np.ndarray:
+    """values as a float array whose entries are finite and >= 0 (any sign if signed); a ValueError names any other.
 
-    A float ndarray is left for its caller to check as a whole; each other
-    item must be finite and >= 0.  asarray(dtype=float) would read
-    [True, "1"] as [1.0, 1.0].
+    A float ndarray passes one dtype check and is checked as a whole, by one
+    comparison; anything else goes item by item through _finite_real.
+    asarray(dtype=float) would read [True, "1"] as [1.0, 1.0].
     """
     if not (isinstance(values, np.ndarray) and values.dtype.kind == "f"):
-        values = [_finite_real(v, name) for v in (values.tolist() if isinstance(values, np.ndarray) else values)]
+        values = [
+            _finite_real(v, name, signed=signed) for v in (values.tolist() if isinstance(values, np.ndarray) else values)
+        ]
+        return np.asarray(values, dtype=float)
+    ok = np.isfinite(values) if signed else (values >= 0) & (values < math.inf)  # NaN fails either
+    if not ok.all():
+        i = int(np.flatnonzero(~ok)[0])
+        bound = "" if signed else " and >= 0"
+        raise ValueError(f"{name} must be finite{bound}, got {float(values.flat[i])!r} at index {i}")
     return np.asarray(values, dtype=float)
+
+
+def _rows(table: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Rows ks - 1 of a read-only table: the view table[:K] when ks is exactly 1..K, a gather (a new array) otherwise.
+
+    The test is one comparison of K ints, which costs less than the K x M
+    floats that a gather copies.
+    """
+    if ks.tolist() == list(range(1, len(ks) + 1)):
+        return table[: len(ks)]
+    return table[ks - 1]
 
 
 def _sine_evaluator(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -261,9 +282,10 @@ def numeric_eigensystem(kernel: TabulatedKernel, n_max: int) -> EigenSystem:
 
     Eigenfunctions are weight-orthonormalized and sign-fixed so the first
     nonzero grid value is positive.  Evaluated on the grid's own nodes they
-    are a gather of the eigenvector table's rows, exactly the values linear
-    interpolation gives there; at any other points they are interpolated
-    linearly, one row at a time.
+    are the read-only eigenvector table's rows (a view of the rows 1..K, a
+    gather of any other), exactly the values linear interpolation gives
+    there; at any other points they are interpolated linearly, one row at a
+    time.
     Raises EigenDecompositionError on non-convergence, on eigenvalues <= 1e-14
     (rank deficiency), and on numerically repeated eigenvalues.
 
@@ -308,12 +330,13 @@ def numeric_eigensystem(kernel: TabulatedKernel, n_max: int) -> EigenSystem:
             funcs[:, j] = -col
     pts = grid.points.copy()
     table = funcs.T.copy()
+    table.flags.writeable = False
 
     def evaluator(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
         if np.array_equal(x, pts):
             # np.interp returns the knot value itself at a knot (signed zeros
-            # included), so on the nodes the rows are the table's: a copy of them
-            return table[ks - 1]
+            # included), so on the nodes the rows are the table's own
+            return _rows(table, ks)
         return np.array([np.interp(x, pts, table[k - 1]) for k in ks]).reshape(len(ks), x.size)
 
     return EigenSystem(eigenvalues=vals, evaluator=evaluator)
@@ -370,9 +393,10 @@ def reconstruct(
     IndexError a k outside 1..es.count.
 
     The psi_k come from one evaluation of the listed rows on grid.points.  For
-    a Nystrom eigensystem built on this grid that is an exact gather of its
-    table's rows; on any other grid its rows are interpolated linearly.  The
-    sum rounds as the loop `out += coeff_k * psi_k` does (see _expansion_sum).
+    a Nystrom eigensystem built on this grid those are its table's own rows,
+    read in place for the indices 1..K; on any other grid its rows are
+    interpolated linearly.  The sum rounds as the loop
+    `out += coeff_k * psi_k` does (see _expansion_sum).
     """
     ks = np.array([_integer(k, "eigenpair index") for k, _ in coeffs], dtype=int)
     values = np.array([_finite_real(value, "expansion coefficient", signed=True) for _, value in coeffs], dtype=float)

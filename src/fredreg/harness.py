@@ -17,13 +17,13 @@ coefficients alone, with d = c - f_k:
     grid sum, and the squared errors of the two agree to 1e-13 (relative
     beyond 1).
 See _GramForm.  Only solutions.csv needs grid values: each method's to_grid
-on the context's reconstruction eigensystem, whose psi_k on the grid are a
-gather from the n x grid_size table of psi_1..psi_n, n = min(n_max,
-n_coeff).  That table is built on its first read: the Gram form of a
-projected signal reads it when the context is built, and a sine combination
-reads it the first time a run emits.  No table of all n_coeff rows outlives
-the projection of g_k; pointwise noise alone builds one, the record's, on
-its first read.
+on the context's reconstruction eigensystem, whose psi_k on the grid are
+read from the n x grid_size table of psi_1..psi_n, n = min(n_max, n_coeff):
+the rows 1..K as a read-only view of it, any other rows by a gather.  That
+table is built on its first read: the Gram form of a projected signal reads
+it when the context is built, and a sine combination reads it the first
+time a run emits.  No table of all n_coeff rows outlives the projection of
+g_k; pointwise noise alone builds one, the record's, on its first read.
 The context's tables (grid, eigensystems, psi_k tables, f, g_k and the
 scoring form) depend only on the signal, n_coeff, grid_size and n_max, so repeated
 calls on one signal share them: a process-wide cache holds the tables of the
@@ -60,7 +60,7 @@ from typing import Iterable
 import numpy as np
 
 from .eigensystem import (
-    DEFAULT_GRID_SIZE, DEFAULT_N_MAX, EigenSystem, _finite_real, _integer, analytic_eigensystem, simpson_grid,
+    DEFAULT_GRID_SIZE, DEFAULT_N_MAX, EigenSystem, _finite_real, _integer, _rows, analytic_eigensystem, simpson_grid,
 )
 from .selection import SelectionReport, build_selection, reconstruct_bhat
 from .spectral import cumulative_profile, f0_approximation
@@ -161,7 +161,7 @@ class RunContext:
 
     data: SignalContext  # grid, record eigensystem (k <= n_coeff), psi_k table (on first read), f, g_k
     # reconstruction basis, k <= n_max (coefficients beyond it are noise-dominated): on grid.points
-    # its psi_k are gathered from the table-cache entry's n-row table, elsewhere data.es's
+    # its psi_k are read from the table-cache entry's n-row table, elsewhere data.es's
     es: EigenSystem
     f_norm: float
     cs: ConstraintSpec  # the a priori bounds of the variational filters: E and the noise dispersion
@@ -350,7 +350,7 @@ class RunRecord:
 # key's tables outlive the call until a call on another key replaces them.
 # Its psi_k tables (8 bytes a value) are each built on their first read:
 # psi_1..psi_n, n = min(n_max, n_coeff), on the grid (n x grid_size), by a
-# projected signal's Gram form or by emission's gather, and the record's
+# projected signal's Gram form or by emission's to_grid, and the record's
 # n_coeff x grid_size data.basis by pointwise noise alone.
 _TABLES: dict = {}
 
@@ -391,11 +391,11 @@ def _seed_invariant_tables(cfg: ExperimentConfig) -> tuple[SignalContext, EigenS
         for a in (*frozen, gram.f_k):
             a.flags.writeable = False
         # psi_k depends on k and x alone, so on the grid's own points the
-        # reconstruction basis is a gather (a copy) of the n-row table;
-        # anywhere else it is the record eigensystem's
+        # reconstruction basis is the n-row table's rows (a view of the rows
+        # 1..K, a gather of any other); anywhere else it is the record eigensystem's
         es = EigenSystem(
             eigenvalues=data.es.eigenvalues[:n],  # a view, read-only as its base
-            evaluator=lambda ks, x: rows()[ks - 1] if x is grid.points else data.es.evaluator(ks, x),
+            evaluator=lambda ks, x: _rows(rows(), ks) if x is grid.points else data.es.evaluator(ks, x),
         )
         tables = _TABLES[key] = (data, es, gram, {})
     return tables

@@ -21,12 +21,15 @@ injected in two ways:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import KW_ONLY, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .eigensystem import EigenSystem, QuadratureGrid, _finite_real, _integer, _sine_evaluator, project_all
+from .eigensystem import (
+    EigenSystem, QuadratureGrid, _expansion_sum, _finite_real, _integer, _sine_evaluator, project_all,
+)
 
 __all__ = [
     "SignalSpec",
@@ -143,10 +146,10 @@ def evaluate_signal(spec: SignalSpec, grid: QuadratureGrid) -> np.ndarray:
     x = grid.points
     terms = _sine_terms(spec)
     if terms is not None:
-        out = np.zeros_like(x)
-        for a, k in terms:
-            out += a * np.sin(k * np.pi * x)
-        return out
+        # one (K, M) table sin((k_j pi) x), filled in place and summed as the loop `out += a_j * sin(k_j * pi * x)`
+        table = np.outer([k * np.pi for _, k in terms], x)
+        np.sin(table, out=table)
+        return _expansion_sum([a for a, _ in terms], table)
     if spec.name == "f1":
         return (1.0 - x) * np.sin(3.0 * np.sin(3.0 * x))
     if spec.name == "f4":
@@ -344,6 +347,8 @@ def read_coeffs_csv(path: str) -> np.ndarray:
                 ) from None
             if k != len(vals) + 1:
                 raise ValueError(f"{path}, line {lineno}: expected k={len(vals) + 1}, got k={k}")
+            if not math.isfinite(c):
+                raise ValueError(f"{path}, line {lineno}: g_bar_k must be finite, got {c!r}")
             vals.append(c)
     return np.asarray(vals)
 

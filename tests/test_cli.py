@@ -57,10 +57,10 @@ class TestRun:
     def test_run_without_preset_or_config(self, capsys):
         assert main(["run"]) == 2
 
-    def test_negative_base_seed_is_named(self, tmp_path):
+    def test_negative_base_seed_is_named(self, tmp_path, capsys):
         # the run failed inside numpy with "expected non-negative integer", naming neither the seed nor the flag
-        with pytest.raises(ValueError, match=r"^base_seed must be an integer >= 0, got -1$"):
-            main(["run", "--preset", "example1", "--base-seed", "-1", "--out", str(tmp_path / "run")])
+        assert main(["run", "--preset", "example1", "--base-seed", "-1", "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == "fredreg run: error: base_seed must be an integer >= 0, got -1\n"
         assert not (tmp_path / "run").exists()
 
     def test_run_no_out_prints_summary_only(self, capsys):
@@ -103,24 +103,24 @@ class TestAnalyze:
         assert autocorr.read_text().splitlines()[0] == "n,delta,threshold0,threshold_n0"
 
     @pytest.mark.parametrize("eps", ["nan", "inf"])
-    def test_non_finite_epsilon_fails_before_writing(self, eps, tmp_path, example1_seed0):
+    def test_non_finite_epsilon_fails_before_writing(self, eps, tmp_path, capsys, example1_seed0):
         ds, _, _ = example1_seed0
         csv_path = tmp_path / "coeffs.csv"
         fr.write_coeffs_csv(str(csv_path), ds.coeffs)
         out = tmp_path / "report.json"
-        with pytest.raises(ValueError, match="epsilon"):
-            main(["analyze", "--in", str(csv_path), "--epsilon", eps, "--out", str(out)])
+        assert main(["analyze", "--in", str(csv_path), "--epsilon", eps, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"fredreg analyze: error: epsilon must be finite and >= 0, got {eps}")
         assert list(tmp_path.iterdir()) == [csv_path]
 
     @pytest.mark.parametrize("significance", ["-1", "nan"])
-    def test_bad_significance_fails_before_writing(self, significance, tmp_path, example1_seed0):
+    def test_bad_significance_fails_before_writing(self, significance, tmp_path, capsys, example1_seed0):
         ds, _, _ = example1_seed0
         csv_path = tmp_path / "coeffs.csv"
         fr.write_coeffs_csv(str(csv_path), ds.coeffs)
         out = tmp_path / "report.json"
-        with pytest.raises(ValueError, match="significance must be finite and > 0"):
-            main(["analyze", "--in", str(csv_path), "--epsilon", "1e-4",
-                  "--significance", significance, "--out", str(out)])
+        assert main(["analyze", "--in", str(csv_path), "--epsilon", "1e-4",
+                     "--significance", significance, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("fredreg analyze: error: significance must be finite and > 0")
         assert list(tmp_path.iterdir()) == [csv_path]
 
     def test_literal_recursion_flag(self, tmp_path, capsys, example1_seed0):
@@ -159,3 +159,46 @@ class TestSummarize:
         assert main(["summarize", str(out)]) == 0
         assert capsys.readouterr().out == with_summary
         assert "selection:" in with_summary and "exact support match" in with_summary
+
+
+
+def _record(*rows):
+    return "".join(f"{row}\n" for row in ["k,g_bar_k", *rows])
+
+
+# reproduction -> (the text of the input file, None for no file; argv, where FILE is that file's path;
+#                  the message after "fredreg <command>: error: ", where FILE is the path)
+BAD_INPUT = {
+    "analyze a missing file": (
+        None, ["analyze", "--in", "FILE", "--epsilon", "1e-3"], "[Errno 2] No such file or directory: 'FILE'",
+    ),
+    "analyze a record whose k=2 reads nan": (
+        _record("1,0.5", "2,nan", *[f"{k},0.1" for k in range(3, 41)]),
+        ["analyze", "--in", "FILE", "--epsilon", "1e-3"],
+        "FILE, line 3: g_bar_k must be finite, got nan",
+    ),
+    "analyze a record of another header": (
+        "n,value\n1,0.5\n", ["analyze", "--in", "FILE", "--epsilon", "1e-3"],
+        "FILE: expected header 'k,g_bar_k', got 'n,value'",
+    ),
+    "analyze a two-row record": (
+        _record("1,0.5", "2,0.25"), ["analyze", "--in", "FILE", "--epsilon", "1e-3"],
+        "selection needs a record of at least 8 coefficients",
+    ),
+    "run no seeds": (None, ["run", "--preset", "example1", "--seeds", "0"], "seeds must be nonempty"),
+    "run a config that is not JSON": (
+        "{", ["run", "--config", "FILE"],
+        "FILE: not JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUT)
+def test_bad_input_is_one_error_line(case, tmp_path, capsys):
+    # each ended in a traceback; the nan row named neither the file nor its line
+    text, argv, message = BAD_INPUT[case]
+    path = tmp_path / "input.csv"
+    if text is not None:
+        path.write_text(text)
+    assert main([str(path) if arg == "FILE" else arg for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"fredreg {argv[0]}: error: {message.replace('FILE', str(path))}\n")

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -68,6 +69,17 @@ class TestQuadratureGrid:
         with pytest.raises(ValueError, match=f"^{bound} must be finite, got"):
             fr.QuadratureGrid(points=grid.points, weights=grid.weights, **bounds)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["points", "weights"])
+    def test_float_arrays_must_be_finite(self, field, bad):
+        # a NaN weight built: NaN fails the "> 1e-12" sum check, so nothing refused it
+        grid = fr.simpson_grid(5)
+        arrays = {"points": grid.points.copy(), "weights": grid.weights.copy()}
+        arrays[field][3] = bad
+        name = {"points": "grid points", "weights": "quadrature weights"}[field]
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be finite, got {bad!r} at index 3")):
+            fr.QuadratureGrid(a=0.0, b=1.0, **arrays)
+
     @settings(max_examples=200, deadline=None)
     @given(
         size=st.sampled_from([5, 65, 129, 513]), seed=st.integers(0, 2**32 - 1),
@@ -127,6 +139,15 @@ class TestAnalyticEigensystem:
     def test_count_is_the_eigenvalue_count(self, es64):
         assert [f.name for f in dataclasses.fields(es64)] == ["eigenvalues", "evaluator"]
         assert es64.count == es64.eigenvalues.size == 64
+
+    @pytest.mark.parametrize(
+        "eigenvalues, index", [([math.inf, 1.0, 0.5], 0), ([2.0, 1.0, math.nan], 2), ([2.0, 1.0, -0.5], 2)]
+    )
+    def test_float_array_eigenvalues_must_be_finite_and_nonnegative(self, es64, eigenvalues, index):
+        # [inf, 1.0, 0.5] built, and a NaN passed both the sign and the order check
+        message = f"eigenvalues must be finite and >= 0, got {eigenvalues[index]!r} at index {index}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fr.EigenSystem(eigenvalues=np.array(eigenvalues), evaluator=es64.evaluator)
 
     def test_rejects_two_dimensional_eigenvalues(self, es64):
         with pytest.raises(ValueError, match="1-d array"):

@@ -32,10 +32,15 @@ sample_kernel_matrix, (1 - max(x, y)) min(x, y) from two outer products, is
 checked against the former meshgrid and np.where formula, and the sine
 evaluator, filled in place, against the former out-of-place formula, both
 to the byte.
-The Nystrom basis on its own nodes, a gather of its table's rows, is checked
-against the per-row np.interp path, and every expansion sum, by both of
-_expansion_sum's paths (see its docstring), against the term-by-term loop,
-both to the byte.  autocorr.csv's lags past the selection window, from
+The Nystrom basis on its own nodes, its table's rows, is checked against the
+per-row np.interp path, the on-node rows of it and of a run's
+reconstruction eigensystem (read in place for the indices 1..K) against the
+gather table[ks - 1], and every expansion sum, by both of _expansion_sum's
+paths (see its docstring), against the term-by-term loop, all to the byte.
+A sine-combination signal, one table summed by _expansion_sum, is checked
+against the per-term loop, RegularizedSolution's one-comparison index check
+against the former sort, and QuadratureGrid.norm's one reduction against
+the former np.sum of weights * f**2, each to the byte.  autocorr.csv's lags past the selection window, from
 window sums and one rFFT, are checked against the per-lag loop: blank where it is NaN and within TAIL_TOL
 elsewhere, with the window's cells and every threshold cell to the byte.
 csv_cells is checked against the former formula that split the repr of the
@@ -155,6 +160,72 @@ class TestBasisTable:
             es.basis_matrix(grid.points[:-1])  # off the nodes it interpolates
 
 
+def index_arrays(count):
+    """Index arrays in 1..count: a prefix 1..K (K >= 0), a permutation of one, repeated, or gapped indices."""
+    prefix = st.integers(0, count).map(lambda k: np.arange(1, k + 1))
+    permuted = st.integers(2, count).flatmap(lambda k: st.permutations(range(1, k + 1))).filter(
+        lambda ks: list(ks) != sorted(ks)
+    )
+    repeated = st.lists(st.integers(1, count), min_size=2, max_size=2 * count).filter(lambda ks: len(set(ks)) < len(ks))
+    gapped = st.lists(st.integers(1, count), min_size=1, max_size=count, unique=True).map(sorted).filter(
+        lambda ks: ks != list(range(1, len(ks) + 1))
+    )
+    return prefix | (permuted | repeated | gapped).map(lambda ks: np.array(ks, dtype=int))
+
+
+def is_prefix(ks):
+    return ks.tolist() == list(range(1, ks.size + 1))
+
+
+def gathered_cfg():
+    return fr.ExperimentConfig(signal=fr.SignalSpec.named("f1"), epsilon=1e-3, n_coeff=64, grid_size=129, n_max=12)
+
+
+class TestRowsInPlace:
+    """On-node evaluations read the rows 1..K of their table in place; any other rows stay a gather (table[ks - 1])."""
+
+    @staticmethod
+    def assert_rows(got, table, ks, base):
+        want = table[ks - 1]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if ks.size and is_prefix(ks):
+            assert np.shares_memory(got, base) and not got.flags.writeable
+        else:  # a gather, or no rows at all
+            assert not np.shares_memory(got, base)
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_numeric_nodes(self, numeric_es, data):
+        grid, es = numeric_es
+        table = node_values(es, grid)  # the np.interp path
+        ks = data.draw(index_arrays(es.count))
+        self.assert_rows(es.evaluator(ks, grid.points), table, ks, es.evaluator(np.arange(1, es.count + 1), grid.points))
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_run_context_nodes(self, data):
+        ctx = fr.run_context(gathered_cfg())
+        grid, es = ctx.data.grid, ctx.es
+        table = ctx.data.es.basis_matrix(grid.points, es.count)  # the record eigensystem's own evaluation
+        ks = data.draw(index_arrays(es.count))
+        self.assert_rows(es.evaluator(ks, grid.points), table, ks, es.evaluator(np.arange(1, es.count + 1), grid.points))
+
+    def test_the_numeric_table_is_read_only(self, numeric_es):
+        grid, es = numeric_es
+        rows = es.evaluator(np.arange(1, 4), grid.points)
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 7.0
+
+    @pytest.mark.parametrize("upto", [1, 5, 12])
+    def test_basis_matrix_is_a_new_writable_array(self, numeric_es, upto):
+        grid, es = numeric_es
+        ctx = fr.run_context(gathered_cfg())
+        for on, points in ((es, grid.points), (ctx.es, ctx.data.grid.points)):
+            table = on.basis_matrix(points, upto)
+            assert table.flags.writeable and table.flags.owndata
+            assert not np.shares_memory(table, on.evaluator(np.arange(1, upto + 1), points))
+
+
 def former_sine_evaluator(ks, x):
     return np.sqrt(2.0) * np.sin(np.outer(ks * np.pi, x))
 
@@ -170,6 +241,42 @@ class TestSineEvaluator:
         got = _sine_evaluator(ks, x)
         want = former_sine_evaluator(ks, x)
         assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def former_sine_signal(terms, x):
+    out = np.zeros_like(x)
+    for a, k in terms:
+        out += a * np.sin(k * np.pi * x)
+    return out
+
+
+class TestSineSignal:
+    """evaluate_signal of a sine combination, one table summed by _expansion_sum, against the per-term loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        terms=st.lists(
+            st.tuples(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, -1.0]), st.integers(1, 4096)),
+            min_size=1, max_size=40, unique_by=lambda t: t[1],
+        ),
+        size=st.sampled_from([3, 5, 65, 513, 4097]),
+        einsum=st.booleans(),
+    )
+    @example(terms=[(-2.5, 7)], size=3, einsum=True)  # one term, a negative amplitude, the least grid
+    @example(terms=[(-2.5, 7)], size=4097, einsum=False)
+    def test_matches_the_per_term_loop(self, terms, size, einsum):
+        grid = fr.simpson_grid(size)
+        exact = einsum and _contraction_rounds_as_loop()
+        with mock.patch.object(eigensystem, "_contraction_rounds_as_loop", lambda: exact):
+            got = fr.evaluate_signal(fr.SignalSpec.sines(terms), grid)
+        assert got.tobytes() == former_sine_signal(terms, grid.points).tobytes()
+
+    @pytest.mark.parametrize("name", ["f2", "f3"])
+    @pytest.mark.parametrize("size", [3, 129, 513, 4097])
+    def test_named_combinations(self, name, size):
+        grid = fr.simpson_grid(size)
+        want = former_sine_signal(_sine_terms(fr.SignalSpec.named(name)), grid.points)
+        assert fr.evaluate_signal(fr.SignalSpec.named(name), grid).tobytes() == want.tobytes()
 
 
 def former_sample_kernel(x):
@@ -893,6 +1000,85 @@ class TestTruncatedExpansion:
         ds = record(np.ones(80))
         with pytest.raises(IndexError):
             fr.reconstruct_bhat(ds, es64, selection_report([(3, 65)], n0=62, Q=[62]))
+
+
+def former_indices_valid(idx):
+    """The former RegularizedSolution check: sort every index, then look for one < 1 or two equal neighbours."""
+    if not idx.size:
+        return True
+    ordered = np.sort(idx, axis=None)
+    return not (ordered[0] < 1 or np.any(ordered[1:] == ordered[:-1]))
+
+
+class TestSolutionIndices:
+    """RegularizedSolution accepts increasing 1-d indices >= 1 by one comparison, and sorts any others."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ks=st.lists(st.integers(-3, 70), max_size=40)
+        | st.lists(st.integers(1, 70), max_size=40, unique=True).map(sorted),
+        rows=st.sampled_from([0, 1, 2]),  # 0: 1-d, else that many rows of a 2-d array
+        dtype=st.sampled_from([np.int64, np.int32, np.uint16]),
+    )
+    @example(ks=[2, 1, 3], rows=0, dtype=np.int64)  # unsorted
+    @example(ks=[1, 2, 2], rows=0, dtype=np.int64)  # a repeat
+    @example(ks=[0, 1, 2], rows=0, dtype=np.int64)
+    @example(ks=[-1, 1, 2], rows=0, dtype=np.int64)
+    @example(ks=[1, 2, 3, 4], rows=2, dtype=np.int64)  # increasing, but 2-d
+    @example(ks=[3, 1, 2, 3], rows=2, dtype=np.int64)  # a repeat across the rows of a 2-d array
+    def test_accepts_and_refuses_as_the_sort(self, ks, rows, dtype):
+        if dtype is np.uint16:
+            ks = [k for k in ks if k >= 0]
+        if rows and len(ks) % rows:
+            ks = ks[: len(ks) - len(ks) % rows]
+        idx = np.array(ks, dtype=dtype)
+        if rows:
+            idx = idx.reshape(rows, -1)
+        valid = former_indices_valid(idx)
+        if valid:
+            sol = fr.RegularizedSolution(indices=idx, values=np.ones(idx.shape), method="any")
+            assert sol.indices.tobytes() == idx.astype(int).tobytes() and sol.indices.shape == idx.shape
+        else:
+            with pytest.raises(ValueError, match="^coefficient indices must be distinct and >= 1$"):
+                fr.RegularizedSolution(indices=idx, values=np.ones(idx.shape), method="any")
+
+
+def former_norm(grid, f):
+    """The former QuadratureGrid.norm, whose plain sum of squares was np.sum(weights * f**2)."""
+    f = np.asarray(f)
+    with np.errstate(over="ignore"):
+        sq = float(np.sum(grid.weights * f**2))
+    if 2.0**-960 <= sq < math.inf:
+        return math.sqrt(sq)
+    exp = math.frexp(float(np.max(np.abs(f))))[1]
+    return math.ldexp(float(np.sqrt(np.sum(grid.weights * np.ldexp(f, -exp) ** 2))), exp)
+
+
+class TestGridNorm:
+    """QuadratureGrid.norm's one add.reduce against the former np.sum of weights * f**2."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        size=st.sampled_from([3, 5, 65, 513, 4097]),
+        rows=st.sampled_from([0, 1, 3]),  # 0: one function, else a (rows, size) stack
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.integers(-200, 200),  # past +-150 the squares overflow or go subnormal: the rescaled branch
+        special=st.sampled_from([None, -0.0, math.inf, -math.inf, math.nan]),
+        integer=st.booleans(),
+    )
+    def test_matches_the_former_sum(self, size, rows, seed, exponent, special, integer):
+        grid = fr.simpson_grid(size)
+        rng = np.random.default_rng(seed)
+        f = rng.normal(size=(rows, size) if rows else size)
+        if integer:
+            f = np.rint(f * 1000).astype(int)
+        else:
+            f *= 10.0**exponent
+            if special is not None:
+                f.flat[rng.integers(f.size)] = special
+        with np.errstate(over="ignore", invalid="ignore"):  # the same warnings on both sides
+            want, got = former_norm(grid, f), grid.norm(f)
+        assert repr(got) == repr(want)  # the same float, NaN included
 
 
 def former_write_table(header, *columns):

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import math
 import re
 import types
 from pathlib import Path
@@ -196,6 +197,12 @@ def _json_sines(term):
     return fr.SignalSpec.from_json_dict({"kind": "sine-combination", "terms": [[1.0, 2], list(term)]})
 
 
+def _weighted_grid(weight):
+    """A 3-node grid on [0, 2] whose first weight is the argument; the last absorbs a finite real one."""
+    last = 1.0 - weight if isinstance(weight, float) and math.isfinite(weight) else 1.0  # np.float64 is a float
+    return fr.QuadratureGrid(points=[0.0, 0.5, 1.0], weights=[weight, 1.0, last], a=0.0, b=2.0)
+
+
 # "callable(parameter)" -> (build from one integer argument, the pattern its ValueError must match to name it)
 INTEGER_ARGUMENTS = {
     "analytic_eigensystem(n_max)": (fr.analytic_eigensystem, r"^n_max must"),
@@ -333,11 +340,19 @@ REAL_ARGUMENTS = {
     "SelectionReport(significance)": (
         lambda v: fr.SelectionReport(n0=0, Q=[], pairs=[], series=SERIES128, significance=v), r"^significance must",
     ),
+    "EigenSystem(eigenvalues)": (
+        lambda v: fr.EigenSystem(eigenvalues=[2.0, v], evaluator=ES128.evaluator), r"^eigenvalues must be finite",
+    ),
+    "QuadratureGrid(points)": (
+        lambda v: fr.QuadratureGrid(points=[v, 0.5, 1.0], weights=[0.5, 1.0, 0.5], a=-1.0, b=1.0),
+        r"^grid points must be finite",
+    ),
+    "QuadratureGrid(weights)": (_weighted_grid, r"^quadrature weights must be finite"),
 }
 # arguments of either sign
 NEGATIVE_IS_VALID = {
     "simpson_grid(a)", "simpson_grid(b)", "SignalSpec(terms)", "SignalSpec.sines(terms)",
-    "SignalSpec.from_json_dict(terms)", "reconstruct(coeffs)",
+    "SignalSpec.from_json_dict(terms)", "reconstruct(coeffs)", "QuadratureGrid(points)", "QuadratureGrid(weights)",
 }
 HUGE = 10**400  # an int past the float range: float() raised a bare OverflowError
 

@@ -284,6 +284,14 @@ class TestSerialization:
             fr.read_coeffs_csv(str(path))
         assert str(info.value).endswith(f"got {row!r}")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_coeffs_csv_names_the_file_and_line_of_a_non_finite_value(self, tmp_path, cell):
+        # float() read each as a value, and the record reached the selection, which named neither
+        path = tmp_path / "c.csv"
+        path.write_text(f"k,g_bar_k\n1,0.5\n2,{cell}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: g_bar_k must be finite, got {float(cell)!r}")):
+            fr.read_coeffs_csv(str(path))
+
     def test_coeffs_csv_roundtrip(self, tmp_path):
         coeffs = np.array([1.5, -2.25, 3.125e-7])
         path = tmp_path / "c.csv"
