@@ -138,7 +138,10 @@ _INPUT_ERRORS = (ValueError, IndexError, OSError, EigenDecompositionError)
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; bad input prints `fredreg <command>: error: <message>` to stderr and returns 2, as argparse does."""
+    """Run one command; bad input prints `fredreg <command>: error: <message>` to stderr and returns 2.
+
+    2 is argparse's status for a usage error.
+    """
     args = _parser().parse_args(argv)
     try:
         return args.func(args)

@@ -140,7 +140,10 @@ class EigenSystem:
         return self.eigenvalues.size
 
     def basis_matrix(self, x: np.ndarray, upto: int | None = None) -> np.ndarray:
-        """psi_k(x) stacked row-wise for k = 1..upto, a new writable array; upto is an integer, and one outside 1..count an IndexError."""
+        """psi_k(x) stacked row-wise for k = 1..upto, as a new writable array.
+
+        upto is an integer, and one outside 1..count an IndexError.
+        """
         upto = self.count if upto is None else _integer(upto, "upto")
         self._check_index(upto)
         table = self.evaluator(np.arange(1, upto + 1), np.asarray(x, dtype=float))
@@ -236,9 +239,8 @@ def _finite_reals(values, name: str, signed: bool = False) -> np.ndarray:
     asarray(dtype=float) would read [True, "1"] as [1.0, 1.0].
     """
     if not (isinstance(values, np.ndarray) and values.dtype.kind == "f"):
-        values = [
-            _finite_real(v, name, signed=signed) for v in (values.tolist() if isinstance(values, np.ndarray) else values)
-        ]
+        items = values.tolist() if isinstance(values, np.ndarray) else values
+        values = [_finite_real(v, name, signed=signed) for v in items]
         return np.asarray(values, dtype=float)
     ok = np.isfinite(values) if signed else (values >= 0) & (values < math.inf)  # NaN fails either
     if not ok.all():

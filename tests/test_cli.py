@@ -161,7 +161,6 @@ class TestSummarize:
         assert "selection:" in with_summary and "exact support match" in with_summary
 
 
-
 def _record(*rows):
     return "".join(f"{row}\n" for row in ["k,g_bar_k", *rows])
 
