@@ -86,9 +86,12 @@ class QuadratureGrid:
             sq = float(np.add.reduce(self.weights * (f * f), axis=None))  # np.sum's bits, without its dispatch
         if 2.0**-960 <= sq < math.inf:
             return math.sqrt(sq)
-        # a square overflowed or lost digits to the subnormals (or f is zero or not finite):
+        peak = float(np.max(np.abs(f)))
+        if not math.isfinite(peak):
+            return peak  # inf, or NaN where f holds a NaN: the sum's own value, without squaring again
+        # a square overflowed or lost digits to the subnormals (or f is zero):
         # move the peak to [0.5, 1) by an exact power of two, square, and scale the root back
-        exp = math.frexp(float(np.max(np.abs(f))))[1]
+        exp = math.frexp(peak)[1]
         return math.ldexp(float(np.sqrt(np.sum(self.weights * np.ldexp(f, -exp) ** 2))), exp)
 
 

@@ -31,8 +31,8 @@ from running sums of the record centered once, and one inner product per
 lag.  A lag whose estimated rounding error exceeds 64 N u (u = 2**-53), or
 whose window has no spread, comes from the per-lag loop (_lag_delta), which
 centers each window by its own mean; that loop is also the test oracle.
-Only autocorr.csv reads the lags past the window, from one FFT
-(_every_lag), so numpy.fft loads there, on the first record written.
+autocorr.csv takes every lag, the window's and those past it, from that
+same estimate.
 """
 
 from __future__ import annotations
@@ -135,14 +135,6 @@ def _centered_sums(h: np.ndarray, m: np.ndarray):
     return s, q, q - s * s / m
 
 
-def _from_the_loop(g: np.ndarray, lags: np.ndarray, delta: np.ndarray, summed: np.ndarray) -> np.ndarray:
-    """delta with every lag not `summed` taken from the loop, clipped to [-1, 1]."""
-    for i in np.flatnonzero(~summed).tolist():
-        delta[i] = _lag_delta(g, int(lags[i]))
-    # rounding can push |delta| a hair past 1
-    return np.clip(delta, -1.0, 1.0, out=delta)
-
-
 _U = 2.0**-53  # the unit roundoff of float64
 
 
@@ -193,53 +185,13 @@ def autocorr_estimate(coeffs: np.ndarray, last_lag: int | None = None) -> Autoco
         delta = (sxy - s[0] * s[1] / m) / (root[0] * root[1])
     # the estimate 6 (m + 1) u q / c within the bound for both windows, written without the division
     summed = ((c >= _TINY) & ((m + 1) * (6.0 * _U) * q <= _window_tol(n_count) * c)).all(axis=0) & (m >= 2)
-    delta = _from_the_loop(g, lags, delta, summed)
+    for n in np.flatnonzero(~summed).tolist():  # the lag index is the lag
+        delta[n] = _lag_delta(g, n)
+    np.clip(delta, -1.0, 1.0, out=delta)  # rounding can push |delta| a hair past 1
     # a constant record leaves even delta(0) undefined
     if np.isfinite(delta[0]):
         delta[0] = 1.0
     return AutocorrSeries(delta=delta, n_count=n_count)
-
-
-# a lag past the loop's head is taken from window sums when their estimated error in
-# delta(n) is at most this, else from the loop; the estimate scales with longdouble's
-# eps, so where longdouble is plain double nearly every lag goes to the loop
-_TAIL_TOL = 1e-15
-
-
-def _every_lag(coeffs: np.ndarray, head: np.ndarray) -> np.ndarray:
-    """delta(n) for every lag 0..N-1 of a record whose estimate over lags 0..L is `head`.
-
-    The lags past L come from window sums and one zero-padded rFFT
-    (Wiener-Khinchin; Box, Jenkins and Reinsel, Time Series Analysis, ch. 2),
-    in extended precision.  With h the peak-scaled record centered by its
-    global mean, the windows take their sums from _centered_sums, and
-    sum_k h_k h_{k+n} is the inverse rFFT of |rFFT(h)|^2.  A lag whose error
-    estimate -- the cancellation m * max(q_x/c_xx, q_y/c_yy) plus the cross
-    term's rounding sum(h^2) / sqrt(c_xx c_yy), in units of longdouble's
-    eps -- exceeds _TAIL_TOL, and every lag with m < 2 or a window with
-    c <= 0, comes from the loop (_lag_delta), so undefined, constant and
-    subnormal windows read as the loop gives them.
-    """
-    g = _peak_scaled(_record(coeffs))
-    n_count, first = g.size, head.size
-    if first >= n_count:
-        return head
-    lags = np.arange(first, n_count)
-    m = n_count - lags
-    h = g.astype(np.longdouble)
-    h -= np.add.reduce(h) / n_count
-    s, q, c = _centered_sums(h, m)
-    from numpy.fft import irfft, rfft  # loaded on first use, as the module docstring says
-
-    size = 1 << (2 * n_count - 2).bit_length()  # >= 2N - 1: no lag wraps around
-    spectrum = rfft(h, size)
-    sxy = irfft(spectrum.real**2 + spectrum.imag**2, size)[first:n_count]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        den = np.sqrt(c[0]) * np.sqrt(c[1])
-        tail = ((sxy - s[0] * s[1] / m) / den).astype(float)
-        err = (m * (q / c).max(axis=0) + np.add.reduce(h * h) / den) * np.finfo(np.longdouble).eps
-    summed = (m >= 2) & (c > 0).all(axis=0) & (err <= _TAIL_TOL)
-    return np.concatenate([head, _from_the_loop(g, lags, tail, summed)])
 
 
 def bartlett_stderr(series: AutocorrSeries, n0: int, n: int | np.ndarray) -> float | np.ndarray:
@@ -498,21 +450,19 @@ class SelectionReport:
     def write_autocorr_csv(self, path: str, record: np.ndarray) -> str:
         """Lag table "n,delta,threshold0,threshold_n0" over all lags, for confidence-limit plots.
 
-        `record` is the coefficient record the report was built from.  Its
-        lags 0..max(max_lag, n0), all that the report and the Bartlett bands
-        read, are estimated anew by the loop, and a record of another length,
-        or whose window differs from the report's, raises ValueError.  The
-        lags past them come from window sums and one rFFT (see _every_lag).
+        `record` is the coefficient record the report was built from.  Every
+        lag 0..N-1 is autocorr_estimate's value, within 64 N u of the per-lag
+        loop.  A record of another length, or whose lags 0..max_lag differ
+        from the report's window, raises ValueError.
         """
         n_count = self.series.n_count
         if np.size(record) != n_count:
             raise ValueError(f"record of length {np.size(record)} is not this report's (N={n_count})")
         window = self.series.delta
-        head = autocorr_estimate(record, max(window.size - 1, self.n0)).delta
-        # the same loop on the same record: equal to the bit
-        if not np.array_equal(head[: window.size], window, equal_nan=True):
+        series = autocorr_estimate(record)
+        # nothing in the estimate depends on its last lag: the report's record gives its window to the bit
+        if not np.array_equal(series.delta[: window.size], window, equal_nan=True):
             raise ValueError(f"record's lags 0..{window.size - 1} differ from this report's: not its record")
-        series = AutocorrSeries(delta=_every_lag(record, head), n_count=n_count)
         n_cells, threshold0 = _fixed_autocorr_cells(n_count, self.significance)
         band = self.significance * bartlett_stderr(series, self.n0, np.arange(self.n0 + 1, n_count))
         # lags up to the hypothesized cut have no threshold, and undefined lags no delta: empty cells

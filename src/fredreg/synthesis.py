@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .eigensystem import (
-    EigenSystem, QuadratureGrid, _expansion_sum, _finite_real, _integer, _sine_evaluator, project_all,
+    EigenSystem, QuadratureGrid, _expansion_sum, _finite_real, _finite_reals, _integer, _sine_evaluator, project_all,
 )
 
 __all__ = [
@@ -174,10 +174,7 @@ class NoisyDataset:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = _record(self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coeffs holds NaN or inf")
+        object.__setattr__(self, "coeffs", _record(_finite_reals(self.coeffs, "coeffs", signed=True)))
 
     @property
     def n_coeff(self) -> int:
@@ -302,13 +299,14 @@ def snr_db(g: np.ndarray, epsilon: float) -> float:
 
     `g` is the noiseless data record the noise is injected into; for the
     standard coefficient-noise experiments that is the coefficient sequence
-    {g_k}, matching the reported figure-legend values.  A record of zero
-    power (all zero) has no finite ratio and raises, as epsilon <= 0 does, and
-    so does an epsilon whose eps^2/3 underflows to zero or makes the ratio
-    overflow or underflow.
+    {g_k}, matching the reported figure-legend values.  Its entries are
+    finite reals (a bool, a str or a non-finite entry raises, naming g).  A
+    record of zero power (all zero) has no finite ratio and raises, as
+    epsilon <= 0 does, and so does an epsilon whose eps^2/3 underflows to
+    zero or makes the ratio overflow or underflow.
     """
     epsilon = _finite_real(epsilon, "epsilon", positive=True)
-    power = np.mean(np.asarray(g, dtype=float) ** 2)
+    power = np.mean(_finite_reals(g, "g", signed=True) ** 2)
     if power == 0:
         raise ValueError("snr_db needs a record of nonzero power")
     variance = epsilon * epsilon / 3.0

@@ -56,10 +56,10 @@ class ConstraintSpec:
         _finite_real(self.E, "constraint bound E", positive=True)
         _finite_real(self.eps, "noise bound eps")
         if self.c is not None:
-            c = np.asarray(self.c, dtype=float)
+            c = _finite_reals(self.c, "constraint spectrum c", signed=True)
             object.__setattr__(self, "c", c)
             if np.any(c <= 0):
-                raise ValueError("constraint spectrum entries must be > 0")
+                raise ValueError("constraint spectrum c must be > 0")
             if c.size >= 2 and c[-1] <= c[0]:
                 warnings.warn(
                     "constraint spectrum does not grow; regularizer continuity needs c_k -> inf",

@@ -114,7 +114,7 @@ def test_example3_probe_measures_a_sine_combination_run():
         code = bench.RSS_PROBES[f"run_experiment_{name}_100"]
         assert code.endswith(f'run_experiment(preset("{name}", seeds=range(100)))')
     mb, loaded = bench.rss_probe(code, Path(bench.__file__).resolve().parents[1])
-    # the noise draws load numpy.random, which loads hashlib; without --out no autocorr.csv tail needs numpy.fft
+    # the noise draws load numpy.random, which loads hashlib
     assert mb > 0.0 and loaded == ["hashlib", "numpy.random"]
 
 
@@ -122,8 +122,8 @@ def test_emitting_cli_probe_writes_100_seeds_and_loads_no_numpy_ma():
     code = bench.RSS_PROBES["run_example1_out_100"]
     assert 'main(["run", "--preset", "example1", "--seeds", "100", "--out", out])' in code
     mb, loaded = bench.rss_probe(code, Path(bench.__file__).resolve().parents[1])
-    # autocorr.csv's tail loads numpy.fft; the summary's quartiles load no numpy.ma
-    assert mb > 0.0 and loaded == ["hashlib", "numpy.fft", "numpy.random"]
+    # autocorr.csv loads no numpy.fft; the summary's quartiles load no numpy.ma
+    assert mb > 0.0 and loaded == ["hashlib", "numpy.random"]
 
 
 def test_long_record_probe_holds_no_second_record_table():

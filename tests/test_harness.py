@@ -167,7 +167,8 @@ def _fingerprint(built):
     if isinstance(built, fr.RegularizedSolution):
         return built.indices.tobytes() + built.values.tobytes()
     if isinstance(built, fr.ConstraintSpec):
-        return json.dumps([built.E, built.eps, built.alpha])  # as a run's params dict serializes them
+        c = None if built.c is None else built.c.tolist()
+        return json.dumps([built.E, built.eps, built.alpha, c])  # as a run's params dict serializes them
     if isinstance(built, fr.VarianceProfile):
         return built.rho.tobytes() + built.nu.tobytes() + json.dumps(built.eps).encode()
     if isinstance(built, fr.AutocorrSeries):
@@ -309,6 +310,9 @@ REAL_ARGUMENTS = {
     "SignalSpec.from_json_dict(terms)": (lambda v: _json_sines((v, 3)), r"^sine amplitude must"),
     "ConstraintSpec(E)": (lambda v: fr.ConstraintSpec(E=v, eps=1e-3), r"^constraint bound E must"),
     "ConstraintSpec(eps)": (lambda v: fr.ConstraintSpec(E=1.0, eps=v), r"^noise bound eps must"),
+    "ConstraintSpec(c)": (lambda v: fr.ConstraintSpec(E=1.0, eps=1e-3, c=[v, 2.0]), r"^constraint spectrum c must"),
+    "NoisyDataset(coeffs)": (lambda v: fr.NoisyDataset(coeffs=[1.0, v]), r"^coeffs must"),
+    "snr_db(g)": (lambda v: fr.snr_db([1.0, v], 1e-3), r"^g must"),
     "tikhonov_identity(E)": (lambda v: fr.tikhonov_identity(DATA128, ES128, v, 1e-3), r"^constraint bound E must"),
     "tikhonov_identity(eps)": (lambda v: fr.tikhonov_identity(DATA128, ES128, 1.0, v), r"^noise bound eps must"),
     "truncated_k_beta(E)": (lambda v: fr.truncated_k_beta(DATA128, ES128, v, 1e-3), r"^constraint bound E must"),
@@ -353,6 +357,7 @@ REAL_ARGUMENTS = {
 NEGATIVE_IS_VALID = {
     "simpson_grid(a)", "simpson_grid(b)", "SignalSpec(terms)", "SignalSpec.sines(terms)",
     "SignalSpec.from_json_dict(terms)", "reconstruct(coeffs)", "QuadratureGrid(points)", "QuadratureGrid(weights)",
+    "NoisyDataset(coeffs)", "snr_db(g)",
 }
 HUGE = 10**400  # an int past the float range: float() raised a bare OverflowError
 
@@ -365,7 +370,8 @@ def test_real_arguments_refuse_bools_strs_and_values_out_of_range(case, value):
     # True built as 1.0 at each of them, and "1e-3" raised numpy's bare TypeError; sines built (True, 2) and
     # ("1.0", 2) as (1.0, 2), f0_approximation ran with c1=True, detect_plateau(flatness=nan) returned [],
     # and snr_db(g, True) read epsilon as 1.0; reconstruct built an expansion from the coefficients True and "2.0",
-    # and VarianceProfile built rho = [True, "1"] as [1.0, 1.0]
+    # VarianceProfile built rho = [True, "1"] as [1.0, 1.0], NoisyDataset and snr_db read their records so,
+    # and ConstraintSpec built c = [1, inf]
     build, names = REAL_ARGUMENTS[case]
     if value == -1e-3 and case in NEGATIVE_IS_VALID:
         build(value)  # builds: any finite sign is valid

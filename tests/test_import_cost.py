@@ -8,8 +8,8 @@ first Lanczos solve, for a few eigenpairs of a larger grid.
 
 Neither `import fredreg` nor the numeric eigensystem loads hashlib (which
 maps OpenSSL's libcrypto) or numpy.fft: hashlib loads on the first digest
-(config_hash, a seed file's sha256), and numpy.fft on the first autocorr.csv
-tail.  A run that draws noise still loads hashlib, through numpy.random.
+(config_hash, a seed file's sha256), and nothing in the package uses
+numpy.fft.  A run that draws noise still loads hashlib, through numpy.random.
 A CLI run that emits loads no numpy.ma: the summary's median and quartiles
 come from one sorted list, not np.percentile, which reaches np.unique.
 The checks run in a fresh interpreter because other test modules import

@@ -193,7 +193,7 @@ class TestNoisyDataset:
     def test_non_finite_values_rejected(self, field, bad):
         values = {field: np.zeros(8)}
         values[field][3] = bad
-        with pytest.raises(ValueError, match="NaN or inf"):
+        with pytest.raises(ValueError, match="^coeffs must be finite"):
             fr.NoisyDataset(**values)
 
     def test_two_dimensional_record_rejected(self):
